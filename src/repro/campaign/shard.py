@@ -47,7 +47,8 @@ from repro.resilience.errors import CampaignError, JournalWriteError
 from repro.resilience.fsio import fsync_parent_dir
 from repro.resilience.runner import (
     FailedCell,
-    _execute_with_retries,
+    _CellTask,
+    _ParallelDispatcher,
     retry_rng_for,
 )
 
@@ -188,10 +189,10 @@ def run_shard(campaign_dir, shard_id: str, *,
 
     ``max_retries`` bounds two nested budgets the same way the sweep
     engine does: transient failures *within* a claim (timeout/crash of
-    the cell itself) retry up to ``max_retries`` times inside
-    :func:`_execute_with_retries`, and *claim generations* (a claimant
-    dying with the lease) are bounded at ``1 + max_retries`` before the
-    cell degrades to a journaled failure.
+    the cell itself) retry up to ``max_retries`` times inside the sweep
+    engine's dispatcher, and *claim generations* (a claimant dying with
+    the lease) are bounded at ``1 + max_retries`` before the cell
+    degrades to a journaled failure.
     """
     campaign_dir = Path(campaign_dir)
     spec = load_spec(campaign_dir)
@@ -310,14 +311,25 @@ def _execute_cell(spec: CampaignSpec, cell: CampaignCell, leases: LeaseDir,
                   retry_backoff_s: float, isolate: bool, rng,
                   shard_id: str) -> Tuple[Optional[object],
                                           Optional[FailedCell]]:
-    """Run one claimed cell under a lease heartbeat."""
+    """Run one claimed cell through the sweep engine's dispatcher (one
+    slot, failures stamped with this shard's id) under a lease
+    heartbeat."""
+    from repro.resilience.checkpoint import config_digest
+
     config = spec.cell_config(cell)
+    dispatcher = _ParallelDispatcher(
+        jobs=1, trace_length=spec.trace_length, seed=spec.seed,
+        fault_plan=None, timeout_s=timeout_s, max_retries=max_retries,
+        retry_backoff_s=retry_backoff_s, fail_fast=False, retry_rng=rng,
+        isolate=isolate, shard=shard_id)
+    task = _CellTask(0, cell.workload, config.l1_design, config,
+                     config_digest(config))
+    outcomes: List[Tuple[str, object]] = []
     with _Heartbeat(leases, lease, heartbeat_s):
-        result, failure, _attempts = _execute_with_retries(
-            config, cell.workload, spec.trace_length, spec.seed,
-            None, isolate, timeout_s, max_retries, retry_backoff_s,
-            False, rng=rng, shard=shard_id)
-    return result, failure
+        dispatcher.run([task], lambda _task, kind, payload:
+                       outcomes.append((kind, payload)))
+    kind, payload = outcomes[0]
+    return (payload, None) if kind == "ok" else (None, payload)
 
 
 def _journal_outcome(journal: CampaignShardJournal, campaign_dir,

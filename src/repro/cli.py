@@ -39,12 +39,15 @@ reproducible, and every simulating command accepts ``--sanitize`` to arm
 the runtime invariant sanitizer (see :mod:`repro.devtools.sanitize`) or
 ``--no-sanitize`` to force it off (overriding ``REPRO_SANITIZE``, e.g. to
 let a fault-injection run complete and flag the faults in its report).
-Parallel sweeps (``--jobs``) run supervised by default — worker
-heartbeats, hung-worker replacement, RSS watchdogs, a free-disk guard —
-tunable with ``--hung-after``/``--max-rss-mb``/``--min-free-mb`` and
-disabled by ``--no-supervise``; ``--chaos KIND@N[:BYTES]`` injects
-deterministic host faults (see :mod:`repro.resilience.chaos`) to
-exercise that machinery.
+Every sweep runs through one engine (:mod:`repro.resilience.runner`).
+Cells that run in a subprocess — all of them above ``--jobs 1``, and
+at one job under ``--isolate``/``--timeout`` — are supervised by
+default: worker heartbeats, hung-worker replacement and RSS watchdogs,
+tunable with ``--hung-after``/``--max-rss-mb`` and disabled by
+``--no-supervise``.  The ``--min-free-mb`` journal floor applies at
+every ``--jobs`` value, supervised or not.  ``--chaos KIND@N[:BYTES]``
+injects deterministic host faults (see :mod:`repro.resilience.chaos`)
+to exercise that machinery.
 
 Exit codes: 0 success; 1 a sweep completed but some cells failed (or
 lint/doctor found issues); 2 usage/configuration errors (including
@@ -185,16 +188,20 @@ def _add_supervision_arguments(parser: argparse.ArgumentParser) -> None:
                              "checkpoint-torn, sigint, sigterm, "
                              "shard-kill, lease-steal, stale-lock")
     parser.add_argument("--no-supervise", action="store_true",
-                        help="disable worker heartbeats and watchdogs "
-                             "(parallel sweeps are supervised by default)")
+                        help="disable worker heartbeats and the hung/RSS "
+                             "watchdogs (every subprocess cell — any "
+                             "--jobs above 1, --isolate, --timeout — is "
+                             "supervised by default); the --min-free-mb "
+                             "floor still applies")
     parser.add_argument("--hung-after", metavar="SECONDS", type=float,
                         default=30.0,
-                        help="kill and requeue a worker silent for this "
-                             "long (supervised parallel sweeps)")
+                        help="kill and requeue a subprocess cell's worker "
+                             "silent for this long")
     parser.add_argument("--max-rss-mb", metavar="MB", type=float,
                         default=None,
-                        help="per-worker RSS ceiling; breaches downshift "
-                             "--jobs before consuming the retry budget")
+                        help="RSS ceiling per subprocess cell's worker; "
+                             "above --jobs 1 breaches downshift --jobs "
+                             "before consuming the retry budget")
     parser.add_argument("--min-free-mb", metavar="MB", type=float,
                         default=32.0,
                         help="pause the sweep (exit 4, resumable) when "
@@ -211,12 +218,21 @@ def _chaos_plan_from_args(args: argparse.Namespace):
 
 
 def _policy_from_args(args: argparse.Namespace):
+    """The watchdog policy, or None under ``--no-supervise``."""
     if getattr(args, "no_supervise", False):
         return None
     from repro.resilience.supervisor import SupervisionPolicy
     return SupervisionPolicy(hung_after_s=args.hung_after,
                              max_rss_mb=args.max_rss_mb,
                              min_free_mb=args.min_free_mb)
+
+
+def _sweep_policy(args: argparse.Namespace):
+    """The policy a sweep or server runs under: ``--no-supervise`` turns
+    the watchdogs off but keeps the ``--min-free-mb`` journal floor."""
+    from repro.resilience.supervisor import SupervisionPolicy
+    return _policy_from_args(args) or SupervisionPolicy(
+        heartbeat_s=None, hung_after_s=None, min_free_mb=args.min_free_mb)
 
 
 def _config_from_args(args: argparse.Namespace,
@@ -422,7 +438,7 @@ def _print_sweep_report(report, baseline: str, design: str,
         from repro.resilience.errors import EXIT_PAUSED
         print(f"PAUSED: {report.pause_reason}", file=sys.stderr)
         if report.resume_hint:
-            print(f"resume with: {report.resume_hint}", file=sys.stderr)
+            print(f"to continue: {report.resume_hint}", file=sys.stderr)
         return EXIT_PAUSED
     return 0 if report.ok else 1
 
@@ -445,7 +461,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                               for path in args.trace]
     else:
         names = args.workloads or list(WORKLOADS)
-    jobs = args.jobs or 1
     sampling_plan = _sampling_plan_from_args(args)
     if sampling_plan is not None and args.inject:
         raise ValueError(
@@ -453,35 +468,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "counters would hide or scale the injected damage; valid "
             "choices: drop --sampled (exact fault campaign) or drop "
             "--inject (sampled estimate)")
+    from repro.resilience.runner import resilient_sweep
     with chaos.armed(_chaos_plan_from_args(args)):
-        if jobs > 1:
-            from repro.perf.parallel import parallel_sweep
-            report = parallel_sweep(
-                _config_from_args(args), names,
-                trace_length=args.length, seed=args.seed,
-                designs=(args.baseline, args.design),
-                journal_path=args.journal,
-                resume=args.resume,
-                jobs=jobs,
-                timeout_s=args.timeout,
-                max_retries=args.retries,
-                fault_plan=_fault_plan_from_args(args),
-                policy=_policy_from_args(args),
-                sampling_plan=sampling_plan)
-        else:
-            from repro.resilience.runner import resilient_sweep
-            report = resilient_sweep(
-                _config_from_args(args), names,
-                trace_length=args.length, seed=args.seed,
-                designs=(args.baseline, args.design),
-                journal_path=args.journal,
-                resume=args.resume,
-                isolate=args.isolate,
-                timeout_s=args.timeout,
-                max_retries=args.retries,
-                fault_plan=_fault_plan_from_args(args),
-                min_free_mb=args.min_free_mb,
-                sampling_plan=sampling_plan)
+        report = resilient_sweep(
+            _config_from_args(args), names,
+            trace_length=args.length, seed=args.seed,
+            designs=(args.baseline, args.design),
+            journal_path=args.journal,
+            resume=args.resume,
+            jobs=args.jobs,
+            isolate=args.isolate,
+            timeout_s=args.timeout,
+            max_retries=args.retries,
+            fault_plan=_fault_plan_from_args(args),
+            policy=_sweep_policy(args),
+            sampling_plan=sampling_plan)
     return _print_sweep_report(
         report, args.baseline, args.design,
         title=f"{args.design} vs {args.baseline} "
@@ -497,7 +498,6 @@ def cmd_resume(args: argparse.Namespace) -> int:
     header, _cells = SweepJournal(args.journal).read()
     config = config_from_dict(header["config"])
     designs = header["designs"]
-    jobs = args.jobs or 1
     sampling_plan = None
     if header.get("sampling") is not None:
         # The journal is a sampled-lane journal: resume it under the
@@ -506,27 +506,15 @@ def cmd_resume(args: argparse.Namespace) -> int:
 
         sampling_plan = SamplingPlan.from_dict(header["sampling"])
     with chaos.armed(_chaos_plan_from_args(args)):
-        if jobs > 1:
-            from repro.perf.parallel import parallel_sweep
-            report = parallel_sweep(
-                config, header["workloads"],
-                trace_length=header["trace_length"], seed=header["seed"],
-                designs=designs,
-                journal_path=args.journal, resume=True,
-                jobs=jobs, timeout_s=args.timeout,
-                max_retries=args.retries,
-                policy=_policy_from_args(args),
-                sampling_plan=sampling_plan)
-        else:
-            report = resilient_sweep(
-                config, header["workloads"],
-                trace_length=header["trace_length"], seed=header["seed"],
-                designs=designs,
-                journal_path=args.journal, resume=True,
-                isolate=args.isolate, timeout_s=args.timeout,
-                max_retries=args.retries,
-                min_free_mb=args.min_free_mb,
-                sampling_plan=sampling_plan)
+        report = resilient_sweep(
+            config, header["workloads"],
+            trace_length=header["trace_length"], seed=header["seed"],
+            designs=designs,
+            journal_path=args.journal, resume=True,
+            jobs=args.jobs, isolate=args.isolate, timeout_s=args.timeout,
+            max_retries=args.retries,
+            policy=_sweep_policy(args),
+            sampling_plan=sampling_plan)
     baseline = designs[0]
     design = designs[-1]
     return _print_sweep_report(
@@ -712,7 +700,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         timeout_s=args.timeout,
         retries=args.retries,
         deadline_s=args.deadline,
-        policy=_policy_from_args(args),
+        policy=_sweep_policy(args),
     )
     server = SimulationServer(config)
     print(f"repro serve: spool {config.spool}, {config.jobs} worker "

@@ -1,9 +1,9 @@
 """Performance engineering: parallel sweep execution and benchmarking.
 
-* :func:`repro.perf.parallel.parallel_sweep` — a process-pool dispatcher
-  layered on the resilience journal, so ``repro sweep --jobs N`` runs
-  cells concurrently while writing the exact journal bytes a serial sweep
-  would.
+* :func:`repro.perf.parallel.parallel_sweep` — the sweep engine
+  (:func:`repro.resilience.runner.resilient_sweep`) with one worker
+  process per core by default; at every ``jobs`` value it writes the
+  exact journal bytes a one-job sweep would.
 * :mod:`repro.perf.bench` — the ``repro bench`` harness: per-stage
   latency percentiles, cells/sec and accesses/sec throughput, and a
   calibration-normalized regression gate against a committed baseline.

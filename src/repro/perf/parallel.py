@@ -1,9 +1,8 @@
-"""Process-pool parallel sweeps with journal semantics identical to serial.
+"""Parallel sweeps: the sweep engine with one worker process per core.
 
-:func:`parallel_sweep` runs a (workload x design) matrix across worker
-processes — the same ``_cell_worker`` subprocess entry the resilient
-runner uses for isolation — while preserving every contract of
-:func:`repro.resilience.runner.resilient_sweep`:
+:func:`parallel_sweep` is :func:`repro.resilience.runner.resilient_sweep`
+with ``jobs`` defaulting to ``os.cpu_count()``.  The engine runs cells
+in ``jobs`` slots while preserving every sweep contract:
 
 * **Byte-identical journals.**  Cells complete out of order, but records
   are buffered and appended in cell-enumeration order, so the journal a
@@ -12,586 +11,44 @@ runner uses for isolation — while preserving every contract of
   holds a clean enumeration-order prefix, and a killed parallel sweep
   resumes exactly like a killed serial one.
 * **Retry + degradation.**  Transient failures (wall-clock timeout, a
-  worker dying without reporting) retry with the serial runner's
-  exponential backoff; deterministic errors degrade into ``FailedCell``
-  records (or raise under ``fail_fast``).
+  worker dying without reporting, a hung or over-RSS worker) retry with
+  seeded exponential backoff; deterministic errors degrade into
+  ``FailedCell`` records (or raise under ``fail_fast``).
 * **Duplicate-cell rejection.**  Dispatching a cell that is already in
   flight raises :class:`DuplicateCellError` — two workers simulating the
   same (workload, design) would race their journal records.
 
-``jobs <= 1`` delegates to ``resilient_sweep`` unchanged, so the serial
-path stays the single source of truth for one-at-a-time semantics.
+The dispatcher and its cell task type live beside the journal in
+:mod:`repro.resilience.runner`; they are re-exported here.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import signal as _signal_module
-import time
-from collections import deque
-from contextlib import ExitStack
-from multiprocessing.connection import wait as _connection_wait
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Optional
 
-from repro.resilience import chaos
-from repro.resilience.checkpoint import config_digest, config_to_dict
-from repro.resilience.errors import (
-    DeadlineExceeded,
-    JournalError,
-    JournalWriteError,
-    ReproResilienceError,
-    SweepInterrupted,
-)
-from repro.resilience.runner import (
-    CellCrash,
-    CellError,
-    CellTimeout,
-    FailedCell,
-    SweepJournal,
+# _CellTask and _ParallelDispatcher are re-exported for the dispatcher
+# unit tests and perfbench's traced run, which import them from here.
+from repro.resilience.runner import (  # noqa: F401
+    DuplicateCellError,
     SweepReport,
-    VALID_DESIGNS,
-    _cell_worker,
-    retry_delay,
-    retry_rng_for,
-    sweep_header_fields,
-    verify_rtrace_digests,
+    _CellTask,
+    _ParallelDispatcher,
+    resilient_sweep,
 )
 
-
-class DuplicateCellError(ReproResilienceError):
-    """The same (workload, design) cell was dispatched twice concurrently."""
+__all__ = ["DuplicateCellError", "parallel_sweep"]
 
 
-class _CellTask:
-    """Dispatch state for one sweep cell."""
-
-    __slots__ = ("slot", "workload", "design", "config", "digest",
-                 "attempts", "ready_at")
-
-    def __init__(self, slot: int, workload: str, design: str, config,
-                 digest: str) -> None:
-        self.slot = slot              # position in the execution order
-        self.workload = workload
-        self.design = design
-        self.config = config
-        self.digest = digest
-        self.attempts = 0
-        self.ready_at = 0.0           # monotonic time a retry becomes due
-
-
-class _Running:
-    """A task currently executing in a worker process."""
-
-    __slots__ = ("task", "worker", "receiver", "deadline", "last_heartbeat")
-
-    def __init__(self, task: _CellTask, worker, receiver,
-                 deadline: Optional[float]) -> None:
-        self.task = task
-        self.worker = worker
-        self.receiver = receiver
-        self.deadline = deadline
-        self.last_heartbeat = time.monotonic()
-
-
-class _ParallelDispatcher:
-    """Run cell tasks across up to ``jobs`` worker processes.
-
-    Completion is reported through ``on_complete(task, kind, payload)``
-    where ``kind`` is ``"ok"`` (payload: the result dict) or ``"failed"``
-    (payload: a :class:`FailedCell`).  The callback order is completion
-    order; callers that need deterministic order re-sequence by
-    ``task.slot``.
-    """
-
-    def __init__(self, jobs: int, trace_length: int, seed: int, fault_plan,
-                 timeout_s: Optional[float], max_retries: int,
-                 retry_backoff_s: float, fail_fast: bool,
-                 retry_rng=None,
-                 deadline_at: Optional[float] = None,
-                 sampling_plan=None) -> None:
-        self.jobs = max(1, jobs)
-        self.trace_length = trace_length
-        self.seed = seed
-        self.fault_plan = fault_plan
-        self.sampling_plan = sampling_plan
-        self.timeout_s = timeout_s
-        self.max_retries = max_retries
-        self.retry_backoff_s = retry_backoff_s
-        self.fail_fast = fail_fast
-        #: shared seeded RNG for deterministic retry-backoff jitter.
-        self.retry_rng = (retry_rng if retry_rng is not None
-                          else retry_rng_for(seed))
-        #: monotonic instant the whole sweep must stop by (None = none).
-        self.deadline_at = deadline_at
-        method = ("fork"
-                  if "fork" in multiprocessing.get_all_start_methods()
-                  else "spawn")
-        self._context = multiprocessing.get_context(method)
-        self._in_flight: Dict[Tuple[str, str], _Running] = {}
-        #: worker heartbeat period; set by the supervised subclass.
-        self.heartbeat_s: Optional[float] = None
-        #: an InterruptState polled for graceful SIGINT/SIGTERM shutdown.
-        self.interrupt = None
-
-    # ------------------------------------------------------------- lifecycle
-
-    def _spawn(self, task: _CellTask) -> None:
-        key = (task.workload, task.design)
-        if key in self._in_flight:
-            raise DuplicateCellError(
-                f"cell ({task.workload}, {task.design}) is already in "
-                f"flight — refusing to race two workers on one journal "
-                f"record")
-        receiver, sender = self._context.Pipe(duplex=False)
-        worker = self._context.Process(
-            target=_cell_worker,
-            args=(sender, task.config, task.workload, self.trace_length,
-                  self.seed, self.fault_plan, self.heartbeat_s,
-                  self.sampling_plan),
-            daemon=True)
-        worker.start()
-        sender.close()  # parent keeps only the read end
-        if chaos.worker_kill_due():
-            os.kill(worker.pid, _signal_module.SIGKILL)
-        task.attempts += 1
-        deadline = (time.monotonic() + self.timeout_s
-                    if self.timeout_s is not None else None)
-        self._in_flight[key] = _Running(task, worker, receiver, deadline)
-
-    def _reap(self, running: _Running) -> None:
-        running.receiver.close()
-        if running.worker.is_alive():
-            running.worker.terminate()
-            running.worker.join(2)
-        if running.worker.is_alive():
-            running.worker.kill()
-            running.worker.join(2)
-
-    def _shutdown(self) -> None:
-        for running in list(self._in_flight.values()):
-            self._reap(running)
-        self._in_flight.clear()
-
-    # -------------------------------------------------------------- failure
-
-    def _transient(self, running: _Running, exc, retries: List[_CellTask],
-                   on_complete) -> None:
-        """Timeout/crash: retry with backoff, else degrade (or raise)."""
-        task = running.task
-        if (task.attempts <= self.max_retries
-                and not isinstance(exc, DeadlineExceeded)):
-            delay = retry_delay(self.retry_backoff_s, task.attempts,
-                                self.retry_rng)
-            ready_at = time.monotonic() + delay
-            if self.deadline_at is None or ready_at < self.deadline_at:
-                task.ready_at = ready_at
-                retries.append(task)
-                return
-            exc = DeadlineExceeded(
-                f"cell ({task.workload}, {task.design}) has no deadline "
-                f"budget left for a retry after: {exc}")
-        if self.fail_fast:
-            self._shutdown()
-            raise exc
-        on_complete(task, "failed", FailedCell(
-            workload=task.workload, design=task.design,
-            error_class=type(exc).__name__, message=str(exc),
-            traceback="", config_digest=task.digest,
-            attempts=task.attempts))
-
-    # ---------------------------------------------------- supervision hooks
-
-    def _poll_interval(self) -> Optional[float]:
-        """Upper bound on how long the loop may block waiting for pipe
-        traffic; the supervised subclass returns its watchdog cadence."""
-        return None
-
-    def _watchdogs(self, retries: List[_CellTask], on_complete) -> None:
-        """Extra per-iteration checks (hung/RSS); no-op unsupervised."""
-
-    def _interrupted(self) -> bool:
-        return (self.interrupt is not None
-                and self.interrupt.signum is not None)
-
-    def _expire_deadline(self, pending, retries: List[_CellTask],
-                         on_complete) -> None:
-        """The sweep deadline passed: kill in-flight workers and degrade
-        every unfinished cell into a ``DeadlineExceeded`` FailedCell (all
-        journaled, so a resume re-runs exactly these cells)."""
-        exc = DeadlineExceeded("sweep deadline exceeded")
-        if self.fail_fast:
-            self._shutdown()
-            raise exc
-        stranded: List[_CellTask] = []
-        for key in list(self._in_flight):
-            running = self._in_flight.pop(key)
-            self._reap(running)
-            stranded.append(running.task)
-        stranded.extend(retries)
-        retries.clear()
-        stranded.extend(pending)
-        pending.clear()
-        for task in stranded:
-            on_complete(task, "failed", FailedCell(
-                workload=task.workload, design=task.design,
-                error_class=type(exc).__name__,
-                message=f"cell ({task.workload}, {task.design}) "
-                        f"unfinished when the sweep deadline expired",
-                traceback="", config_digest=task.digest,
-                attempts=task.attempts))
-
-    # ------------------------------------------------------------------ run
-
-    def run(self, tasks: List[_CellTask],
-            on_complete: Callable[[_CellTask, str, object], None]) -> None:
-        """Dispatch until every task completed — or a graceful interrupt
-        was flagged, in which case in-flight workers are reaped and their
-        cells simply stay unfinished (the journal already holds every
-        flushed record, so resume re-runs them)."""
-        pending = deque(tasks)
-        retries: List[_CellTask] = []
-        try:
-            while pending or retries or self._in_flight:
-                if self._interrupted():
-                    break
-                now = time.monotonic()
-                if self.deadline_at is not None and now >= self.deadline_at:
-                    self._expire_deadline(pending, retries, on_complete)
-                    break
-                for task in [t for t in retries if t.ready_at <= now]:
-                    retries.remove(task)
-                    pending.append(task)
-                while pending and len(self._in_flight) < self.jobs:
-                    self._spawn(pending.popleft())
-                if not self._in_flight:
-                    if retries:
-                        due = min(task.ready_at for task in retries)
-                        wait_s = max(0.0, due - time.monotonic())
-                        if self.interrupt is not None:
-                            wait_s = min(wait_s, 0.2)
-                        time.sleep(wait_s)
-                    continue
-                timeout = None
-                if self.timeout_s is not None:
-                    first = min(r.deadline
-                                for r in self._in_flight.values())
-                    timeout = max(0.0, first - now)
-                if retries:
-                    due = max(0.0, min(t.ready_at for t in retries) - now)
-                    timeout = due if timeout is None else min(timeout, due)
-                if self.deadline_at is not None:
-                    remaining = max(0.0, self.deadline_at - now)
-                    timeout = (remaining if timeout is None
-                               else min(timeout, remaining))
-                interval = self._poll_interval()
-                if interval is not None:
-                    timeout = (interval if timeout is None
-                               else min(timeout, interval))
-                if self.interrupt is not None:
-                    # Stay responsive to a pending SIGINT/SIGTERM flag.
-                    timeout = 0.2 if timeout is None else min(timeout, 0.2)
-                by_receiver = {r.receiver: r
-                               for r in self._in_flight.values()}
-                ready = _connection_wait(list(by_receiver), timeout)
-                for receiver in ready:
-                    running = by_receiver[receiver]
-                    task = running.task
-                    key = (task.workload, task.design)
-                    if key not in self._in_flight:
-                        continue  # reaped by a watchdog this iteration
-                    try:
-                        outcome = receiver.recv()
-                    except EOFError:
-                        del self._in_flight[key]
-                        self._reap(running)
-                        self._transient(running, CellCrash(
-                            f"cell ({task.workload}, {task.design}) worker "
-                            f"died without reporting (exit code "
-                            f"{running.worker.exitcode})"), retries,
-                            on_complete)
-                        continue
-                    if outcome[0] == "hb":
-                        running.last_heartbeat = time.monotonic()
-                        continue
-                    del self._in_flight[key]
-                    self._reap(running)
-                    if outcome[0] == "ok":
-                        on_complete(task, "ok", outcome[1])
-                        continue
-                    _, error_class, message, traceback_text = outcome
-                    if self.fail_fast:
-                        self._shutdown()
-                        raise CellError(error_class, message,
-                                        traceback_text)
-                    # Deterministic error: never retried (same input, same
-                    # crash), mirrors the serial runner.
-                    on_complete(task, "failed", FailedCell(
-                        workload=task.workload, design=task.design,
-                        error_class=error_class, message=message,
-                        traceback=traceback_text,
-                        config_digest=task.digest,
-                        attempts=task.attempts))
-                if self.timeout_s is not None:
-                    now = time.monotonic()
-                    for key, running in list(self._in_flight.items()):
-                        if running.deadline > now or \
-                                running.receiver.poll(0):
-                            continue  # still in budget, or raced completion
-                        task = running.task
-                        del self._in_flight[key]
-                        self._reap(running)
-                        self._transient(running, CellTimeout(
-                            f"cell ({task.workload}, {task.design}) "
-                            f"exceeded {self.timeout_s:g}s wall clock"),
-                            retries, on_complete)
-                self._watchdogs(retries, on_complete)
-        finally:
-            self._shutdown()
-
-
-def parallel_sweep(base_config, workloads, trace_length: int = 60_000,
-                   seed: int = 42, designs=("vipt", "seesaw"), mutate=None,
-                   journal_path=None, resume: bool = True,
-                   jobs: Optional[int] = None,
-                   timeout_s: Optional[float] = None, max_retries: int = 1,
-                   retry_backoff_s: float = 0.25, fault_plan=None,
-                   fail_fast: bool = False, policy=None,
-                   deadline_s: Optional[float] = None,
-                   retry_rng=None, interrupt_state=None,
-                   sampling_plan=None) -> SweepReport:
+def parallel_sweep(base_config, workloads, *args,
+                   jobs: Optional[int] = None, **kwargs) -> SweepReport:
     """Run a journaled (workload x design) sweep across worker processes.
 
-    Drop-in parallel variant of
-    :func:`repro.resilience.runner.resilient_sweep`: the report, the
-    journal bytes, and the resume behaviour are identical for every
-    ``jobs`` value — only wall-clock time changes.  Each cell runs in its
-    own subprocess (parallelism implies isolation), so ``timeout_s``
-    watchdogs apply per cell exactly as under ``isolate=True``.
-
-    When journaled, the sweep traps SIGINT/SIGTERM: the first signal
-    stops dispatching, flushes every buffered completed cell,
-    canonicalizes the journal, and raises
-    :class:`~repro.resilience.errors.SweepInterrupted`.  A journal write
-    fault (ENOSPC, EIO, torn write) instead *pauses* the sweep: the
-    report comes back with ``paused=True`` and a resume hint.
-
-    Args:
-        jobs: worker processes; ``None`` uses ``os.cpu_count()``.  Values
-            <= 1 delegate wholesale to ``resilient_sweep`` (in-process,
-            one cell at a time; supervision does not apply).
-        policy: a :class:`repro.resilience.supervisor.SupervisionPolicy`
-            enabling heartbeat/hang/RSS watchdogs and the free-disk
-            guard; ``None`` runs the plain unsupervised dispatcher.
-        deadline_s: overall wall-clock budget; when it expires, in-flight
-            workers are killed and every unfinished cell degrades into a
-            ``DeadlineExceeded`` FailedCell (journaled, re-run on
-            resume).  Per-request deadlines in ``repro serve`` ride this.
-        retry_rng: seeded RNG for deterministic backoff jitter
-            (defaults to one derived from ``seed``; see
-            :func:`repro.resilience.runner.retry_rng_for`).
-        interrupt_state: externally owned
-            :class:`~repro.resilience.supervisor.InterruptState` polled
-            instead of trapping process signals — lets a server drain
-            one request without signalling the whole process.
-        sampling_plan: a :class:`repro.sampling.SamplingPlan` switching
-            every cell to sampled interval simulation; cell digests are
-            folded through :func:`repro.sampling.sampling_cell_digest`
-            so sampled journals never satisfy exact resume checks (and
-            vice versa).  Incompatible with ``fault_plan``.
-        (all other arguments match ``resilient_sweep``.)
+    Identical to :func:`repro.resilience.runner.resilient_sweep` — same
+    arguments, report, journal bytes and resume behaviour — except that
+    ``jobs=None`` uses ``os.cpu_count()`` worker processes.
     """
-    from repro.resilience.runner import resilient_sweep
-    from repro.sim.stats import SimulationResult
-    from repro.workloads.suite import get_workload
-
-    if sampling_plan is not None and fault_plan is not None:
-        raise ValueError(
-            "sampled simulation cannot be combined with fault injection: "
-            "extrapolated counters would hide or scale the injected damage "
-            "— run the exact lane for fault campaigns")
     if jobs is None:
         jobs = os.cpu_count() or 1
-    if jobs <= 1:
-        return resilient_sweep(
-            base_config, workloads, trace_length=trace_length, seed=seed,
-            designs=designs, mutate=mutate, journal_path=journal_path,
-            resume=resume, isolate=False, timeout_s=timeout_s,
-            max_retries=max_retries, retry_backoff_s=retry_backoff_s,
-            fault_plan=fault_plan, fail_fast=fail_fast,
-            deadline_s=deadline_s, retry_rng=retry_rng,
-            interrupt_state=interrupt_state, sampling_plan=sampling_plan)
-
-    workloads = list(workloads)
-    designs = list(designs)
-    for design in designs:
-        if design not in VALID_DESIGNS:
-            raise ValueError(
-                f"unknown design {design!r}; valid designs: "
-                f"{', '.join(VALID_DESIGNS)}")
-    for workload in workloads:
-        get_workload(workload)
-
-    journal = SweepJournal(journal_path) if journal_path is not None else None
-    if (journal is not None and policy is not None
-            and policy.min_free_mb is not None):
-        journal.min_free_bytes = int(policy.min_free_mb * 2 ** 20)
-
-    # Trap SIGINT/SIGTERM for the whole journaled section — header write
-    # through the final flush — so a signal anywhere in it degrades into
-    # a graceful, resumable stop instead of a torn KeyboardInterrupt.
-    stack = ExitStack()
-    interrupt = interrupt_state
-    if interrupt is None and journal is not None:
-        from repro.resilience.supervisor import trap_interrupts
-
-        interrupt = stack.enter_context(trap_interrupts())
-    pause: Optional[JournalWriteError] = None
-
-    done: Dict[Tuple[str, str], Dict] = {}
-    try:
-        if journal is not None:
-            if resume and journal.exists():
-                header, done = journal.read()
-                verify_rtrace_digests(header, journal.path)
-            else:
-                try:
-                    journal.write_header(sweep_header_fields(
-                        base_config, workloads, designs, trace_length,
-                        seed, sampling_plan=sampling_plan))
-                except JournalWriteError as exc:
-                    pause = exc
-
-        cells = list(dict.fromkeys(
-            (workload, design)
-            for workload in workloads for design in designs))
-        results: Dict[str, Dict] = {
-            workload: {} for workload in dict.fromkeys(workloads)}
-        reused = 0
-        # mutate runs once per workload, in enumeration order (serial
-        # contract).
-        per_workload_config: Dict[str, object] = {}
-        tasks: List[_CellTask] = []
-        reused_records: Dict[Tuple[str, str], Dict] = {}
-        for workload, design in cells:
-            if workload not in per_workload_config:
-                per_workload_config[workload] = (
-                    mutate(base_config, workload) if mutate else base_config)
-            config = per_workload_config[workload].with_design(design)
-            digest = config_digest(config)
-            if sampling_plan is not None:
-                from repro.sampling import sampling_cell_digest
-
-                digest = sampling_cell_digest(digest, sampling_plan)
-            record = done.get((workload, design))
-            if (record is not None and record.get("type") == "done"
-                    and record.get("config_digest") == digest):
-                reused_records[(workload, design)] = record
-                reused += 1
-                continue
-            tasks.append(
-                _CellTask(len(tasks), workload, design, config, digest))
-
-        # Completion-order outcomes, re-sequenced into enumeration order
-        # for the journal: slot N's record is appended only once slots
-        # 0..N-1 are written, so the journal is always a clean
-        # serial-order prefix.
-        outcomes: Dict[int, Tuple[str, object]] = {}
-        next_slot = 0
-
-        def on_complete(task: _CellTask, kind: str, payload) -> None:
-            nonlocal next_slot
-            outcomes[task.slot] = (kind, payload)
-            while next_slot < len(tasks) and next_slot in outcomes:
-                flush_kind, flush_payload = outcomes[next_slot]
-                flushed = tasks[next_slot]
-                if journal is not None:
-                    if flush_kind == "ok":
-                        journal.append_done(flushed.workload, flushed.design,
-                                            flushed.digest, flush_payload)
-                    else:
-                        journal.append_failed(flush_payload)
-                next_slot += 1
-
-        dispatcher_kwargs = dict(
-            jobs=jobs, trace_length=trace_length, seed=seed,
-            fault_plan=fault_plan, timeout_s=timeout_s,
-            max_retries=max_retries, retry_backoff_s=retry_backoff_s,
-            fail_fast=fail_fast, retry_rng=retry_rng,
-            deadline_at=(time.monotonic() + deadline_s
-                         if deadline_s is not None else None),
-            sampling_plan=sampling_plan)
-        if policy is not None:
-            from repro.resilience.supervisor import SupervisedDispatcher
-
-            dispatcher = SupervisedDispatcher(policy=policy,
-                                              **dispatcher_kwargs)
-        else:
-            dispatcher = _ParallelDispatcher(**dispatcher_kwargs)
-        dispatcher.interrupt = interrupt
-
-        if pause is None:
-            try:
-                dispatcher.run(tasks, on_complete)
-            except JournalWriteError as exc:
-                pause = exc
-        interrupted_sig = (interrupt.signum
-                           if interrupt is not None else None)
-        if journal is not None and pause is None:
-            # Flush completed cells still buffered past an unfinished
-            # slot (only an interrupt leaves any); rewrite_canonical
-            # restores enumeration order from the last-record-per-cell
-            # view.
-            for slot in sorted(s for s in outcomes if s >= next_slot):
-                flush_kind, flush_payload = outcomes[slot]
-                flushed = tasks[slot]
-                try:
-                    if flush_kind == "ok":
-                        journal.append_done(flushed.workload, flushed.design,
-                                            flushed.digest, flush_payload)
-                    else:
-                        journal.append_failed(flush_payload)
-                except JournalWriteError as exc:
-                    pause = exc
-                    break
-                next_slot = slot + 1
-        if journal is not None and journal.exists():
-            if pause is not None or interrupted_sig is not None:
-                try:
-                    journal.rewrite_canonical(cells)
-                except (JournalError, OSError):
-                    pass  # keep the raw (still readable) journal
-            else:
-                journal.rewrite_canonical(cells)
-    finally:
-        stack.close()
-
-    incomplete = any(task.slot not in outcomes for task in tasks)
-    if interrupted_sig is not None and incomplete and pause is None:
-        raise SweepInterrupted(
-            interrupted_sig, journal.path if journal is not None else None)
-
-    failures: List[FailedCell] = []
-    by_key = {(task.workload, task.design): task for task in tasks}
-    for workload, design in cells:
-        record = reused_records.get((workload, design))
-        if record is not None:
-            results[workload][design] = SimulationResult.from_dict(
-                record["result"])
-            continue
-        outcome = outcomes.get(by_key[(workload, design)].slot)
-        if outcome is None:
-            continue  # paused before this cell finished
-        kind, payload = outcome
-        if kind == "ok":
-            results[workload][design] = SimulationResult.from_dict(payload)
-        else:
-            failures.append(payload)
-    report = SweepReport(results=results, failures=failures,
-                         reused=reused, executed=len(outcomes))
-    if pause is not None:
-        report.paused = True
-        report.pause_reason = str(pause)
-        if journal is not None:
-            report.resume_hint = f"python -m repro resume {journal.path}"
-    return report
+    return resilient_sweep(base_config, workloads, *args, jobs=jobs,
+                           **kwargs)

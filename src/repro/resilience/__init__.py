@@ -10,11 +10,12 @@ this package makes them survivable:
 * :mod:`repro.resilience.checkpoint` — versioned, checksummed, atomically
   written on-disk checkpoints of a :class:`~repro.sim.system.SystemSimulator`
   snapshot, plus the config/trace digests that guard them.
-* :mod:`repro.resilience.runner` — crash-safe sweeps: each completed
+* :mod:`repro.resilience.runner` — the one sweep engine: each completed
   (workload, design) cell is journaled atomically so an interrupted sweep
-  resumes instead of restarting; cells optionally run in watchdogged
-  subprocesses with bounded retry, and failures degrade gracefully into
-  structured :class:`~repro.resilience.runner.FailedCell` records.
+  resumes instead of restarting; cells run in ``jobs`` slots, in-process
+  or in watchdogged subprocesses, with bounded retry, and failures
+  degrade gracefully into structured
+  :class:`~repro.resilience.runner.FailedCell` records.
 * :mod:`repro.resilience.faults` — a :class:`~repro.resilience.faults.FaultPlan`
   that deliberately corrupts simulator state mid-run, proving the runtime
   sanitizer (:mod:`repro.devtools.sanitize`) detects each fault class.
@@ -22,9 +23,10 @@ this package makes them survivable:
   (worker SIGKILL, ENOSPC/EIO/torn journal and checkpoint writes,
   scheduled SIGINT/SIGTERM) proving the supervision stack keeps every
   campaign resumable.
-* :mod:`repro.resilience.supervisor` — self-healing sweep supervision:
-  worker heartbeats, hung-worker replacement, RSS watchdogs with adaptive
-  job downshift, free-disk guards, and graceful interrupt trapping.
+* :mod:`repro.resilience.supervisor` — the supervision policy the engine
+  applies to every subprocess cell: worker heartbeats, hung-worker
+  replacement, RSS watchdogs with adaptive job downshift, the free-disk
+  guard, and graceful interrupt trapping.
 * :mod:`repro.resilience.doctor` — ``repro doctor``: validate and repair
   journals/checkpoints, quarantining corrupt records and reporting the
   exact cells a resume will re-run.
@@ -88,9 +90,7 @@ from repro.resilience.doctor import (
     repair,
 )
 from repro.resilience.supervisor import (
-    SupervisedDispatcher,
     SupervisionPolicy,
-    supervised_sweep,
     trap_interrupts,
 )
 
@@ -140,8 +140,6 @@ __all__ = [
     "Diagnosis",
     "diagnose",
     "repair",
-    "SupervisedDispatcher",
     "SupervisionPolicy",
-    "supervised_sweep",
     "trap_interrupts",
 ]

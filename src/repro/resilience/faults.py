@@ -219,13 +219,23 @@ def _inject_trace_truncate(sim, index: int) -> bool:
     return True
 
 
+def _before_measurement(sim, index: int) -> bool:
+    """True while a counter fault would be wiped by the warmup reset.
+
+    Faults apply before the reference at ``index`` is processed, and the
+    reset runs as the boundary reference itself is processed, so a fault
+    applied *at* a nonzero boundary is erased too.
+    """
+    return bool(sim._warmup_end) and index <= sim._warmup_end
+
+
 def _inject_energy_skew(sim, index: int) -> bool:
     """Drive one energy component negative (a sign-flipped accumulator).
 
     Deferred past the warmup boundary — the measurement reset would
     otherwise erase the corruption before anything could notice it.
     """
-    if sim._warmup_end is not None and index < sim._warmup_end:
+    if _before_measurement(sim, index):
         return False
     breakdown = sim.energy.breakdown
     # Large enough that the remaining references cannot accrue the
@@ -240,7 +250,7 @@ def _inject_stats_skew(sim, index: int) -> bool:
     Deferred past the warmup boundary for the same reason as
     ``energy-skew``.
     """
-    if sim._warmup_end is not None and index < sim._warmup_end:
+    if _before_measurement(sim, index):
         return False
     sim.l1s[0].store.stats.misses += 1
     return True

@@ -1,20 +1,29 @@
-"""Crash-safe, isolated, resumable sweeps.
+"""Crash-safe, isolated, resumable, parallel sweeps — the one sweep engine.
 
-:func:`resilient_sweep` is the fault-tolerant engine behind
-``repro.sim.experiment.sweep`` and the ``repro sweep`` CLI:
+:func:`resilient_sweep` is the only sweep body: ``repro sweep``/``resume``,
+:func:`repro.sim.experiment.sweep`, :func:`repro.perf.parallel.parallel_sweep`
+and served requests all run through it, and :class:`_ParallelDispatcher`
+is the only code that executes cells (campaign shards use it directly):
 
 * **Journaling** — every completed (workload, design) cell is appended to
   a JSONL journal with an fsync and a per-record checksum, so a sweep
   killed mid-run (even ``SIGKILL``) resumes from the journal instead of
   restarting.  Reused cells are rebuilt with
   ``SimulationResult.from_dict`` and are bit-identical to a fresh run
-  (the round trip is lossless).
-* **Isolation** — cells optionally run in a subprocess with a wall-clock
-  watchdog, so a wedged or crashing cell cannot take the sweep down.
+  (the round trip is lossless).  Records are appended in cell-enumeration
+  order whatever order cells finish in, so the journal bytes are the same
+  for every ``jobs`` value.
+* **Slots** — ``jobs`` cells run at once.  At one job with no isolation,
+  timeout or deadline, a cell runs in-process; otherwise each cell runs
+  in a subprocess with a wall-clock watchdog, so a wedged or crashing
+  cell cannot take the sweep down.
 * **Retry + graceful degradation** — transient failures (timeout, worker
-  crash) are retried with exponential backoff; deterministic errors are
-  recorded as structured :class:`FailedCell` entries and the sweep moves
-  on.
+  crash, a hung or over-RSS worker) are retried with seeded exponential
+  backoff; deterministic errors are recorded as structured
+  :class:`FailedCell` entries and the sweep moves on.
+* **Supervision** — an optional
+  :class:`~repro.resilience.supervisor.SupervisionPolicy` adds worker
+  heartbeats and the hung/RSS watchdogs to every subprocess cell.
 """
 
 from __future__ import annotations
@@ -29,10 +38,12 @@ import signal as _signal_module
 import threading
 import time
 import traceback
+from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.resilience import chaos
 from repro.resilience.checkpoint import config_digest, config_to_dict
@@ -40,14 +51,18 @@ from repro.resilience.fsio import replace_durable
 from repro.resilience.errors import (
     CellCrash,
     CellError,
+    CellHung,
+    CellResourceLimit,
     CellTimeout,
     DeadlineExceeded,
     DiskSpaceError,
     JournalError,
     JournalWriteError,
+    ReproResilienceError,
     SweepInterrupted,
     classify_write_error,
 )
+from repro.resilience.supervisor import trap_interrupts, worker_rss_bytes
 
 #: Designs a sweep accepts (mirrors SystemConfig.l1_design validation).
 VALID_DESIGNS = ("vipt", "pipt", "vivt", "seesaw")
@@ -66,6 +81,7 @@ __all__ = [
     "CellCrash",
     "CellError",
     "JournalError",
+    "DuplicateCellError",
     "FailedCell",
     "SweepReport",
     "SweepJournal",
@@ -214,14 +230,25 @@ class SweepJournal:
                  ) -> None:
         self.path = Path(path)
         self.min_free_bytes = min_free_bytes
+        #: True while :meth:`write_header` has yet to land its header;
+        #: until then there is no journal a resume could continue.
+        self._header_pending = False
 
     def exists(self) -> bool:
         return self.path.exists()
 
     @property
+    def _resume_command(self) -> str:
+        """What continues a sweep paused on this journal."""
+        if self._header_pending:
+            return f"re-run the sweep (no journal header reached {self.path})"
+        return f"python -m repro resume {self.path}"
+
+    @property
     def _resume_hint(self) -> str:
-        return (f"the journal is intact and resumable: "
-                f"python -m repro resume {self.path}")
+        if self._header_pending:
+            return f"there is nothing to resume: {self._resume_command}"
+        return f"the journal is intact and resumable: {self._resume_command}"
 
     def _guard_free_space(self, incoming_bytes: int) -> None:
         if not self.min_free_bytes:
@@ -234,8 +261,8 @@ class SweepJournal:
             raise DiskSpaceError(
                 f"{self.path}: only {free} bytes free on the journal's "
                 f"filesystem (floor {self.min_free_bytes}) — pausing "
-                f"before the append could tear the journal; free space, "
-                f"then {self._resume_hint}")
+                f"before the append could tear the journal; free space — "
+                f"{self._resume_hint}")
 
     def _append(self, record: Dict) -> None:
         record = dict(record)
@@ -263,7 +290,9 @@ class SweepJournal:
         """Start a fresh journal (truncating any previous one)."""
         if self.path.exists():
             self.path.unlink()
+        self._header_pending = True
         self._append({"type": "header", **header_fields})
+        self._header_pending = False
 
     def append_done(self, workload: str, design: str, digest: str,
                     result_payload: Dict) -> None:
@@ -453,11 +482,6 @@ def _run_cell(config, workload: str, trace_length: int, seed: int,
     from repro.workloads.suite import build_trace, cached_trace, get_workload
 
     if sampling_plan is not None:
-        if fault_plan is not None:
-            raise ValueError(
-                "sampled simulation cannot be combined with fault "
-                "injection: extrapolated counters would hide or scale the "
-                "injected damage — run the exact lane for fault campaigns")
         from repro.sampling import simulate_sampled
 
         trace = cached_trace(workload, trace_length, seed=seed)
@@ -526,155 +550,371 @@ def _cell_worker(connection, config, workload: str, trace_length: int,
         connection.close()
 
 
-def _run_cell_isolated(config, workload: str, trace_length: int, seed: int,
-                       fault_plan, timeout_s: Optional[float],
-                       sampling_plan=None):
-    """Run a cell in a watchdogged subprocess.
+# ------------------------------------------------------------- cell dispatch
 
-    Raises :class:`CellTimeout` when the wall clock expires,
-    :class:`CellCrash` when the worker dies silently (segfault, OOM kill),
-    and :class:`CellError` when the worker reports an exception.
+class DuplicateCellError(ReproResilienceError):
+    """The same (workload, design) cell was dispatched twice concurrently."""
+
+
+class _CellTask:
+    """Dispatch state for one sweep cell."""
+
+    __slots__ = ("slot", "workload", "design", "config", "digest",
+                 "attempts", "ready_at")
+
+    def __init__(self, slot: int, workload: str, design: str, config,
+                 digest: str) -> None:
+        self.slot = slot              # position in the execution order
+        self.workload = workload
+        self.design = design
+        self.config = config
+        self.digest = digest
+        self.attempts = 0
+        self.ready_at = 0.0           # monotonic time a retry becomes due
+
+
+class _Running:
+    """A task currently executing in a worker process."""
+
+    __slots__ = ("task", "worker", "receiver", "deadline", "last_heartbeat")
+
+    def __init__(self, task: _CellTask, worker, receiver,
+                 deadline: Optional[float]) -> None:
+        self.task = task
+        self.worker = worker
+        self.receiver = receiver
+        self.deadline = deadline
+        self.last_heartbeat = time.monotonic()
+
+
+class _ParallelDispatcher:
+    """The one engine that executes sweep cells, in ``jobs`` slots.
+
+    A slot runs its cell in-process through :func:`_run_cell` when no
+    subprocess is needed: one job, no ``isolate``, no per-cell timeout
+    and no sweep deadline.  Otherwise every slot runs its cell in a
+    watchdogged :func:`_cell_worker` subprocess.  The contract is the
+    same either way:
+
+    * transient failures (the per-cell timeout, a worker dying without
+      reporting, a hung or over-RSS worker) retry with seeded exponential
+      backoff (:func:`retry_delay`) within ``max_retries``;
+    * deterministic errors are never retried;
+    * when the sweep deadline (``deadline_at``, a ``time.monotonic``
+      instant) passes, in-flight workers are killed and every unfinished
+      cell degrades with error class ``DeadlineExceeded``;
+    * a failure degrades into a :class:`FailedCell` stamped with
+      ``shard`` provenance, or raises under ``fail_fast`` (an in-process
+      cell raises its own exception, a worker error raises
+      :class:`CellError`).
+
+    ``policy``, a :class:`~repro.resilience.supervisor.SupervisionPolicy`,
+    supervises every subprocess cell: worker heartbeats, the hung and RSS
+    watchdogs, and — above one job — an RSS breach sheds a slot and
+    requeues its cell for free.  ``interrupt``, an
+    :class:`~repro.resilience.supervisor.InterruptState`, stops dispatch
+    when its ``signum`` is set.
+
+    Completion is reported through ``on_complete(task, kind, payload)``
+    where ``kind`` is ``"ok"`` (payload: the ``SimulationResult``) or
+    ``"failed"`` (payload: a :class:`FailedCell`).  The callback order is
+    completion order; callers that need deterministic order re-sequence
+    by ``task.slot``.
     """
-    from repro.sim.stats import SimulationResult
 
-    method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
-              else "spawn")
-    context = multiprocessing.get_context(method)
-    receiver, sender = context.Pipe(duplex=False)
-    worker = context.Process(
-        target=_cell_worker,
-        args=(sender, config, workload, trace_length, seed, fault_plan,
-              None, sampling_plan),
-        daemon=True)
-    worker.start()
-    sender.close()  # parent keeps only the read end
-    if chaos.worker_kill_due():
-        os.kill(worker.pid, _signal_module.SIGKILL)
-    try:
-        if not receiver.poll(timeout_s):
-            raise CellTimeout(
-                f"cell ({workload}, {config.l1_design}) exceeded "
-                f"{timeout_s:g}s wall clock")
+    def __init__(self, jobs: int, trace_length: int, seed: int, fault_plan,
+                 timeout_s: Optional[float], max_retries: int,
+                 retry_backoff_s: float, fail_fast: bool,
+                 retry_rng=None,
+                 deadline_at: Optional[float] = None,
+                 sampling_plan=None, policy=None, isolate: bool = False,
+                 shard: str = "", interrupt=None) -> None:
+        self.jobs = max(1, jobs)
+        self.trace_length = trace_length
+        self.seed = seed
+        self.fault_plan = fault_plan
+        self.sampling_plan = sampling_plan
+        self.timeout_s = timeout_s
+        self.max_retries = max_retries
+        self.retry_backoff_s = retry_backoff_s
+        self.fail_fast = fail_fast
+        #: shared seeded RNG for deterministic retry-backoff jitter.
+        self.retry_rng = (retry_rng if retry_rng is not None
+                          else retry_rng_for(seed))
+        #: monotonic instant the whole sweep must stop by (None = none).
+        self.deadline_at = deadline_at
+        self.policy = policy
+        #: worker heartbeat period (None: workers send none).
+        self.heartbeat_s = ((policy.heartbeat_s or None) if policy is not None
+                            else None)
+        self.shard = shard
+        self.interrupt = interrupt
+        self.in_process = not (self.jobs > 1 or isolate
+                               or timeout_s is not None
+                               or deadline_at is not None)
+        method = ("fork"
+                  if "fork" in multiprocessing.get_all_start_methods()
+                  else "spawn")
+        self._context = multiprocessing.get_context(method)
+        self._in_flight: Dict[Tuple[str, str], _Running] = {}
+        #: cells waiting for a slot, and cells waiting out a retry backoff.
+        self._pending: deque = deque()
+        self._retries: List[_CellTask] = []
+
+    # ------------------------------------------------------------- lifecycle
+
+    def _spawn(self, task: _CellTask) -> None:
+        key = (task.workload, task.design)
+        if key in self._in_flight:
+            raise DuplicateCellError(
+                f"cell ({task.workload}, {task.design}) is already in "
+                f"flight — refusing to race two workers on one journal "
+                f"record")
+        receiver, sender = self._context.Pipe(duplex=False)
+        worker = self._context.Process(
+            target=_cell_worker,
+            args=(sender, task.config, task.workload, self.trace_length,
+                  self.seed, self.fault_plan, self.heartbeat_s,
+                  self.sampling_plan),
+            daemon=True)
+        worker.start()
+        sender.close()  # parent keeps only the read end
+        if chaos.worker_kill_due():
+            os.kill(worker.pid, _signal_module.SIGKILL)
+        task.attempts += 1
+        deadline = (time.monotonic() + self.timeout_s
+                    if self.timeout_s is not None else None)
+        self._in_flight[key] = _Running(task, worker, receiver, deadline)
+
+    def _reap(self, running: _Running) -> None:
+        running.receiver.close()
+        if running.worker.is_alive():
+            running.worker.terminate()
+            running.worker.join(2)
+        if running.worker.is_alive():
+            running.worker.kill()
+            running.worker.join(2)
+
+    def _shutdown(self) -> None:
+        for running in list(self._in_flight.values()):
+            self._reap(running)
+        self._in_flight.clear()
+
+    def _kill(self, running: _Running) -> _CellTask:
+        """Stop an in-flight cell's worker; returns its task."""
+        task = running.task
+        del self._in_flight[(task.workload, task.design)]
+        self._reap(running)
+        return task
+
+    # -------------------------------------------------------------- outcome
+
+    def _failed(self, task: _CellTask, error_class: str, message: str,
+                traceback_text: str = "") -> FailedCell:
+        return FailedCell(
+            workload=task.workload, design=task.design,
+            error_class=error_class, message=message,
+            traceback=traceback_text, config_digest=task.digest,
+            attempts=task.attempts, shard=self.shard)
+
+    def _transient(self, task: _CellTask, exc, on_complete) -> None:
+        """Timeout/crash/hang/RSS: retry with backoff, else degrade (or
+        raise).
+
+        With one slot, the slot waits out the backoff and retries this
+        cell next (serial order); with more, the cell waits in the retry
+        queue while the other slots keep working.
+        """
+        if task.attempts <= self.max_retries:
+            delay = retry_delay(self.retry_backoff_s, task.attempts,
+                                self.retry_rng)
+            ready_at = time.monotonic() + delay
+            if self.deadline_at is None or ready_at < self.deadline_at:
+                if self.jobs == 1:
+                    self._sleep(delay)
+                    self._pending.appendleft(task)
+                else:
+                    task.ready_at = ready_at
+                    self._retries.append(task)
+                return
+            exc = DeadlineExceeded(
+                f"cell ({task.workload}, {task.design}) has no deadline "
+                f"budget left for a retry after: {exc}")
+        if self.fail_fast:
+            raise exc
+        on_complete(task, "failed",
+                    self._failed(task, type(exc).__name__, str(exc)))
+
+    def _expire_deadline(self, on_complete) -> None:
+        """The sweep deadline passed: kill in-flight workers and degrade
+        every unfinished cell into a ``DeadlineExceeded`` FailedCell (all
+        journaled, so a resume re-runs exactly these cells)."""
+        if self.fail_fast:
+            raise DeadlineExceeded("sweep deadline exceeded")
+        stranded = [self._kill(running)
+                    for running in list(self._in_flight.values())]
+        stranded.extend(self._retries)
+        stranded.extend(self._pending)
+        self._retries.clear()
+        self._pending.clear()
+        for task in stranded:
+            on_complete(task, "failed", self._failed(
+                task, DeadlineExceeded.__name__,
+                f"cell ({task.workload}, {task.design}) unfinished when "
+                f"the sweep deadline expired"))
+
+    def _interrupted(self) -> bool:
+        return (self.interrupt is not None
+                and self.interrupt.signum is not None)
+
+    def _sleep(self, seconds: float) -> None:
+        """Sleep, waking every 0.2s to notice a graceful interrupt."""
+        while seconds > 0 and not self._interrupted():
+            step = seconds if self.interrupt is None else min(seconds, 0.2)
+            time.sleep(step)
+            seconds -= step
+
+    # ------------------------------------------------------------------ run
+
+    def run(self, tasks: List[_CellTask],
+            on_complete: Callable[[_CellTask, str, object], None]) -> None:
+        """Dispatch until every task completed — or a graceful interrupt
+        was flagged, in which case in-flight workers are reaped and their
+        cells simply stay unfinished (the journal already holds every
+        flushed record, so resume re-runs them)."""
+        self._pending = pending = deque(tasks)
+        self._retries = retries = []
         try:
-            outcome = receiver.recv()
-        except EOFError:
-            raise CellCrash(
-                f"cell ({workload}, {config.l1_design}) worker died "
-                f"without reporting (exit code {worker.exitcode})") from None
-    finally:
-        receiver.close()
-        if worker.is_alive():
-            worker.terminate()
-            worker.join(2)
-        if worker.is_alive():
-            worker.kill()
-            worker.join(2)
-    if outcome[0] == "ok":
-        return SimulationResult.from_dict(outcome[1])
-    _, error_class, message, traceback_text = outcome
-    raise CellError(error_class, message, traceback_text)
-
-
-def _execute_with_retries(config, workload: str, trace_length: int, seed: int,
-                          fault_plan, isolate: bool,
-                          timeout_s: Optional[float], max_retries: int,
-                          retry_backoff_s: float, fail_fast: bool,
-                          rng=None, deadline_at: Optional[float] = None,
-                          sampling_plan=None, shard: str = ""):
-    """Run one cell, retrying transient failures.
-
-    Returns ``(result, None, attempts)`` on success, or
-    ``(None, FailedCell, attempts)`` after the retry budget is spent or a
-    deterministic error occurs (no point re-running those).  With
-    ``fail_fast`` the error propagates instead of degrading (the classic
-    ``sweep()`` contract when no journal is in play).
-
-    ``rng`` is the sweep's shared seeded RNG for backoff jitter (see
-    :func:`retry_delay`).  ``deadline_at`` is a ``time.monotonic``
-    deadline: the per-attempt watchdog is clamped to the remaining
-    budget, and a retry that cannot fit degrades immediately with error
-    class ``DeadlineExceeded`` instead of sleeping past the deadline.
-    ``shard`` stamps failure provenance onto any :class:`FailedCell`
-    (campaign shard workers pass their shard id; plain sweeps leave it
-    empty so journal bytes stay independent of the executing process).
-    """
-    digest = config_digest(config)
-    if sampling_plan is not None:
-        from repro.sampling import sampling_cell_digest
-
-        digest = sampling_cell_digest(digest, sampling_plan)
-    attempt = 0
-    while True:
-        attempt += 1
-        effective_timeout = timeout_s
-        if deadline_at is not None:
-            remaining = deadline_at - time.monotonic()
-            if remaining <= 0:
-                exc = DeadlineExceeded(
-                    f"cell ({workload}, {config.l1_design}) hit the sweep "
-                    f"deadline before attempt {attempt} could start")
-                if fail_fast:
-                    raise exc
-                return None, FailedCell(
-                    workload=workload, design=config.l1_design,
-                    error_class=type(exc).__name__, message=str(exc),
-                    traceback="", config_digest=digest,
-                    attempts=attempt - 1, shard=shard), attempt - 1
-            effective_timeout = (remaining if timeout_s is None
-                                 else min(timeout_s, remaining))
-        try:
-            if isolate or effective_timeout is not None:
-                result = _run_cell_isolated(config, workload, trace_length,
-                                            seed, fault_plan,
-                                            effective_timeout, sampling_plan)
-            else:
-                result = _run_cell(config, workload, trace_length, seed,
-                                   fault_plan, sampling_plan)
-            return result, None, attempt
-        except (CellTimeout, CellCrash) as exc:
-            if (deadline_at is not None
-                    and time.monotonic() >= deadline_at
-                    and isinstance(exc, CellTimeout)):
-                # The watchdog fired because the *deadline* clamped it,
-                # not the per-cell budget: report the honest error class.
-                exc = DeadlineExceeded(
-                    f"cell ({workload}, {config.l1_design}) ran out of "
-                    f"sweep deadline mid-attempt")
-            if attempt <= max_retries \
-                    and not isinstance(exc, DeadlineExceeded):
-                delay = retry_delay(retry_backoff_s, attempt, rng)
-                if (deadline_at is None
-                        or time.monotonic() + delay < deadline_at):
-                    time.sleep(delay)
+            while pending or retries or self._in_flight:
+                if self._interrupted():
+                    break
+                now = time.monotonic()
+                if self.deadline_at is not None and now >= self.deadline_at:
+                    self._expire_deadline(on_complete)
+                    break
+                if self.in_process:
+                    self._run_in_process(pending.popleft(), on_complete)
                     continue
-                exc = DeadlineExceeded(
-                    f"cell ({workload}, {config.l1_design}) has no "
-                    f"deadline budget left for a retry after: {exc}")
-            if fail_fast:
-                raise exc
-            failure = FailedCell(
-                workload=workload, design=config.l1_design,
-                error_class=type(exc).__name__, message=str(exc),
-                traceback="", config_digest=digest, attempts=attempt, shard=shard)
-            return None, failure, attempt
-        except CellError as exc:
-            if fail_fast:
-                raise
-            failure = FailedCell(
-                workload=workload, design=config.l1_design,
-                error_class=exc.error_class, message=exc.message,
-                traceback=exc.traceback_text, config_digest=digest,
-                attempts=attempt, shard=shard)
-            return None, failure, attempt
+                for task in [t for t in retries if t.ready_at <= now]:
+                    retries.remove(task)
+                    pending.append(task)
+                while pending and len(self._in_flight) < self.jobs:
+                    self._spawn(pending.popleft())
+                if self._in_flight:
+                    self._wait(now, on_complete)
+                elif retries:
+                    self._sleep(min(t.ready_at for t in retries)
+                                - time.monotonic())
+        finally:
+            self._shutdown()
+
+    def _run_in_process(self, task: _CellTask, on_complete) -> None:
+        """Run one cell in this process; its errors are deterministic."""
+        task.attempts += 1
+        try:
+            # Looked up in the module namespace at call time, so a wrapper
+            # installed on ``runner._run_cell`` sees every in-process cell.
+            result = _run_cell(task.config, task.workload,
+                               self.trace_length, self.seed,
+                               self.fault_plan, self.sampling_plan)
         except Exception as exc:  # noqa: BLE001 - degrade, don't die
-            if fail_fast:
+            if self.fail_fast:
                 raise
-            failure = FailedCell(
-                workload=workload, design=config.l1_design,
-                error_class=type(exc).__name__, message=str(exc),
-                traceback=traceback.format_exc(), config_digest=digest,
-                attempts=attempt, shard=shard)
-            return None, failure, attempt
+            on_complete(task, "failed", self._failed(
+                task, type(exc).__name__, str(exc), traceback.format_exc()))
+            return
+        on_complete(task, "ok", result)
+
+    def _wait(self, now: float, on_complete) -> None:
+        """Block until a worker reports or the next timeout, retry or
+        watchdog check is due, then settle whatever finished, timed out,
+        hung or broke its RSS ceiling."""
+        from repro.sim.stats import SimulationResult
+
+        due = [r.deadline for r in self._in_flight.values()
+               if r.deadline is not None]
+        due.extend(task.ready_at for task in self._retries)
+        if self.deadline_at is not None:
+            due.append(self.deadline_at)
+        timeout = max(0.0, min(due) - now) if due else None
+        if self.policy is not None:
+            interval = self.policy.check_interval_s
+            timeout = interval if timeout is None else min(timeout, interval)
+        if self.interrupt is not None:
+            # Stay responsive to a pending SIGINT/SIGTERM flag.
+            timeout = 0.2 if timeout is None else min(timeout, 0.2)
+        by_receiver = {r.receiver: r for r in self._in_flight.values()}
+        for receiver in _connection_wait(list(by_receiver), timeout):
+            running = by_receiver[receiver]
+            task = running.task
+            try:
+                outcome = receiver.recv()
+            except EOFError:
+                self._kill(running)
+                self._transient(task, CellCrash(
+                    f"cell ({task.workload}, {task.design}) worker died "
+                    f"without reporting (exit code "
+                    f"{running.worker.exitcode})"), on_complete)
+                continue
+            if outcome[0] == "hb":
+                running.last_heartbeat = time.monotonic()
+                continue
+            self._kill(running)
+            if outcome[0] == "ok":
+                on_complete(task, "ok",
+                            SimulationResult.from_dict(outcome[1]))
+                continue
+            # Deterministic error: never retried (same input, same crash).
+            _, error_class, message, traceback_text = outcome
+            if self.fail_fast:
+                raise CellError(error_class, message, traceback_text)
+            on_complete(task, "failed", self._failed(
+                task, error_class, message, traceback_text))
+        self._watchdogs(on_complete)
+
+    def _watchdogs(self, on_complete) -> None:
+        """Kill and settle workers past their timeout, silent past
+        ``hung_after_s``, or over the RSS ceiling."""
+        policy = self.policy
+        now = time.monotonic()
+        for running in list(self._in_flight.values()):
+            if running.receiver.poll(0):
+                continue  # a result/heartbeat is waiting; let recv see it
+            task = running.task
+            if running.deadline is not None and running.deadline <= now:
+                self._kill(running)
+                self._transient(task, CellTimeout(
+                    f"cell ({task.workload}, {task.design}) exceeded "
+                    f"{self.timeout_s:g}s wall clock"), on_complete)
+                continue
+            if policy is None:
+                continue
+            if (self.heartbeat_s and policy.hung_after_s is not None
+                    and now - running.last_heartbeat > policy.hung_after_s):
+                self._kill(running)
+                self._transient(task, CellHung(
+                    f"cell ({task.workload}, {task.design}) worker sent no "
+                    f"heartbeat for {policy.hung_after_s:g}s — killed as "
+                    f"hung"), on_complete)
+                continue
+            if policy.max_rss_mb is None:
+                continue
+            rss = worker_rss_bytes(running.worker.pid)
+            if rss is None or rss <= policy.max_rss_mb * 2 ** 20:
+                continue
+            self._kill(running)
+            if self.jobs > 1:
+                # Memory pressure is a concurrency problem: shed a slot and
+                # requeue the cell without spending its retry budget.
+                self.jobs -= 1
+                task.attempts -= 1
+                self._pending.appendleft(task)
+            else:
+                self._transient(task, CellResourceLimit(
+                    f"cell ({task.workload}, {task.design}) worker RSS "
+                    f"{rss / 2 ** 20:.0f}MB exceeded the "
+                    f"{policy.max_rss_mb:g}MB ceiling with no concurrency "
+                    f"left to shed"), on_complete)
 
 
 # ------------------------------------------------------------------- sweep
@@ -682,10 +922,10 @@ def _execute_with_retries(config, workload: str, trace_length: int, seed: int,
 def resilient_sweep(base_config, workloads, trace_length: int = 60_000,
                     seed: int = 42, designs=("vipt", "seesaw"),
                     mutate=None, journal_path=None, resume: bool = True,
-                    isolate: bool = False, timeout_s: Optional[float] = None,
+                    jobs: int = 1, isolate: bool = False,
+                    timeout_s: Optional[float] = None,
                     max_retries: int = 1, retry_backoff_s: float = 0.25,
-                    fault_plan=None, fail_fast: bool = False,
-                    min_free_mb: Optional[float] = None,
+                    fault_plan=None, fail_fast: bool = False, policy=None,
                     deadline_s: Optional[float] = None,
                     retry_rng=None,
                     interrupt_state=None,
@@ -699,29 +939,34 @@ def resilient_sweep(base_config, workloads, trace_length: int = 60_000,
         trace_length / seed: forwarded to ``build_trace``.
         designs: L1 designs to sweep; duplicates are collapsed, order kept.
         mutate: optional ``f(config, workload) -> config`` hook applied
-            per cell (kept from the classic ``sweep``).
+            once per workload (kept from the classic ``sweep``).
         journal_path: JSONL journal location; None disables journaling.
         resume: with a journal, reuse completed cells whose config digest
             matches instead of re-simulating them.  ``resume=False``
             truncates any existing journal and starts over.
-        isolate: run each cell in a subprocess (implied by ``timeout_s``).
+        jobs: cell slots.  Above one, every cell runs in its own worker
+            process; the journal bytes and the report are identical for
+            every value — only wall-clock time changes.
+        isolate: run each cell in a subprocess even at one job (implied
+            by ``timeout_s`` and ``deadline_s``).
         timeout_s: wall-clock budget per cell attempt.
-        max_retries: extra attempts for transient (timeout/crash)
-            failures; deterministic errors never retry.
+        max_retries: extra attempts for transient (timeout, crash, hang,
+            RSS) failures; deterministic errors never retry.
         retry_backoff_s: base of the exponential backoff between retries.
         fault_plan: optional :class:`~repro.resilience.faults.FaultPlan`
             armed on every cell (fault-injection campaigns).
         fail_fast: propagate cell errors instead of degrading them into
             :class:`FailedCell` records (classic ``sweep()`` behaviour).
-        min_free_mb: override the journal's free-disk-space floor (MB);
-            dropping below it pauses the sweep cleanly (``report.paused``)
-            instead of tearing the journal.
-        deadline_s: overall wall-clock budget for the sweep.  Per-attempt
-            watchdogs are clamped to the remaining budget (isolated
-            cells; in-process cells are only checked between cells), and
-            cells the deadline strands degrade into ``FailedCell``
-            records with error class ``DeadlineExceeded`` — never
-            retried, always journaled, re-run on resume.
+        policy: a :class:`~repro.resilience.supervisor.SupervisionPolicy`
+            supervising every subprocess cell (heartbeats, hung and RSS
+            watchdogs); its ``min_free_mb`` is the journal's free-disk
+            floor at every ``jobs`` value.  ``None`` runs unsupervised
+            with the journal's default floor.
+        deadline_s: overall wall-clock budget for the sweep.  When it
+            expires, in-flight workers are killed and every unfinished
+            cell degrades into a ``FailedCell`` with error class
+            ``DeadlineExceeded`` — never retried, always journaled,
+            re-run on resume.
         retry_rng: a seeded ``random.Random`` for backoff jitter (see
             :func:`retry_delay`); ``None`` derives one from ``seed`` via
             :func:`retry_rng_for`, so the jitter schedule is reproducible.
@@ -729,8 +974,8 @@ def resilient_sweep(base_config, workloads, trace_length: int = 60_000,
             :class:`~repro.resilience.supervisor.InterruptState` to poll
             instead of trapping SIGINT/SIGTERM here — the seam
             ``repro serve`` uses to drain a request without process
-            signals.  Setting its ``signum`` makes the sweep stop after
-            the in-flight cell, flush, canonicalize, and raise
+            signals.  Setting its ``signum`` makes the sweep stop
+            dispatching, flush, canonicalize, and raise
             :class:`SweepInterrupted` exactly as a real signal would.
         sampling_plan: optional :class:`~repro.sampling.SamplingPlan`
             switching every cell to the sampled lane.  The journal header
@@ -743,11 +988,15 @@ def resilient_sweep(base_config, workloads, trace_length: int = 60_000,
         a :class:`SweepReport`; ``report.results`` matches the classic
         ``sweep()`` return shape.
 
-    Journaled sweeps trap SIGINT/SIGTERM: the current cell finishes, the
+    Cells complete out of order above one job, but their records are
+    buffered and appended in cell-enumeration order, so the journal
+    always holds a clean enumeration-order prefix.  Journaled sweeps trap
+    SIGINT/SIGTERM: dispatch stops, completed cells are flushed, the
     journal is canonicalized, and :class:`SweepInterrupted` is raised —
     the interrupted sweep resumes exactly where it stopped.  Journal
-    write trouble (ENOSPC, EIO, torn writes) pauses the sweep instead:
-    the report comes back with ``paused=True`` and a ``resume_hint``.
+    write trouble (ENOSPC, EIO, torn writes, the free-disk floor) pauses
+    the sweep instead: the report comes back with ``paused=True`` and a
+    ``resume_hint``.
     """
     from repro.sim.stats import SimulationResult
     from repro.workloads.suite import get_workload
@@ -768,102 +1017,122 @@ def resilient_sweep(base_config, workloads, trace_length: int = 60_000,
             "damage — run the exact lane for fault campaigns")
 
     journal = SweepJournal(journal_path) if journal_path is not None else None
-    if journal is not None and min_free_mb is not None:
-        journal.min_free_bytes = int(min_free_mb * 2 ** 20)
-    done: Dict[Tuple[str, str], Dict] = {}
-    if journal is not None:
-        if resume and journal.exists():
-            header, done = journal.read()
-            verify_rtrace_digests(header, journal.path)
-        else:
-            journal.write_header(sweep_header_fields(
-                base_config, workloads, designs, trace_length, seed,
-                sampling_plan=sampling_plan))
-
+    if (journal is not None and policy is not None
+            and policy.min_free_mb is not None):
+        journal.min_free_bytes = int(policy.min_free_mb * 2 ** 20)
     cells = list(dict.fromkeys(
         (workload, design) for workload in workloads for design in designs))
-    results: Dict[str, Dict] = {
-        workload: {} for workload in dict.fromkeys(workloads)}
-    failures: List[FailedCell] = []
-    reused = 0
-    executed = 0
+    reused_records: Dict[Tuple[str, str], Dict] = {}
+    tasks: List[_CellTask] = []
+    # Completion-order outcomes, re-sequenced into enumeration order for
+    # the journal: slot N's record is appended only once slots 0..N-1 are
+    # written, so the journal is always a clean serial-order prefix.
+    outcomes: Dict[int, Tuple[str, object]] = {}
+    next_slot = 0
+
+    def append(slot: int) -> None:
+        kind, payload = outcomes[slot]
+        task = tasks[slot]
+        if kind == "ok":
+            journal.append_done(task.workload, task.design, task.digest,
+                                payload.to_dict())
+        else:
+            journal.append_failed(payload)
+
+    def on_complete(task: _CellTask, kind: str, payload) -> None:
+        nonlocal next_slot
+        outcomes[task.slot] = (kind, payload)
+        while next_slot < len(tasks) and next_slot in outcomes:
+            if journal is not None:
+                append(next_slot)
+            next_slot += 1
+
     pause: Optional[JournalWriteError] = None
-    interrupted: Optional[int] = None
-    rng = retry_rng if retry_rng is not None else retry_rng_for(seed)
-    deadline_at = (time.monotonic() + deadline_s
-                   if deadline_s is not None else None)
-    # mutate is called once per workload (the classic sweep() contract),
-    # before the design is applied.
-    per_workload_config: Dict[str, object] = {}
     with ExitStack() as stack:
         interrupt = interrupt_state
         if interrupt is None and journal is not None:
-            # Graceful SIGINT/SIGTERM: finish the in-flight cell, leave a
-            # canonical journal, then raise SweepInterrupted below.
-            from repro.resilience.supervisor import trap_interrupts
+            # Trap SIGINT/SIGTERM for the whole journaled section — header
+            # write through the final flush — so a signal anywhere in it
+            # degrades into a graceful, resumable stop.
             interrupt = stack.enter_context(trap_interrupts())
-        for workload, design in cells:
-            if interrupt is not None and interrupt.signum is not None:
-                interrupted = interrupt.signum
-                break
-            if workload not in per_workload_config:
-                per_workload_config[workload] = (
-                    mutate(base_config, workload) if mutate else base_config)
-            config = per_workload_config[workload].with_design(design)
-            digest = config_digest(config)
-            if sampling_plan is not None:
-                from repro.sampling import sampling_cell_digest
-
-                digest = sampling_cell_digest(digest, sampling_plan)
-            record = done.get((workload, design))
-            if (record is not None and record.get("type") == "done"
-                    and record.get("config_digest") == digest):
-                results[workload][design] = SimulationResult.from_dict(
-                    record["result"])
-                reused += 1
-                continue
-            result, failure, _attempts = _execute_with_retries(
-                config, workload, trace_length, seed, fault_plan, isolate,
-                timeout_s, max_retries, retry_backoff_s, fail_fast,
-                rng=rng, deadline_at=deadline_at,
-                sampling_plan=sampling_plan)
-            executed += 1
-            try:
-                if result is not None:
-                    results[workload][design] = result
-                    if journal is not None:
-                        journal.append_done(workload, design, digest,
-                                            result.to_dict())
-                else:
-                    failures.append(failure)
-                    if journal is not None:
-                        journal.append_failed(failure)
-            except JournalWriteError as exc:
-                pause = exc
-                break
-        if interrupt is not None and interrupt.signum is not None \
-                and interrupted is None and (pause is not None
-                                             or executed + reused < len(cells)):
-            interrupted = interrupt.signum
-    if journal is not None and journal.exists():
-        # Collapse superseded records and order by cell enumeration, so a
-        # resumed sweep leaves the same journal bytes as an uninterrupted
-        # one (no-op when already canonical).
         try:
-            journal.rewrite_canonical(cells)
-        except (JournalError, OSError):
-            # Disk trouble mid-pause: the append-order journal on disk is
-            # still valid and resumable, so keep it as-is.
-            pass
-    if interrupted is not None and pause is None:
-        raise SweepInterrupted(
-            interrupted, journal.path if journal is not None else None)
+            done: Dict[Tuple[str, str], Dict] = {}
+            if journal is not None:
+                if resume and journal.exists():
+                    header, done = journal.read()
+                    verify_rtrace_digests(header, journal.path)
+                else:
+                    journal.write_header(sweep_header_fields(
+                        base_config, workloads, designs, trace_length, seed,
+                        sampling_plan=sampling_plan))
+            # mutate is called once per workload (the classic sweep()
+            # contract), before the design is applied.
+            per_workload_config: Dict[str, object] = {}
+            for workload, design in cells:
+                if workload not in per_workload_config:
+                    per_workload_config[workload] = (
+                        mutate(base_config, workload) if mutate
+                        else base_config)
+                config = per_workload_config[workload].with_design(design)
+                digest = config_digest(config)
+                if sampling_plan is not None:
+                    from repro.sampling import sampling_cell_digest
+
+                    digest = sampling_cell_digest(digest, sampling_plan)
+                record = done.get((workload, design))
+                if (record is not None and record.get("type") == "done"
+                        and record.get("config_digest") == digest):
+                    reused_records[(workload, design)] = record
+                    continue
+                tasks.append(
+                    _CellTask(len(tasks), workload, design, config, digest))
+            _ParallelDispatcher(
+                jobs=jobs, trace_length=trace_length, seed=seed,
+                fault_plan=fault_plan, timeout_s=timeout_s,
+                max_retries=max_retries, retry_backoff_s=retry_backoff_s,
+                fail_fast=fail_fast, retry_rng=retry_rng,
+                deadline_at=(time.monotonic() + deadline_s
+                             if deadline_s is not None else None),
+                sampling_plan=sampling_plan, policy=policy, isolate=isolate,
+                interrupt=interrupt).run(tasks, on_complete)
+            if journal is not None:
+                # Flush completed cells still buffered past an unfinished
+                # slot (only an interrupt leaves any); rewrite_canonical
+                # restores enumeration order below.
+                for slot in sorted(s for s in outcomes if s >= next_slot):
+                    append(slot)
+        except JournalWriteError as exc:
+            pause = exc
+        if journal is not None and journal.exists():
+            # Collapse superseded records and order by cell enumeration,
+            # so a resumed sweep leaves the same journal bytes as an
+            # uninterrupted one (no-op when already canonical).
+            try:
+                journal.rewrite_canonical(cells)
+            except (JournalError, OSError):
+                pass  # disk trouble: the append-order journal stays valid
+    interrupted = interrupt is not None and interrupt.signum is not None
+    if interrupted and pause is None and len(outcomes) < len(tasks):
+        raise SweepInterrupted(interrupt.signum,
+                               journal.path if journal is not None else None)
+
+    finished = {(tasks[slot].workload, tasks[slot].design): outcome
+                for slot, outcome in outcomes.items()}
+    for cell, record in reused_records.items():
+        finished[cell] = ("ok", SimulationResult.from_dict(record["result"]))
+    results: Dict[str, Dict] = {
+        workload: {} for workload in dict.fromkeys(workloads)}
+    failures: List[FailedCell] = []
+    for workload, design in cells:
+        kind, payload = finished.get((workload, design), (None, None))
+        if kind == "ok":
+            results[workload][design] = payload
+        elif kind == "failed":
+            failures.append(payload)
     report = SweepReport(results=results, failures=failures,
-                         reused=reused, executed=executed)
+                         reused=len(reused_records), executed=len(outcomes))
     if pause is not None:
         report.paused = True
         report.pause_reason = str(pause)
-        report.resume_hint = (f"python -m repro resume {journal.path}"
-                              if journal is not None else "")
+        report.resume_hint = journal._resume_command
     return report
-

@@ -1,8 +1,11 @@
-"""Self-healing supervision for parallel sweeps.
+"""Self-healing supervision for sweep worker processes.
 
-:class:`SupervisedDispatcher` extends the plain process-pool dispatcher
-(:class:`repro.perf.parallel._ParallelDispatcher`) with the monitoring a
-multi-day campaign needs to actually reach its last cell:
+A :class:`SupervisionPolicy` handed to the sweep engine
+(:func:`repro.resilience.runner.resilient_sweep`, whose
+``_ParallelDispatcher`` reads it) supervises every cell that runs in a
+subprocess — every cell above one job, and at one job every isolated,
+timed or deadlined cell — with the monitoring a multi-day campaign needs
+to actually reach its last cell:
 
 * **Heartbeats.**  Workers send ``("hb",)`` over their result pipe every
   ``heartbeat_s``; a worker silent for ``hung_after_s`` is declared hung,
@@ -18,40 +21,35 @@ multi-day campaign needs to actually reach its last cell:
   Only at one job does a breach consume the retry budget
   (``CellResourceLimit``), so a single cell that genuinely cannot fit
   still degrades instead of looping.
-* **Free-disk guard.**  ``min_free_mb`` feeds the journal's pre-fsync
-  free-space floor; hitting it pauses the sweep cleanly with a resume
-  hint instead of tearing the journal on ENOSPC.
+* **Free-disk guard.**  ``min_free_mb`` is the journal's pre-fsync
+  free-space floor at every ``jobs`` value, in-process cells included;
+  hitting it pauses the sweep cleanly with a resume hint instead of
+  tearing the journal on ENOSPC.
 * **Graceful interrupts.**  :func:`trap_interrupts` converts the first
-  SIGINT/SIGTERM into a flag the dispatcher polls: in-flight workers are
-  reaped, buffered completed cells are flushed, the journal is
-  canonicalized, and the sweep raises
+  SIGINT/SIGTERM into a flag the engine polls: dispatch stops, in-flight
+  workers are reaped, buffered completed cells are flushed, the journal
+  is canonicalized, and the sweep raises
   :class:`~repro.resilience.errors.SweepInterrupted` (CLI exit
   ``128 + signum``).  A second Ctrl-C falls through to the default
   KeyboardInterrupt for users who really mean it.
 
-None of this changes journal bytes: supervision manages *processes*, the
-enumeration-order record buffering in ``parallel_sweep`` is untouched,
-so the serial ≡ parallel differential goldens hold under supervision.
+None of this changes journal bytes: supervision manages *processes*, and
+the engine's enumeration-order record buffering is untouched, so the
+serial ≡ parallel differential goldens hold under supervision.
 """
 
 from __future__ import annotations
 
 import os
 import signal
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.perf.parallel import _ParallelDispatcher
-from repro.resilience.errors import CellHung, CellResourceLimit
-
 __all__ = [
     "SupervisionPolicy",
-    "SupervisedDispatcher",
     "InterruptState",
     "trap_interrupts",
-    "supervised_sweep",
     "worker_rss_bytes",
     "free_disk_bytes",
     "host_readiness",
@@ -60,7 +58,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SupervisionPolicy:
-    """Watchdog thresholds for a supervised parallel sweep.
+    """Watchdog thresholds for a sweep's subprocess cells, plus the
+    journal's free-disk floor.
 
     Attributes:
         heartbeat_s: worker heartbeat period (0/None disables heartbeats
@@ -70,7 +69,8 @@ class SupervisionPolicy:
         max_rss_mb: per-worker resident-set ceiling in MB (None disables
             the RSS watchdog).
         min_free_mb: free-disk floor (MB) for the journal's pre-fsync
-            guard.
+            guard, honoured at every ``jobs`` value (None keeps the
+            journal's default floor).
         check_interval_s: watchdog sampling period; also bounds how long
             an interrupt can go unnoticed.
     """
@@ -191,74 +191,3 @@ def trap_interrupts(signals=(signal.SIGINT, signal.SIGTERM)):
     finally:
         for sig, old in previous.items():
             signal.signal(sig, old)
-
-
-# --------------------------------------------------------------- dispatcher
-
-class SupervisedDispatcher(_ParallelDispatcher):
-    """A parallel dispatcher with heartbeat, hang, and RSS watchdogs."""
-
-    def __init__(self, *args, policy: SupervisionPolicy, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.policy = policy
-        self.heartbeat_s = policy.heartbeat_s or None
-        #: forensic counters surfaced for tests and reporting
-        self.hung_kills = 0
-        self.rss_kills = 0
-        self.downshifts = 0
-
-    def _poll_interval(self) -> Optional[float]:
-        return self.policy.check_interval_s
-
-    def _watchdogs(self, retries, on_complete) -> None:
-        policy = self.policy
-        now = time.monotonic()
-        for key, running in list(self._in_flight.items()):
-            if running.receiver.poll(0):
-                continue  # a result/heartbeat is waiting; let recv see it
-            task = running.task
-            if (self.heartbeat_s and policy.hung_after_s is not None
-                    and now - running.last_heartbeat > policy.hung_after_s):
-                del self._in_flight[key]
-                self._reap(running)
-                self.hung_kills += 1
-                self._transient(running, CellHung(
-                    f"cell ({task.workload}, {task.design}) worker sent no "
-                    f"heartbeat for {policy.hung_after_s:g}s — killed as "
-                    f"hung"), retries, on_complete)
-                continue
-            if policy.max_rss_mb is not None:
-                rss = worker_rss_bytes(running.worker.pid)
-                if rss is not None and rss > policy.max_rss_mb * 2 ** 20:
-                    del self._in_flight[key]
-                    self._reap(running)
-                    self.rss_kills += 1
-                    if self.jobs > 1:
-                        # Memory pressure is a concurrency problem: shed a
-                        # slot and requeue the cell without spending its
-                        # retry budget.
-                        self.jobs -= 1
-                        self.downshifts += 1
-                        task.attempts -= 1
-                        task.ready_at = now
-                        retries.append(task)
-                    else:
-                        self._transient(running, CellResourceLimit(
-                            f"cell ({task.workload}, {task.design}) worker "
-                            f"RSS {rss / 2 ** 20:.0f}MB exceeded the "
-                            f"{policy.max_rss_mb:g}MB ceiling with no "
-                            f"concurrency left to shed"), retries,
-                            on_complete)
-
-
-def supervised_sweep(base_config, workloads,
-                     policy: Optional[SupervisionPolicy] = None, **kwargs):
-    """Run :func:`repro.perf.parallel.parallel_sweep` under supervision.
-
-    Thin convenience wrapper: a default :class:`SupervisionPolicy` is
-    used when none is given; all other arguments are forwarded.
-    """
-    from repro.perf.parallel import parallel_sweep
-
-    return parallel_sweep(base_config, workloads,
-                          policy=policy or SupervisionPolicy(), **kwargs)

@@ -20,10 +20,11 @@ twists:
   the sweep machinery itself needs no cache awareness.
 * **Deadline + interrupt seams.**  The request's ``deadline_s`` and the
   job's :class:`~repro.resilience.supervisor.InterruptState` thread
-  straight into ``resilient_sweep``/``parallel_sweep``, so a server
-  drain stops a request exactly like Ctrl-C stops the CLI: in-flight
-  cells flush, the journal canonicalizes, and the client gets a
-  resumable token.
+  straight into ``resilient_sweep``, so a server drain stops a request
+  exactly like Ctrl-C stops the CLI: in-flight cells flush, the journal
+  canonicalizes, and the client gets a resumable token.  Every cell runs
+  in a watchdogged subprocess under the server's supervision policy,
+  whatever the request's ``jobs``.
 """
 
 from __future__ import annotations
@@ -264,7 +265,6 @@ def execute_job(job: Job, spool: Path, cache: ResultCache,
     ``interrupted`` payload carrying the resume token.
     """
     from repro.resilience.runner import SweepJournal, resilient_sweep
-    from repro.perf.parallel import parallel_sweep
 
     params = job.params
     base_config = base_config_from_params(params)
@@ -278,29 +278,26 @@ def execute_job(job: Job, spool: Path, cache: ResultCache,
     deadline_s = None
     if job.deadline_at is not None:
         deadline_s = max(0.001, job.deadline_at - time.monotonic())
-    common = dict(
+    started = time.monotonic()
+    # Always subprocess-isolated, so per-cell watchdogs, the policy and
+    # chaos worker kills apply at one slot as at many.
+    report = resilient_sweep(
+        base_config, params["workloads"],
         trace_length=params["length"],
         seed=params["seed"],
         designs=params["designs"],
         journal_path=journal_path,
         resume=True,
+        jobs=params["jobs"],
+        isolate=True,
         timeout_s=params.get("timeout_s", default_timeout_s),
         max_retries=params.get("retries", default_retries),
         retry_backoff_s=retry_backoff_s,
+        policy=policy,
         deadline_s=deadline_s,
         interrupt_state=job.interrupt,
         sampling_plan=sampling_plan,
     )
-    started = time.monotonic()
-    if params["jobs"] > 1:
-        report = parallel_sweep(base_config, params["workloads"],
-                                jobs=params["jobs"], policy=policy,
-                                **common)
-    else:
-        # One slot: in-process dispatch, but still subprocess-isolated so
-        # per-cell watchdogs and chaos worker kills apply as in the CLI.
-        report = resilient_sweep(base_config, params["workloads"],
-                                 isolate=True, **common)
     elapsed = time.monotonic() - started
 
     _fill_cache(journal, params, cache)

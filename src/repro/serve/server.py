@@ -3,9 +3,8 @@
 Stdlib only: an :func:`asyncio.start_server` loop speaks just enough
 HTTP/1.1 for ``POST /rpc`` (JSON-RPC 2.0, batches allowed) plus
 ``GET /healthz`` / ``GET /readyz``.  Simulation jobs run on a thread
-pool and dispatch onto the existing resilience substrate
-(:func:`~repro.resilience.runner.resilient_sweep` /
-:func:`~repro.perf.parallel.parallel_sweep`), so every robustness
+pool and dispatch onto the sweep engine
+(:func:`~repro.resilience.runner.resilient_sweep`), so every robustness
 property of the CLI — journaling, retries, watchdogs, chaos hooks —
 holds per request.
 
@@ -23,7 +22,8 @@ Robustness model:
 * **Deadlines.**  A request's ``deadline_s`` (or the server default)
   covers queueing *and* execution: a job that cannot get worker slots
   in time fails with ``DeadlineExceeded`` without simulating anything,
-  and a running job's remaining budget clamps its per-cell watchdogs.
+  and when a running job's remaining budget expires its unfinished
+  cells degrade to ``DeadlineExceeded``.
 * **Readiness.**  ``/readyz`` evaluates the supervisor's RSS/disk
   guards (:func:`~repro.resilience.supervisor.host_readiness`) against
   the spool directory; a breached guard or an active drain answers 503

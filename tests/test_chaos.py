@@ -40,7 +40,6 @@ from repro.resilience.runner import SweepJournal, resilient_sweep
 from repro.resilience.supervisor import (
     SupervisionPolicy,
     free_disk_bytes,
-    supervised_sweep,
     trap_interrupts,
     worker_rss_bytes,
 )
@@ -326,9 +325,10 @@ class TestSupervision:
     def test_supervised_journal_bytes_identical(self, tmp_path,
                                                 reference_journal):
         target = tmp_path / "sup.jsonl"
-        report = supervised_sweep(make_config(), WORKLOADS,
-                                  trace_length=LENGTH, jobs=2,
-                                  journal_path=target)
+        report = parallel_sweep(make_config(), WORKLOADS,
+                                trace_length=LENGTH, jobs=2,
+                                journal_path=target,
+                                policy=SupervisionPolicy())
         assert report.ok
         assert target.read_bytes() == reference_journal
 

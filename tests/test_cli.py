@@ -197,6 +197,17 @@ class TestSupervisionFlags:
         # the paused journal resumes to completion
         assert main(["resume", str(journal), "--jobs", "2"]) == 0
 
+    def test_min_free_floor_holds_without_supervision(self, tmp_path,
+                                                      capsys):
+        """The free-disk floor is a journal setting: --no-supervise turns
+        off the watchdogs, not the floor, at any --jobs."""
+        journal = tmp_path / "floor.jsonl"
+        assert main(["sweep", "--workloads", "gups", "--length", "500",
+                     "--jobs", "2", "--no-supervise",
+                     "--min-free-mb", "100000000",
+                     "--journal", str(journal)]) == 4
+        assert "PAUSED" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     """Bad invocations must exit 2 with a usage message, not a traceback."""

@@ -197,3 +197,51 @@ class TestSampledLaneEquivalence:
         assert report.reused == len(WORKLOADS) * 2
         assert report.executed == 0
         assert (tmp_path / "cross.jsonl").read_bytes() == path_bytes
+
+
+class TestDegradedJournalsIndependentOfJobs:
+    """Degraded cells journal the same records whatever the jobs value."""
+
+    def test_expired_deadline_journals_identical_bytes(self, tmp_path):
+        journals = []
+        for jobs in (1, 2):
+            path = tmp_path / f"deadline{jobs}.jsonl"
+            report = parallel_sweep(SystemConfig(seed=42), WORKLOADS,
+                                    trace_length=LENGTH, journal_path=path,
+                                    jobs=jobs, deadline_s=1e-9)
+            assert len(report.failures) == len(WORKLOADS) * 2
+            assert {f.error_class for f in report.failures} == \
+                {"DeadlineExceeded"}
+            journals.append(path.read_bytes())
+        assert journals[0] == journals[1]
+
+    def test_worker_error_journals_identical_bytes(self, tmp_path):
+        from repro.resilience import FaultPlan, FaultSpec
+
+        plan = FaultPlan([FaultSpec("stats-skew", 200)])
+
+        def journal(name, sweep_fn, **options):
+            path = tmp_path / name
+            report = sweep_fn(SystemConfig(seed=42, sanitize=True),
+                              WORKLOADS, trace_length=LENGTH,
+                              journal_path=path, fault_plan=plan, **options)
+            assert len(report.failures) == len(WORKLOADS) * 2
+            assert {f.error_class for f in report.failures} == \
+                {"SanitizerError"}
+            return path.read_bytes()
+
+        isolated = journal("isolated.jsonl", resilient_sweep, isolate=True)
+        assert journal("par2.jsonl", parallel_sweep, jobs=2) == isolated
+        assert journal("par4.jsonl", parallel_sweep, jobs=4) == isolated
+
+        def records(blob):
+            out = [json.loads(line) for line in blob.decode().splitlines()]
+            for record in out:
+                record.pop("traceback", None)
+                record.pop("checksum", None)
+            return out
+
+        # In-process cells format their own traceback; every other field
+        # of every record matches the subprocess journal.
+        in_process = journal("in-process.jsonl", resilient_sweep)
+        assert records(in_process) == records(isolated)

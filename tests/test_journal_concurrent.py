@@ -31,7 +31,7 @@ def _assert_valid_prefix(journal: SweepJournal) -> int:
 
 
 class TestConcurrentReaders:
-    def test_readers_see_only_valid_prefixes_of_supervised_sweep(
+    def test_readers_see_only_valid_prefixes_of_supervised_parallel_sweep(
             self, tmp_path):
         """N reader threads poll scan()/read() while a supervised
         parallel sweep writes; no reader ever observes a bad prefix."""

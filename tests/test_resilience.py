@@ -367,6 +367,19 @@ class TestFaultInjection:
         result = sim.run()
         assert kind in result.faults_injected
 
+    @pytest.mark.parametrize("kind", ["energy-skew", "stats-skew"])
+    @pytest.mark.parametrize("index", [10, LENGTH // 4])
+    def test_counter_fault_due_in_warmup_survives_the_reset(self, kind,
+                                                            index):
+        """A counter fault due inside warmup, or at the warmup boundary
+        itself (run()'s default warmup is a quarter of the trace), lands
+        after the measurement reset instead of being erased by it."""
+        config = make_config(sanitize=True)
+        sim = SystemSimulator(config, make_trace())
+        sim.arm_faults(FaultPlan([FaultSpec(kind, index)]))
+        with pytest.raises(SanitizerError):
+            sim.run()
+
     def test_fault_requiring_tft_rejects_plain_vipt(self):
         config = make_config(l1_design="vipt", sanitize=False)
         sim = SystemSimulator(config, make_trace(length=800))
@@ -389,3 +402,49 @@ class TestFaultInjection:
         assert report.ok
         result = report.results["g500"]["seesaw"]
         assert result.faults_injected == ["stats-skew"]
+
+
+# ---------------------------------------------- one engine at every jobs
+
+class TestOneEngine:
+    def test_rss_breach_degrades_isolated_single_job(self, tmp_path):
+        """The policy supervises subprocess cells at one job too: the
+        jobs-1 mirror of the chaos suite's RSS downshift test.  With no
+        slot to shed, every breach spends the retry budget."""
+        from repro.resilience.supervisor import SupervisionPolicy
+
+        policy = SupervisionPolicy(max_rss_mb=1.0, check_interval_s=0.05)
+        report = resilient_sweep(
+            SystemConfig(seed=42), ["gups"], trace_length=80_000, jobs=1,
+            isolate=True, journal_path=tmp_path / "rss.jsonl",
+            max_retries=0, policy=policy)
+        assert report.failures
+        assert all(f.error_class == "CellResourceLimit"
+                   for f in report.failures)
+        assert len(report.failures) + len(report.results["gups"]) == 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("fault", ["journal-enospc", "disk-floor"])
+    def test_header_fault_pauses_with_rerun_hint(self, tmp_path, jobs,
+                                                 fault):
+        """A journal fault at the header pauses at every jobs value, and
+        since no header reached the disk the hint says to re-run the
+        sweep, not to resume a journal that does not exist."""
+        from repro.resilience import chaos
+        from repro.resilience.supervisor import SupervisionPolicy
+
+        journal = tmp_path / "never.jsonl"
+        options = dict(trace_length=1000, jobs=jobs, journal_path=journal)
+        plan = None
+        if fault == "journal-enospc":
+            plan = chaos.HostFaultPlan.parse(["journal-enospc@0"])
+        else:
+            options["policy"] = SupervisionPolicy(min_free_mb=1e8)
+        with chaos.armed(plan):
+            report = resilient_sweep(make_config(), ["g500"], **options)
+        assert report.paused and report.executed == 0
+        assert not journal.exists()
+        assert "re-run the sweep" in report.resume_hint
+        assert "repro resume" not in report.resume_hint
+        assert "nothing to resume" in report.pause_reason
+        assert "resumable" not in report.pause_reason
