@@ -2,14 +2,17 @@
 
 Each shard worker appends to its own ``shards/<shard>.journal`` — the
 same checksummed JSONL format :class:`~repro.resilience.runner.SweepJournal`
-uses (per-record SHA-256 over canonical JSON, fsynced appends, torn
-trailing line tolerated), so the whole doctor/salvage toolchain applies
-to shard journals unchanged.  The record shapes differ only in keying:
-campaign records are keyed by ``cell`` (the spec's positional cell id)
-rather than a (workload, design) pair, and ``done``/``failed`` records
-carry ``shard`` and ``attempt`` (claim-generation) provenance that the
-merge strips from successful cells to keep the canonical journal
-byte-identical across shard topologies.
+uses (per-record SHA-256 over canonical JSON, durable appends that never
+extend a torn line, torn trailing line tolerated).  The record shapes
+differ only in keying: campaign records are keyed by ``cell`` (the
+spec's positional cell id) rather than a (workload, design) pair, and
+``done``/``failed`` records carry ``shard`` and ``attempt``
+(claim-generation) provenance that the merge strips from successful
+cells to keep the canonical journal byte-identical across shard
+topologies.  ``repro doctor`` recognises shard and merged journals by
+their header ``kind`` and validates and repairs them keyed by ``cell``;
+merging a repaired shard journal gives the same merged bytes as merging
+it unrepaired.
 """
 
 from __future__ import annotations

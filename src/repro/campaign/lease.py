@@ -4,12 +4,13 @@ Shards coordinate through the shared campaign directory alone — no
 server, no sockets — so the mutual-exclusion primitive has to be built
 from what every POSIX filesystem gives us:
 
-* **claim** — ``O_CREAT|O_EXCL`` creates ``leases/<cell>.lease``
+* **claim** — an exclusive create (``O_CREAT|O_EXCL``, see
+  :mod:`repro.resilience.fsio`) makes ``leases/<cell>.lease``
   atomically; exactly one shard wins a free cell.  The lease body
   records the owner, its acquisition wall-clock time, an expiry
   timestamp, and the *claim generation* (``attempt``): how many shards,
   this one included, have held the cell.
-* **renew** — the owner heartbeats by atomically rewriting the lease
+* **renew** — the owner heartbeats by atomically publishing the lease
   with a pushed-out expiry.  A shard that stops heartbeating — SIGKILL,
   a wedged loop, a network partition from the shared directory — stops
   renewing, and its leases age out.
@@ -42,7 +43,7 @@ from typing import Optional
 
 from repro.resilience import chaos
 from repro.resilience.errors import CampaignError
-from repro.resilience.fsio import fsync_parent_dir, replace_durable
+from repro.resilience.fsio import create_exclusive, jsonl, publish
 
 #: Default lease lifetime; renewals push expiry this far out again.
 DEFAULT_LEASE_TTL_S = 15.0
@@ -89,22 +90,6 @@ class LeaseDir:
 
     # ----------------------------------------------------------- primitives
 
-    def _write_new(self, path: Path, lease: Lease) -> bool:
-        """Atomically create ``path`` holding ``lease``; False if it
-        already exists (someone else claimed first)."""
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        try:
-            data = (json.dumps(lease.to_dict(), sort_keys=True) + "\n")
-            os.write(fd, data.encode("utf-8"))
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        fsync_parent_dir(path)
-        return True
-
     def _load(self, path: Path) -> Optional[Lease]:
         """Read a lease file; None when missing or torn (a torn lease is
         treated as expired-with-attempt-0 by the caller via steal)."""
@@ -131,9 +116,10 @@ class LeaseDir:
         """Plant an already-expired lease (chaos's stale-lock injection,
         also handy in tests); False when a lease already exists."""
         now = time.time()
-        return self._write_new(self._path(cell_id), Lease(
-            cell_id=cell_id, owner=owner, acquired_at=now - 2 * self.ttl_s,
-            expires_at=now - self.ttl_s, attempt=1))
+        stale = Lease(cell_id=cell_id, owner=owner,
+                      acquired_at=now - 2 * self.ttl_s,
+                      expires_at=now - self.ttl_s, attempt=1)
+        return create_exclusive(self._path(cell_id), jsonl([stale.to_dict()]))
 
     # ---------------------------------------------------------------- claim
 
@@ -152,7 +138,7 @@ class LeaseDir:
         now = time.time()
         lease = Lease(cell_id=cell_id, owner=owner, acquired_at=now,
                       expires_at=now + self.ttl_s, attempt=1)
-        if not self._write_new(path, lease):
+        if not create_exclusive(path, jsonl([lease.to_dict()])):
             existing = self._load(path)
             if existing is None:
                 # Released between our O_EXCL failure and the read: the
@@ -160,7 +146,7 @@ class LeaseDir:
                 return None
             if existing.owner == owner:
                 lease.attempt = existing.attempt
-                self._replace(path, lease)
+                publish(path, jsonl([lease.to_dict()]))
             elif existing.expired(now):
                 stolen = self._steal(path, owner)
                 if stolen is None:
@@ -175,7 +161,7 @@ class LeaseDir:
             # deterministically at merge.
             lease.expires_at = now - 1.0
             lease.no_renew = True
-            self._replace(path, lease)
+            publish(path, jsonl([lease.to_dict()]))
         return lease
 
     def _steal(self, path: Path, owner: str) -> Optional[Lease]:
@@ -198,20 +184,11 @@ class LeaseDir:
         lease = Lease(cell_id=path.stem, owner=owner, acquired_at=now,
                       expires_at=now + self.ttl_s,
                       attempt=prior_attempts + 1)
-        if not self._write_new(path, lease):
+        if not create_exclusive(path, jsonl([lease.to_dict()])):
             return None  # lost the re-create race to a parallel fresh claim
         return lease
 
     # ------------------------------------------------------------ ownership
-
-    def _replace(self, path: Path, lease: Lease) -> None:
-        temp = path.with_name(
-            f"{path.name}.renew.{lease.owner}.{uuid.uuid4().hex[:8]}")
-        with open(temp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(lease.to_dict(), sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        replace_durable(temp, path)
 
     def renew(self, lease: Lease) -> bool:
         """Push the expiry out another TTL; False when the lease was
@@ -223,7 +200,7 @@ class LeaseDir:
         if current is None or current.owner != lease.owner:
             return False
         lease.expires_at = time.time() + self.ttl_s
-        self._replace(path, lease)
+        publish(path, jsonl([lease.to_dict()]))
         return True
 
     def release(self, lease: Lease) -> None:

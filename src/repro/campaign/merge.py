@@ -17,21 +17,20 @@ across a whole campaign directory:
   outcome — resolve deterministically: ``done`` beats ``failed``, then
   the highest claim generation (``attempt``) wins, then the smallest
   shard id breaks the tie;
-* the canonical journal is rewritten atomically (temp + fsync +
-  ``os.replace`` + parent fsync) with cells in spec enumeration order
-  and shard/attempt provenance *stripped from done records* — so the
-  merged bytes are identical whether the campaign ran as one serial
-  process or as N shards with crashes and reclaims in between.  Failed
-  records keep their provenance: who died where is the post-mortem.
+* the canonical journal is published atomically in the canonical
+  journal layout (both from :mod:`repro.resilience.fsio`) with cells in
+  spec enumeration order and shard/attempt provenance *stripped from
+  done records* — so the merged bytes are identical whether the
+  campaign ran as one serial process or as N shards with crashes and
+  reclaims in between.  Failed records keep their provenance: who died
+  where is the post-mortem.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.campaign.journal import (
     MERGED_HEADER_KIND,
@@ -45,8 +44,8 @@ from repro.resilience.errors import (
     EXIT_PAUSED,
     CampaignError,
 )
-from repro.resilience.fsio import replace_durable
-from repro.resilience.runner import _record_checksum
+from repro.resilience.fsio import (jsonl, publish, record_checksum,
+                                   render_journal)
 
 MERGED_FILENAME = "merged.journal"
 
@@ -133,24 +132,6 @@ class _ShardDescending(str):
         return str.__lt__(self, other)
 
 
-def _quarantine(journal_path: Path,
-                corrupt: List[Tuple[int, str]]) -> Optional[Path]:
-    """Write the doctor-format quarantine sidecar (idempotent: each merge
-    rewrites it from scratch, so re-merging never duplicates lines)."""
-    if not corrupt:
-        return None
-    quarantine = journal_path.with_name(journal_path.name + ".quarantine")
-    temp = quarantine.with_name(quarantine.name + ".tmp")
-    with open(temp, "w", encoding="utf-8") as handle:
-        for number, line in corrupt:
-            handle.write(json.dumps({"line": number, "raw": line},
-                                    sort_keys=True) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    replace_durable(temp, quarantine)
-    return quarantine
-
-
 def _canonical_record(record: Dict) -> Dict:
     """Strip the old checksum (and, for done records, shard/attempt
     provenance) and re-checksum for the canonical journal."""
@@ -159,7 +140,7 @@ def _canonical_record(record: Dict) -> Dict:
     if body.get("type") == "done":
         for key in _DONE_PROVENANCE_KEYS:
             body.pop(key, None)
-    body["checksum"] = _record_checksum(body)
+    body["checksum"] = record_checksum(body)
     return body
 
 
@@ -205,8 +186,12 @@ def merge_campaign(campaign_dir, output_path=None) -> MergeReport:
                 f"{path.name}: no checksum-valid header survived; "
                 f"salvaging records cell-by-cell against the spec")
         report.shards.append(shard_id)
-        quarantine = _quarantine(path, corrupt)
-        if quarantine is not None:
+        if corrupt:
+            # The doctor's sidecar format, rewritten from scratch so that
+            # re-merging never duplicates lines.
+            quarantine = path.with_name(path.name + ".quarantine")
+            publish(quarantine, jsonl({"line": number, "raw": line}
+                                      for number, line in corrupt))
             report.quarantined += len(corrupt)
             report.quarantine_paths.append(str(quarantine))
         for cell_id, record in records.items():
@@ -244,8 +229,8 @@ def merge_campaign(campaign_dir, output_path=None) -> MergeReport:
         "cells": len(cells),
         "base": dict(spec.base),
     }
-    header["checksum"] = _record_checksum(header)
-    lines = [json.dumps(header, sort_keys=True)]
+    header["checksum"] = record_checksum(header)
+    records: Dict[str, Dict] = {}
     for cell in cells:
         record = resolved.get(cell.cell_id)
         if record is None:
@@ -260,18 +245,9 @@ def merge_campaign(campaign_dir, output_path=None) -> MergeReport:
                 "attempts": record.get("attempts", 0),
                 "attempt": record.get("attempt", 0),
             })
-        lines.append(json.dumps(_canonical_record(record), sort_keys=True))
-    content = "\n".join(lines) + "\n"
-    temp = output.with_name(output.name + ".merge.tmp")
-    try:
-        with open(temp, "w", encoding="utf-8") as handle:
-            handle.write(content)
-            handle.flush()
-            os.fsync(handle.fileno())
-        replace_durable(temp, output)
-    finally:
-        if temp.exists():
-            temp.unlink()
+        records[cell.cell_id] = _canonical_record(record)
+    publish(output, render_journal(
+        header, records, [cell.cell_id for cell in cells]))
     return report
 
 
@@ -286,23 +262,17 @@ def read_merged(path) -> Tuple[Dict, List[Dict]]:
         raise CampaignError(
             f"no merged journal at {path}; run `repro campaign merge` "
             f"first")
-    header: Optional[Dict] = None
-    records: List[Dict] = []
-    for number, _line, record in CampaignShardJournal(path).scan():
-        if record is None:
-            raise CampaignError(
-                f"{path}: corrupt record at line {number} in a merged "
-                f"journal — re-run `repro campaign merge` to rebuild it "
-                f"from the shard journals")
-        if record.get("type") == "header":
-            header = record
-        else:
-            records.append(record)
+    header, records, corrupt = CampaignShardJournal(path).salvage()
+    if corrupt:
+        raise CampaignError(
+            f"{path}: corrupt record at line {corrupt[0][0]} in a merged "
+            f"journal — re-run `repro campaign merge` to rebuild it from "
+            f"the shard journals")
     if header is None or header.get("kind") != MERGED_HEADER_KIND:
         raise CampaignError(
             f"{path}: not a merged campaign journal (missing or foreign "
             f"header)")
-    return header, records
+    return header, list(records.values())
 
 
 __all__ = [

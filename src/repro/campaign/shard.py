@@ -44,7 +44,7 @@ from repro.campaign.lease import DEFAULT_LEASE_TTL_S, Lease, LeaseDir
 from repro.campaign.spec import CampaignCell, CampaignSpec, load_spec
 from repro.resilience import chaos
 from repro.resilience.errors import CampaignError, JournalWriteError
-from repro.resilience.fsio import fsync_parent_dir
+from repro.resilience.fsio import create_exclusive, jsonl
 from repro.resilience.runner import (
     FailedCell,
     _CellTask,
@@ -103,21 +103,10 @@ def _settle(campaign_dir, cell_id: str, outcome: str, shard_id: str,
     resolved at merge)."""
     directory = settled_dir(campaign_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{cell_id}.json"
-    try:
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return False
-    try:
-        payload = {"cell": cell_id, "type": outcome, "shard": shard_id,
-                   "attempt": attempt}
-        os.write(fd, (json.dumps(payload, sort_keys=True) + "\n")
-                 .encode("utf-8"))
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-    fsync_parent_dir(path)
-    return True
+    payload = {"cell": cell_id, "type": outcome, "shard": shard_id,
+               "attempt": attempt}
+    return create_exclusive(directory / f"{cell_id}.json",
+                            jsonl([payload]))
 
 
 def _settled_cells(campaign_dir) -> Dict[str, Dict]:

@@ -22,14 +22,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Tuple
 
 from repro.resilience.errors import CampaignError
-from repro.resilience.fsio import replace_durable
+from repro.resilience.fsio import publish
 
 #: axis name -> SystemConfig field it sweeps.  ``workload`` is the one
 #: axis that is not a config knob (it selects the trace) and is required.
@@ -194,13 +193,8 @@ class CampaignSpec:
                     f"{existing.digest()[:12]}...); use a fresh directory "
                     f"or delete the old campaign first")
             return path
-        temp = path.with_name(path.name + ".tmp")
-        with open(temp, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        replace_durable(temp, path)
+        publish(path, (json.dumps(self.to_dict(), indent=2, sort_keys=True)
+                       + "\n").encode("utf-8"))
         return path
 
 

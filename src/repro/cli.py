@@ -14,8 +14,9 @@
   (``--isolate``/``--timeout``), parallel workers (``--jobs``), and
   fault injection (``--inject``);
 * ``resume``     — continue an interrupted journaled sweep;
-* ``doctor``     — validate a sweep journal or checkpoint and, with
-  ``--repair``, quarantine corrupt records and rebuild the journal;
+* ``doctor``     — validate a sweep or campaign journal, a checkpoint or
+  an ``.rtrace`` and, with ``--repair``, quarantine the damage and
+  rebuild (or move aside) the file;
 * ``bench``      — measure simulator throughput and stage latencies,
   emitting ``BENCH_perf.json`` with an optional regression gate
   (``--baseline``/``--max-regression``);
@@ -566,7 +567,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_doctor(args: argparse.Namespace) -> int:
-    """Validate (and with ``--repair`` fix) a journal or checkpoint."""
+    """Validate (and with ``--repair`` fix) a journal, checkpoint or
+    ``.rtrace``."""
     from repro.resilience import doctor
 
     diagnosis = (doctor.repair(args.path) if args.repair
@@ -587,10 +589,8 @@ def cmd_doctor(args: argparse.Namespace) -> int:
                 print(f"  quarantined {diagnosis.quarantined} record(s) "
                       f"to {diagnosis.quarantine_path}")
             if diagnosis.salvaged:
-                rebuilt = ("rtrace" if diagnosis.kind == "rtrace"
-                           else "journal")
                 print(f"  salvaged {diagnosis.salvaged} record(s) into "
-                      f"the canonical {rebuilt}")
+                      f"the canonical {diagnosis.kind}")
         for cell in diagnosis.rerun_cells:
             print(f"  re-run: ({cell[0]}, {cell[1]})")
         if diagnosis.kind == "journal" and diagnosis.rerun_cells:
@@ -1044,7 +1044,8 @@ def build_parser() -> argparse.ArgumentParser:
         "doctor",
         help="validate and repair journals/checkpoints/.rtrace traces")
     doctor.add_argument("path",
-                        help="a sweep journal, checkpoint, or ingested "
+                        help="a sweep journal, a campaign shard or merged "
+                             "journal, a checkpoint, or an ingested "
                              ".rtrace trace file")
     doctor.add_argument("--repair", action="store_true",
                         help="quarantine corrupt records to "

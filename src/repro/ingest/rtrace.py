@@ -3,8 +3,8 @@
 ``repro ingest`` normalizes every supported input format into one
 canonical, checksummed, binary trace file so the rest of the stack
 (simulator, checkpoints, serve result cache, campaign digests) never
-touches raw third-party formats.  Layout, mirroring the checkpoint and
-journal conventions:
+touches raw third-party formats.  An ``.rtrace`` is a sealed file, the
+layout checkpoints share (:mod:`repro.resilience.fsio`):
 
 * line 1 — magic: ``repro-rtrace v1``;
 * line 2 — a JSON header (sorted keys) carrying the format version, the
@@ -19,28 +19,31 @@ journal conventions:
 
 The header is deliberately free of timestamps and absolute paths: the
 same input ingested twice — or an interrupted ingest resumed to
-completion — produces byte-identical files.
+completion — produces byte-identical files.  This module owns the header
+fields, the magic line, the error type and the record packing; writing,
+verifying and inspecting are the shared sealed-file primitives.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import struct
 from pathlib import Path
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.resilience.errors import RtraceError
-from repro.resilience.fsio import replace_durable
+from repro.resilience.fsio import (SealedFormat, inspect_sealed, read_sealed,
+                                   write_sealed)
 from repro.workloads.trace import MemoryTrace
 
 __all__ = [
     "MAGIC",
+    "RTRACE",
     "RECORD_SIZE",
     "FLAG_WRITE",
     "pack_record",
     "unpack_payload",
+    "header_fields",
     "write_rtrace",
     "read_header",
     "load_rtrace",
@@ -52,6 +55,12 @@ __all__ = [
 MAGIC = "repro-rtrace v1"
 #: Current header/payload format version.
 VERSION = 1
+
+#: The sealed-file kind of an ingested trace.
+RTRACE = SealedFormat(magic=MAGIC, label="rtrace", error=RtraceError,
+                      required=("version", "name", "records",
+                                "trace_digest"),
+                      version=VERSION)
 
 _RECORD = struct.Struct("<QIBB")
 #: Bytes per packed reference.
@@ -98,66 +107,35 @@ def build_trace(name: str, payload: bytes) -> MemoryTrace:
     return MemoryTrace(name, addresses, writes, cores, gaps)
 
 
-def write_rtrace(path, name: str, source_format: str, payload: bytes,
-                 bad_records: int = 0) -> Dict:
-    """Atomically publish a canonical ``.rtrace``; returns its header.
+def header_fields(name: str, source_format: str, payload: bytes,
+                  bad_records: int = 0) -> Dict:
+    """The ``.rtrace`` header of ``payload``, short of the sealed-file
+    length and checksum fields.
 
-    The trace digest in the header is computed by decoding the payload
-    and hashing it exactly the way checkpoints hash in-memory traces, so
-    a loaded ``.rtrace`` digests identically to the file that claims it.
+    The trace digest is computed by decoding the payload and hashing it
+    exactly the way checkpoints hash in-memory traces, so a loaded
+    ``.rtrace`` digests identically to the file that claims it.
     """
-    if len(payload) % RECORD_SIZE:
-        raise RtraceError(
-            f"{path}: payload is {len(payload)} bytes, not a multiple of "
-            f"the {RECORD_SIZE}-byte record size")
     from repro.resilience.checkpoint import trace_digest
-    header = {
+    return {
         "version": VERSION,
         "name": name,
         "format": source_format,
         "records": len(payload) // RECORD_SIZE,
         "bad_records": bad_records,
-        "payload_bytes": len(payload),
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
         "trace_digest": trace_digest(build_trace(name, payload)),
     }
-    path = Path(path)
-    temp = path.with_name(path.name + ".tmp")
-    with open(temp, "wb") as handle:
-        handle.write(MAGIC.encode("ascii") + b"\n")
-        handle.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        handle.write(b"\n")
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    replace_durable(temp, path)
-    return header
 
 
-def _read_prelude(handle, path) -> Tuple[Dict, int]:
-    """Read and validate the magic + header lines; return (header,
-    payload start offset)."""
-    magic = handle.readline()
-    if magic.rstrip(b"\n").decode("ascii", "replace") != MAGIC:
+def write_rtrace(path, name: str, source_format: str, payload: bytes,
+                 bad_records: int = 0) -> Dict:
+    """Atomically publish a canonical ``.rtrace``; returns its header."""
+    if len(payload) % RECORD_SIZE:
         raise RtraceError(
-            f"{path}: not an rtrace file (bad magic line); expected "
-            f"{MAGIC!r} — run `repro ingest` to produce one")
-    header_line = handle.readline()
-    try:
-        header = json.loads(header_line)
-    except ValueError as exc:
-        raise RtraceError(f"{path}: corrupt rtrace header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise RtraceError(f"{path}: rtrace header is not a JSON object")
-    for key in ("version", "name", "records", "payload_bytes",
-                "payload_sha256", "trace_digest"):
-        if key not in header:
-            raise RtraceError(f"{path}: rtrace header missing {key!r}")
-    if header["version"] != VERSION:
-        raise RtraceError(
-            f"{path}: rtrace version {header['version']} is not supported "
-            f"(this build reads version {VERSION})")
-    return header, len(magic) + len(header_line)
+            f"{path}: payload is {len(payload)} bytes, not a multiple of "
+            f"the {RECORD_SIZE}-byte record size")
+    return write_sealed(path, RTRACE, header_fields(
+        name, source_format, payload, bad_records), payload)
 
 
 def read_header(path) -> Dict:
@@ -166,14 +144,7 @@ def read_header(path) -> Dict:
     Cheap — two lines of I/O — so digest guards (sweep headers, serve
     admission) can check a trace's identity without decoding it.
     """
-    path = Path(path)
-    try:
-        with open(path, "rb") as handle:
-            header, _ = _read_prelude(handle, path)
-    except OSError as exc:
-        raise RtraceError(
-            f"{path}: cannot read rtrace: {exc.strerror or exc}") from exc
-    return header
+    return read_sealed(path, RTRACE, header_only=True)[0]
 
 
 def load_rtrace(path) -> MemoryTrace:
@@ -183,24 +154,7 @@ def load_rtrace(path) -> MemoryTrace:
     corrupted file raises a typed :class:`RtraceError` (pointing at
     ``repro doctor``) instead of silently simulating garbage.
     """
-    path = Path(path)
-    try:
-        with open(path, "rb") as handle:
-            header, _ = _read_prelude(handle, path)
-            payload = handle.read()
-    except OSError as exc:
-        raise RtraceError(
-            f"{path}: cannot read rtrace: {exc.strerror or exc}") from exc
-    if len(payload) != header["payload_bytes"]:
-        raise RtraceError(
-            f"{path}: payload is {len(payload)} bytes, header promises "
-            f"{header['payload_bytes']} — truncated or torn; "
-            f"`repro doctor {path}` can salvage the whole records")
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != header["payload_sha256"]:
-        raise RtraceError(
-            f"{path}: payload checksum mismatch (corrupted in place); "
-            f"`repro doctor {path}` reports the damage")
+    header, payload = read_sealed(path, RTRACE)
     return build_trace(header["name"], payload)
 
 
@@ -236,8 +190,8 @@ def cached_rtrace(path) -> MemoryTrace:
 
 
 def inspect_rtrace(path) -> Dict:
-    """Structural report for the doctor: what is wrong and what is
-    salvageable, without raising.
+    """Structural report: what is wrong and what is salvageable, without
+    raising on content.
 
     Returns a dict with ``magic_ok``, ``header`` (or None), ``payload_start``,
     ``payload_bytes`` (actual), ``whole_records`` (how many complete
@@ -245,34 +199,10 @@ def inspect_rtrace(path) -> Dict:
     partial record), ``sha_ok`` (None when the header is unreadable), and
     ``resume_offset`` — the exact file offset after the last whole record.
     """
-    path = Path(path)
-    report: Dict = {"magic_ok": False, "header": None, "payload_start": 0,
-                    "payload_bytes": 0, "whole_records": 0, "torn_bytes": 0,
-                    "sha_ok": None, "resume_offset": 0}
-    with open(path, "rb") as handle:
-        magic = handle.readline()
-        report["magic_ok"] = (
-            magic.rstrip(b"\n").decode("ascii", "replace") == MAGIC)
-        if not report["magic_ok"]:
-            return report
-        header_line = handle.readline()
-        try:
-            header = json.loads(header_line)
-        except ValueError:
-            header = None
-        if isinstance(header, dict):
-            report["header"] = header
-        payload_start = len(magic) + len(header_line)
-        report["payload_start"] = payload_start
-        payload = handle.read()
-    report["payload_bytes"] = len(payload)
-    report["whole_records"] = len(payload) // RECORD_SIZE
-    report["torn_bytes"] = len(payload) % RECORD_SIZE
-    report["resume_offset"] = (payload_start
+    report = inspect_sealed(path, RTRACE)
+    del report["payload"], report["problem"]
+    report["whole_records"], report["torn_bytes"] = divmod(
+        report["payload_bytes"], RECORD_SIZE)
+    report["resume_offset"] = (report["payload_start"]
                                + report["whole_records"] * RECORD_SIZE)
-    if isinstance(header, dict) and "payload_sha256" in header:
-        report["sha_ok"] = (
-            len(payload) == header.get("payload_bytes")
-            and hashlib.sha256(payload).hexdigest()
-            == header["payload_sha256"])
     return report

@@ -14,11 +14,11 @@ output, so one ingest owns one file family):
 ``<output>.ingest``
     The offset journal: a JSON checkpoint (input fingerprint, committed
     input byte offset, payload/quarantine lengths, record counts, parser
-    state), rewritten atomically via ``replace_durable`` after every
-    flush.  SIGKILL at any instant leaves the journal describing a
-    consistent prefix; re-running the same command truncates the
-    append-only files back to the journaled lengths, seeks the input to
-    the journaled offset, and continues.  Because parsing is
+    state), published atomically after every flush.  SIGKILL at any
+    instant leaves the journal describing a consistent prefix;
+    re-running the same command truncates the append-only files back to
+    the journaled lengths, seeks the input to the journaled offset, and
+    continues.  Because parsing is
     deterministic and the final header carries no timestamps, a resumed
     ingest produces a ``.rtrace`` byte-identical to an uninterrupted one.
 
@@ -37,13 +37,14 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.ingest.formats import (MalformedRecord, get_parser, sniff_format)
-from repro.ingest.rtrace import (RECORD_SIZE, pack_record, read_header,
+from repro.ingest.rtrace import (RECORD_SIZE, RTRACE, pack_record,
                                  write_rtrace)
 from repro.resilience import chaos
 from repro.resilience.errors import (EXIT_FAILED_CELLS, EXIT_OK,
                                      IngestPausedError, RtraceError,
                                      TraceCorruptionError)
-from repro.resilience.fsio import fsync_parent_dir, replace_durable
+from repro.resilience.fsio import (append_durable, fsync_parent_dir,
+                                   publish, read_sealed, truncate_durable)
 
 __all__ = ["IngestReport", "ingest_trace", "sidecar_paths"]
 
@@ -118,7 +119,8 @@ def _paused(path, action: str, exc: OSError) -> IngestPausedError:
 
 
 class _IngestState:
-    """Mutable committed-progress counters mirrored by the journal."""
+    """Mutable committed-progress counters; the journal stores each
+    attribute under its own name."""
 
     def __init__(self) -> None:
         self.input_offset = 0
@@ -131,25 +133,11 @@ class _IngestState:
 
 def _write_journal(journal_path: Path, fingerprint: Dict, fmt: str,
                    name: str, state: _IngestState) -> None:
-    payload = {
-        "version": JOURNAL_VERSION,
-        "input": fingerprint,
-        "format": fmt,
-        "name": name,
-        "input_offset": state.input_offset,
-        "records": state.records,
-        "bad_records": state.bad_records,
-        "payload_bytes": state.payload_bytes,
-        "quarantine_bytes": state.quarantine_bytes,
-        "parser_state": state.parser_state,
-    }
-    temp = journal_path.with_name(journal_path.name + ".tmp")
+    payload = dict(vars(state), version=JOURNAL_VERSION, input=fingerprint,
+                   format=fmt, name=name)
     try:
-        with open(temp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-        replace_durable(temp, journal_path)
+        publish(journal_path,
+                json.dumps(payload, sort_keys=True).encode("utf-8"))
     except OSError as exc:
         raise _paused(journal_path, "offset-journal write", exc) from exc
 
@@ -189,10 +177,7 @@ def _truncate_to(path: Path, length: int, label: str) -> None:
             f"committed {length} — the sidecars were tampered with or "
             f"partially deleted; pass --force to restart the ingest")
     if actual > length:
-        with open(path, "r+b") as handle:
-            handle.truncate(length)
-            handle.flush()
-            os.fsync(handle.fileno())
+        truncate_durable(path, length)
 
 
 def _cleanup_sidecars(output: Path) -> None:
@@ -235,8 +220,12 @@ def ingest_trace(input_path, output=None, fmt: str = "auto",
             pass
 
     if output.exists():
-        # Idempotent re-run over a finished ingest: validate, report.
-        header = read_header(output)  # raises RtraceError if torn
+        # Idempotent re-run over a finished ingest: verify, report.
+        try:
+            header, _payload = read_sealed(output, RTRACE)
+        except RtraceError as exc:
+            raise RtraceError(
+                f"{exc}, or pass --force to ingest it afresh") from exc
         _cleanup_sidecars(output)  # a crash between publish and cleanup
         return IngestReport(
             output=str(output), records=header["records"],
@@ -264,12 +253,8 @@ def ingest_trace(input_path, output=None, fmt: str = "auto",
                 f"resume name {name!r} conflicts with the interrupted "
                 f"ingest's {journal['name']!r}; pass --force to restart")
         fmt, name = journal["format"], journal["name"]
-        state.input_offset = journal["input_offset"]
-        state.records = journal["records"]
-        state.bad_records = journal["bad_records"]
-        state.payload_bytes = journal["payload_bytes"]
-        state.quarantine_bytes = journal["quarantine_bytes"]
-        state.parser_state = dict(journal.get("parser_state", {}))
+        for key in list(vars(state)):
+            setattr(state, key, journal[key])
         resumed_from = state.input_offset
         _truncate_to(partial_path, state.payload_bytes, "partial payload")
         _truncate_to(quarantine_path, state.quarantine_bytes, "quarantine")
@@ -291,10 +276,7 @@ def ingest_trace(input_path, output=None, fmt: str = "auto",
         if pending_payload:
             blob = b"".join(pending_payload)
             try:
-                with open(partial_path, "ab") as handle:
-                    handle.write(blob)
-                    handle.flush()
-                    os.fsync(handle.fileno())
+                append_durable(partial_path, blob)
             except OSError as exc:
                 raise _paused(partial_path, "partial-payload write",
                               exc) from exc
@@ -302,16 +284,13 @@ def ingest_trace(input_path, output=None, fmt: str = "auto",
             pending_payload = []
             pending_payload_bytes = 0
         if pending_quarantine:
-            blob_text = "".join(pending_quarantine)
+            blob = "".join(pending_quarantine).encode("utf-8")
             try:
-                with open(quarantine_path, "a", encoding="utf-8") as handle:
-                    handle.write(blob_text)
-                    handle.flush()
-                    os.fsync(handle.fileno())
+                append_durable(quarantine_path, blob)
             except OSError as exc:
                 raise _paused(quarantine_path, "quarantine write",
                               exc) from exc
-            state.quarantine_bytes += len(blob_text.encode("utf-8"))
+            state.quarantine_bytes += len(blob)
             pending_quarantine = []
         pending_records_since_flush = 0
         if update_journal:

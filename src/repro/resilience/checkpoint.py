@@ -1,18 +1,19 @@
 """On-disk checkpoints for :class:`~repro.sim.system.SystemSimulator`.
 
-File format (documented in README "Resilient runs"):
+A checkpoint is a sealed file (:mod:`repro.resilience.fsio`; documented
+in README "Resilient runs"):
 
 * line 1 — magic: ``repro-checkpoint v1``;
-* line 2 — a JSON header carrying the snapshot version, the config and
-  trace digests, the next trace index, the workload name, the payload
-  length, and the payload's SHA-256;
+* line 2 — a sorted-keys JSON header carrying the snapshot version, the
+  config and trace digests, the next trace index, the workload name, the
+  payload length, and the payload's SHA-256;
 * the rest — the pickled snapshot payload produced by
   ``SystemSimulator.snapshot()``.
 
-Checkpoints are written atomically (temp file + ``os.replace`` in the
-destination directory) so a crash mid-write never leaves a truncated
-checkpoint in place, and the payload checksum catches torn or corrupted
-files on load.
+This module owns only the header fields, the magic line and the error
+type: publishing (atomic, so a crash mid-write never replaces the
+previous checkpoint) and verification (magic, header, length, payload
+checksum) are the shared sealed-file writer and reader.
 """
 
 from __future__ import annotations
@@ -20,17 +21,14 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-import json
-import os
-from pathlib import Path
 from typing import Dict, Tuple
 
-from repro.resilience import chaos
 from repro.resilience.errors import CheckpointError
-from repro.resilience.fsio import replace_durable
+from repro.resilience.fsio import SealedFormat, read_sealed, write_sealed
 
 __all__ = [
     "MAGIC",
+    "CHECKPOINT",
     "CheckpointError",
     "config_digest",
     "trace_digest",
@@ -43,6 +41,10 @@ __all__ = [
 
 #: First line of every checkpoint file.
 MAGIC = "repro-checkpoint v1"
+
+#: The sealed-file kind of a checkpoint.
+CHECKPOINT = SealedFormat(magic=MAGIC, label="checkpoint",
+                          error=CheckpointError)
 
 
 # ------------------------------------------------------------------ digests
@@ -108,75 +110,30 @@ def config_from_dict(payload: Dict):
 
 def save_checkpoint(path, sim) -> None:
     """Atomically write ``sim``'s snapshot to ``path``."""
-    payload = sim.snapshot()
-    header = {
+    fields = {
         "version": sim.SNAPSHOT_VERSION,
         "config_digest": config_digest(sim.config),
         "trace_digest": trace_digest(sim.trace),
         "workload": sim.trace.name,
         "next_index": sim._next_index,
-        "payload_bytes": len(payload),
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
-    destination = Path(path)
-    temp = destination.with_name(destination.name + ".tmp")
-    blob = ((MAGIC + "\n").encode("ascii")
-            + (json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
-            + payload)
     try:
-        try:
-            torn = chaos.write_fault("checkpoint", blob)
-            with open(temp, "wb") as handle:
-                handle.write(blob if torn is None else torn)
-                handle.flush()
-                os.fsync(handle.fileno())
-            if torn is not None:
-                # Simulated crash mid-write: the torn bytes live only in
-                # the temp file, which the finally clause removes — the
-                # previous checkpoint at ``destination`` is untouched.
-                raise OSError(
-                    f"chaos: torn checkpoint write ({len(torn)} of "
-                    f"{len(blob)} bytes)")
-            replace_durable(temp, destination)
-        except OSError as exc:
-            raise CheckpointError(
-                f"{destination}: checkpoint write failed ({exc}) — the "
-                f"write was atomic, so the previous checkpoint (if any) "
-                f"is untouched") from exc
-        chaos.after_write("checkpoint")
-    finally:
-        if temp.exists():
-            temp.unlink()
+        write_sealed(path, CHECKPOINT, fields, sim.snapshot(),
+                     stream="checkpoint")
+    except OSError as exc:
+        raise CheckpointError(
+            f"{path}: checkpoint write failed ({exc}) — the write was "
+            f"atomic, so the previous checkpoint (if any) is "
+            f"untouched") from exc
 
 
 def load_checkpoint(path) -> Tuple[Dict, bytes]:
     """Read and verify a checkpoint; returns ``(header, payload)``.
 
-    Raises :class:`CheckpointError` on a missing file, bad magic, torn
-    header, or payload checksum mismatch.
+    Raises :class:`CheckpointError` on a missing file, bad magic, a torn
+    or non-object header, or a payload length or checksum mismatch.
     """
-    source = Path(path)
-    if not source.exists():
-        raise CheckpointError(f"no checkpoint at {source}")
-    with open(source, "rb") as handle:
-        magic = handle.readline().decode("ascii", errors="replace").rstrip("\n")
-        if magic != MAGIC:
-            raise CheckpointError(
-                f"{source} is not a checkpoint (magic {magic!r})")
-        try:
-            header = json.loads(handle.readline().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"{source}: unreadable header") from exc
-        payload = handle.read()
-    if len(payload) != header.get("payload_bytes"):
-        raise CheckpointError(
-            f"{source}: payload is {len(payload)} bytes but the header "
-            f"promises {header.get('payload_bytes')} — truncated checkpoint")
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != header.get("payload_sha256"):
-        raise CheckpointError(
-            f"{source}: payload checksum mismatch — corrupted checkpoint")
-    return header, payload
+    return read_sealed(path, CHECKPOINT)
 
 
 def restore_simulator(path, config, trace):

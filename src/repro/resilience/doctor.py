@@ -1,41 +1,52 @@
-"""``repro doctor`` — validate and repair sweep journals and checkpoints.
+"""``repro doctor`` — one diagnose flow and one repair flow for every
+durable file a crash can damage.
 
-A crash, a chaos run, or a flaky disk can leave two kinds of on-disk
-state behind:
+:func:`diagnose` classifies the file (:func:`detect_kind`) and runs that
+kind's validator.  A validator never raises on content: it fills in a
+:class:`Diagnosis` and returns the repair plan.  :func:`repair` runs the
+same validator and carries the plan out the same way for every kind: it
+appends the damaged pieces to ``<path>.quarantine`` (JSONL), then either
+publishes the rebuilt file atomically or, when nothing can be rebuilt,
+moves the damaged file aside to ``<path>.quarantine``.
 
-* a **sweep journal** with a torn trailing line (benign — ``read()``
-  tolerates it) or corrupt mid-file records (``read()`` refuses them);
-* a **checkpoint** file that fails its magic/header/length/sha checks;
-* an ingested **.rtrace** trace with a torn payload (truncated copy,
-  crash mid-publish) or an in-place corruption its SHA-256 catches.
+The validators:
 
-The doctor diagnoses all three without ever raising on content (it is
-built on :meth:`SweepJournal.scan` and
-:func:`repro.ingest.rtrace.inspect_rtrace`, the salvage primitives),
-and — under ``--repair`` — quarantines every corrupt record to
-``<path>.quarantine`` (JSONL, one ``{"line": N, "raw": ...}`` object per
-quarantined line), rebuilds the journal canonically from every
-checksum-valid record, and reports exactly which cells a resume will
-re-run.  Checkpoints are not patchable (the payload hash either matches
-or it does not), so repairing one moves it aside and lets the sweep
-re-simulate from the journal.  A truncated ``.rtrace`` *is* patchable —
-its payload is fixed-size records, so repair rebuilds a valid trace
-from every whole record and quarantines the torn tail bytes; an rtrace
-whose checksum fails at full length is quarantined aside like a
-checkpoint (some bytes flipped, no way to tell which).
+* **Journals** (checksummed JSONL, read with :meth:`SweepJournal.scan`).
+  Sweep journals key records by ``(workload, design)``, and their
+  diagnosis lists the cells a resume will re-run.  Campaign shard and
+  merged journals (header ``kind`` ``campaign-shard`` or ``campaign``)
+  key records by ``cell``.  A torn trailing line is benign, because
+  ``read()`` tolerates it.  Repair quarantines every corrupt line as
+  ``{"line": N, "raw": ...}`` and rebuilds the canonical layout from
+  every checksum-valid record.  A journal with no valid header cannot
+  be rebuilt: nothing identifies what it belongs to.
+* **Sealed files** (checkpoints and ``.rtrace`` traces, checked with
+  :func:`repro.resilience.fsio.inspect_sealed`).  A truncated ``.rtrace``
+  is rebuilt from its whole fixed-size records, and its torn tail is
+  quarantined as ``{"offset": N, "raw_hex": ...}``.  Any other damaged
+  sealed file is moved aside whole: a checkpoint's payload hash is
+  all-or-nothing, and a checksum mismatch at full length cannot say
+  which records are poisoned.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.resilience.checkpoint import MAGIC, load_checkpoint
-from repro.resilience.errors import CheckpointError, JournalError
-from repro.resilience.fsio import fsync_parent_dir, replace_durable
+from repro.resilience.checkpoint import CHECKPOINT
+from repro.resilience.errors import JournalError
+from repro.resilience.fsio import (
+    append_durable,
+    fsync_parent_dir,
+    inspect_sealed,
+    jsonl,
+    publish,
+    render_journal,
+    replace_durable,
+    seal,
+)
 from repro.resilience.runner import SweepJournal
 
 __all__ = [
@@ -43,13 +54,14 @@ __all__ = [
     "detect_kind",
     "diagnose",
     "diagnose_journal",
-    "diagnose_checkpoint",
-    "diagnose_rtrace",
     "repair",
     "repair_journal",
-    "repair_checkpoint",
-    "repair_rtrace",
 ]
+
+#: Header ``kind`` of campaign shard and merged journals (see
+#: :mod:`repro.campaign.journal`, which this module must not import:
+#: ``import repro.cli`` loads the doctor, but not the campaign package).
+_CAMPAIGN_KINDS = ("campaign-shard", "campaign")
 
 
 @dataclass
@@ -64,32 +76,32 @@ class Diagnosis:
     problems: List[str] = field(default_factory=list)
     #: benign observations (torn trailing line, failed cells on record).
     notes: List[str] = field(default_factory=list)
-    #: set by repair: records rebuilt into the canonical journal.
+    #: set by repair: records rebuilt into the repaired file.
     salvaged: int = 0
-    #: set by repair: corrupt lines moved to ``<path>.quarantine``.
+    #: set by repair: pieces moved to ``<path>.quarantine``.
     quarantined: int = 0
-    #: cells a resume will re-run (matrix cells with no valid ``done``).
+    #: sweep cells a resume will re-run (matrix cells with no valid
+    #: ``done``), as ``(workload, design)``.
     rerun_cells: List[Tuple[str, str]] = field(default_factory=list)
-    #: cells whose last valid record is a degradation (``failed``).
-    failed_cells: List[Tuple[str, str]] = field(default_factory=list)
+    #: cells whose last valid record is a degradation (``failed``):
+    #: ``(workload, design)`` in sweep journals, cell ids in campaign ones.
+    failed_cells: List = field(default_factory=list)
     repaired: bool = False
     quarantine_path: Optional[str] = None
 
     def as_dict(self) -> Dict:
-        return {
-            "path": self.path,
-            "kind": self.kind,
-            "healthy": self.healthy,
-            "repairable": self.repairable,
-            "problems": list(self.problems),
-            "notes": list(self.notes),
-            "salvaged": self.salvaged,
-            "quarantined": self.quarantined,
-            "rerun_cells": [list(cell) for cell in self.rerun_cells],
-            "failed_cells": [list(cell) for cell in self.failed_cells],
-            "repaired": self.repaired,
-            "quarantine_path": self.quarantine_path,
-        }
+        return asdict(self)
+
+
+class _Plan(NamedTuple):
+    """What repair does to one damaged file."""
+
+    #: JSON objects appended to ``<path>.quarantine``, one per line.
+    quarantine: Sequence[Dict] = ()
+    #: the rebuilt file; None moves the damaged file aside whole.
+    content: Optional[bytes] = None
+    #: records the rebuilt file holds.
+    salvaged: int = 0
 
 
 def detect_kind(path) -> str:
@@ -99,55 +111,32 @@ def detect_kind(path) -> str:
     if not path.exists():
         raise JournalError(f"no file at {path} to diagnose")
     with open(path, "rb") as handle:
-        head = handle.read(max(len(MAGIC), 32))
+        head = handle.read(32)
     if head.startswith(b"repro-checkpoint"):
         return "checkpoint"
-    if head.startswith(b"repro-rtrace"):
-        return "rtrace"
-    if path.suffix == ".rtrace":
-        # The magic line itself is damaged; the extension still tells us
-        # what the file claims to be, so the rtrace doctor gets to report
-        # the bad magic instead of the journal scanner choking on binary.
+    if head.startswith(b"repro-rtrace") or path.suffix == ".rtrace":
+        # A damaged magic line still claims rtrace by its extension, so
+        # the sealed-file check reports the bad magic instead of the
+        # journal scanner choking on binary.
         return "rtrace"
     return "journal"
 
 
-# ------------------------------------------------------------------ journal
+# ------------------------------------------------------------------ journals
 
-def _survey_journal(path) -> Tuple[List[Tuple[int, str, Optional[Dict]]],
-                                   Optional[Dict]]:
-    """Scan every line; return ``(entries, header)`` where ``header`` is
-    the first checksum-valid header record (or None)."""
-    entries = list(SweepJournal(path).scan())
-    header = next((record for _n, _l, record in entries
-                   if record is not None and record.get("type") == "header"),
-                  None)
-    return entries, header
+def _cell_key(record: Dict, campaign: bool):
+    """The cell a record belongs to, or None when it names none."""
+    if campaign:
+        return record.get("cell")
+    if "workload" in record and "design" in record:
+        return (record["workload"], record["design"])
+    return None
 
 
-def _cell_inventory(header: Dict,
-                    entries) -> Tuple[List[Tuple[str, str]],
-                                      List[Tuple[str, str]]]:
-    """``(rerun_cells, failed_cells)`` from the header's matrix and the
-    last valid record per cell."""
-    matrix = [(workload, design)
-              for workload in header.get("workloads", [])
-              for design in header.get("designs", [])]
-    last: Dict[Tuple[str, str], Dict] = {}
-    for _number, _line, record in entries:
-        if record is not None and record.get("type") in ("done", "failed"):
-            last[(record["workload"], record["design"])] = record
-    rerun = [cell for cell in matrix
-             if last.get(cell, {}).get("type") != "done"]
-    failed = [cell for cell in matrix
-              if last.get(cell, {}).get("type") == "failed"]
-    return rerun, failed
-
-
-def _failure_provenance(cell: Tuple[str, str], record: Dict) -> str:
-    """Render one failed cell with its shard/attempt provenance (where the
-    record carries it) so a post-mortem can attribute the failure."""
-    text = f"({cell[0]}, {cell[1]})"
+def _cell_label(cell, record: Dict) -> str:
+    """A failed cell with its shard/attempt provenance (where the record
+    carries it), so a post-mortem can attribute the failure."""
+    text = cell if isinstance(cell, str) else f"({cell[0]}, {cell[1]})"
     details = []
     if record.get("shard"):
         details.append(f"shard {record['shard']}")
@@ -156,22 +145,13 @@ def _failure_provenance(cell: Tuple[str, str], record: Dict) -> str:
     return f"{text} [{', '.join(details)}]" if details else text
 
 
-def diagnose_journal(path) -> Diagnosis:
-    """Inspect a journal without modifying it; never raises on content."""
-    path = Path(path)
-    diagnosis = Diagnosis(path=str(path), kind="journal")
-    if not path.exists():
-        diagnosis.healthy = False
-        diagnosis.repairable = False
-        diagnosis.problems.append(f"no journal at {path}")
-        return diagnosis
-    entries, header = _survey_journal(path)
+def _check_journal(path: Path, diagnosis: Diagnosis) -> Optional[_Plan]:
+    entries = list(SweepJournal(path).scan())
     corrupt = [(number, line) for number, line, record in entries
                if record is None]
-    torn_trailing = bool(
-        entries and corrupt and corrupt[-1][0] == entries[-1][0]
-        and len(corrupt) == 1)
-    if torn_trailing:
+    valid = [record for _number, _line, record in entries
+             if record is not None]
+    if len(corrupt) == 1 and corrupt[0][0] == entries[-1][0]:
         diagnosis.notes.append(
             f"line {corrupt[0][0]} is a torn trailing append (crash "
             f"mid-write); read() tolerates it, resume re-runs the cell")
@@ -181,286 +161,155 @@ def diagnose_journal(path) -> Diagnosis:
         diagnosis.problems.append(
             f"{len(corrupt)} corrupt record(s) at line(s) {lines} "
             f"(checksum mismatch or invalid JSON)")
+    header = next((record for record in valid
+                   if record.get("type") == "header"), None)
     if header is None:
-        diagnosis.healthy = False
-        diagnosis.repairable = False
+        diagnosis.healthy = diagnosis.repairable = False
         diagnosis.problems.append(
             "no checksum-valid header record — the journal cannot "
-            "identify its sweep and cannot be rebuilt; re-run with a "
-            "fresh journal")
-        return diagnosis
-    first_valid = next((record for _n, _l, record in entries
-                        if record is not None), None)
-    if first_valid is not None and first_valid.get("type") != "header":
+            "identify its sweep or campaign and cannot be rebuilt; re-run "
+            "with a fresh journal")
+        return None
+    if valid[0] is not header:
         diagnosis.healthy = False
         diagnosis.problems.append(
             "the first valid record is not the header (records before it "
             "are corrupt or out of order); repair rebuilds the canonical "
             "layout")
-    diagnosis.rerun_cells, diagnosis.failed_cells = _cell_inventory(
-        header, entries)
+    campaign = header.get("kind") in _CAMPAIGN_KINDS
+    last: Dict = {}
+    for record in valid:
+        cell = _cell_key(record, campaign)
+        if record.get("type") in ("done", "failed") and cell is not None:
+            last[cell] = record
+    matrix = [] if campaign else [
+        (workload, design) for workload in header.get("workloads", [])
+        for design in header.get("designs", [])]
+    diagnosis.rerun_cells = [cell for cell in matrix
+                             if last.get(cell, {}).get("type") != "done"]
+    diagnosis.failed_cells = [cell for cell in (matrix or last)
+                              if last.get(cell, {}).get("type") == "failed"]
     if diagnosis.failed_cells:
-        last: Dict[Tuple[str, str], Dict] = {}
-        for _number, _line, record in entries:
-            if record is not None and record.get("type") == "failed":
-                last[(record["workload"], record["design"])] = record
-        cells = ", ".join(
-            _failure_provenance(cell, last.get(cell, {}))
-            for cell in diagnosis.failed_cells)
+        cells = ", ".join(_cell_label(cell, last[cell])
+                          for cell in diagnosis.failed_cells)
         diagnosis.notes.append(
             f"{len(diagnosis.failed_cells)} cell(s) on record as degraded "
-            f"failures: {cells}; resume retries them")
-    return diagnosis
-
-
-def repair_journal(path) -> Diagnosis:
-    """Quarantine corrupt records and rebuild the canonical journal.
-
-    Every checksum-valid record survives; every corrupt line is appended
-    to ``<path>.quarantine`` as ``{"line": N, "raw": <line>}``.  The
-    rebuilt journal is the canonical layout (header first, then the last
-    valid record per cell in matrix enumeration order), written atomically
-    next to the original.  Raises :class:`JournalError` when no valid
-    header survives — there is nothing to rebuild around.
-    """
-    path = Path(path)
-    diagnosis = diagnose_journal(path)
-    if not diagnosis.repairable:
-        raise JournalError(
-            f"{path}: unrepairable — {'; '.join(diagnosis.problems)}")
+            f"failures: {cells}"
+            + ("" if campaign else "; resume retries them"))
     if diagnosis.healthy and not diagnosis.notes:
-        return diagnosis  # nothing to do
-    entries, header = _survey_journal(path)
-    corrupt = [(number, line) for number, line, record in entries
-               if record is None]
-    if corrupt:
-        quarantine = path.with_name(path.name + ".quarantine")
-        with open(quarantine, "a", encoding="utf-8") as handle:
-            for number, line in corrupt:
-                handle.write(json.dumps({"line": number, "raw": line},
-                                        sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        fsync_parent_dir(quarantine)
-        diagnosis.quarantine_path = str(quarantine)
-        diagnosis.quarantined = len(corrupt)
-    # Canonical rebuild: header + last valid record per cell in matrix
-    # order (cells outside the matrix sort after it), atomic replace.
-    last: Dict[Tuple[str, str], Dict] = {}
-    for _number, _line, record in entries:
-        if record is not None and record.get("type") in ("done", "failed"):
-            last[(record["workload"], record["design"])] = record
-    matrix = [(workload, design)
-              for workload in header.get("workloads", [])
-              for design in header.get("designs", [])]
-    rank = {cell: position for position, cell in enumerate(matrix)}
-    ordered = sorted(last.items(),
-                     key=lambda item: (rank.get(item[0], len(rank)),
-                                       item[0]))
-    lines = [json.dumps(header, sort_keys=True)]
-    lines.extend(json.dumps(record, sort_keys=True) for _, record in ordered)
-    content = "\n".join(lines) + "\n"
-    temp = path.with_name(path.name + ".repair.tmp")
-    try:
-        with open(temp, "w", encoding="utf-8") as handle:
-            handle.write(content)
-            handle.flush()
-            os.fsync(handle.fileno())
-        replace_durable(temp, path)
-    finally:
-        if temp.exists():
-            temp.unlink()
-    diagnosis.salvaged = 1 + len(ordered)
-    diagnosis.repaired = True
-    diagnosis.healthy = True
-    diagnosis.problems = []
-    return diagnosis
+        return None
+    return _Plan(quarantine=[{"line": number, "raw": line}
+                             for number, line in corrupt],
+                 content=render_journal(header, last, matrix),
+                 salvaged=1 + len(last))
 
 
-# --------------------------------------------------------------- checkpoint
+# -------------------------------------------------------------- sealed files
 
-def diagnose_checkpoint(path) -> Diagnosis:
-    """Validate a checkpoint's magic, header, length, and payload hash."""
-    path = Path(path)
-    diagnosis = Diagnosis(path=str(path), kind="checkpoint")
-    if not path.exists():
-        diagnosis.healthy = False
-        diagnosis.repairable = False
-        diagnosis.problems.append(f"no checkpoint at {path}")
-        return diagnosis
-    try:
-        load_checkpoint(path)
-    except CheckpointError as exc:
-        diagnosis.healthy = False
-        diagnosis.problems.append(str(exc))
-        diagnosis.notes.append(
-            "checkpoints are atomic and content-addressed: a corrupt one "
-            "cannot be patched, only quarantined (the sweep re-simulates "
-            "the cell from its journal)")
-    return diagnosis
+def _salvage_rtrace(path: Path, report: Dict) -> Optional[_Plan]:
+    """Rebuild a truncated ``.rtrace`` from its whole records."""
+    from repro.ingest.rtrace import RECORD_SIZE, RTRACE, header_fields
 
-
-def repair_checkpoint(path) -> Diagnosis:
-    """Move a corrupt checkpoint to ``<path>.quarantine``.
-
-    A checkpoint that fails validation cannot be salvaged (its payload
-    hash is all-or-nothing), so repair is quarantine: the next run
-    re-simulates instead of restoring from poisoned state.
-    """
-    path = Path(path)
-    diagnosis = diagnose_checkpoint(path)
-    if diagnosis.healthy or not diagnosis.repairable:
-        return diagnosis
-    quarantine = path.with_name(path.name + ".quarantine")
-    replace_durable(path, quarantine)
-    diagnosis.quarantine_path = str(quarantine)
-    diagnosis.quarantined = 1
-    diagnosis.repaired = True
-    return diagnosis
-
-
-# ------------------------------------------------------------------- rtrace
-
-def diagnose_rtrace(path) -> Diagnosis:
-    """Inspect an ingested ``.rtrace`` without modifying it.
-
-    Reports the exact salvage arithmetic: how many whole records the
-    actual payload holds, how many torn tail bytes a repair would
-    quarantine, and the exact byte offset a rebuilt file would end at.
-    When the interrupted *ingest's* own offset journal
-    (``<input>.rtrace.ingest``) is still present, the right tool is
-    ``repro ingest`` itself — the note says so.
-    """
-    from repro.ingest.rtrace import RECORD_SIZE, inspect_rtrace
-    path = Path(path)
-    diagnosis = Diagnosis(path=str(path), kind="rtrace")
-    if not path.exists():
-        diagnosis.healthy = False
-        diagnosis.repairable = False
-        diagnosis.problems.append(f"no rtrace at {path}")
-        return diagnosis
-    try:
-        report = inspect_rtrace(path)
-    except OSError as exc:
-        diagnosis.healthy = False
-        diagnosis.repairable = False
-        diagnosis.problems.append(
-            f"cannot read rtrace: {exc.strerror or exc}")
-        return diagnosis
-    ingest_journal = path.with_name(path.name + ".ingest")
-    if ingest_journal.exists():
-        diagnosis.notes.append(
-            f"an interrupted ingest left its offset journal at "
-            f"{ingest_journal}; `repro ingest` resumes it from the exact "
-            f"input byte it stopped at — prefer that over repairing here")
-    if not report["magic_ok"]:
-        diagnosis.healthy = False
-        diagnosis.problems.append(
-            "bad magic line — not a (readable) rtrace file; repair "
-            "quarantines it aside so a re-ingest can replace it")
-        return diagnosis
-    header = report["header"]
-    if header is None:
-        diagnosis.healthy = False
-        diagnosis.problems.append(
-            "corrupt rtrace header (invalid JSON); the record geometry "
-            "is unknowable, so repair quarantines the file aside")
-        return diagnosis
+    header = report["header"] or {}
     promised = header.get("payload_bytes")
-    actual = report["payload_bytes"]
-    if report["torn_bytes"] or (isinstance(promised, int)
-                                and actual < promised):
-        diagnosis.healthy = False
+    whole = report["payload_bytes"] // RECORD_SIZE
+    if not isinstance(promised, int) or not whole \
+            or report["payload_bytes"] >= promised:
+        return None
+    payload = report["payload"][:whole * RECORD_SIZE]
+    torn = report["payload"][whole * RECORD_SIZE:]
+    _header, content = seal(RTRACE, header_fields(
+        header.get("name", path.stem), header.get("format", "unknown"),
+        payload, header.get("bad_records", 0)), payload)
+    quarantine = ([{"offset": report["payload_start"] + len(payload),
+                    "raw_hex": torn.hex()}] if torn else [])
+    return _Plan(quarantine=quarantine, content=content, salvaged=whole)
+
+
+def _check_sealed(path: Path, diagnosis: Diagnosis) -> Optional[_Plan]:
+    if diagnosis.kind == "checkpoint":
+        fmt = CHECKPOINT
+    else:
+        from repro.ingest.rtrace import RTRACE as fmt
+    try:
+        report = inspect_sealed(path, fmt)
+    except OSError as exc:
+        diagnosis.healthy = diagnosis.repairable = False
         diagnosis.problems.append(
-            f"payload truncated: {actual} bytes on disk vs "
-            f"{promised} promised; {report['whole_records']} whole "
-            f"{RECORD_SIZE}-byte record(s) are salvageable, "
-            f"{report['torn_bytes']} torn tail byte(s) are not")
+            f"cannot read {fmt.label}: {exc.strerror or exc}")
+        return None
+    if report["problem"] is None:
+        return None
+    diagnosis.healthy = False
+    diagnosis.problems.append(report["problem"])
+    if path.with_name(path.name + ".ingest").exists():
         diagnosis.notes.append(
-            f"repair rebuilds a valid rtrace from the whole records, "
-            f"ending at byte offset {report['resume_offset']}")
-    elif report["sha_ok"] is False:
-        diagnosis.healthy = False
-        diagnosis.problems.append(
-            "payload checksum mismatch at full length (corrupted in "
-            "place) — no way to tell which records are poisoned, so "
-            "repair quarantines the file aside for a re-ingest")
-    elif report["sha_ok"] is None:
-        diagnosis.healthy = False
-        diagnosis.problems.append(
-            "header carries no payload checksum; repair quarantines the "
-            "file aside")
-    return diagnosis
+            f"an interrupted ingest left its offset journal beside "
+            f"{path.name}; `repro ingest` resumes it from the exact input "
+            f"byte it stopped at — prefer that over repairing here")
+    plan = _salvage_rtrace(path, report) if fmt is not CHECKPOINT else None
+    if plan is None:
+        diagnosis.notes.append(
+            f"a damaged {fmt.label} cannot be patched: repair moves it "
+            f"aside to {path.name}.quarantine")
+        return _Plan()
+    diagnosis.notes.append(
+        f"repair rebuilds a valid {fmt.label} from its {plan.salvaged} "
+        f"whole record(s)")
+    return plan
 
 
-def repair_rtrace(path) -> Diagnosis:
-    """Salvage a damaged ``.rtrace``.
+_VALIDATORS = {"journal": _check_journal, "checkpoint": _check_sealed,
+               "rtrace": _check_sealed}
 
-    Truncated payload: rebuild a valid, checksummed rtrace from every
-    whole record (atomic replace) and append the torn tail bytes to
-    ``<path>.quarantine`` as one ``{"offset": N, "raw_hex": ...}`` JSON
-    line.  Anything else (bad magic, corrupt header, checksum mismatch
-    at full length): move the whole file to ``<path>.quarantine`` —
-    checkpoint-style — so a re-ingest starts clean.
-    """
-    from repro.ingest.rtrace import (RECORD_SIZE, inspect_rtrace,
-                                     write_rtrace)
+
+# --------------------------------------------------------------- the flows
+
+def _examine(path) -> Tuple[Diagnosis, Optional[_Plan]]:
     path = Path(path)
-    diagnosis = diagnose_rtrace(path)
-    if diagnosis.healthy or not diagnosis.repairable:
-        return diagnosis
-    report = inspect_rtrace(path)
-    header = report["header"]
-    quarantine = path.with_name(path.name + ".quarantine")
-    salvageable = (
-        report["magic_ok"] and header is not None
-        and report["whole_records"] > 0
-        and (report["torn_bytes"]
-             or (isinstance(header.get("payload_bytes"), int)
-                 and report["payload_bytes"] < header["payload_bytes"])))
-    if not salvageable:
-        replace_durable(path, quarantine)
-        diagnosis.quarantine_path = str(quarantine)
-        diagnosis.quarantined = 1
-        diagnosis.repaired = True
-        return diagnosis
-    with open(path, "rb") as handle:
-        handle.seek(report["payload_start"])
-        payload = handle.read(report["whole_records"] * RECORD_SIZE)
-        torn = handle.read()
-    if torn:
-        with open(quarantine, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(
-                {"offset": report["resume_offset"],
-                 "raw_hex": torn.hex()}, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        fsync_parent_dir(quarantine)
-        diagnosis.quarantine_path = str(quarantine)
-        diagnosis.quarantined = 1
-    write_rtrace(path, header.get("name", path.stem),
-                 header.get("format", "unknown"), payload,
-                 bad_records=header.get("bad_records", 0))
-    diagnosis.salvaged = report["whole_records"]
-    diagnosis.repaired = True
-    diagnosis.healthy = True
-    diagnosis.problems = []
-    return diagnosis
-
-
-# ------------------------------------------------------------------ dispatch
-
-_DIAGNOSERS = {"checkpoint": diagnose_checkpoint, "rtrace": diagnose_rtrace}
-_REPAIRERS = {"checkpoint": repair_checkpoint, "rtrace": repair_rtrace}
+    kind = detect_kind(path)
+    diagnosis = Diagnosis(path=str(path), kind=kind)
+    return diagnosis, _VALIDATORS[kind](path, diagnosis)
 
 
 def diagnose(path) -> Diagnosis:
-    """Diagnose ``path`` as whatever it is (journal, checkpoint, rtrace)."""
-    kind = detect_kind(path)
-    return _DIAGNOSERS.get(kind, diagnose_journal)(path)
+    """Inspect ``path`` without modifying it; never raises on content."""
+    return _examine(path)[0]
 
 
 def repair(path) -> Diagnosis:
-    """Repair ``path`` as whatever it is (journal, checkpoint, rtrace)."""
-    kind = detect_kind(path)
-    return _REPAIRERS.get(kind, repair_journal)(path)
+    """Quarantine what is damaged in ``path`` and rebuild (or move aside)
+    the file; a healthy file is left alone.
+
+    Raises :class:`JournalError` when the file cannot be repaired (a
+    journal with no valid header, an unreadable file).
+    """
+    path = Path(path)
+    diagnosis, plan = _examine(path)
+    if not diagnosis.repairable:
+        raise JournalError(
+            f"{path}: unrepairable — {'; '.join(diagnosis.problems)}")
+    if plan is None:
+        return diagnosis
+    quarantine = path.with_name(path.name + ".quarantine")
+    if plan.quarantine:
+        append_durable(quarantine, jsonl(plan.quarantine))
+        fsync_parent_dir(quarantine)
+    if plan.content is None:
+        replace_durable(path, quarantine)
+        diagnosis.quarantined = 1
+    else:
+        publish(path, plan.content)
+        diagnosis.quarantined = len(plan.quarantine)
+        diagnosis.salvaged = plan.salvaged
+        diagnosis.healthy = True
+        diagnosis.problems = []
+    if diagnosis.quarantined:
+        diagnosis.quarantine_path = str(quarantine)
+    diagnosis.repaired = True
+    return diagnosis
+
+
+#: The flows under the names callers used when each kind had its own.
+diagnose_journal = diagnose
+repair_journal = repair

@@ -28,7 +28,6 @@ is the only code that executes cells (campaign shards use it directly):
 
 from __future__ import annotations
 
-import hashlib
 import json
 import multiprocessing
 import os
@@ -47,7 +46,13 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.resilience import chaos
 from repro.resilience.checkpoint import config_digest, config_to_dict
-from repro.resilience.fsio import replace_durable
+from repro.resilience.fsio import (
+    append_durable,
+    jsonl,
+    publish,
+    record_checksum as _record_checksum,
+    render_journal,
+)
 from repro.resilience.errors import (
     CellCrash,
     CellError,
@@ -193,13 +198,6 @@ class SweepReport:
 
 # ------------------------------------------------------------------ journal
 
-def _record_checksum(record: Dict) -> str:
-    """SHA-256 of the record's canonical JSON, excluding the checksum field."""
-    body = {key: value for key, value in record.items() if key != "checksum"}
-    return hashlib.sha256(
-        json.dumps(body, sort_keys=True).encode("utf-8")).hexdigest()
-
-
 class SweepJournal:
     """Append-only JSONL journal of sweep progress.
 
@@ -212,9 +210,10 @@ class SweepJournal:
     * ``failed`` — a cell that degraded into a :class:`FailedCell`.
 
     Every record carries a ``checksum`` over its canonical JSON, and
-    appends are flushed and fsynced, so after a crash the journal is
-    valid up to (at worst) one torn trailing line, which :meth:`read`
-    tolerates and resume re-runs.
+    appends are fsynced, so after a crash the journal is valid up to (at
+    worst) one torn trailing line, which :meth:`read` tolerates and
+    resume re-runs.  The next append cuts that fragment off before
+    writing, so a resumed sweep never glues a record onto it.
 
     Appends are guarded: a free-disk-space floor (``min_free_bytes``) is
     checked *before* each write, so a filling disk pauses the sweep with
@@ -267,24 +266,14 @@ class SweepJournal:
     def _append(self, record: Dict) -> None:
         record = dict(record)
         record["checksum"] = _record_checksum(record)
-        line = json.dumps(record, sort_keys=True)
-        data = (line + "\n").encode("utf-8")
+        data = jsonl([record])
         self._guard_free_space(len(data))
         try:
-            torn = chaos.write_fault("journal", data)
-            with open(self.path, "ab") as handle:
-                handle.write(data if torn is None else torn)
-                handle.flush()
-                os.fsync(handle.fileno())
+            append_durable(self.path, data, stream="journal",
+                           whole_lines=True)
         except OSError as exc:
             raise classify_write_error(exc, self.path,
                                        self._resume_hint) from exc
-        if torn is not None:
-            raise JournalWriteError(
-                f"{self.path}: torn write — only {len(torn)} of "
-                f"{len(data)} bytes reached the disk (crash mid-append); "
-                f"{self._resume_hint}")
-        chaos.after_write("journal")
 
     def write_header(self, header_fields: Dict) -> None:
         """Start a fresh journal (truncating any previous one)."""
@@ -337,30 +326,27 @@ class SweepJournal:
         fresh record rather than rewriting).
         """
         entries = list(self.scan())
-        records: List[Dict] = []
-        for position, (number, _line, record) in enumerate(entries):
-            if record is None:
-                if position == len(entries) - 1:
-                    break  # torn trailing append from a crash: resume re-runs it
-                raise JournalError(
-                    f"{self.path}: corrupt record at line {number} "
-                    f"(mid-file corruption, not a torn append) — run "
-                    f"`python -m repro doctor --repair {self.path}` to "
-                    f"quarantine it to {self.path.name}.quarantine and "
-                    f"rebuild the journal from every intact record")
-            records.append(record)
+        corrupt = [number for number, _line, record in entries[:-1]
+                   if record is None]
+        if corrupt:
+            raise JournalError(
+                f"{self.path}: corrupt record at line {corrupt[0]} "
+                f"(mid-file corruption, not a torn append) — run "
+                f"`python -m repro doctor --repair {self.path}` to "
+                f"quarantine it to {self.path.name}.quarantine and "
+                f"rebuild the journal from every intact record")
+        # A corrupt trailing line is a torn append: resume re-runs it.
+        records = [record for _n, _l, record in entries if record is not None]
         if not records or records[0].get("type") != "header":
             raise JournalError(
                 f"{self.path}: missing journal header — the journal "
                 f"cannot identify its sweep; `repro doctor` can only "
                 f"salvage journals with an intact header, so re-run the "
                 f"sweep with a fresh journal")
-        header = records[0]
-        cells: Dict[Tuple[str, str], Dict] = {}
-        for record in records[1:]:
-            if record.get("type") in ("done", "failed"):
-                cells[(record["workload"], record["design"])] = record
-        return header, cells
+        cells = {(record["workload"], record["design"]): record
+                 for record in records[1:]
+                 if record.get("type") in ("done", "failed")}
+        return records[0], cells
 
     def rewrite_canonical(self, cell_order=None) -> bool:
         """Rewrite as header + the last record per cell, in canonical order.
@@ -374,35 +360,18 @@ class SweepJournal:
         bytes independent of that order, so an interrupted-and-resumed
         sweep ends with the same journal as an uninterrupted one.
 
-        Atomic and durable: the new content is written to a sibling temp
-        file, fsynced, ``os.replace``d over the journal, and the parent
-        directory is fsynced so the rename survives power loss.  Returns
-        True when the file content changed.
+        Atomic and durable (:func:`~repro.resilience.fsio.publish`).
+        Returns True when the file content changed.
         """
         header, cells = self.read()
         if cell_order is None:
             cell_order = [(workload, design)
                           for workload in header.get("workloads", [])
                           for design in header.get("designs", [])]
-        rank = {key: position for position, key in enumerate(cell_order)}
-        ordered = sorted(
-            cells.items(),
-            key=lambda item: (rank.get(item[0], len(rank)), item[0]))
-        # Records already carry their checksums; re-dumping with sorted keys
-        # reproduces each original line byte for byte.
-        lines = [json.dumps(header, sort_keys=True)]
-        lines.extend(json.dumps(record, sort_keys=True)
-                     for _, record in ordered)
-        content = "\n".join(lines) + "\n"
-        current = self.path.read_text(encoding="utf-8")
-        if content == current:
+        content = render_journal(header, cells, cell_order)
+        if content == self.path.read_bytes():
             return False
-        temp = self.path.with_name(self.path.name + ".canonical.tmp")
-        with open(temp, "w", encoding="utf-8") as handle:
-            handle.write(content)
-            handle.flush()
-            os.fsync(handle.fileno())
-        replace_durable(temp, self.path)
+        publish(self.path, content)
         return True
 
 

@@ -11,10 +11,11 @@ Two tiers:
 
 * an in-memory LRU bounded by ``capacity`` entries;
 * an optional disk tier under ``<spool>/cache/``: one JSON file per
-  key, written atomically and durably (temp + ``os.replace`` + parent
-  directory fsync) with an embedded payload checksum.  A corrupt or torn file is simply a miss — the cell
-  re-simulates and the entry is rewritten; the cache never propagates
-  bad bytes.
+  key, published atomically and durably
+  (:func:`repro.resilience.fsio.publish`) with an embedded payload
+  checksum (:func:`repro.resilience.fsio.record_checksum`).  A corrupt
+  or torn file is simply a miss — the cell re-simulates and the entry
+  is rewritten; the cache never propagates bad bytes.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Optional
 
-from repro.resilience.fsio import replace_durable
+from repro.resilience.fsio import publish, record_checksum
 
 __all__ = ["ResultCache", "result_key"]
 
@@ -36,11 +37,6 @@ def result_key(config_digest: str, trace_digest: str) -> str:
     """SHA-256 over the config and trace digests — the cache address."""
     return hashlib.sha256(
         f"{config_digest}:{trace_digest}".encode("ascii")).hexdigest()
-
-
-def _payload_checksum(payload: Dict) -> str:
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 class ResultCache:
@@ -101,33 +97,24 @@ class ResultCache:
             raw = self._path(key).read_text(encoding="utf-8")
             entry = json.loads(raw)
             payload = entry["payload"]
-            if entry.get("checksum") != _payload_checksum(payload):
+            if entry.get("checksum") != record_checksum(payload):
                 return None  # torn/corrupt entry: a miss, never bad bytes
             return payload
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
             return None
 
     def _disk_put(self, key: str, payload: Dict) -> None:
         if self.directory is None:
             return
         entry = {"key": key, "payload": payload,
-                 "checksum": _payload_checksum(payload)}
-        path = self._path(key)
-        temp = path.with_name(path.name + ".tmp")
+                 "checksum": record_checksum(payload)}
         try:
-            with open(temp, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle, sort_keys=True)
-                handle.flush()
-                os.fsync(handle.fileno())
-            replace_durable(temp, path)
+            publish(self._path(key),
+                    json.dumps(entry, sort_keys=True).encode("utf-8"))
         except OSError:
             # The cache is an accelerator, not a durability promise: disk
             # trouble degrades to re-simulation, it never fails a request.
-            try:
-                if temp.exists():
-                    temp.unlink()
-            except OSError:
-                pass
+            pass
 
     # --------------------------------------------------------------- stats
 

@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.resilience.checkpoint import config_digest, trace_digest
 from repro.resilience.errors import JobNotFound, SweepInterrupted
+from repro.resilience.fsio import publish
 from repro.resilience.runner import execution_host
 from repro.serve.cache import ResultCache, result_key
 from repro.serve.pending import Job
@@ -103,17 +104,8 @@ def save_request_params(spool: Path, digest: str, params: Dict) -> None:
     path = _request_path(spool, digest)
     if path.exists():
         return
-    import os
-
-    from repro.resilience.fsio import replace_durable
-
     body = {key: params[key] for key in SIM_PARAM_KEYS if key in params}
-    temp = path.with_name(path.name + ".tmp")
-    with open(temp, "w", encoding="utf-8") as handle:
-        json.dump(body, handle, sort_keys=True)
-        handle.flush()
-        os.fsync(handle.fileno())
-    replace_durable(temp, path)
+    publish(path, json.dumps(body, sort_keys=True).encode("utf-8"))
 
 
 def load_request_params(spool: Path, token: str) -> Dict:

@@ -642,3 +642,100 @@ class TestAreaDimension:
         from repro.sim.config import SystemConfig
         small = config_area_mm2(SystemConfig(l1_design="vipt"))
         assert analysis["rows"][0]["area_mm2"] > small
+
+
+# ------------------------------------- torn appends and the journal doctor
+
+class TestDurableJournals:
+    @staticmethod
+    def _campaign(directory, spec):
+        spec.save(directory)
+        assert run_shard(directory, "shard-0", ttl_s=5.0).complete
+        return shard_journal_path(directory, "shard-0")
+
+    def test_resume_after_torn_append_merges_identically(self, tmp_path):
+        """A shard killed mid-append leaves a torn fragment; the resumed
+        shard cuts it off, so the cell it re-runs is journaled whole and
+        the merge matches the uncut campaign byte for byte."""
+        import shutil
+
+        reference = tmp_path / "reference"
+        self._campaign(reference, small_spec("torn"))
+        cut = tmp_path / "cut"
+        shutil.copytree(reference, cut)
+        assert merge_campaign(reference).ok
+        journal = shard_journal_path(cut, "shard-0")
+        header, first, second = journal.read_bytes().splitlines(True)[:3]
+        journal.write_bytes(header + first + second[:50])
+        kept = json.loads(first)["cell"]
+        for marker in (cut / "settled").glob("*.json"):
+            if marker.stem != kept:
+                marker.unlink()
+        assert run_shard(cut, "shard-0", ttl_s=5.0).executed == 3
+        merged = merge_campaign(cut)
+        assert merged.ok and merged.quarantined == 0
+        assert (cut / "merged.journal").read_bytes() \
+            == (reference / "merged.journal").read_bytes()
+
+    def test_doctor_accepts_clean_campaign_journals(self, tmp_path, capsys):
+        from repro.cli import main
+
+        spec = CampaignSpec(name="doctor", axes=[("workload", ["gups"]),
+                                                 ("design", ["vipt",
+                                                             "seesaw"])],
+                            trace_length=LENGTH, seed=SEED)
+        shard = self._campaign(tmp_path, spec)
+        merge_campaign(tmp_path)
+        before = shard.read_bytes()
+        assert main(["doctor", str(shard)]) == 0
+        assert main(["doctor", "--repair", str(shard)]) == 0
+        assert main(["doctor", str(tmp_path / "merged.journal")]) == 0
+        assert shard.read_bytes() == before
+        capsys.readouterr()
+
+    def test_repaired_shard_journal_merges_like_unrepaired(self, tmp_path):
+        import shutil
+
+        from repro.resilience.doctor import diagnose, repair
+
+        spec = CampaignSpec(name="doctor", axes=[("workload", ["gups"]),
+                                                 ("design", ["vipt",
+                                                             "seesaw"])],
+                            trace_length=LENGTH, seed=SEED)
+        repaired = tmp_path / "repaired"
+        shard = self._campaign(repaired, spec)
+        lines = shard.read_text().splitlines(True)
+        lines[1] = lines[1][:40] + "XGARBAGEX" + lines[1][49:]
+        shard.write_text("".join(lines))
+        unrepaired = tmp_path / "unrepaired"
+        shutil.copytree(repaired, unrepaired)
+
+        diagnosis = diagnose(shard)
+        assert not diagnosis.healthy
+        assert any("line(s) 2" in problem for problem in diagnosis.problems)
+        fixed = repair(shard)
+        assert fixed.repaired and fixed.quarantined == 1
+        entry = json.loads(open(fixed.quarantine_path).read())
+        assert entry == {"line": 2, "raw": lines[1].rstrip("\n")}
+        assert diagnose(shard).healthy
+
+        merge_campaign(repaired)
+        merge_campaign(unrepaired)
+        assert (repaired / "merged.journal").read_bytes() \
+            == (unrepaired / "merged.journal").read_bytes()
+
+    def test_doctor_names_failed_cells_by_cell_id(self, tmp_path):
+        from repro.resilience.doctor import diagnose
+
+        spec = small_spec("failed")
+        cell = spec.cells()[1]
+        journal = _write_shard_journal(
+            tmp_path, spec, "shard-3",
+            [_done_record(spec.cells()[0], shard="shard-3"),
+             _failed_record(cell, shard="shard-3")])
+        diagnosis = diagnose(journal.path)
+        assert diagnosis.healthy
+        assert diagnosis.failed_cells == [cell.cell_id]
+        assert diagnosis.rerun_cells == []
+        assert any(f"{cell.cell_id} [shard shard-3, 2 attempt(s)]" in note
+                   for note in diagnosis.notes)

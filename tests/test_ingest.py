@@ -469,6 +469,22 @@ class TestCLI:
         assert main(["sweep", "--trace", report.output]) == 0
         capsys.readouterr()
 
+    def test_rerun_over_torn_output_is_refused(self, tmp_path, capsys):
+        """A finished ingest whose .rtrace was later torn is not
+        "already ingested": the re-run verifies the whole file."""
+        source = tmp_path / "t.champsim"
+        source.write_text("".join(f"{0x1000 + 64 * index:x} R\n"
+                                  for index in range(300)))
+        report = ingest_trace(source)
+        output = Path(report.output)
+        output.write_bytes(output.read_bytes()[:-100])
+        with pytest.raises(RtraceError) as excinfo:
+            ingest_trace(source)
+        assert "repro doctor" in str(excinfo.value)
+        assert "--force" in str(excinfo.value)
+        assert main(["ingest", str(source)]) == 2
+        assert "already ingested" not in capsys.readouterr().out
+
     def test_doctor_cli_on_torn_rtrace(self, tmp_path, capsys):
         source = tmp_path / "app.lackey"
         source.write_text(LACKEY)

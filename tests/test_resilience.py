@@ -194,6 +194,18 @@ class TestCheckpointFiles:
         assert resumed._next_index == 1200
         assert resumed.finish() == reference
 
+    def test_non_object_header_is_typed_and_doctorable(self, tmp_path):
+        from repro.resilience.doctor import diagnose, repair
+
+        path = tmp_path / "ckpt.bin"
+        path.write_bytes(b"repro-checkpoint v1\n[1, 2]\npayload")
+        with pytest.raises(CheckpointError, match="not a JSON object"):
+            load_checkpoint(path)
+        assert not diagnose(path).healthy
+        repaired = repair(path)
+        assert repaired.repaired and not path.exists()
+        assert (tmp_path / "ckpt.bin.quarantine").exists()
+
 
 # ------------------------------------------------------------------ sweeps
 
@@ -448,3 +460,79 @@ class TestOneEngine:
         assert "repro resume" not in report.resume_hint
         assert "nothing to resume" in report.pause_reason
         assert "resumable" not in report.pause_reason
+
+
+def test_resume_after_torn_append_matches_uninterrupted(tmp_path):
+    """A crash mid-append leaves a torn fragment with no newline; the
+    resumed sweep cuts it off instead of gluing its next record onto it,
+    and ends with the uninterrupted journal's bytes."""
+    options = dict(trace_length=1500, designs=("vipt", "seesaw"))
+    reference = tmp_path / "reference.jsonl"
+    assert resilient_sweep(make_config(), ["gups", "mcf"],
+                           journal_path=reference, **options).ok
+    header, first, second = reference.read_bytes().splitlines(True)[:3]
+    cut = tmp_path / "cut.jsonl"
+    cut.write_bytes(header + first + second[:50])
+    report = resilient_sweep(make_config(), ["gups", "mcf"],
+                             journal_path=cut, resume=True, **options)
+    assert report.ok and report.reused == 1 and report.executed == 3
+    assert cut.read_bytes() == reference.read_bytes()
+
+
+class TestDurablePublish:
+    """A publish that fails leaves the previous file in place and no
+    temp file behind."""
+
+    @staticmethod
+    def fail_fsync(monkeypatch):
+        def fsync(_fd):
+            raise OSError(5, "simulated fsync failure")
+
+        monkeypatch.setattr(os, "fsync", fsync)
+
+    def test_write_rtrace(self, tmp_path, monkeypatch):
+        from repro.ingest import RECORD_SIZE, write_rtrace
+
+        path = tmp_path / "t.rtrace"
+        write_rtrace(path, "t", "champsim", bytes(RECORD_SIZE))
+        before = path.read_bytes()
+        self.fail_fsync(monkeypatch)
+        with pytest.raises(OSError):
+            write_rtrace(path, "t", "champsim", bytes(2 * RECORD_SIZE))
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["t.rtrace"]
+
+    def test_save_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.bin"
+        sim = SystemSimulator(make_config(), make_trace(length=500))
+        sim.run_until(200)
+        save_checkpoint(path, sim)
+        before = path.read_bytes()
+        sim.run_until(400)
+        self.fail_fsync(monkeypatch)
+        with pytest.raises(CheckpointError, match="untouched"):
+            save_checkpoint(path, sim)
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["ckpt.bin"]
+
+    def test_campaign_spec_save(self, tmp_path, monkeypatch):
+        from repro.campaign import CampaignSpec
+
+        spec = CampaignSpec(name="unit", axes=[("workload", ["gups"])],
+                            trace_length=1000, seed=42)
+        self.fail_fsync(monkeypatch)
+        with pytest.raises(OSError):
+            spec.save(tmp_path)
+        assert os.listdir(tmp_path) == []
+
+    def test_result_cache_put(self, tmp_path, monkeypatch):
+        from repro.serve.cache import ResultCache
+
+        ResultCache(directory=tmp_path).put("k" * 64, {"runtime": 1})
+        before = sorted(os.listdir(tmp_path))
+        self.fail_fsync(monkeypatch)
+        ResultCache(directory=tmp_path).put("k" * 64, {"runtime": 2})
+        monkeypatch.undo()
+        assert sorted(os.listdir(tmp_path)) == before
+        assert ResultCache(directory=tmp_path).get("k" * 64) \
+            == {"runtime": 1}
