@@ -9,7 +9,7 @@ latency up front (paper Fig. 1a).
 
 from __future__ import annotations
 
-from repro.mem.address import CACHE_LINE_SIZE, PageSize
+from repro.mem.address import PageSize
 from repro.cache.basic import CacheLine, SetAssociativeCache
 from repro.cache.vipt import CoherenceProbeResult, L1AccessResult, L1Timing
 
@@ -34,6 +34,9 @@ class PiptL1Cache:
         self.name = name
         self.store = SetAssociativeCache(
             size_bytes, ways, replacement="lru", name=name, seed=seed)
+        # Per-access constants, folded once (see ViptL1Cache).
+        self._hit_cycles = tlb_latency + hit_cycles
+        self._miss_detect = tlb_latency + self.timing.miss_detect_cycles()
 
     @property
     def ways(self) -> int:
@@ -50,27 +53,20 @@ class PiptL1Cache:
     def access(self, virtual_address: int, physical_address: int,
                page_size: PageSize, is_write: bool = False) -> L1AccessResult:
         """CPU lookup: translation latency is serialized before the array."""
-        hit = self.store.probe(physical_address, is_write=is_write)
-        latency = self.tlb_latency + self.timing.base_hit_cycles
-        return L1AccessResult(
-            hit=hit,
-            latency_cycles=latency,
-            ways_probed=self.ways,
-            page_size=page_size,
-            miss_detect_cycles=(self.tlb_latency
-                                + self.timing.miss_detect_cycles()),
-        )
+        return L1AccessResult.from_raw(
+            self.access_raw(virtual_address, physical_address, page_size,
+                            is_write), page_size)
 
     def access_raw(self, virtual_address: int, physical_address: int,
                    page_size: PageSize, is_write: bool = False) -> "tuple":
-        """Tuple form of :meth:`access` for the simulator's hot loop:
+        """Hot-loop variant of :meth:`access` returning the plain tuple
         ``(hit, latency_cycles, ways_probed, fast_path, tft_hit,
-        way_prediction_correct, miss_detect_cycles)``."""
-        result = self.access(virtual_address, physical_address, page_size,
-                             is_write)
-        return (result.hit, result.latency_cycles, result.ways_probed,
-                result.fast_path, result.tft_hit,
-                result.way_prediction_correct, result.miss_detect_cycles)
+        way_prediction_correct, miss_detect_cycles)``.  Both latencies
+        include the serialized TLB: a miss is declared a tag path after
+        translation finishes."""
+        hit = self.store.probe(physical_address, is_write=is_write)
+        return (hit, self._hit_cycles, self.store.ways, False, None, None,
+                self._miss_detect)
 
     def fill(self, physical_address: int, page_size: PageSize,
              dirty: bool = False) -> CacheLine:
@@ -93,13 +89,3 @@ class PiptL1Cache:
             line.reset()
         return CoherenceProbeResult(present=True, ways_probed=self.ways,
                                     dirty=dirty, invalidated=invalidate)
-
-    def sweep_virtual_range(self, virtual_base: int, length: int,
-                            translate) -> int:
-        """Shared promotion-sweep interface (see ViptL1Cache)."""
-        evicted = 0
-        for offset in range(0, length, CACHE_LINE_SIZE):
-            pa = translate(virtual_base + offset)
-            if pa is not None and self.store.invalidate_line(pa):
-                evicted += 1
-        return evicted

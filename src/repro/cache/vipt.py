@@ -55,6 +55,16 @@ class L1AccessResult:
         #: comparison (which is all a miss needs) finishes earlier.
         self.miss_detect_cycles = miss_detect_cycles
 
+    @classmethod
+    def from_raw(cls, raw: tuple, page_size: PageSize) -> "L1AccessResult":
+        """Box the tuple an L1's ``access_raw`` returns:
+        ``(hit, latency_cycles, ways_probed, fast_path, tft_hit,
+        way_prediction_correct, miss_detect_cycles)``."""
+        (hit, latency, ways_probed, fast_path, tft_hit, wp_correct,
+         miss_detect) = raw
+        return cls(hit, latency, ways_probed, page_size, fast_path, tft_hit,
+                   wp_correct, miss_detect)
+
     def __repr__(self) -> str:
         return (f"L1AccessResult(hit={self.hit!r}, "
                 f"latency_cycles={self.latency_cycles!r}, "
@@ -150,19 +160,9 @@ class ViptL1Cache:
     def access(self, virtual_address: int, physical_address: int,
                page_size: PageSize, is_write: bool = False) -> L1AccessResult:
         """CPU-side lookup. All ways of the indexed set are probed."""
-        (hit, latency, ways_probed, fast_path, tft_hit, wp_correct,
-         miss_detect) = self.access_raw(virtual_address, physical_address,
-                                        page_size, is_write)
-        result = L1AccessResult.__new__(L1AccessResult)
-        result.hit = hit
-        result.latency_cycles = latency
-        result.ways_probed = ways_probed
-        result.page_size = page_size
-        result.fast_path = fast_path
-        result.tft_hit = tft_hit
-        result.way_prediction_correct = wp_correct
-        result.miss_detect_cycles = miss_detect
-        return result
+        return L1AccessResult.from_raw(
+            self.access_raw(virtual_address, physical_address, page_size,
+                            is_write), page_size)
 
     def access_raw(self, virtual_address: int, physical_address: int,
                    page_size: PageSize, is_write: bool = False) -> "tuple":
@@ -228,18 +228,3 @@ class ViptL1Cache:
             line.reset()
         return CoherenceProbeResult(present=True, ways_probed=self.ways,
                                     dirty=dirty, invalidated=invalidate)
-
-    def sweep_virtual_range(self, virtual_base: int, length: int,
-                            translate) -> int:
-        """Evict all lines of a virtual range (page-promotion sweep).
-
-        ``translate`` maps VA → PA for each line.  Returns lines evicted.
-        Baseline VIPT never strictly needs this, but the interface is shared
-        with SEESAW so promotion handling is uniform.
-        """
-        evicted = 0
-        for offset in range(0, length, CACHE_LINE_SIZE):
-            pa = translate(virtual_base + offset)
-            if pa is not None and self.store.invalidate_line(pa):
-                evicted += 1
-        return evicted

@@ -62,6 +62,9 @@ class VivtL1Cache:
         self.store = SetAssociativeCache(
             size_bytes, ways, replacement="lru", name=name, seed=seed)
         self.synonym_stats = SynonymStats()
+        # Per-access constants, folded once (see ViptL1Cache).
+        self._hit_cycles = hit_cycles
+        self._miss_detect = self.timing.miss_detect_cycles()
         # physical line -> set of cached *virtual* line addresses.
         self._reverse: Dict[int, Set[int]] = defaultdict(set)
         # virtual line -> physical line (so evictions clean the map).
@@ -104,29 +107,22 @@ class VivtL1Cache:
         copies (the synonym problem); each fixup costs extra probes, which
         is charged through ``ways_probed``.
         """
-        hit = self.store.probe(virtual_address, is_write=is_write)
-        ways_probed = self.ways
-        if is_write and hit:
-            ways_probed += self._fix_synonyms(virtual_address,
-                                              physical_address)
-        return L1AccessResult(
-            hit=hit,
-            latency_cycles=self.timing.base_hit_cycles,
-            ways_probed=ways_probed,
-            page_size=page_size,
-            miss_detect_cycles=self.timing.miss_detect_cycles(),
-        )
+        return L1AccessResult.from_raw(
+            self.access_raw(virtual_address, physical_address, page_size,
+                            is_write), page_size)
 
     def access_raw(self, virtual_address: int, physical_address: int,
                    page_size: PageSize, is_write: bool = False) -> "tuple":
-        """Tuple form of :meth:`access` for the simulator's hot loop:
+        """Hot-loop variant of :meth:`access` returning the plain tuple
         ``(hit, latency_cycles, ways_probed, fast_path, tft_hit,
         way_prediction_correct, miss_detect_cycles)``."""
-        result = self.access(virtual_address, physical_address, page_size,
-                             is_write)
-        return (result.hit, result.latency_cycles, result.ways_probed,
-                result.fast_path, result.tft_hit,
-                result.way_prediction_correct, result.miss_detect_cycles)
+        hit = self.store.probe(virtual_address, is_write=is_write)
+        ways_probed = self.store.ways
+        if is_write and hit:
+            ways_probed += self._fix_synonyms(virtual_address,
+                                              physical_address)
+        return (hit, self._hit_cycles, ways_probed, False, None, None,
+                self._miss_detect)
 
     def _fix_synonyms(self, virtual_address: int,
                       physical_address: int) -> int:
@@ -201,14 +197,3 @@ class VivtL1Cache:
         self._forward.clear()
         self.synonym_stats.flushes += 1
         return dropped
-
-    def sweep_virtual_range(self, virtual_base: int, length: int,
-                            translate) -> int:
-        """Shared sweep interface — VIVT sweeps directly by VA."""
-        evicted = 0
-        for offset in range(0, length, CACHE_LINE_SIZE):
-            va = virtual_base + offset
-            if self.store.invalidate_line(va):
-                self._drop_mapping(self.store.line_address(va))
-                evicted += 1
-        return evicted

@@ -215,19 +215,9 @@ class SeesawL1Cache:
         parallel TLB lookup, exactly as in baseline VIPT; the TFT outcome
         decides how many ways were probed and the resulting latency.
         """
-        (hit, latency, ways_probed, fast_path, tft_hit, wp_correct,
-         miss_detect) = self.access_raw(virtual_address, physical_address,
-                                        page_size, is_write)
-        result = L1AccessResult.__new__(L1AccessResult)
-        result.hit = hit
-        result.latency_cycles = latency
-        result.ways_probed = ways_probed
-        result.page_size = page_size
-        result.fast_path = fast_path
-        result.tft_hit = tft_hit
-        result.way_prediction_correct = wp_correct
-        result.miss_detect_cycles = miss_detect
-        return result
+        return L1AccessResult.from_raw(
+            self.access_raw(virtual_address, physical_address, page_size,
+                            is_write), page_size)
 
     def access_raw(self, virtual_address: int, physical_address: int,
                    page_size: PageSize, is_write: bool = False) -> "tuple":
@@ -434,13 +424,3 @@ class SeesawL1Cache:
             line.reset()
         return CoherenceProbeResult(present=True, ways_probed=ways_probed,
                                     dirty=dirty, invalidated=invalidate)
-
-    def sweep_virtual_range(self, virtual_base: int, length: int,
-                            translate) -> int:
-        """Shared sweep interface (see :class:`ViptL1Cache`)."""
-        evicted = 0
-        for offset in range(0, length, CACHE_LINE_SIZE):
-            pa = translate(virtual_base + offset)
-            if pa is not None and self.store.invalidate_line(pa):
-                evicted += 1
-        return evicted

@@ -14,7 +14,7 @@ tracks, per simulation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict
 
 from repro.energy.sram import SRAMModel
@@ -80,6 +80,12 @@ class EnergyBreakdown:
             dram_nj=payload["dram"],
             leakage_nj=payload["leakage"],
         )
+
+
+#: The dynamic components, in declaration order: every field but
+#: runtime-proportional leakage, which is charged once per result.
+DYNAMIC_ENERGY_FIELDS = tuple(f.name for f in fields(EnergyBreakdown)
+                              if f.name != "leakage_nj")
 
 
 @dataclass

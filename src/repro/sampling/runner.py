@@ -13,10 +13,12 @@ Flow (SimPoint-style, arXiv 2402.00649):
    executes under the same event schedule positions as in a full run.
    ``plan.warmup`` references immediately before each representative are
    replayed unmeasured to re-warm L1/TLB state across the skip.
-4. Per-representative counter deltas are scaled by cluster weight
-   (references represented / references simulated) and summed into
-   whole-run totals; leakage is recharged from the extrapolated runtime
-   with the exact lane's arithmetic.
+4. Per-representative deltas of the simulator's ``counters()`` are
+   scaled by cluster weight (references represented / references
+   simulated) and summed into whole-run totals, which go through the
+   simulator's own ``build_result`` — the builder the exact lane uses —
+   so a sampled result carries every field an exact one does, with
+   leakage charged on the extrapolated runtime.
 5. Cross-representative dispersion yields per-metric relative-error
    bounds, reported in the result's ``sampling`` block.
 
@@ -34,6 +36,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.energy.accounting import DYNAMIC_ENERGY_FIELDS
 from repro.sampling.cluster import Cluster, cluster_signatures
 from repro.sampling.intervals import partition_intervals, profile_trace
 from repro.sampling.plan import SamplingPlan
@@ -43,10 +46,6 @@ __all__ = ["simulate_sampled", "extrapolate_totals", "HEADLINE_METRICS"]
 #: The metrics the accuracy contract covers, with their error bounds.
 HEADLINE_METRICS = ("l1_miss_rate", "tlb_miss_rate", "runtime_cycles",
                     "energy_total_nj")
-
-#: Dynamic energy components (everything but runtime-proportional leakage).
-_ENERGY_FIELDS = ("l1_cpu_lookup_nj", "l1_coherence_lookup_nj", "l1_fill_nj",
-                  "tlb_nj", "tft_nj", "l2_nj", "llc_nj", "dram_nj")
 
 #: Error-bound model constants, calibrated on the golden fixtures
 #: (tests/test_sampling_accuracy.py): observed relative error must land
@@ -76,43 +75,23 @@ def _functional_warm_gap(sim, start: int, stop: int,
       lane would have.  Without this, pages whose reuse distance exceeds
       the detailed warmup re-miss at every representative boundary and
       the TLB miss rate reads high.
-    * **State-changing event replay.**  Context switches (SEESAW
-      partition reshuffle / VIVT flush) and superpage splinter/promote
-      churn fire on their global trace indices, in the run loop's
-      dispatch order.  Background coherence probes are *not* replayed:
-      ``_system_probe`` is a pure observer (``invalidate=False``) whose
-      only effects — stats, probe energy, one RNG draw — are cancelled
-      by the delta discipline, so replaying it buys no architectural
-      fidelity at ~1/12 of the warming cost.
+    * **State-changing event replay.**  The simulator's periodic events
+      (context switches, superpage splinter/promote churn) fire on
+      their global trace indices, in the run loop's dispatch order.
+      Background coherence probes are *not* replayed: they only observe
+      (stats, probe energy, one RNG draw), the delta discipline cancels
+      those, so replaying them buys no architectural fidelity at ~1/12
+      of the warming cost.
 
     Stats counters touched here (TLB hits/misses) never leak into
     results: the measurement loop snapshots *after* warming and works
     in deltas.  ``ctx`` carries memoized page-table lookups across
     spans; churn events invalidate it because they remap pages.
     """
-    config = sim.config
-    cs_interval = config.context_switch_interval
-    if cs_interval is None and config.l1_design == "vivt":
-        cs_interval = config.vivt_flush_interval
     if ctx is None:
         ctx = {}
-
-    def _next_fire(interval):
-        if not interval:
-            return None
-        return start + ((interval - 1 - start) % interval)
-
-    # [next_index, interval, action, remaps_pages] for the state-changing
-    # events only, in the run loop's dispatch order (so same-index
-    # firings match it).
-    events = []
-    for interval, action, remaps in (
-            (cs_interval, lambda: _context_switch(sim), False),
-            (config.splinter_interval, sim._churn_splinter, True),
-            (config.promote_interval, sim._churn_promote, True)):
-        fire = _next_fire(interval)
-        if fire is not None and fire < stop:
-            events.append([fire, interval, action, remaps])
+    events = [event for event in sim._periodic_events(start)
+              if event[0] < stop]
 
     cursor = start
     while cursor < stop:
@@ -341,65 +320,6 @@ def _lru_final_fill(tlb, sequence, ppn_by_key, page_size) -> None:
         fill(key, ppn_by_key[key], page_size, 0)
 
 
-def _context_switch(sim) -> None:
-    from repro.cache.vivt import VivtL1Cache
-    from repro.core.seesaw import SeesawL1Cache
-
-    for cache in sim.l1s:
-        if isinstance(cache, SeesawL1Cache):
-            cache.on_context_switch()
-        elif isinstance(cache, VivtL1Cache):
-            cache.flush()
-
-
-def _snapshot(sim) -> Dict:
-    """Flat copy of every counter the extrapolation scales.
-
-    ``cycles`` is a per-core tuple (runtime is the max over cores, which
-    must be taken *after* extrapolation); everything else is scalar.
-    """
-    from repro.core.seesaw import SeesawL1Cache
-
-    counters: Dict = {
-        "cycles": tuple(core.stats.cycles for core in sim.cores),
-        "instructions": sum(core.stats.instructions for core in sim.cores),
-        "l1_hits": sum(l1.stats.hits for l1 in sim.l1s),
-        "l1_misses": sum(l1.stats.misses for l1 in sim.l1s),
-        "l1_ways_probed": sum(l1.stats.ways_probed for l1 in sim.l1s),
-        "tlb_lookups": sum(t.l1_4kb.stats.hits + t.l1_4kb.stats.misses
-                           for t in sim.tlbs),
-        "tlb_hits": sum(t.l1_4kb.stats.hits + t.l1_2mb.stats.hits
-                        for t in sim.tlbs),
-        "superpage_references": sim._superpage_references,
-        "squashes": sum(s.stats.squashes for s in sim.schedulers
-                        if s is not None),
-    }
-    for name in _ENERGY_FIELDS:
-        counters[name] = getattr(sim.energy.breakdown, name)
-    seesaw_l1s = [l1 for l1 in sim.l1s if isinstance(l1, SeesawL1Cache)]
-    counters["tft_lookups"] = sum(l1.tft.stats.lookups for l1 in seesaw_l1s)
-    counters["tft_hits"] = sum(l1.tft.stats.hits for l1 in seesaw_l1s)
-    counters["superpage_accesses"] = sum(
-        l1.seesaw_stats.superpage_accesses for l1 in seesaw_l1s)
-    counters["tft_missed_superpage_l1_hits"] = sum(
-        l1.seesaw_stats.tft_missed_superpage_l1_hits for l1 in seesaw_l1s)
-    counters["tft_missed_superpage_l1_misses"] = sum(
-        l1.seesaw_stats.tft_missed_superpage_l1_misses for l1 in seesaw_l1s)
-    counters["fast_hits"] = sum(l1.seesaw_stats.fast_hits
-                                for l1 in seesaw_l1s)
-    counters["coherence_probes"] = sum(l1.seesaw_stats.coherence_probes
-                                       for l1 in seesaw_l1s)
-    counters["coherence_ways_probed"] = sum(
-        l1.seesaw_stats.coherence_ways_probed for l1 in seesaw_l1s)
-    counters["promotion_sweep_cycles"] = sum(
-        l1.seesaw_stats.promotion_sweep_cycles for l1 in seesaw_l1s)
-    predictors = [l1.way_predictor for l1 in seesaw_l1s
-                  if l1.way_predictor is not None]
-    counters["wp_predictions"] = sum(p.stats.predictions for p in predictors)
-    counters["wp_correct"] = sum(p.stats.correct for p in predictors)
-    return counters
-
-
 def _subtract(after: Dict, before: Dict) -> Dict:
     delta: Dict = {}
     for key, end in after.items():
@@ -471,7 +391,7 @@ def _rep_headline_metrics(delta: Dict, refs: int) -> Dict[str, float]:
     """One representative's headline metrics, from its counter delta."""
     l1_accesses = delta["l1_hits"] + delta["l1_misses"]
     tlb_lookups = delta["tlb_lookups"]
-    dynamic_nj = sum(delta[name] for name in _ENERGY_FIELDS)
+    dynamic_nj = sum(delta[name] for name in DYNAMIC_ENERGY_FIELDS)
     return {
         "l1_miss_rate": (delta["l1_misses"] / l1_accesses
                          if l1_accesses else 0.0),
@@ -527,8 +447,6 @@ def simulate_sampled(config, trace, plan: SamplingPlan,
     (``construct``/``prewarm``/``profile``/``cluster``/``loop``/
     ``collect``) for the bench harness.
     """
-    from repro.energy.accounting import EnergyBreakdown
-    from repro.sim.stats import SimulationResult
     from repro.sim.system import SystemSimulator
 
     def _stamp(stage: str, start: float) -> float:
@@ -584,9 +502,9 @@ def simulate_sampled(config, trace, plan: SamplingPlan,
     simulated_refs = 0
     # Memoized page-table lookups for the fast warm path; detailed
     # windows can remap pages via churn events, so drop the memo after
-    # each one when churn is configured.
+    # each one when such events are configured.
     warm_ctx: Dict = {}
-    churny = bool(config.splinter_interval or config.promote_interval)
+    churny = any(remaps for *_, remaps in sim._periodic_events(0))
     for cluster in clusters:
         lo, hi = intervals[cluster.representative]
         warm_start = max(sim._next_index, lo - plan.warmup)
@@ -595,11 +513,11 @@ def simulate_sampled(config, trace, plan: SamplingPlan,
         sim._next_index = warm_start         # skip the gap
         if warm_start < lo:
             sim.run_until(lo)                # unmeasured warmup replay
-        before = _snapshot(sim)
+        before = sim.counters()
         sim.run_until(hi)
         if churny:
             warm_ctx.pop("pages", None)
-        delta = _subtract(_snapshot(sim), before)
+        delta = _subtract(sim.counters(), before)
         rep_refs = hi - lo
         weight_refs = float(sum(intervals[m][1] - intervals[m][0]
                                 for m in cluster.members))
@@ -611,54 +529,7 @@ def simulate_sampled(config, trace, plan: SamplingPlan,
             rep_metrics[metric].append(value)
     mark = _stamp("loop", mark)
 
-    totals = extrapolate_totals(deltas, ratios)
-    runtime = round(max(totals["cycles"]))
-    runtime += round(totals["promotion_sweep_cycles"])
-    breakdown = EnergyBreakdown(
-        **{name: totals[name] for name in _ENERGY_FIELDS})
-    # Leakage: the exact lane's record_runtime arithmetic, term for term.
-    seconds = runtime / (config.frequency_ghz * 1e9)
-    breakdown.leakage_nj = sim.energy.leakage_mw * 1e-3 * seconds * 1e9
-
-    references = measured_refs
-    result = SimulationResult(
-        config_description=config.describe(),
-        workload=trace.name,
-        runtime_cycles=runtime,
-        instructions=round(totals["instructions"]),
-        energy=breakdown,
-        l1_hits=round(totals["l1_hits"]),
-        l1_misses=round(totals["l1_misses"]),
-        l1_ways_probed=round(totals["l1_ways_probed"]),
-        memory_references=references,
-        superpage_reference_fraction=(
-            totals["superpage_references"] / references if references
-            else 0.0),
-        footprint_superpage_fraction=sim._region_coverage(),
-    )
-    result.tlb_hits = round(totals["tlb_hits"])
-    result.tlb_misses = max(0, round(totals["tlb_lookups"])
-                            - result.tlb_hits)
-    if totals["tft_lookups"]:
-        result.tft_hit_rate = totals["tft_hits"] / totals["tft_lookups"]
-    super_accesses = round(totals["superpage_accesses"])
-    if super_accesses:
-        missed_h = round(totals["tft_missed_superpage_l1_hits"])
-        missed_m = round(totals["tft_missed_superpage_l1_misses"])
-        result.superpage_accesses = super_accesses
-        result.tft_missed_superpage_l1_hits = missed_h
-        result.tft_missed_superpage_l1_misses = missed_m
-        result.tft_missed_superpage_fraction = (
-            (missed_h + missed_m) / super_accesses)
-        result.fast_hits = round(totals["fast_hits"])
-        result.coherence_probes = round(totals["coherence_probes"])
-        result.coherence_ways_probed = round(
-            totals["coherence_ways_probed"])
-    if totals["wp_predictions"]:
-        result.way_prediction_accuracy = (
-            totals["wp_correct"] / totals["wp_predictions"])
-    result.squashes = round(totals["squashes"])
-
+    result = sim.build_result(extrapolate_totals(deltas, ratios))
     coverage = (sum(intervals[c.representative][1]
                     - intervals[c.representative][0] for c in clusters)
                 / measured_refs if measured_refs else 1.0)

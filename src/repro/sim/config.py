@@ -147,6 +147,18 @@ class SystemConfig:
         """VIPT/SEESAW associativity implied by 64 sets x 64B lines."""
         return self.l1_size_kb * 1024 // (64 * 64)
 
+    @property
+    def context_switch_period(self) -> Optional[int]:
+        """References between context switches (``None``: none happen).
+
+        ``context_switch_interval`` when set.  Otherwise a VIVT L1, which
+        has no ASID tags and so flushes on every switch, still sees the
+        OS scheduling quantum ``vivt_flush_interval``.
+        """
+        if self.context_switch_interval is None and self.l1_design == "vivt":
+            return self.vivt_flush_interval
+        return self.context_switch_interval
+
     def l1_timing(self, sram: Optional[SRAMModel] = None) -> L1Timing:
         """Hit latencies for this configuration.
 

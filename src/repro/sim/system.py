@@ -6,7 +6,7 @@ One :class:`SystemSimulator` wires together, per the configuration:
   memhog, managed by a transparent-huge-page
   :class:`~repro.mem.os_policy.MemoryManager`;
 * per-core split TLB hierarchies (Table II shapes) over a shared page table;
-* the L1 design under test per core (baseline VIPT, PIPT, or SEESAW);
+* the L1 design under test per core (baseline VIPT, PIPT, VIVT or SEESAW);
 * a MOESI directory (or snoopy bus) across the L1s;
 * a shared LLC + DRAM behind them;
 * in-order or out-of-order core timing models, with SEESAW's fast-hit
@@ -21,6 +21,7 @@ misses and write-upgrades.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -38,7 +39,8 @@ from repro.core.seesaw import SeesawL1Cache
 from repro.cpu.inorder import InOrderCore
 from repro.cpu.ooo import OutOfOrderCore
 from repro.devtools import sanitize
-from repro.energy.accounting import EnergyAccountant
+from repro.energy.accounting import (DYNAMIC_ENERGY_FIELDS, EnergyAccountant,
+                                     EnergyBreakdown)
 from repro.energy.sram import SRAMModel
 from repro.mem.fragmentation import Memhog
 from repro.mem.os_policy import MemoryManager
@@ -48,6 +50,22 @@ from repro.sim.config import SystemConfig
 from repro.sim.stats import SimulationResult
 from repro.tlb.hierarchy import SplitTLBHierarchy
 from repro.workloads.trace import MemoryTrace
+
+
+def _next_fire(start: int, interval: Optional[int],
+               phase: Optional[int] = None) -> float:
+    """First index >= ``start`` with ``index % interval == phase``.
+
+    ``phase`` defaults to ``interval - 1``: a periodic event fires after
+    the last reference of each interval.  Disabled intervals (``None`` or
+    0) never fire (``inf``).  Turns per-reference modulo checks into
+    integer comparisons.
+    """
+    if not interval:
+        return float("inf")
+    if phase is None:
+        phase = interval - 1
+    return start + (phase - start) % interval
 
 
 class SystemSimulator:
@@ -244,15 +262,6 @@ class SystemSimulator:
 
     # ------------------------------------------------------------------- run
 
-    def _translate(self, core_id: int, virtual_address: int):
-        """Demand-page then translate through the core's TLB hierarchy."""
-        tlb = self.tlbs[core_id]
-        try:
-            return tlb.translate(virtual_address)
-        except TranslationFault:
-            self.manager.touch(virtual_address)
-            return tlb.translate(virtual_address)
-
     def _system_probe(self) -> None:
         """Background OS/IO coherence activity (paper §VI-B: even
         single-threaded workloads see coherence lookups)."""
@@ -279,7 +288,6 @@ class SystemSimulator:
         from repro.core.seesaw import SeesawStats
         from repro.core.tft import TFTStats
         from repro.cpu.core import CoreStats
-        from repro.energy.accounting import EnergyBreakdown
         from repro.tlb.tlb import TLBStats
 
         for l1 in self.l1s:
@@ -421,12 +429,7 @@ class SystemSimulator:
         is_seesaw = config.l1_design == "seesaw" or (
             config.l1_design == "vipt" and config.way_prediction)
         probe_interval = config.system_probe_interval
-        cs_interval = config.context_switch_interval
-        if cs_interval is None and config.l1_design == "vivt":
-            # Without ASID tags a VIVT L1 must flush on every context
-            # switch; vivt_flush_interval models the OS scheduling quantum
-            # even when no explicit context-switch interval is configured.
-            cs_interval = config.vivt_flush_interval
+        cs_interval = config.context_switch_period
         splinter_interval = config.splinter_interval
         promote_interval = config.promote_interval
         warmup_end = self._warmup_end
@@ -502,23 +505,10 @@ class SystemSimulator:
         hit_stalls = tuple({} for _ in cores)
         miss_stalls = tuple({} for _ in cores)
 
-        def _next_fire(start: int, interval: Optional[int],
-                       phase: int) -> float:
-            """First index >= start with index % interval == phase
-            (inf when the interval is disabled): turns the per-iteration
-            modulo checks into integer comparisons."""
-            if not interval:
-                return float("inf")
-            offset = (phase - start) % interval
-            return start + offset
-
-        probe_next = _next_fire(index, probe_interval,
-                                (probe_interval or 1) - 1)
-        cs_next = _next_fire(index, cs_interval, (cs_interval or 1) - 1)
-        splinter_next = _next_fire(index, splinter_interval,
-                                   (splinter_interval or 1) - 1)
-        promote_next = _next_fire(index, promote_interval,
-                                  (promote_interval or 1) - 1)
+        probe_next = _next_fire(index, probe_interval)
+        cs_next = _next_fire(index, cs_interval)
+        splinter_next = _next_fire(index, splinter_interval)
+        promote_next = _next_fire(index, promote_interval)
         # The checkpoint check runs on the post-increment index.
         checkpoint_next = (_next_fire(index + 1, checkpoint_interval, 0)
                            if checkpoint_path is not None else float("inf"))
@@ -662,11 +652,7 @@ class SystemSimulator:
                     self._system_probe()
                 if index == cs_next:
                     cs_next += cs_interval
-                    for cache in l1s:
-                        if isinstance(cache, SeesawL1Cache):
-                            cache.on_context_switch()
-                        elif isinstance(cache, VivtL1Cache):
-                            cache.flush()     # no ASID tags: full flush
+                    self._context_switch()
                 if index == splinter_next:
                     splinter_next += splinter_interval
                     self._churn_splinter()
@@ -693,8 +679,9 @@ class SystemSimulator:
 
     #: bump when the snapshot payload layout changes.  v2: slotted
     #: TLBEntry/CacheLine/L1AccessResult and precomputed geometry fields
-    #: make v1 payloads unloadable.
-    SNAPSHOT_VERSION = 2
+    #: make v1 payloads unloadable.  v3: PIPT and VIVT L1s carry folded
+    #: per-access latencies that v2 payloads lack.
+    SNAPSHOT_VERSION = 3
 
     def snapshot(self) -> bytes:
         """Serialize the complete mutable simulation state.
@@ -799,7 +786,34 @@ class SystemSimulator:
         self._fault_pending = []
         self._wire()
 
-    # ------------------------------------------------------------ page churn
+    # -------------------------------------------------------- periodic events
+
+    def _periodic_events(self, start: int) -> List[list]:
+        """The periodic events that change machine state, as mutable
+        ``[next index, interval, action, remaps pages]`` entries due at or
+        after trace index ``start``, in the run loop's dispatch order.
+
+        Each fires after the reference at its index.  The background
+        coherence probe is left out: it only observes (stats, probe
+        energy and one RNG draw).
+        """
+        config = self.config
+        return [[_next_fire(start, interval), interval, action, remaps]
+                for interval, action, remaps in (
+                    (config.context_switch_period, self._context_switch,
+                     False),
+                    (config.splinter_interval, self._churn_splinter, True),
+                    (config.promote_interval, self._churn_promote, True))
+                if interval]
+
+    def _context_switch(self) -> None:
+        """An OS context switch: structures without ASID tags flush (the
+        SEESAW TFT, and a VIVT L1 in full); other L1s keep their state."""
+        for cache in self.l1s:
+            if isinstance(cache, SeesawL1Cache):
+                cache.on_context_switch()
+            elif isinstance(cache, VivtL1Cache):
+                cache.flush()
 
     def _churn_splinter(self) -> None:
         """Splinter the next superpage-backed region of the workload's
@@ -861,76 +875,124 @@ class SystemSimulator:
                 pass
         return covered / len(representative)
 
-    def _collect(self) -> SimulationResult:
-        config = self.config
-        runtime = round(max(core.stats.cycles for core in self.cores))
-        # Promotion sweeps (if any page churn was driven externally) stall
-        # the machine; charge the longest core.
-        for l1 in self.l1s:
-            if isinstance(l1, SeesawL1Cache):
-                runtime += l1.seesaw_stats.promotion_sweep_cycles
-        instructions = sum(core.stats.instructions for core in self.cores)
-        self.energy.record_runtime(runtime, config.frequency_ghz)
+    def counters(self) -> Dict:
+        """Every counter a result is built from, read off the live machine.
 
-        l1_hits = sum(l1.stats.hits for l1 in self.l1s)
-        l1_misses = sum(l1.stats.misses for l1 in self.l1s)
-        l1_ways = sum(l1.stats.ways_probed for l1 in self.l1s)
-        references = self._measured_references or len(self.trace)
+        ``cycles`` holds one value per core: runtime is the slowest core's,
+        taken only when a result is built.  Every other value is summed
+        over cores and only ever grows by addition, so the difference of
+        two readings is the activity between them — the deltas the sampled
+        lane scales and sums.  Counters of structures this machine lacks
+        (TFT, way predictor, OoO scheduler) read zero.
+        """
+        seesaw_l1s = [l1 for l1 in self.l1s if isinstance(l1, SeesawL1Cache)]
+        seesaw_stats = [l1.seesaw_stats for l1 in seesaw_l1s]
+        tft_stats = [l1.tft.stats for l1 in seesaw_l1s]
+        predictor_stats = [l1.way_predictor.stats for l1 in seesaw_l1s
+                           if l1.way_predictor is not None]
+        counters: Dict = {
+            "cycles": tuple(core.stats.cycles for core in self.cores),
+            "instructions": sum(core.stats.instructions
+                                for core in self.cores),
+            "memory_references": self._measured_references,
+            "superpage_references": self._superpage_references,
+            "l1_hits": sum(l1.stats.hits for l1 in self.l1s),
+            "l1_misses": sum(l1.stats.misses for l1 in self.l1s),
+            "l1_ways_probed": sum(l1.stats.ways_probed for l1 in self.l1s),
+            # Every access probes both L1 TLBs in parallel (translate_raw),
+            # so the 4KB structure's lookup count is the translation count;
+            # a hit in either structure is a TLB hit.
+            "tlb_lookups": sum(t.l1_4kb.stats.hits + t.l1_4kb.stats.misses
+                               for t in self.tlbs),
+            "tlb_hits": sum(t.l1_4kb.stats.hits + t.l1_2mb.stats.hits
+                            for t in self.tlbs),
+            "tft_lookups": sum(stats.lookups for stats in tft_stats),
+            "tft_hits": sum(stats.hits for stats in tft_stats),
+            "wp_predictions": sum(stats.predictions
+                                  for stats in predictor_stats),
+            "wp_correct": sum(stats.correct for stats in predictor_stats),
+            "squashes": sum(s.stats.squashes for s in self.schedulers
+                            if s is not None),
+        }
+        for name in ("superpage_accesses", "tft_missed_superpage_l1_hits",
+                     "tft_missed_superpage_l1_misses", "fast_hits",
+                     "coherence_probes", "coherence_ways_probed",
+                     "promotion_sweep_cycles"):
+            counters[name] = sum(getattr(stats, name)
+                                 for stats in seesaw_stats)
+        breakdown = self.energy.breakdown
+        for name in DYNAMIC_ENERGY_FIELDS:
+            counters[name] = getattr(breakdown, name)
+        return counters
+
+    def build_result(self, counters: Dict) -> SimulationResult:
+        """Turn a :meth:`counters` dict into this machine's result.
+
+        Both lanes build their results here: :meth:`_collect` passes the
+        run's own counters, the sampled lane its extrapolated totals.
+        Totals are floats, so counts are rounded; exact integer counts
+        pass through unchanged.  Runtime is the slowest core plus the
+        promotion-sweep stalls.  Leakage for that runtime is charged by
+        the accountant's ``record_runtime`` into the result's own
+        :class:`EnergyBreakdown`, so collecting again leaves earlier
+        results alone.
+        """
+        config = self.config
+        runtime = (round(max(counters["cycles"]))
+                   + round(counters["promotion_sweep_cycles"]))
+        accountant = replace(self.energy, breakdown=EnergyBreakdown(
+            **{name: counters[name] for name in DYNAMIC_ENERGY_FIELDS}))
+        accountant.record_runtime(runtime, config.frequency_ghz)
+        references = round(counters["memory_references"]) or len(self.trace)
+        tlb_hits = round(counters["tlb_hits"])
         result = SimulationResult(
             config_description=config.describe(),
             workload=self.trace.name,
             runtime_cycles=runtime,
-            instructions=instructions,
-            energy=self.energy.breakdown,
-            l1_hits=l1_hits,
-            l1_misses=l1_misses,
-            l1_ways_probed=l1_ways,
+            instructions=round(counters["instructions"]),
+            energy=accountant.breakdown,
+            l1_hits=round(counters["l1_hits"]),
+            l1_misses=round(counters["l1_misses"]),
+            l1_ways_probed=round(counters["l1_ways_probed"]),
             memory_references=references,
             superpage_reference_fraction=(
-                self._superpage_references / references if references else 0.0),
+                counters["superpage_references"] / references
+                if references else 0.0),
             footprint_superpage_fraction=self._region_coverage(),
+            tlb_hits=tlb_hits,
+            tlb_misses=max(0, round(counters["tlb_lookups"]) - tlb_hits),
+            squashes=round(counters["squashes"]),
+            faults_injected=list(self._faults_injected),
         )
-        # Every access probes both L1 TLBs in parallel (translate_raw), so
-        # the 4KB structure's lookup count is the translation count; a hit
-        # in either structure is a TLB hit.
-        tlb_lookups = sum(t.l1_4kb.stats.hits + t.l1_4kb.stats.misses
-                          for t in self.tlbs)
-        tlb_hits = sum(t.l1_4kb.stats.hits + t.l1_2mb.stats.hits
-                       for t in self.tlbs)
-        result.tlb_hits = tlb_hits
-        result.tlb_misses = max(0, tlb_lookups - tlb_hits)
         seesaw_l1s = [l1 for l1 in self.l1s if isinstance(l1, SeesawL1Cache)]
         if seesaw_l1s:
-            lookups = sum(l1.tft.stats.lookups for l1 in seesaw_l1s)
-            hits = sum(l1.tft.stats.hits for l1 in seesaw_l1s)
-            result.tft_hit_rate = hits / lookups if lookups else 0.0
-            super_acc = sum(l1.seesaw_stats.superpage_accesses
-                            for l1 in seesaw_l1s)
-            missed_h = sum(l1.seesaw_stats.tft_missed_superpage_l1_hits
-                           for l1 in seesaw_l1s)
-            missed_m = sum(l1.seesaw_stats.tft_missed_superpage_l1_misses
-                           for l1 in seesaw_l1s)
+            lookups = counters["tft_lookups"]
+            result.tft_hit_rate = (counters["tft_hits"] / lookups
+                                   if lookups else 0.0)
+            super_acc = round(counters["superpage_accesses"])
+            missed_h = round(counters["tft_missed_superpage_l1_hits"])
+            missed_m = round(counters["tft_missed_superpage_l1_misses"])
             result.tft_missed_superpage_l1_hits = missed_h
             result.tft_missed_superpage_l1_misses = missed_m
             result.superpage_accesses = super_acc
             result.tft_missed_superpage_fraction = (
                 (missed_h + missed_m) / super_acc if super_acc else 0.0)
-            result.fast_hits = sum(l1.seesaw_stats.fast_hits
-                                   for l1 in seesaw_l1s)
-            result.coherence_probes = sum(l1.seesaw_stats.coherence_probes
-                                          for l1 in seesaw_l1s)
-            result.coherence_ways_probed = sum(
-                l1.seesaw_stats.coherence_ways_probed for l1 in seesaw_l1s)
-            predictors = [l1.way_predictor for l1 in seesaw_l1s
-                          if l1.way_predictor is not None]
-            if predictors:
-                predictions = sum(p.stats.predictions for p in predictors)
-                correct = sum(p.stats.correct for p in predictors)
+            result.fast_hits = round(counters["fast_hits"])
+            result.coherence_probes = round(counters["coherence_probes"])
+            result.coherence_ways_probed = round(
+                counters["coherence_ways_probed"])
+            if any(l1.way_predictor is not None for l1 in seesaw_l1s):
+                predictions = counters["wp_predictions"]
                 result.way_prediction_accuracy = (
-                    correct / predictions if predictions else 0.0)
-        result.squashes = sum(s.stats.squashes for s in self.schedulers
-                              if s is not None)
-        result.faults_injected = list(self._faults_injected)
+                    counters["wp_correct"] / predictions
+                    if predictions else 0.0)
+        return result
+
+    def _collect(self) -> SimulationResult:
+        """The exact lane's result: :meth:`build_result` over this run's
+        own counters, then the sanitizer's result checks, which hold only
+        for exact counts."""
+        result = self.build_result(self.counters())
         if self._sanitize:
             for l1 in self.l1s:
                 if hasattr(l1, "partitioning"):

@@ -3,13 +3,14 @@
 Where ``test_properties.py`` pins single data structures, these exercise
 interactions: the OS layer against the page table and buddy allocator
 under random splinter/promote churn, the VIVT synonym filter under random
-fill/write/probe sequences, and the coherence directory against the L1s it
-tracks.
+fill/write/probe sequences, the coherence directory against the L1s it
+tracks, and the sampled lane's fast warmer against translation replay.
 """
 
 import os
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.cache.basic import SetAssociativeCache
@@ -20,7 +21,11 @@ from repro.mem.address import PAGE_SIZE_2MB, PAGE_SIZE_4KB, PageSize
 from repro.mem.os_policy import MemoryManager, THPPolicy
 from repro.mem.physical import PhysicalMemory
 from repro.mem.page_table import PageTable
+from repro.sampling.runner import _fast_warmable, _warm_span
+from repro.sim.config import SystemConfig
+from repro.sim.system import SystemSimulator
 from repro.tlb.hierarchy import SplitTLBHierarchy, TLBHierarchy
+from repro.workloads.suite import cached_trace
 
 # Shared Hypothesis profiles: "repro" (default) keeps CI fast; select
 # "repro-thorough" via REPRO_HYPOTHESIS_PROFILE for deeper local runs.
@@ -308,3 +313,47 @@ class TestTranslateRawEquivalence:
         assert fast.l1_2mb.stats == reference.l1_2mb.stats
         assert fast.l2_tlb.stats == reference.l2_tlb.stats
         assert fast.walker.stats == reference.walker.stats
+
+
+class TestFastWarmerEquivalence:
+    """The sampled lane's O(distinct pages) warmer (``_warm_span_fast``)
+    claims to leave every L1 TLB's contents, LRU order and ``_resident``
+    count, and the TFT's contents, bit-exact to the per-reference
+    ``translate_raw`` replay of ``_warm_span``.  Twin simulators warm one
+    random span after one random detailed prefix, one per path; stats
+    counters are excluded because the fast path skips them."""
+
+    LENGTH = 3000
+
+    @staticmethod
+    def _translation_state(sim):
+        state = []
+        for hierarchy in sim.tlbs:
+            for tlb in (hierarchy.l1_4kb, hierarchy.l1_2mb):
+                state.append(tlb._resident)
+                state.append([[(entry.virtual_page, entry.physical_page,
+                                entry.page_size, entry.asid, entry.valid)
+                               for entry in entries]
+                              for entries in tlb._sets])
+        for l1 in sim.l1s:
+            if hasattr(l1, "tft"):
+                state.append([list(entries) for entries in l1.tft._sets])
+        return state
+
+    @pytest.mark.parametrize("design", ("vipt", "seesaw"))
+    @pytest.mark.parametrize("workload", ("gups", "mcf", "g500"))
+    @given(prefix=st.integers(min_value=0, max_value=1500),
+           span=st.integers(min_value=1, max_value=1500))
+    @settings(max_examples=3, deadline=None)
+    def test_fast_span_matches_translation_replay(self, workload, design,
+                                                  prefix, span):
+        trace = cached_trace(workload, self.LENGTH, seed=5)
+        config = SystemConfig(l1_design=design, seed=5)
+        fast, reference = (SystemSimulator(config, trace) for _ in range(2))
+        stop = min(prefix + span, self.LENGTH)
+        for sim, path in ((fast, True), (reference, False)):
+            sim.run_until(prefix)
+            _warm_span(sim, prefix, stop, {"fast": path})
+        assert _fast_warmable(fast)
+        assert (self._translation_state(fast)
+                == self._translation_state(reference))

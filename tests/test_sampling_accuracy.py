@@ -133,3 +133,30 @@ class TestDegenerateExactness:
         for metric in HEADLINE_METRICS:
             assert _headline(sampled_dict, metric) == pytest.approx(
                 _headline(golden, metric), rel=1e-12)
+
+
+class TestSharedResultFields:
+    """Both lanes build results through the simulator's one builder, so a
+    sampled result carries every field the exact lane reports."""
+
+    def test_coherence_probes_without_superpage_accesses(self):
+        """A SEESAW machine whose representatives hold no superpage
+        access still reports its coherence probes (Fig. 11's coherence
+        lookups), within 5% of the exact lane."""
+        from repro.mem.os_policy import THPPolicy
+        from repro.workloads.suite import cached_trace
+
+        config = SystemConfig(seed=SEED, thp_policy=THPPolicy.NEVER,
+                              way_prediction=True)
+        trace = cached_trace("gups", 30_000, seed=SEED)
+        exact = SystemSimulator(config, trace).run()
+        sampled = simulate_sampled(
+            config, trace,
+            SamplingPlan(interval_size=600, max_clusters=20, warmup=600))
+        assert not sampled.sampling["exact"]
+        assert sampled.superpage_accesses == 0
+        for field in ("coherence_probes", "coherence_ways_probed"):
+            exact_value = getattr(exact, field)
+            assert exact_value > 0
+            assert relative_error(getattr(sampled, field),
+                                  exact_value) <= ERROR_BUDGET, field

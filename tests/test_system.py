@@ -145,3 +145,18 @@ class TestWayPredictionDesigns:
         plain = run(SystemConfig(l1_design="vipt"))
         wp = run(SystemConfig(l1_design="vipt", way_prediction=True))
         assert wp.total_energy_nj < plain.total_energy_nj
+
+
+class TestCollection:
+    def test_finish_after_run_repeats_the_result(self):
+        """With nothing left to run, ``finish()`` returns the same result
+        and leaves the earlier one alone (leakage is charged into each
+        result's own breakdown, never into the live accountant)."""
+        trace = build_trace(get_workload("gups"), length=3000, seed=42)
+        sim = SystemSimulator(SystemConfig(seed=42), trace)
+        first = sim.run()
+        before = first.to_dict()
+        second = sim.finish()
+        assert first.to_dict() == before
+        assert second.to_dict() == before
+        assert second.energy is not first.energy

@@ -70,17 +70,6 @@ class TestViptCoherence:
         assert not cache.coherence_probe(0x9000).present
 
 
-class TestViptSweep:
-    def test_sweep_virtual_range_evicts_lines(self, timing_32kb):
-        cache = ViptL1Cache(32 * 1024, timing_32kb)
-        for offset in range(0, 4096, 64):
-            cache.fill(0x9000 + offset, PageSize.BASE_4KB)
-        evicted = cache.sweep_virtual_range(
-            0x1000, 4096, translate=lambda va: va - 0x1000 + 0x9000)
-        assert evicted == 64
-        assert cache.store.valid_lines() == 0
-
-
 class TestPipt:
     def test_free_choice_of_ways(self):
         cache = PiptL1Cache(128 * 1024, ways=4, hit_cycles=3)
@@ -106,10 +95,3 @@ class TestPipt:
         result = cache.coherence_probe(0x9000, invalidate=True)
         assert result.present and result.dirty and result.invalidated
         assert result.ways_probed == 4
-
-    def test_sweep(self):
-        cache = PiptL1Cache(32 * 1024, ways=4, hit_cycles=2)
-        cache.fill(0x9000, PageSize.BASE_4KB)
-        evicted = cache.sweep_virtual_range(
-            0x9000, 64, translate=lambda va: va)
-        assert evicted == 1

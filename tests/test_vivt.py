@@ -99,12 +99,6 @@ class TestFlush:
         assert cache.store.valid_lines() == 0
         assert not cache.coherence_probe(PA).present
 
-    def test_sweep_by_virtual_address(self):
-        cache = make_cache()
-        cache.fill(VA_A, PA, PageSize.BASE_4KB)
-        evicted = cache.sweep_virtual_range(VA_A, 64, translate=lambda v: v)
-        assert evicted == 1
-
 
 class TestEvictionConsistency:
     def test_reverse_map_cleaned_on_conflict_eviction(self):
