@@ -11,8 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.mem.address import CACHE_LINE_SIZE
-from repro.cache.replacement import LRUPolicy, ReplacementPolicy, make_policy
+from repro.cache.replacement import (LRUPolicy, ReplacementPolicy,
+                                     lru_final_state, make_policy)
 
 #: log2 of the cache line size; 64B lines -> 6 byte-offset bits.
 LINE_OFFSET_BITS = CACHE_LINE_SIZE.bit_length() - 1
@@ -76,7 +79,7 @@ class CacheSet:
         # Sets are created lazily on first touch, which puts this
         # constructor on the miss path of every cold set; building the
         # lines via __new__ + direct slot stores skips ``ways`` __init__
-        # calls (an LLC prewarm creates thousands of sets).
+        # calls (an LLC ``install`` creates thousands of sets).
         new = CacheLine.__new__
         lines = []
         append = lines.append
@@ -290,11 +293,10 @@ class SetAssociativeCache:
         Filling an address that is already resident refreshes the existing
         line in place — a cache never holds two copies of one tag.
 
-        Runs on every miss (and on LLC prewarm), so the common
-        unconstrained path folds the resident check and invalid-way scan
-        into one pass and inlines the LRU moves; the outcome matches the
-        ``find`` / ``first_invalid`` / ``policy.victim`` composition
-        exactly.
+        Runs on every miss, so the common unconstrained path folds the
+        resident check and invalid-way scan into one pass and inlines the
+        LRU moves; the outcome matches the ``find`` / ``first_invalid`` /
+        ``policy.victim`` composition exactly.
         """
         set_index = (address >> self.offset_bits) & self._index_mask
         cache_set = self._sets.get(set_index)
@@ -363,10 +365,42 @@ class SetAssociativeCache:
         self.stats.fills += 1
         return line
 
+    def install(self, addresses) -> None:
+        """Fill distinct clean ``addresses`` in order, as one :meth:`access`
+        each would, from :func:`lru_final_state`: line *i* of a set sits in
+        way *i* mod ``ways``, its recency list is ``range(ways)`` rotated
+        left by its line count, and sets are created in first-touch order.
+        Anything but an empty, hook-free LRU cache raises ValueError.
+        """
+        lines = np.asarray(addresses, dtype=np.int64) >> self.offset_bits
+        ways, stats, set_at = self.ways, self.stats, self.set_at
+        keys, rank, count = lru_final_state(
+            lines, lines & self._index_mask, ways)
+        per_set = count[rank == count - 1]
+        if (self._sets or self._eviction_hooks or self.replacement != "lru"
+                or per_set.sum() != lines.size):
+            raise ValueError(f"{self.name}: install needs distinct lines "
+                             f"and an empty, hook-free LRU cache")
+        stats.misses += lines.size
+        stats.fills += lines.size
+        stats.ways_probed += lines.size * ways
+        stats.evictions += int(np.maximum(per_set - ways, 0).sum())
+        for key, position, total in zip(keys.tolist(), rank.tolist(),
+                                        count.tolist()):
+            cache_set = set_at(key & self._index_mask)
+            line = cache_set.lines[position % ways]
+            line.tag, line.line_address = (key >> self.index_bits,
+                                            key << self.offset_bits)
+            line.valid, line.state = True, "E"
+            if position == total - 1:
+                shift = total % ways
+                cache_set.policy._order = [*range(shift, ways), *range(shift)]
+
     def contains(self, address: int) -> bool:
         """Non-perturbing presence check."""
-        cache_set = self.set_at(self.set_index(address))
-        return cache_set.find(self.tag_of(address)) is not None
+        cache_set = self._sets.get(self.set_index(address))
+        return (cache_set is not None
+                and cache_set.find(self.tag_of(address)) is not None)
 
     def invalidate_line(self, address: int) -> Optional[CacheLine]:
         """Invalidate the line holding ``address`` (coherence/sweeps).

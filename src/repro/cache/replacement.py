@@ -55,6 +55,30 @@ class LRUPolicy(ReplacementPolicy):
         return list(self._order)
 
 
+def lru_final_state(keys, set_index, ways: int):
+    """True LRU's final state after touching ``keys`` in order.
+
+    ``set_index[i]`` is the set of ``keys[i]``.  Returns numpy arrays
+    ``(survivors, rank, count)``: each set's last ``ways`` distinct keys,
+    sets in first-touch order and least-recent first within a set; each
+    survivor's rank among its set's distinct keys; its set's key count.
+    """
+    keys, set_index = np.asarray(keys), np.asarray(set_index)
+    # First occurrence in the reversed stream is the last touch.
+    distinct, reversed_first = np.unique(keys[::-1], return_index=True)
+    last = keys.size - 1 - reversed_first
+    set_ids, set_first = np.unique(set_index, return_index=True)
+    group = set_first[np.searchsorted(set_ids, set_index[last])]
+    order = np.lexsort((last, group))
+    distinct, group = distinct[order], group[order]
+    _, starts, sizes = np.unique(group, return_index=True,
+                                 return_counts=True)
+    count = np.repeat(sizes, sizes)
+    rank = np.arange(group.size) - np.repeat(starts, sizes)
+    keep = rank >= count - ways
+    return distinct[keep], rank[keep], count[keep]
+
+
 class TreePLRUPolicy(ReplacementPolicy):
     """Tree pseudo-LRU (binary decision tree), as found in real L1s.
 

@@ -17,7 +17,7 @@ from what every POSIX filesystem gives us:
 * **steal** — an expired lease is reclaimed by *renaming* it to a
   per-claimant unique name.  ``os.rename`` succeeds for exactly one
   racing claimant (the losers get ENOENT), so reclaim needs no lock of
-  its own; the winner then re-creates the lease with ``attempt + 1``.
+  its own; the winner then publishes the lease with ``attempt + 1``.
 
 Expiry uses wall-clock time (``time.time()``) because it must compare
 across processes and hosts; a lease is expired once ``now >=
@@ -184,8 +184,9 @@ class LeaseDir:
         lease = Lease(cell_id=path.stem, owner=owner, acquired_at=now,
                       expires_at=now + self.ttl_s,
                       attempt=prior_attempts + 1)
-        if not create_exclusive(path, jsonl([lease.to_dict()])):
-            return None  # lost the re-create race to a parallel fresh claim
+        # Replace, not create: a fresh claim made while the lease was
+        # renamed away must not reset the claim generation to 1.
+        publish(path, jsonl([lease.to_dict()]))
         return lease
 
     # ------------------------------------------------------------ ownership

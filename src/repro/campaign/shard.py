@@ -126,6 +126,13 @@ def _settled_cells(campaign_dir) -> Dict[str, Dict]:
     return settled
 
 
+def shard_holds_lease(campaign_dir, shard_id: str) -> bool:
+    """True while ``shard_id`` holds the lease on some cell."""
+    leases = LeaseDir(leases_dir(campaign_dir))
+    return any(getattr(leases.peek(path.stem), "owner", None) == shard_id
+               for path in leases.root.glob("*.lease"))
+
+
 class _Heartbeat:
     """Daemon thread renewing one lease while its cell executes."""
 
@@ -406,5 +413,6 @@ __all__ = [
     "campaign_status",
     "run_shard",
     "settled_dir",
+    "shard_holds_lease",
     "leases_dir",
 ]

@@ -853,20 +853,29 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if args.campaign_command == "run":
         import os as _os
         import subprocess
+        import time
 
         import repro as _repro
+        from repro.campaign.shard import shard_holds_lease
 
         env = dict(_os.environ)
         package_root = str(_os.path.dirname(_os.path.dirname(
             _os.path.abspath(_repro.__file__))))
         env["PYTHONPATH"] = package_root + _os.pathsep + env.get(
             "PYTHONPATH", "")
+        # The chaos shard starts first, the others once it holds a cell or
+        # has exited: else they can settle every cell before its fault.
+        chaos_index = args.chaos_shard if args.chaos else None
         workers = []
-        for index in range(args.shards):
+        for index in sorted(range(args.shards),
+                            key=lambda index: index != chaos_index):
             shard_id = f"shard-{index}"
             argv = _campaign_worker_argv(
-                args, shard_id, with_chaos=(index == args.chaos_shard))
+                args, shard_id, with_chaos=(index == chaos_index))
             workers.append((shard_id, subprocess.Popen(argv, env=env)))
+            while (index == chaos_index and workers[-1][1].poll() is None
+                   and not shard_holds_lease(args.dir, shard_id)):
+                time.sleep(0.02)
         for shard_id, worker in workers:
             code = worker.wait()
             if code < 0:

@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.cache.replacement import lru_final_state
 from repro.energy.accounting import DYNAMIC_ENERGY_FIELDS
 from repro.sampling.cluster import Cluster, cluster_signatures
 from repro.sampling.intervals import partition_intervals, profile_trace
@@ -280,44 +281,30 @@ def _warm_hierarchy_fast(hierarchy, span, vpn, kinds, page_info) -> None:
                 int(region): page_info[int(va) >> 12][1]
                 for region, va in zip(distinct.tolist(),
                                       comp_vas[first].tolist())}
-            _lru_final_fill(tlb2, comp_vas >> 21, region_ppn, super_size)
+            _lru_final_fill(tlb2, comp_vas >> 21,
+                            lambda region: region_ppn[region], super_size)
 
     # ---- 4KB TLB: no hooks listen to 4KB fills, so always collapse.
     base_vpns = vpn[kinds == _KIND_4KB]
     if base_vpns.size:
-        page_ppn = {int(page): page_info[int(page)][1]
-                    for page in np.unique(base_vpns).tolist()}
-        _lru_final_fill(hierarchy.l1_4kb, base_vpns, page_ppn,
-                        PageSize.BASE_4KB)
+        _lru_final_fill(hierarchy.l1_4kb, base_vpns,
+                        lambda page: page_info[page][1], PageSize.BASE_4KB)
 
 
-def _lru_final_fill(tlb, sequence, ppn_by_key, page_size) -> None:
+def _lru_final_fill(tlb, sequence, ppn_of, page_size) -> None:
     """Apply a touch sequence's net effect to a single-size LRU TLB.
 
-    True LRU's final state is the top-``ways`` recency order per set, so
-    replaying only the last ``ways`` *distinct* touched VPNs per set,
-    oldest-first, through :meth:`TLB.fill` reproduces the full replay's
-    final contents, LRU order, and ``_resident`` count exactly —
-    refreshes of resident entries and LRU-front evictions follow the
-    same rules the reference path applies.
+    Replaying each set's survivors (:func:`lru_final_state`) oldest-first
+    through :meth:`TLB.fill` reproduces the full replay's final contents,
+    LRU order, and ``_resident`` count exactly — refreshes of resident
+    entries and LRU-front evictions follow the same rules the reference
+    path applies.
     """
-    # np.unique of the reversed stream: first occurrence in reverse ==
-    # last occurrence in the span, so ascending return_index is
-    # descending recency.
-    uniq, rev_index = np.unique(sequence[::-1], return_index=True)
-    set_mask = tlb._set_mask
-    ways = tlb.ways
-    quota: Dict[int, int] = {}
-    chosen: List[int] = []                     # most recent first
-    for key in uniq[np.argsort(rev_index)].tolist():
-        set_index = key & set_mask
-        used = quota.get(set_index, 0)
-        if used < ways:
-            quota[set_index] = used + 1
-            chosen.append(key)
+    survivors, _, _ = lru_final_state(sequence, sequence & tlb._set_mask,
+                                      tlb.ways)
     fill = tlb.fill
-    for key in reversed(chosen):               # replay oldest first
-        fill(key, ppn_by_key[key], page_size, 0)
+    for key in survivors.tolist():
+        fill(key, ppn_of(key), page_size, 0)
 
 
 def _subtract(after: Dict, before: Dict) -> Dict:

@@ -325,30 +325,27 @@ class SystemSimulator:
         demand-page every page of the trace's footprint (in first-touch
         order, so hot regions claim superpages first — matching how a real
         run's early accesses do) and install the footprint's lines in the
-        LLC.  Compulsory DRAM traffic therefore does not pollute the
-        measured window.
+        LLC in first-touch order (``SetAssociativeCache.install``).
+        Compulsory DRAM traffic therefore does not pollute the window.
         """
-        page_table = self.manager.page_table(asid=0)
-        seen_pages = dict.fromkeys(a >> 12 for a in self.trace.addresses)
-        for page in seen_pages:
+        addresses, _ = self.trace.columns()
+        lines = addresses >> 6
+        _, first = np.unique(lines, return_index=True)
+        lines = lines[np.sort(first)]
+        # Each page's first line comes in the page's first-touch order;
+        # lines in one page share a leaf mapping, so one lookup per page.
+        pages, first, page_of_line = np.unique(
+            lines >> 6, return_index=True, return_inverse=True)
+        for page in pages[np.argsort(first)].tolist():
             self.manager.touch(page << 12)
         if not self.hierarchy.levels:
             return
-        llc = self.hierarchy.levels[-1].cache
-        llc_access = llc.access
-        lookup = page_table.lookup
-        seen_lines = dict.fromkeys(a >> 6 for a in self.trace.addresses)
-        # Lines in one 4KB page share a leaf mapping; memoizing it per page
-        # turns the per-line radix walk into a dict hit (same PA arithmetic
-        # as Mapping.translate on an in-range address).
-        mappings: dict = {}
-        for line in seen_lines:
-            va = line << 6
-            page = line >> 6
-            mapping = mappings.get(page)
-            if mapping is None:
-                mapping = mappings[page] = lookup(va)
-            llc_access(mapping.physical_base + (va - mapping.virtual_base))
+        lookup = self.manager.page_table(asid=0).lookup
+        offsets = np.array([m.physical_base - m.virtual_base
+                            for m in map(lookup, (pages << 12).tolist())],
+                           dtype=np.int64)
+        self.hierarchy.levels[-1].cache.install(
+            (lines << 6) + offsets[page_of_line])
 
     def arm_faults(self, plan) -> None:
         """Attach a :class:`~repro.resilience.faults.FaultPlan`.

@@ -115,18 +115,6 @@ class TLB:
     def _set_index(self, virtual_page: int) -> int:
         return virtual_page & self._set_mask
 
-    def _candidate_sets(self, virtual_address: int,
-                        asid: int) -> Iterable[Tuple[int, PageSize]]:
-        """Yield (set index, page size) pairs to probe for an address.
-
-        A multi-size set-associative TLB must probe one set per page size
-        because the VPN (and hence the index) depends on the size.  Hardware
-        does this with parallel probes; we model the same behaviour.
-        """
-        for size in self.page_sizes:
-            vpn = virtual_address >> size.offset_bits
-            yield self._set_index(vpn), size
-
     # ------------------------------------------------------------------- API
 
     def lookup(self, virtual_address: int, asid: int = 0) -> Optional[TLBEntry]:

@@ -85,11 +85,11 @@ class MemoryTrace:
         """``(addresses, writes)`` as cached numpy arrays.
 
         The simulator's per-reference loop wants plain lists, but
-        array-rate consumers (the sampling profiler slices thousands of
-        intervals) want vectorized views.  Cached because traces are
-        treated as immutable by every read-only consumer; anything that
-        mutates a trace in place (fault injection's ``trace-truncate``)
-        runs on the exact lane, which never calls this.
+        array-rate consumers (the prewarm, the sampling profiler slicing
+        thousands of intervals) want vectorized views.  Cached because
+        read-only consumers treat traces as immutable.  Fault injection's
+        ``trace-truncate`` shortens ``addresses`` in place after the
+        prewarm has built the arrays; the length check rebuilds them.
         """
         cols = getattr(self, "_columns", None)
         if cols is None or len(cols[0]) != len(self.addresses):

@@ -2,7 +2,21 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import HealthCheck, settings
+
+# Shared Hypothesis profiles for every property test: "repro" (default)
+# keeps CI fast; select "repro-thorough" via REPRO_HYPOTHESIS_PROFILE for
+# deeper runs.
+settings.register_profile(
+    "repro", max_examples=30, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow])
+settings.register_profile(
+    "repro-thorough", max_examples=200, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow])
+settings.load_profile(os.environ.get("REPRO_HYPOTHESIS_PROFILE", "repro"))
 
 
 def pytest_addoption(parser):

@@ -161,6 +161,28 @@ class TestLeases:
         assert stolen.owner == "shard-live"
         assert stolen.attempt == 2
 
+    def test_fresh_claim_during_a_steal_keeps_the_generation(
+            self, tmp_path, monkeypatch):
+        leases = LeaseDir(tmp_path, ttl_s=0.05)
+        assert leases.claim("0000-c", "shard-dead") is not None
+        time.sleep(0.08)
+        load = LeaseDir._load
+        fresh = []
+
+        def racing_load(self, path):
+            # The thief has renamed the lease away: another shard's fresh
+            # claim lands in that window.
+            if ".steal." in path.name:
+                fresh.append(self.claim("0000-c", "shard-fresh"))
+            return load(self, path)
+
+        monkeypatch.setattr(LeaseDir, "_load", racing_load)
+        stolen = leases.claim("0000-c", "shard-live")
+        assert fresh[0] is not None and fresh[0].attempt == 1
+        assert stolen is not None and stolen.attempt == 2
+        current = leases.peek("0000-c")
+        assert (current.owner, current.attempt) == ("shard-live", 2)
+
     def test_renew_and_release_respect_ownership_after_a_steal(self,
                                                                tmp_path):
         leases = LeaseDir(tmp_path, ttl_s=0.05)
@@ -447,6 +469,26 @@ class TestDistributedCampaign:
             attempts.extend(int(r.get("attempt", 1))
                             for r in records.values())
         assert max(attempts, default=0) >= 2
+
+    def test_chaos_shard_claims_before_the_others_start(self, tmp_path):
+        # One cell and the chaos on the last shard index: started
+        # alongside shard-0, shard-1 would rarely win the only claim and
+        # its fault would never fire.  (One survivor: two would race to
+        # steal the expired lease.)
+        proc = run_cli(["campaign", "init", str(tmp_path), "--name", "one",
+                        "--axis", "workload=gups", "--axis", "design=vipt",
+                        "--length", str(LENGTH), "--seed", str(SEED)])
+        assert proc.returncode == 0, proc.stderr
+        drill = run_cli(["campaign", "run", str(tmp_path), "--shards", "2",
+                         "--ttl", "1", "--chaos", "shard-kill@0",
+                         "--chaos-shard", "1"])
+        assert drill.returncode == 0, drill.stderr + drill.stdout
+        assert "shard-1: died on SIGKILL" in drill.stderr
+        attempts = [int(record.get("attempt", 1))
+                    for journal in (tmp_path / "shards").glob("*.journal")
+                    for record in
+                    CampaignShardJournal(journal).salvage()[1].values()]
+        assert attempts == [2]
 
     def test_killed_campaign_is_resumable_with_exit_contract(
             self, tmp_path):

@@ -7,11 +7,16 @@ guarantees, LRU behaviour, and the SEESAW invariant that a line is always
 found where the insertion policy put it.
 """
 
+import pickle
+from collections import OrderedDict
+
 import hypothesis.strategies as st
+import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 
 from repro.cache.basic import SetAssociativeCache
-from repro.cache.replacement import LRUPolicy
+from repro.cache.replacement import LRUPolicy, lru_final_state
 from repro.cache.vipt import L1Timing
 from repro.core.partition import WayPartitioning
 from repro.core.seesaw import SeesawL1Cache
@@ -156,6 +161,67 @@ class TestLRUProperties:
         assert lru.victim(range(8)) == expected
 
 
+class TestLRUFinalState:
+    @given(st.lists(st.integers(min_value=0, max_value=255), max_size=300),
+           st.integers(min_value=0, max_value=5),
+           st.integers(min_value=1, max_value=16))
+    def test_matches_per_set_ordered_dict_model(self, keys, set_bits, ways):
+        mask = (1 << set_bits) - 1
+        model = {}                 # insertion order == set first-touch order
+        for key in keys:
+            recency = model.setdefault(key & mask, OrderedDict())
+            recency.pop(key, None)
+            recency[key] = None    # most recent last
+        expected = [(key, rank, len(recency))
+                    for recency in model.values()
+                    for rank, key in enumerate(recency)
+                    if rank >= len(recency) - ways]
+        array = np.array(keys, dtype=np.int64)
+        survivors, rank, count = lru_final_state(array, array & mask, ways)
+        assert list(zip(survivors.tolist(), rank.tolist(),
+                        count.tolist())) == expected
+
+
+def _cache_geometry():
+    """(size_bytes, ways) with 1-32 sets and 1-16 ways."""
+    return st.tuples(st.integers(min_value=0, max_value=5),
+                     st.integers(min_value=1, max_value=16)).map(
+        lambda g: ((1 << g[0]) * g[1] * 64, g[1]))
+
+
+class TestCacheInstall:
+    @given(_cache_geometry(),
+           st.lists(st.tuples(st.integers(min_value=0, max_value=1 << 14),
+                              st.integers(min_value=0, max_value=63)),
+                    max_size=300, unique_by=lambda t: t[0]))
+    def test_install_equals_per_address_access(self, geometry, lines):
+        size, ways = geometry
+        addresses = [(line << 6) | offset for line, offset in lines]
+        replayed = SetAssociativeCache(size, ways)
+        for address in addresses:
+            replayed.access(address)
+        installed = SetAssociativeCache(size, ways)
+        installed.install(addresses)
+        # Contents, way positions, recency, stats and set creation order.
+        assert pickle.dumps(installed) == pickle.dumps(replayed)
+
+    @pytest.mark.parametrize("case", ["non-empty", "plru", "random", "hook",
+                                      "repeated line"])
+    def test_install_refuses_states_without_a_closed_form(self, case):
+        cache = SetAssociativeCache(
+            4096, 4, replacement=case if case in ("plru", "random")
+            else "lru")
+        addresses = [0, 64, 128]
+        if case == "non-empty":
+            cache.access(1 << 20)
+        elif case == "hook":
+            cache.register_eviction_hook(lambda line, dirty: None)
+        elif case == "repeated line":
+            addresses.append(8)
+        with pytest.raises(ValueError):
+            cache.install(addresses)
+
+
 class TestCacheProperties:
     @given(st.lists(st.integers(min_value=0, max_value=1 << 20), min_size=1,
                     max_size=200))
@@ -174,6 +240,25 @@ class TestCacheProperties:
         for address in raw_addresses:
             cache.access(address)
         assert cache.valid_lines() <= 16 * 1024 // 64
+
+    @given(st.lists(st.integers(min_value=0, max_value=1 << 20),
+                    max_size=100),
+           st.lists(st.integers(min_value=0, max_value=1 << 20),
+                    min_size=1, max_size=50))
+    @settings(max_examples=40, deadline=None)
+    def test_contains_leaves_the_cache_unchanged(self, filled, probed):
+        cache = SetAssociativeCache(16 * 1024, 4)
+        for address in filled:
+            cache.access(address)
+        before = pickle.dumps(cache)
+        sets = list(cache._sets)
+        resident = {line.line_address
+                    for _, _, line in cache.iter_valid_lines()}
+        for address in probed:
+            assert cache.contains(address) == (address & ~63 in resident)
+        # No set materialised: a fresh cache stays installable.
+        assert list(cache._sets) == sets
+        assert pickle.dumps(cache) == before
 
 
 class TestSeesawInvariants:

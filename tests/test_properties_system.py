@@ -7,11 +7,9 @@ fill/write/probe sequences, the coherence directory against the L1s it
 tracks, and the sampled lane's fast warmer against translation replay.
 """
 
-import os
-
 import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 
 from repro.cache.basic import SetAssociativeCache
 from repro.cache.vipt import L1Timing, ViptL1Cache
@@ -26,16 +24,6 @@ from repro.sim.config import SystemConfig
 from repro.sim.system import SystemSimulator
 from repro.tlb.hierarchy import SplitTLBHierarchy, TLBHierarchy
 from repro.workloads.suite import cached_trace
-
-# Shared Hypothesis profiles: "repro" (default) keeps CI fast; select
-# "repro-thorough" via REPRO_HYPOTHESIS_PROFILE for deeper local runs.
-settings.register_profile(
-    "repro", max_examples=30, deadline=None,
-    suppress_health_check=[HealthCheck.too_slow])
-settings.register_profile(
-    "repro-thorough", max_examples=200, deadline=None,
-    suppress_health_check=[HealthCheck.too_slow])
-settings.load_profile(os.environ.get("REPRO_HYPOTHESIS_PROFILE", "repro"))
 
 TIMING = L1Timing(base_hit_cycles=2, super_hit_cycles=1)
 
