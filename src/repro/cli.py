@@ -17,9 +17,9 @@
 * ``doctor``     — validate a sweep or campaign journal, a checkpoint or
   an ``.rtrace`` and, with ``--repair``, quarantine the damage and
   rebuild (or move aside) the file;
-* ``bench``      — measure simulator throughput and stage latencies,
-  emitting ``BENCH_perf.json`` with an optional regression gate
-  (``--baseline``/``--max-regression``);
+* ``bench``      — run perfbench and gate its simulation speed on the
+  newest committed ``benchmarks/perf/BENCH_<n>.json``; ``--sampled``
+  gates the sampled lane's speedup and accuracy instead;
 * ``table3``     — print the paper's Table III latency configurations;
 * ``lint``       — run the simlint static analyser (``repro lint src/``);
 * ``serve``      — run the fault-tolerant simulation service: an HTTP/
@@ -78,6 +78,7 @@ from typing import List, Optional
 
 from repro.analysis.report import format_table
 from repro.energy.sram import TABLE3
+from repro.resilience.errors import EXIT_PAUSED
 from repro.sim.config import SystemConfig
 from repro.sim.experiment import (
     compare_designs,
@@ -436,7 +437,6 @@ def _print_sweep_report(report, baseline: str, design: str,
         print(f"resumed: {report.reused} cell(s) reused from the journal, "
               f"{report.executed} executed")
     if report.paused:
-        from repro.resilience.errors import EXIT_PAUSED
         print(f"PAUSED: {report.pause_reason}", file=sys.stderr)
         if report.resume_hint:
             print(f"to continue: {report.resume_hint}", file=sys.stderr)
@@ -604,80 +604,42 @@ def cmd_doctor(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf.bench import check_regression, load_payload, run_benchmark
-
     sampling_plan = _sampling_plan_from_args(args)
-    payload = run_benchmark(trace_length=args.length, seed=args.seed,
-                            repeats=args.repeats, jobs=args.jobs,
-                            quick=args.quick)
-    if args.serve:
-        from repro.perf.bench import bench_serve
-        payload["serve"] = bench_serve(seed=args.seed)
-    if sampling_plan is not None:
-        from repro.perf.bench import bench_sampled
-        payload["sampled"] = bench_sampled(
-            trace_length=args.length, seed=args.seed,
-            quick=args.quick, plan=sampling_plan)
+    if sampling_plan is None:
+        if args.quick or args.length is not None:
+            raise ValueError(
+                "--quick and --length only apply to the sampled gate; "
+                "valid choices: add --sampled, or drop them (plain "
+                "`repro bench` runs perfbench's own workloads)")
+        from repro.perf.bench import perfbench_gate
+        return perfbench_gate(args.output, seed=args.seed)
+    from repro.perf.bench import bench_sampled, check_sampling
+
+    length = args.length if args.length is not None else 20_000
+    sampled = bench_sampled(trace_length=length, seed=args.seed,
+                            quick=args.quick, plan=sampling_plan)
     with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        json.dump({"sampled": sampled}, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    rows = [["cells/sec", f"{payload['cells_per_sec']:.3f}"],
-            ["accesses/sec", f"{payload['accesses_per_sec']:.0f}"],
-            ["wall (best repeat)", f"{payload['wall_s']:.3f}s"]]
-    for stage, figures in payload["stages"].items():
-        rows.append([f"{stage} p50/p95",
-                     f"{figures['p50_s'] * 1e3:.1f}ms / "
-                     f"{figures['p95_s'] * 1e3:.1f}ms"])
-    if "parallel" in payload:
-        parallel = payload["parallel"]
-        rows.append([f"parallel x{parallel['jobs']}",
-                     f"{parallel['wall_s']:.3f}s "
-                     f"({parallel['speedup_vs_serial']:.2f}x)"])
-    if "serve" in payload:
-        serve = payload["serve"]
-        rows.append(["serve round-trips/sec (cached)",
-                     f"{serve['round_trips_per_sec']:.1f}"])
-        rows.append(["serve p50/p95",
-                     f"{serve['p50_s'] * 1e3:.1f}ms / "
-                     f"{serve['p95_s'] * 1e3:.1f}ms"])
-    if "sampled" in payload:
-        sampled = payload["sampled"]
-        rows.append(["sampled speedup (min/median)",
-                     f"{sampled['min_speedup']:.2f}x / "
-                     f"{sampled['median_speedup']:.2f}x"])
-        rows.append(["sampled worst error",
-                     f"{sampled['worst_error']:.4f} "
-                     f"({sampled['worst_error_metric']})"])
+    rows = [["sampled speedup (min/median)",
+             f"{sampled['min_speedup']:.2f}x / "
+             f"{sampled['median_speedup']:.2f}x"],
+            ["sampled worst error",
+             f"{sampled['worst_error']:.4f} "
+             f"({sampled['worst_error_metric']})"]]
     print(format_table(["metric", "value"], rows,
-                       title=f"bench ({len(payload['params']['workloads'])}"
-                             f" workloads x "
-                             f"{len(payload['params']['designs'])} designs"
-                             f", {args.length} refs)"))
+                       title=f"bench --sampled ({len(sampled['cells'])} "
+                             f"cells, {length} refs)"))
     print(f"wrote {args.output}")
-    exit_code = 0
-    if args.baseline:
-        problems = check_regression(payload, load_payload(args.baseline),
-                                    args.max_regression)
-        for problem in problems:
-            print(f"REGRESSION: {problem}", file=sys.stderr)
-        if problems:
-            exit_code = 1
-        else:
-            print(f"regression check passed against {args.baseline}")
-    if "sampled" in payload:
-        from repro.perf.bench import check_sampling
-        problems = check_sampling(payload["sampled"],
-                                  args.min_sampled_speedup,
-                                  args.max_sampled_error)
-        for problem in problems:
-            print(f"SAMPLING GATE: {problem}", file=sys.stderr)
-        if problems:
-            exit_code = 1
-        else:
-            print(f"sampling gate passed: >= "
-                  f"{args.min_sampled_speedup:g}x speedup, <= "
-                  f"{args.max_sampled_error:g} relative error")
-    return exit_code
+    problems = check_sampling(sampled, args.min_sampled_speedup,
+                              args.max_sampled_error)
+    for problem in problems:
+        print(f"SAMPLING GATE: {problem}", file=sys.stderr)
+    if problems:
+        return 1
+    print(f"sampling gate passed: >= {args.min_sampled_speedup:g}x "
+          f"speedup, <= {args.max_sampled_error:g} relative error")
+    return 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -743,7 +705,15 @@ def _campaign_exec_arguments(parser: argparse.ArgumentParser) -> None:
                              "kinds)")
 
 
-def _print_campaign_status(status: dict) -> int:
+def _campaign_exit(complete: bool, failed: int) -> int:
+    """The campaign exit contract: 4 while cells are unsettled (resumable),
+    else 1 when any cell failed, else 0."""
+    if not complete:
+        return EXIT_PAUSED
+    return 1 if failed else 0
+
+
+def _print_campaign_status(status: dict, directory: str) -> int:
     """Render a campaign status snapshot; returns the contract exit."""
     rows = [["cells", status["cells"]],
             ["settled", status["settled"]],
@@ -758,11 +728,9 @@ def _print_campaign_status(status: dict) -> int:
                        title=f"campaign {status['campaign']} "
                              f"({status['spec_digest'][:12]}...)"))
     if not status["complete"]:
-        print("campaign incomplete — resume with: "
-              "python -m repro campaign run <dir>", file=sys.stderr)
-        from repro.resilience.errors import EXIT_PAUSED
-        return EXIT_PAUSED
-    return 1 if status["failed"] else 0
+        print(f"campaign incomplete — resume with: "
+              f"python -m repro campaign run {directory}", file=sys.stderr)
+    return _campaign_exit(status["complete"], status["failed"])
 
 
 def _campaign_worker_argv(args: argparse.Namespace, shard_id: str,
@@ -845,10 +813,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
               f"settled {report.settled_total}/{report.cells_total}")
         if report.pause_reason:
             print(f"PAUSED: {report.pause_reason}", file=sys.stderr)
-        if not report.complete:
-            from repro.resilience.errors import EXIT_PAUSED
-            return EXIT_PAUSED
-        return 1 if report.failed else 0
+        return _campaign_exit(report.complete, report.failed)
 
     if args.campaign_command == "run":
         import os as _os
@@ -889,16 +854,14 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                       file=sys.stderr)
             elif code not in (0, 1):
                 print(f"{shard_id}: exit {code}", file=sys.stderr)
-        return _print_campaign_status(campaign_status(args.dir))
+        return _print_campaign_status(campaign_status(args.dir), args.dir)
 
     if args.campaign_command == "status":
         status = campaign_status(args.dir)
         if args.json:
             print(json.dumps(status, indent=2, sort_keys=True))
-            from repro.resilience.errors import EXIT_PAUSED
-            return (EXIT_PAUSED if not status["complete"]
-                    else 1 if status["failed"] else 0)
-        return _print_campaign_status(status)
+            return _campaign_exit(status["complete"], status["failed"])
+        return _print_campaign_status(status, args.dir)
 
     if args.campaign_command == "merge":
         report = merge_campaign(args.dir, output_path=args.output)
@@ -1103,30 +1066,21 @@ def build_parser() -> argparse.ArgumentParser:
                              "trace-eio@N)")
 
     bench = sub.add_parser(
-        "bench", help="measure simulator throughput (BENCH_perf.json)")
+        "bench", help="gate simulation speed: perfbench against the "
+                      "newest committed benchmarks/perf/BENCH_<n>.json "
+                      "(or, with --sampled, the sampled lane against "
+                      "the exact one)")
     bench.add_argument("--quick", action="store_true",
-                       help="CI-budget run: two workloads, one repeat")
+                       help="with --sampled: two workloads, not four")
     bench.add_argument("--output", metavar="PATH",
                        default="BENCH_perf.json",
                        help="where to write the JSON payload")
-    bench.add_argument("--baseline", metavar="PATH", default=None,
-                       help="committed baseline payload to regression-"
-                            "check against (normalized by calibration)")
-    bench.add_argument("--max-regression", metavar="FRACTION", type=float,
-                       default=0.20,
-                       help="fail when normalized cells/sec drops more "
-                            "than this fraction below the baseline")
-    bench.add_argument("--jobs", metavar="N", type=int, default=1,
-                       help="also time a parallel sweep with N workers")
-    bench.add_argument("--serve", action="store_true",
-                       help="also measure a serve request round-trip "
-                            "(cache-hit path: protocol + admission + "
-                            "journal replay, zero simulation)")
-    bench.add_argument("--length", type=int, default=20_000,
-                       help="trace length per cell")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="repeats (throughput uses the fastest)")
-    bench.add_argument("--seed", type=int, default=42)
+    bench.add_argument("--length", type=int, default=None,
+                       help="with --sampled: trace length per cell "
+                            "(default 20000)")
+    bench.add_argument("--seed", type=int, default=42,
+                       help="perfbench's workload seed, or the sampled "
+                            "cells' trace and config seed")
     _add_sampling_arguments(bench)
     bench.add_argument("--min-sampled-speedup", metavar="X", type=float,
                        default=5.0,

@@ -1,40 +1,46 @@
-"""The ``repro bench`` harness: simulator throughput measurement.
+"""The ``repro bench`` gates: perfbench against its committed trajectory,
+and the sampled lane against the exact one.
 
-Runs the tier-1 smoke matrix (workloads x designs) with per-stage
-instrumentation and emits ``BENCH_perf.json``:
-
-* **throughput** — ``cells_per_sec`` (completed sweep cells per second of
-  wall clock) and ``accesses_per_sec`` (simulated memory references per
-  second of run-loop time);
-* **stage latencies** — p50/p95 seconds per cell for each pipeline stage
-  (``trace`` build, simulator ``construct``, ``prewarm``, the main
-  ``loop``, result ``collect``);
-* **calibration** — a fixed pure-Python spin measured at bench time.
-  Regression checks compare *normalized* throughput
-  (``cells_per_sec / calibration``), so a baseline committed from one
-  machine transfers to a faster or slower one.
-
-Repeats are best-of-N: per-stage samples are pooled across repeats for
-the percentiles, while throughput uses the fastest repeat (the least
-machine-noise-contaminated estimate of what the code can do).
+* :func:`perfbench_gate` — plain ``repro bench``.  It runs
+  ``perfbench/run.py`` untraced for every workload ``BENCHMARK.json``
+  lists, prints each end-to-end metric beside the change-side median of
+  the newest committed ``benchmarks/perf/BENCH_<n>.json`` that has the
+  workload, and fails when a run is not correct or a simulation-speed
+  metric reads worse than that median by more than
+  :data:`MAX_REGRESSION`.  Committing a newer ``BENCH_<n>.json`` moves
+  the reference.
+* :func:`bench_sampled` and :func:`check_sampling` — ``repro bench
+  --sampled``: sampled-vs-exact speedup and observed error per smoke
+  cell, gated on a speedup floor, a flat error budget and the run's own
+  reported bounds.
+* :func:`calibrate` — the machine-speed yardstick perfbench normalises
+  its host-speed figures by.
 """
 
 from __future__ import annotations
 
 import json
-import platform
+import os
+import statistics
+import subprocess
+import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from pathlib import Path
+from typing import Dict, List, Optional, Sequence, Tuple
 
-#: JSON schema version of the BENCH_perf.json payload.
-BENCH_SCHEMA = 1
+#: How much worse than its reference a gated metric may read.
+MAX_REGRESSION = 0.20
+#: The end-to-end metrics the gate fails on: simulation speed.  The rest
+#: are printed beside their references, but on one host they drift from
+#: one day's runs to the next by more than any bound.
+GATED_METRICS = ("refs_per_s", "cell_p50_s")
+#: The checkout this module runs from (``<root>/src/repro/perf/bench.py``).
+CHECKOUT = Path(__file__).resolve().parents[3]
 
 #: The tier-1 smoke matrix (matches the CI kill-and-resume sweep).
 SMOKE_WORKLOADS = ("g500", "gups", "redis", "mcf")
 #: Reduced matrix for ``--quick`` (CI-budget) runs.
 QUICK_WORKLOADS = ("gups", "redis")
-
-STAGES = ("trace", "construct", "prewarm", "loop", "collect")
 
 
 def calibrate(iterations: int = 2_000_000) -> float:
@@ -52,199 +58,118 @@ def calibrate(iterations: int = 2_000_000) -> float:
     return iterations / elapsed
 
 
-def percentile(samples: Sequence[float], q: float) -> float:
-    """Linear-interpolation percentile (q in [0, 100]) of ``samples``."""
-    if not samples:
-        raise ValueError("no samples")
-    ordered = sorted(samples)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (len(ordered) - 1) * q / 100.0
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    fraction = rank - low
-    return ordered[low] * (1 - fraction) + ordered[high] * fraction
+def reference_medians(root: Path, workload: str
+                      ) -> Tuple[str, Dict[str, float]]:
+    """The change-side median of every end-to-end metric of ``workload``
+    in the newest ``benchmarks/perf/BENCH_<n>.json`` under ``root`` that
+    has it (``n`` compared as an integer), with that file's name."""
+    numbered = [(int(path.stem[len("BENCH_"):]), path) for path
+                in (root / "benchmarks" / "perf").glob("BENCH_*.json")
+                if path.stem[len("BENCH_"):].isdigit()]
+    for _, path in sorted(numbered, reverse=True):
+        summary = json.loads(path.read_text(encoding="utf-8"))["summary"]
+        if workload in summary:
+            return path.name, {
+                metric: figures["change_q1_median_q3"][1]
+                for metric, figures in summary[workload].items()}
+    raise LookupError(f"no benchmarks/perf/BENCH_<n>.json under {root} "
+                      f"has a reference for workload {workload!r}")
 
 
-def _run_cell_instrumented(config, workload: str, trace_length: int,
-                           seed: int) -> Dict[str, float]:
-    """One sweep cell with per-stage wall-clock timings.
+def judge(result: Dict, reference: Dict[str, float],
+          better: Dict[str, str]) -> Dict:
+    """One perfbench result (its last line's JSON) against its reference.
 
-    Uses :func:`build_trace` directly (not the memo) so the ``trace``
-    stage reports the honest cold cost every time.
+    Each end-to-end metric's verdict is ``fail`` when it is gated and
+    reads worse than its reference by more than :data:`MAX_REGRESSION` in
+    the direction ``better`` names, ``pass`` when gated otherwise, and ``-``.
+    ``problems`` lists each ``fail``, and a run that is not correct or
+    failed an operation, whatever its speed (empty = pass).
     """
-    from repro.sim.system import SystemSimulator
-    from repro.workloads.suite import build_trace, get_workload
-
-    timings: Dict[str, float] = {}
-    start = time.perf_counter()
-    trace = build_trace(get_workload(workload), length=trace_length,
-                        seed=seed)
-    timings["trace"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    simulator = SystemSimulator(config, trace)
-    timings["construct"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    simulator._begin(0.25)
-    timings["prewarm"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    simulator.run_until(len(trace))
-    timings["loop"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    simulator._collect()
-    timings["collect"] = time.perf_counter() - start
-
-    timings["references"] = float(len(trace))
-    return timings
+    problems = [] if result["correct"] and not result["failed"] else [
+        f"run not correct: {result['failed']} of {result['attempted']} "
+        f"operations and checks failed"]
+    metrics = {}
+    for metric, figure in result["metrics"].items():
+        value, median = figure["value"], reference[metric]
+        worse = (median - value if better[metric] == "higher"
+                 else value - median) / median
+        verdict = ("-" if metric not in GATED_METRICS
+                   else "fail" if worse > MAX_REGRESSION else "pass")
+        if verdict == "fail":
+            problems.append(f"{metric} {value:.6g} is {worse:.1%} worse "
+                            f"than its reference {median:.6g}")
+        metrics[metric] = {"unit": figure["unit"], "value": value,
+                           "reference": median, "verdict": verdict}
+    return {"problems": problems, "metrics": metrics}
 
 
-def run_benchmark(workloads: Optional[Sequence[str]] = None,
-                  designs: Sequence[str] = ("vipt", "seesaw"),
-                  trace_length: int = 20_000, seed: int = 42,
-                  repeats: int = 3, jobs: int = 1,
-                  quick: bool = False,
-                  base_config=None) -> Dict:
-    """Measure sweep throughput and stage latencies; return the payload.
+def run_perfbench(root: Path, workload: str, seed: int,
+                  seconds: float) -> Optional[Dict]:
+    """Run one perfbench workload untraced and show its report; returns
+    its last line's JSON, or None when it ended without one."""
+    completed = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "run.py"),
+         "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, stdout=subprocess.PIPE, text=True)
+    print(completed.stdout, end="", flush=True)
+    try:
+        return (json.loads(completed.stdout.splitlines()[-1])
+                if completed.returncode == 0 else None)
+    except (IndexError, ValueError):
+        return None
 
-    ``quick`` shrinks the matrix (two workloads, one repeat) to CI
-    budget.  ``jobs > 1`` adds a ``parallel`` section: wall-clock of a
-    :func:`repro.perf.parallel.parallel_sweep` over the same matrix and
-    its speedup against the serial instrumented pass.
+
+def perfbench_gate(output: os.PathLike, seed: int = 42,
+                   root: Path = CHECKOUT) -> int:
+    """``repro bench``: every perfbench workload of the checkout at
+    ``root`` against its committed reference, each :func:`judge` record
+    written to ``output``.  Returns the exit code: 0 pass, 1 a failed run
+    or a gated regression, 2 no perfbench or reference to run against.
     """
-    from repro.sim.config import SystemConfig
+    from repro.analysis.report import format_table
 
-    if quick:
-        workloads = list(workloads or QUICK_WORKLOADS)
-        repeats = 1
-    else:
-        workloads = list(workloads or SMOKE_WORKLOADS)
-    config = base_config if base_config is not None else SystemConfig(
-        seed=seed)
-    cells = [(workload, design) for workload in workloads
-             for design in designs]
-
-    # Warm the interpreter (imports, code objects) outside the clock.
-    _run_cell_instrumented(config.with_design(designs[0]), workloads[0],
-                           min(2000, trace_length), seed)
-
-    stage_samples: Dict[str, List[float]] = {stage: [] for stage in STAGES}
-    repeat_walls: List[float] = []
-    repeat_loops: List[float] = []
-    total_references = 0
-    for repeat in range(max(1, repeats)):
-        wall = 0.0
-        loop = 0.0
-        references = 0
-        for workload, design in cells:
-            timings = _run_cell_instrumented(
-                config.with_design(design), workload, trace_length, seed)
-            for stage in STAGES:
-                stage_samples[stage].append(timings[stage])
-            wall += sum(timings[stage] for stage in STAGES)
-            loop += timings["loop"]
-            references += int(timings["references"])
-        repeat_walls.append(wall)
-        repeat_loops.append(loop)
-        total_references = references
-
-    best_wall = min(repeat_walls)
-    best_loop = min(repeat_loops)
-    payload: Dict = {
-        "schema": BENCH_SCHEMA,
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "host": {
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "params": {
-            "workloads": workloads,
-            "designs": list(designs),
-            "trace_length": trace_length,
-            "seed": seed,
-            "repeats": max(1, repeats),
-            "quick": quick,
-        },
-        "calibration_ops_per_sec": calibrate(),
-        "cells": len(cells),
-        "references_per_repeat": total_references,
-        "wall_s": best_wall,
-        "cells_per_sec": len(cells) / best_wall,
-        "accesses_per_sec": total_references / best_loop,
-        "stages": {
-            stage: {
-                "p50_s": percentile(stage_samples[stage], 50),
-                "p95_s": percentile(stage_samples[stage], 95),
-            }
-            for stage in STAGES
-        },
-    }
-
-    if jobs > 1:
-        from repro.perf.parallel import parallel_sweep
-        start = time.perf_counter()
-        parallel_sweep(config, workloads, trace_length=trace_length,
-                       seed=seed, designs=designs, jobs=jobs)
-        parallel_wall = time.perf_counter() - start
-        payload["parallel"] = {
-            "jobs": jobs,
-            "wall_s": parallel_wall,
-            "speedup_vs_serial": best_wall / parallel_wall,
-        }
-    return payload
-
-
-def bench_serve(workload: str = "gups", trace_length: int = 2_000,
-                seed: int = 42, round_trips: int = 20) -> Dict:
-    """Measure a ``repro serve`` request round-trip.
-
-    Boots an in-process server on a loopback port, issues one priming
-    ``run`` request (which simulates and fills the cache/journal), then
-    times ``round_trips`` identical requests — each a full HTTP +
-    JSON-RPC + admission + journal-replay cycle with zero simulation.
-    The figure is the service overhead a cached client sees, so a
-    protocol or admission-path regression moves it even though the
-    simulator is untouched.
-    """
-    import tempfile
-    from pathlib import Path
-
-    from repro.serve.client import ServeClient
-    from repro.serve.server import ServeConfig, serve_in_thread
-
-    params = {"workload": workload, "design": "seesaw",
-              "length": trace_length, "seed": seed}
-    with tempfile.TemporaryDirectory(prefix="repro-bench-serve-") as tmp:
-        # The bench intentionally hammers one client; quota admission is
-        # not what's being measured, so give it ample headroom.
-        config = ServeConfig(port=0, jobs=1,
-                             quota_capacity=round_trips + 10,
-                             quota_refill_per_s=1000.0,
-                             spool=Path(tmp) / "spool")
-        with serve_in_thread(config) as server:
-            client = ServeClient(port=server.bound_port,
-                                 client_id="bench",
-                                 timeout_s=120.0)
-            primed = client.call("run", params)
-            samples: List[float] = []
-            for _ in range(max(1, round_trips)):
-                start = time.perf_counter()
-                reply = client.call("run", params)
-                samples.append(time.perf_counter() - start)
-                if reply["simulated"]:
-                    raise RuntimeError(
-                        "bench_serve: duplicate request re-simulated — "
-                        "the result cache/journal replay is broken")
-    return {
-        "round_trips": len(samples),
-        "priming_simulated": primed["simulated"],
-        "round_trips_per_sec": len(samples) / sum(samples),
-        "p50_s": percentile(samples, 50),
-        "p95_s": percentile(samples, 95),
-    }
+    try:
+        if not (root / "perfbench" / "run.py").is_file():
+            raise FileNotFoundError(f"no perfbench/run.py under {root}; "
+                                    f"run repro bench from a checkout")
+        spec = json.loads((root / "BENCHMARK.json").read_text("utf-8"))
+        references = {workload["name"]:
+                      reference_medians(root, workload["name"])
+                      for workload in spec["workloads"]}
+    except (OSError, LookupError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    better = {metric["name"]: metric["better"]
+              for metric in spec["end_to_end"]}
+    records: Dict[str, Dict] = {}
+    problems: List[str] = []
+    for workload, (source, reference) in references.items():
+        result = run_perfbench(root, workload, seed, spec["run_seconds"])
+        record = (judge(result, reference, better) if result is not None
+                  else {"problems": ["perfbench ended without a result"],
+                        "metrics": {}})
+        records[workload] = dict(record, reference_file=source)
+        problems += [f"{workload}: {problem}"
+                     for problem in record["problems"]]
+        print(format_table(
+            ["metric", "unit", "value", "reference", "change", "gate"],
+            [[metric, m["unit"], f"{m['value']:.6g}",
+              f"{m['reference']:.6g}",
+              f"{m['value'] / m['reference'] - 1:+.1%}", m["verdict"]]
+             for metric, m in record["metrics"].items()],
+            title=f"{workload} against the medians of {source}"))
+    Path(output).write_text(json.dumps(
+        {"seed": seed, "max_regression": MAX_REGRESSION,
+         "workloads": records}, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {output}")
+    for problem in problems:
+        print(f"BENCH GATE: {problem}", file=sys.stderr)
+    if not problems:
+        print(f"bench gate passed: {' and '.join(GATED_METRICS)} within "
+              f"{MAX_REGRESSION:.0%} of their references")
+    return 1 if problems else 0
 
 
 def _headline_value(result_dict: Dict, metric: str) -> float:
@@ -355,7 +280,7 @@ def bench_sampled(workloads: Optional[Sequence[str]] = None,
         "repeats": repeats,
         "cells": cells,
         "min_speedup": speedups[0],
-        "median_speedup": percentile(speedups, 50),
+        "median_speedup": statistics.median(speedups),
         "worst_error": worst_error,
         "worst_error_metric": worst_metric,
     }
@@ -393,41 +318,3 @@ def check_sampling(sampled: Dict, min_speedup: float = 5.0,
         problems.append("sampled bench payload has no cells")
     return problems
 
-
-def check_regression(current: Dict, baseline: Dict,
-                     max_regression: float = 0.20) -> List[str]:
-    """Compare normalized throughput against a committed baseline.
-
-    Returns a list of human-readable problems (empty = pass).  Throughput
-    is normalized by each payload's own calibration figure, so the check
-    measures code speed, not machine speed.
-    """
-    problems: List[str] = []
-    for payload, label in ((current, "current"), (baseline, "baseline")):
-        if not payload.get("calibration_ops_per_sec"):
-            problems.append(f"{label} payload has no calibration figure")
-    if problems:
-        return problems
-    current_norm = (current["cells_per_sec"]
-                    / current["calibration_ops_per_sec"])
-    baseline_norm = (baseline["cells_per_sec"]
-                     / baseline["calibration_ops_per_sec"])
-    floor = baseline_norm * (1.0 - max_regression)
-    if current_norm < floor:
-        drop = 100.0 * (1.0 - current_norm / baseline_norm)
-        problems.append(
-            f"normalized cells/sec regressed {drop:.1f}% "
-            f"(limit {100.0 * max_regression:.0f}%): "
-            f"{current_norm:.3e} vs baseline {baseline_norm:.3e}")
-    return problems
-
-
-def load_payload(path) -> Dict:
-    """Read a BENCH_perf.json payload, validating the schema marker."""
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("schema") != BENCH_SCHEMA:
-        raise ValueError(
-            f"{path}: unsupported bench schema "
-            f"{payload.get('schema')!r} (expected {BENCH_SCHEMA})")
-    return payload

@@ -503,6 +503,10 @@ class TestDistributedCampaign:
         status = run_cli(["campaign", "status", str(tmp_path), "--json"])
         assert status.returncode == EXIT_PAUSED
         assert not json.loads(status.stdout)["complete"]
+        table = run_cli(["campaign", "status", str(tmp_path)])
+        assert table.returncode == EXIT_PAUSED
+        assert (f"resume with: python -m repro campaign run {tmp_path}"
+                in table.stderr)
         # Re-running the campaign reclaims and finishes it.
         second = run_cli(["campaign", "run", str(tmp_path),
                           "--shards", "2", "--ttl", "2"])

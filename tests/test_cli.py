@@ -253,11 +253,6 @@ class TestServeParser:
         assert args.deadline == 120.0
         assert args.chaos == ["worker-kill@0"]
 
-    def test_bench_parses_serve_flag(self):
-        args = build_parser().parse_args(["bench", "--quick", "--serve"])
-        assert args.serve is True
-        assert build_parser().parse_args(["bench"]).serve is False
-
 
 class TestSampledCommands:
     def test_sampled_run_json_carries_sampling_block(self, capsys):
@@ -309,6 +304,12 @@ class TestSampledCommands:
                      "--interval-size", "500"]) == 2
         err = capsys.readouterr().err
         assert "--interval-size" in err and "--sampled" in err
+
+    def test_bench_sizing_flags_require_sampled(self, capsys):
+        for flags in (["--quick"], ["--length", "60000"]):
+            assert main(["bench", *flags]) == 2
+            err = capsys.readouterr().err
+            assert "--sampled" in err and "valid choices" in err
 
     def test_sweep_refuses_sampled_fault_injection(self, capsys):
         assert main(["sweep", "--workloads", "gups", "--length", "3000",

@@ -2,8 +2,10 @@
 
 Covers the pieces the differential suite doesn't: the duplicate-in-flight
 guard, failure degradation and fail-fast in the parallel dispatcher,
-``SweepJournal.rewrite_canonical``, and the bench harness's percentile /
-calibration-normalized regression arithmetic.
+``SweepJournal.rewrite_canonical``, and the two ``repro bench`` gates:
+perfbench against its committed reference (driven through a stub
+``perfbench/run.py``, never the real one) and the sampled lane's
+``check_sampling``.
 """
 
 import json
@@ -12,11 +14,11 @@ from pathlib import Path
 import pytest
 
 from repro.perf.bench import (
-    BENCH_SCHEMA,
-    check_regression,
-    load_payload,
-    percentile,
-    run_benchmark,
+    GATED_METRICS,
+    check_sampling,
+    judge,
+    perfbench_gate,
+    reference_medians,
 )
 from repro.perf.parallel import (
     DuplicateCellError,
@@ -182,60 +184,212 @@ class TestCanonicalJournal:
         assert partial.read_bytes() == full.read_bytes()
 
 
-class TestBenchArithmetic:
-    def test_percentile_interpolates(self):
-        samples = [1.0, 2.0, 3.0, 4.0]
-        assert percentile(samples, 50) == pytest.approx(2.5)
-        assert percentile(samples, 95) == pytest.approx(3.85)
-        assert percentile([7.0], 95) == 7.0
+# ------------------------------------------------------------ bench gates
 
-    def test_regression_check_normalizes_by_calibration(self):
-        baseline = {"cells_per_sec": 10.0, "calibration_ops_per_sec": 1e6}
-        # Same code speed on a machine twice as fast: no regression.
-        current = {"cells_per_sec": 20.0, "calibration_ops_per_sec": 2e6}
-        assert check_regression(current, baseline, 0.20) == []
-        # 40% normalized drop: flagged.
-        slow = {"cells_per_sec": 6.0, "calibration_ops_per_sec": 1e6}
-        problems = check_regression(slow, baseline, 0.20)
-        assert len(problems) == 1
-        assert "regressed" in problems[0]
+REPO_ROOT = Path(__file__).resolve().parents[1]
+BETTER = {"refs_per_s": "higher", "cell_p50_s": "lower",
+          "serve_hot_p50_ms": "lower"}
+REFERENCE = {"refs_per_s": 50_000.0, "cell_p50_s": 2.0,
+             "serve_hot_p50_ms": 6.0}
 
-    def test_regression_check_requires_calibration(self):
-        problems = check_regression({"cells_per_sec": 1.0},
-                                    {"cells_per_sec": 1.0}, 0.20)
-        assert problems
+#: Stands in for perfbench/run.py: a report line, then the JSON result
+#: the test left beside it (crashing when there is none).
+STUB_RUN = """\
+import json, sys
+from pathlib import Path
+print("stub report", " ".join(sys.argv[1:]))
+print((Path(__file__).parent / "result.json").read_text().strip())
+"""
 
 
-class TestBenchHarness:
-    def test_quick_payload_shape(self, tmp_path):
-        payload = run_benchmark(workloads=["gups"], designs=("vipt",),
-                                trace_length=1_000, repeats=1, quick=False)
-        assert payload["schema"] == BENCH_SCHEMA
-        assert payload["cells"] == 1
-        assert payload["cells_per_sec"] > 0
-        assert payload["accesses_per_sec"] > 0
-        for stage in ("trace", "construct", "prewarm", "loop", "collect"):
-            figures = payload["stages"][stage]
-            assert figures["p50_s"] <= figures["p95_s"] or \
-                figures["p50_s"] == pytest.approx(figures["p95_s"])
-        out = tmp_path / "bench.json"
-        out.write_text(json.dumps(payload))
-        assert load_payload(out)["cells"] == 1
+def _result(correct=True, failed=0, **values):
+    return {"correct": correct, "attempted": 40, "failed": failed,
+            "metrics": {name: {"value": value, "unit": "u"}
+                        for name, value in dict(REFERENCE, **values).items()}}
 
-    def test_load_payload_rejects_other_schemas(self, tmp_path):
-        out = tmp_path / "bench.json"
-        out.write_text(json.dumps({"schema": 999}))
-        with pytest.raises(ValueError):
-            load_payload(out)
+
+def _bench_file(root, number, workloads):
+    path = root / "benchmarks" / "perf" / f"BENCH_{number}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({"summary": {
+        workload: {metric: {"change_q1_median_q3": [0.9 * v, v, 1.1 * v]}
+                   for metric, v in medians.items()}
+        for workload, medians in workloads.items()}}))
+
+
+def _checkout(root, result, workloads=("exact-matrix",), referenced=None):
+    """A checkout at ``root`` with a stub perfbench that prints
+    ``result`` for every workload, and a BENCH_16.json referencing the
+    ``referenced`` workloads (default: all of them)."""
+    (root / "perfbench").mkdir()
+    (root / "perfbench" / "run.py").write_text(STUB_RUN)
+    if result is not None:
+        (root / "perfbench" / "result.json").write_text(json.dumps(result))
+    (root / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 3, "workloads": [{"name": w} for w in workloads],
+        "end_to_end": [{"name": name, "better": better}
+                       for name, better in BETTER.items()]}))
+    _bench_file(root, 16, {workload: REFERENCE
+                           for workload in referenced or workloads})
+
+
+class TestGateComparison:
+    @pytest.mark.parametrize("metric,factor,passes", [
+        ("refs_per_s", 0.81, True),    # higher is better: 19% worse
+        ("refs_per_s", 0.79, False),   # 21% worse
+        ("cell_p50_s", 1.19, True),    # lower is better: 19% worse
+        ("cell_p50_s", 1.21, False),   # 21% worse
+    ])
+    def test_gated_metric_fails_past_twenty_percent_worse(
+            self, metric, factor, passes):
+        record = judge(_result(**{metric: factor * REFERENCE[metric]}),
+                       REFERENCE, BETTER)
+        assert (record["problems"] == []) is passes
+        assert record["metrics"][metric]["verdict"] == (
+            "pass" if passes else "fail")
+
+    @pytest.mark.parametrize("metric,factor", [
+        ("refs_per_s", 10.0), ("cell_p50_s", 0.1)])
+    def test_better_value_never_fails(self, metric, factor):
+        record = judge(_result(**{metric: factor * REFERENCE[metric]}),
+                       REFERENCE, BETTER)
+        assert record["problems"] == []
+
+    def test_ungated_metric_never_fails(self):
+        assert "serve_hot_p50_ms" not in GATED_METRICS
+        record = judge(_result(serve_hot_p50_ms=60.0), REFERENCE, BETTER)
+        assert record["problems"] == []
+        assert record["metrics"]["serve_hot_p50_ms"] == {
+            "unit": "u", "value": 60.0, "reference": 6.0, "verdict": "-"}
+
+    @pytest.mark.parametrize("correct,failed", [(False, 0), (True, 1)])
+    def test_incorrect_run_fails_whatever_the_speed(self, correct, failed):
+        record = judge(_result(correct=correct, failed=failed,
+                               refs_per_s=1e9, cell_p50_s=1e-9),
+                       REFERENCE, BETTER)
+        assert len(record["problems"]) == 1
+        assert "not correct" in record["problems"][0]
+
+
+class TestReferenceLookup:
+    def test_newest_file_wins_by_integer_number(self, tmp_path):
+        _bench_file(tmp_path, 9, {"exact-matrix": {"refs_per_s": 9.0}})
+        _bench_file(tmp_path, 16, {"exact-matrix": {"refs_per_s": 16.0}})
+        (tmp_path / "benchmarks" / "perf" / "BENCH_perf.json").write_text(
+            "not a trajectory file")
+        assert reference_medians(tmp_path, "exact-matrix") == (
+            "BENCH_16.json", {"refs_per_s": 16.0})
+
+    def test_workload_missing_from_newest_falls_back(self, tmp_path):
+        _bench_file(tmp_path, 9, {"exact-matrix": {"refs_per_s": 9.0},
+                                  "sampled-long": {"refs_per_s": 9.5}})
+        _bench_file(tmp_path, 16, {"exact-matrix": {"refs_per_s": 16.0}})
+        assert reference_medians(tmp_path, "sampled-long") == (
+            "BENCH_9.json", {"refs_per_s": 9.5})
+
+    def test_workload_without_reference_exits_2(self, tmp_path, capsys):
+        _checkout(tmp_path, _result(),
+                  workloads=("exact-matrix", "sampled-long"),
+                  referenced=("exact-matrix",))
+        out = tmp_path / "out.json"
+        assert perfbench_gate(out, root=tmp_path) == 2
+        captured = capsys.readouterr()
+        assert "'sampled-long'" in captured.err
+        assert "stub report" not in captured.out  # nothing ran
+        assert not out.exists()
+
+
+class TestPerfbenchGate:
+    def test_root_without_perfbench_or_spec_exits_2(self, tmp_path,
+                                                    capsys):
+        out = tmp_path / "out.json"
+        assert perfbench_gate(out, root=tmp_path) == 2
+        assert "perfbench/run.py" in capsys.readouterr().err
+        _checkout(tmp_path, _result())
+        (tmp_path / "BENCHMARK.json").unlink()
+        assert perfbench_gate(out, root=tmp_path) == 2
+        assert "BENCHMARK.json" in capsys.readouterr().err
+
+    def test_stub_run_passes_and_writes_verdicts(self, tmp_path, capsys):
+        _checkout(tmp_path, _result(refs_per_s=55_000.0),
+                  workloads=("exact-matrix", "sampled-long"))
+        out = tmp_path / "out.json"
+        assert perfbench_gate(str(out), seed=7, root=tmp_path) == 0
+        shown = capsys.readouterr().out
+        assert "bench gate passed" in shown
+        for workload in ("exact-matrix", "sampled-long"):
+            assert (f"stub report --workload {workload} --seed 7 "
+                    f"--seconds 3 --trace 0") in shown
+        records = json.loads(out.read_text())["workloads"]
+        assert set(records) == {"exact-matrix", "sampled-long"}
+        record = records["exact-matrix"]
+        assert record["reference_file"] == "BENCH_16.json"
+        assert record["metrics"]["refs_per_s"] == {
+            "unit": "u", "value": 55_000.0, "reference": 50_000.0,
+            "verdict": "pass"}
+
+    @pytest.mark.parametrize("result", [
+        _result(refs_per_s=0.79 * REFERENCE["refs_per_s"]),
+        _result(cell_p50_s=1.21 * REFERENCE["cell_p50_s"]),
+        _result(correct=False),
+        None,  # perfbench crashed before its JSON line
+    ], ids=["refs-drop", "cell-p50-rise", "not-correct", "no-result"])
+    def test_failed_run_or_regression_exits_1(self, tmp_path, capsys,
+                                              result):
+        _checkout(tmp_path, result)
+        out = tmp_path / "out.json"
+        assert perfbench_gate(out, root=tmp_path) == 1
+        assert "BENCH GATE: exact-matrix: " in capsys.readouterr().err
+        assert json.loads(out.read_text())["workloads"]["exact-matrix"][
+            "problems"]
+
 
 class TestCommittedBaseline:
     def test_baseline_payload_loads_and_is_complete(self):
-        """The regression gate in CI depends on the committed baseline
-        staying loadable with a calibration figure and throughput."""
-        baseline = (Path(__file__).resolve().parents[1]
-                    / "benchmarks" / "perf" / "BENCH_baseline.json")
-        payload = load_payload(baseline)
-        assert payload["cells_per_sec"] > 0
-        assert payload["calibration_ops_per_sec"] > 0
-        assert set(payload["stages"]) == {"trace", "construct", "prewarm",
-                                          "loop", "collect"}
+        """The gate's reference, the newest committed BENCH_<n>.json,
+        holds every end-to-end metric of every BENCHMARK.json workload:
+        the gate looks up each one the run reports, gated or not."""
+        numbered = [int(path.stem[len("BENCH_"):]) for path
+                    in (REPO_ROOT / "benchmarks" / "perf").glob("BENCH_*.json")
+                    if path.stem[len("BENCH_"):].isdigit()]
+        spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+        for workload in spec["workloads"]:
+            source, medians = reference_medians(REPO_ROOT, workload["name"])
+            assert source == f"BENCH_{max(numbered)}.json"
+            assert set(medians) >= {metric["name"]
+                                    for metric in spec["end_to_end"]}
+            assert set(medians) >= set(GATED_METRICS)
+            assert all(medians[metric] > 0 for metric in GATED_METRICS)
+
+
+def _sampled_cell(speedup=8.0, error=0.01, bound=0.03):
+    return {"workload": "gups", "design": "vipt", "speedup": speedup,
+            "errors": {"runtime_cycles": error},
+            "error_bounds": {"runtime_cycles": bound}}
+
+
+class TestSamplingGate:
+    def test_fast_accurate_cell_passes(self):
+        assert check_sampling({"cells": [_sampled_cell()]}) == []
+
+    def test_speedup_floor(self):
+        problems = check_sampling({"cells": [_sampled_cell(speedup=4.9)]},
+                                  min_speedup=5.0)
+        assert len(problems) == 1 and "below the 5x floor" in problems[0]
+
+    def test_flat_error_budget(self):
+        problems = check_sampling(
+            {"cells": [_sampled_cell(error=0.06, bound=0.10)]},
+            max_error=0.05)
+        assert len(problems) == 1 and "0.05 budget" in problems[0]
+
+    def test_own_reported_bound(self):
+        problems = check_sampling(
+            {"cells": [_sampled_cell(error=0.02, bound=0.01)]})
+        assert len(problems) == 1
+        assert "reported confidence bound" in problems[0]
+
+    def test_empty_payload_fails(self):
+        for payload in ({}, {"cells": []}):
+            assert check_sampling(payload) == [
+                "sampled bench payload has no cells"]

@@ -556,15 +556,6 @@ class TestServer:
             assert server.draining
         assert server.exit_code == 0
 
-    def test_bench_serve_round_trip(self):
-        from repro.perf.bench import bench_serve
-
-        figures = bench_serve(trace_length=1500, round_trips=3)
-        assert figures["priming_simulated"] == 1
-        assert figures["round_trips"] == 3
-        assert figures["round_trips_per_sec"] > 0
-        assert figures["p50_s"] <= figures["p95_s"]
-
 
 class TestSampledProtocol:
     """Protocol + digest behaviour of the sampled lane at the service
