@@ -13,7 +13,7 @@ from repro.cache.replacement import (
     RandomPolicy,
     make_policy,
 )
-from repro.cache.basic import CacheLine, CacheSet, SetAssociativeCache, CacheStats
+from repro.cache.basic import CacheSet, SetAssociativeCache, CacheStats
 from repro.cache.vipt import ViptL1Cache, L1AccessResult
 from repro.cache.pipt import PiptL1Cache
 from repro.cache.vivt import VivtL1Cache, SynonymStats
@@ -26,7 +26,6 @@ __all__ = [
     "TreePLRUPolicy",
     "RandomPolicy",
     "make_policy",
-    "CacheLine",
     "CacheSet",
     "SetAssociativeCache",
     "CacheStats",

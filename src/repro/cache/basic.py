@@ -21,98 +21,38 @@ from repro.cache.replacement import (LRUPolicy, ReplacementPolicy,
 LINE_OFFSET_BITS = CACHE_LINE_SIZE.bit_length() - 1
 
 
-class CacheLine:
-    """One cache line's bookkeeping (no data payload is modeled).
+class CacheSet:
+    """One set as flat per-way lists beside its replacement policy.
 
-    Slotted plain class: lines are probed, filled and state-flipped on
-    every reference, so attribute access cost dominates.
+    ``tags[way]`` is the way's tag, or None when the way is invalid;
+    ``dirty``, ``states`` (the MOESI state, "I" when invalid) and
+    ``from_superpage`` (SEESAW: the fill came from a superpage mapping)
+    hold the rest of its bookkeeping.  No data payload is modeled, and a
+    line's address is recomputed from its tag and set index.  A set never
+    holds one tag twice, so one C-level ``tag in tags`` / ``tags.index``
+    finds a line.
     """
 
-    __slots__ = ("tag", "valid", "dirty", "state", "line_address",
-                 "from_superpage")
-
-    def __init__(self, tag: int = 0, valid: bool = False,
-                 dirty: bool = False, state: str = "I",
-                 line_address: int = 0,
-                 from_superpage: bool = False) -> None:
-        self.tag = tag
-        self.valid = valid
-        self.dirty = dirty
-        #: coherence state, one of "M","O","E","S","I" (L1s under MOESI)
-        self.state = state
-        #: physical line address (tag + index recombined), kept for
-        #: write-back and coherence bookkeeping.
-        self.line_address = line_address
-        #: for SEESAW: whether the fill came from a superpage mapping.
-        self.from_superpage = from_superpage
-
-    def __repr__(self) -> str:
-        return (f"CacheLine(tag={self.tag!r}, valid={self.valid!r}, "
-                f"dirty={self.dirty!r}, state={self.state!r}, "
-                f"line_address={self.line_address!r}, "
-                f"from_superpage={self.from_superpage!r})")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CacheLine):
-            return NotImplemented
-        return (self.tag == other.tag and self.valid == other.valid
-                and self.dirty == other.dirty and self.state == other.state
-                and self.line_address == other.line_address
-                and self.from_superpage == other.from_superpage)
-
-    def reset(self) -> None:
-        """Return the line to the invalid state."""
-        self.valid = False
-        self.dirty = False
-        self.state = "I"
-        self.tag = 0
-        self.line_address = 0
-        self.from_superpage = False
-
-
-class CacheSet:
-    """One set: ``ways`` lines plus a replacement policy instance."""
-
-    __slots__ = ("lines", "policy")
+    __slots__ = ("tags", "dirty", "states", "from_superpage", "policy")
 
     def __init__(self, ways: int, policy: ReplacementPolicy) -> None:
-        # Sets are created lazily on first touch, which puts this
-        # constructor on the miss path of every cold set; building the
-        # lines via __new__ + direct slot stores skips ``ways`` __init__
-        # calls (an LLC ``install`` creates thousands of sets).
-        new = CacheLine.__new__
-        lines = []
-        append = lines.append
-        for _ in range(ways):
-            line = new(CacheLine)
-            line.tag = 0
-            line.valid = False
-            line.dirty = False
-            line.state = "I"
-            line.line_address = 0
-            line.from_superpage = False
-            append(line)
-        self.lines: List[CacheLine] = lines
+        self.tags: List[Optional[int]] = [None] * ways
+        self.dirty = [False] * ways
+        self.states = ["I"] * ways
+        self.from_superpage = [False] * ways
         self.policy = policy
 
-    def find(self, tag: int, ways: Optional[Sequence[int]] = None
-             ) -> Optional[int]:
-        """Return the way holding ``tag`` among ``ways`` (default: all)."""
-        search = range(len(self.lines)) if ways is None else ways
-        for way in search:
-            line = self.lines[way]
-            if line.valid and line.tag == tag:
-                return way
-        return None
+    def find(self, tag: int) -> Optional[int]:
+        """Return the way holding ``tag``, or None."""
+        tags = self.tags
+        return tags.index(tag) if tag in tags else None
 
-    def first_invalid(self, ways: Optional[Sequence[int]] = None
-                      ) -> Optional[int]:
-        """Return the first invalid way among ``ways`` (default: all)."""
-        search = range(len(self.lines)) if ways is None else ways
-        for way in search:
-            if not self.lines[way].valid:
-                return way
-        return None
+    def invalidate(self, way: int) -> None:
+        """Return ``way`` to the invalid state (replacement state kept)."""
+        self.tags[way] = None
+        self.dirty[way] = False
+        self.states[way] = "I"
+        self.from_superpage[way] = False
 
 
 @dataclass
@@ -228,10 +168,6 @@ class SetAssociativeCache:
         """Called with (line_address, dirty) whenever a valid line is evicted."""
         self._eviction_hooks.append(hook)
 
-    def _fire_eviction(self, line: CacheLine) -> None:
-        for hook in self._eviction_hooks:
-            hook(line.line_address, line.dirty)
-
     # ------------------------------------------------------------- indexing
 
     def set_index(self, address: int) -> int:
@@ -268,115 +204,105 @@ class SetAssociativeCache:
             cache_set = self.set_at(set_index)
         tag = address >> self._tag_shift
         stats.ways_probed += self.ways
-        for way, line in enumerate(cache_set.lines):
-            if line.valid and line.tag == tag:
-                policy = cache_set.policy
-                if type(policy) is LRUPolicy:
-                    # Inlined LRUPolicy.touch (the per-reference case).
-                    order = policy._order
-                    order.remove(way)
-                    order.append(way)
-                else:
-                    policy.touch(way)
-                if is_write:
-                    line.dirty = True
-                stats.hits += 1
-                return True
+        tags = cache_set.tags
+        if tag in tags:
+            way = tags.index(tag)
+            policy = cache_set.policy
+            if type(policy) is LRUPolicy:
+                # Inlined LRUPolicy.touch (the per-reference case).
+                order = policy._order
+                order.remove(way)
+                order.append(way)
+            else:
+                policy.touch(way)
+            if is_write:
+                cache_set.dirty[way] = True
+            stats.hits += 1
+            return True
         stats.misses += 1
         return False
 
     def fill(self, address: int, dirty: bool = False,
              from_superpage: bool = False,
-             candidate_ways: Optional[Sequence[int]] = None) -> CacheLine:
-        """Install ``address``, evicting if necessary. Returns the line.
+             candidate_ways: Optional[Sequence[int]] = None) -> int:
+        """Install ``address``, evicting if necessary. Returns its way.
 
         Filling an address that is already resident refreshes the existing
-        line in place — a cache never holds two copies of one tag.
-
-        Runs on every miss, so the common unconstrained path folds the
-        resident check and invalid-way scan into one pass and inlines the
-        LRU moves; the outcome matches the ``find`` / ``first_invalid`` /
-        ``policy.victim`` composition exactly.
+        line in place — a cache never holds two copies of one tag.  A new
+        line takes the first invalid way among ``candidate_ways`` (default:
+        all, in way order), else the replacement policy's victim among them.
         """
         set_index = (address >> self.offset_bits) & self._index_mask
         cache_set = self._sets.get(set_index)
         if cache_set is None:
             cache_set = self.set_at(set_index)
         tag = address >> self._tag_shift
-        lines = cache_set.lines
+        tags = cache_set.tags
         policy = cache_set.policy
-        is_lru = type(policy) is LRUPolicy
-        if candidate_ways is None:
-            # One scan: the first valid tag match wins (as in ``find``);
-            # otherwise the first invalid way is remembered (as in
-            # ``first_invalid``).
-            existing = invalid = None
-            for way, line in enumerate(lines):
-                if line.valid:
-                    if line.tag == tag:
-                        existing = way
-                        break
-                elif invalid is None:
-                    invalid = way
+        if tag in tags:
+            way = tags.index(tag)
+            if dirty:
+                cache_set.dirty[way] = True
+            cache_set.from_superpage[way] = from_superpage
         else:
-            existing = cache_set.find(tag)
-            invalid = cache_set.first_invalid(candidate_ways)
-        if existing is not None:
-            line = lines[existing]
-            line.dirty = line.dirty or dirty
-            line.from_superpage = from_superpage
-            if is_lru:
-                order = policy._order
-                order.remove(existing)
-                order.append(existing)
+            if candidate_ways is None:
+                way = tags.index(None) if None in tags else None
             else:
-                policy.touch(existing)
-            return line
-        way = invalid
-        if way is None:
-            if is_lru and candidate_ways is None:
-                # LRUPolicy.victim over the full way range returns the
-                # head of the recency list.
-                way = policy._order[0]
-            else:
-                candidates = (list(range(self.ways))
-                              if candidate_ways is None
-                              else list(candidate_ways))
-                way = policy.victim(candidates)
-            victim = lines[way]
-            if victim.valid:
-                self.stats.evictions += 1
-                if victim.dirty:
-                    self.stats.writebacks += 1
-                self._fire_eviction(victim)
-        line = lines[way]
-        line.tag = tag
-        line.valid = True
-        line.dirty = dirty
-        line.state = "M" if dirty else "E"
-        line.line_address = address & self._line_mask
-        line.from_superpage = from_superpage
-        if is_lru:
+                for way in candidate_ways:
+                    if tags[way] is None:
+                        break
+                else:
+                    way = None
+            if way is None:
+                if candidate_ways is None and type(policy) is LRUPolicy:
+                    # LRUPolicy.victim over the full way range returns the
+                    # head of the recency list.
+                    way = policy._order[0]
+                else:
+                    way = policy.victim(list(range(self.ways))
+                                        if candidate_ways is None
+                                        else list(candidate_ways))
+                # Every candidate way is valid here, so the victim is too.
+                stats = self.stats
+                stats.evictions += 1
+                victim_dirty = cache_set.dirty[way]
+                if victim_dirty:
+                    stats.writebacks += 1
+                victim = ((tags[way] << self._tag_shift)
+                          | (set_index << self.offset_bits))
+                for hook in self._eviction_hooks:
+                    hook(victim, victim_dirty)
+            tags[way] = tag
+            cache_set.dirty[way] = dirty
+            cache_set.states[way] = "M" if dirty else "E"
+            cache_set.from_superpage[way] = from_superpage
+            self.stats.fills += 1
+        if type(policy) is LRUPolicy:
             order = policy._order
             order.remove(way)
             order.append(way)
         else:
             policy.touch(way)
-        self.stats.fills += 1
-        return line
+        return way
 
     def install(self, addresses) -> None:
         """Fill distinct clean ``addresses`` in order, as one :meth:`access`
         each would, from :func:`lru_final_state`: line *i* of a set sits in
         way *i* mod ``ways``, its recency list is ``range(ways)`` rotated
         left by its line count, and sets are created in first-touch order.
-        Anything but an empty, hook-free LRU cache raises ValueError.
+        Survivors are sorted into way order, so one slice writes each
+        set's tags.  Anything but an empty, hook-free LRU cache raises
+        ValueError.
         """
         lines = np.asarray(addresses, dtype=np.int64) >> self.offset_bits
         ways, stats, set_at = self.ways, self.stats, self.set_at
         keys, rank, count = lru_final_state(
             lines, lines & self._index_mask, ways)
-        per_set = count[rank == count - 1]
+        # A survivor's position in its set's run of ``keys``; the run's
+        # first survivor has rank ``count - ways`` (or 0).
+        position = rank - np.maximum(count - ways, 0)
+        first = position == 0
+        per_set = count[first]
         if (self._sets or self._eviction_hooks or self.replacement != "lru"
                 or per_set.sum() != lines.size):
             raise ValueError(f"{self.name}: install needs distinct lines "
@@ -385,49 +311,55 @@ class SetAssociativeCache:
         stats.fills += lines.size
         stats.ways_probed += lines.size * ways
         stats.evictions += int(np.maximum(per_set - ways, 0).sum())
-        for key, position, total in zip(keys.tolist(), rank.tolist(),
-                                        count.tolist()):
-            cache_set = set_at(key & self._index_mask)
-            line = cache_set.lines[position % ways]
-            line.tag, line.line_address = (key >> self.index_bits,
-                                            key << self.offset_bits)
-            line.valid, line.state = True, "E"
-            if position == total - 1:
-                shift = total % ways
-                cache_set.policy._order = [*range(shift, ways), *range(shift)]
+        by_way = np.empty_like(keys)
+        by_way[np.arange(keys.size) - position + rank % ways] = keys
+        tags = (by_way >> self.index_bits).tolist()
+        start = 0
+        for index, total in zip((keys[first] & self._index_mask).tolist(),
+                                per_set.tolist()):
+            cache_set = set_at(index)
+            size = min(total, ways)
+            cache_set.tags[:size] = tags[start:start + size]
+            cache_set.states[:size] = ["E"] * size
+            shift = total % ways
+            cache_set.policy._order = [*range(shift, ways), *range(shift)]
+            start += size
 
     def contains(self, address: int) -> bool:
         """Non-perturbing presence check."""
-        cache_set = self._sets.get(self.set_index(address))
-        return (cache_set is not None
-                and cache_set.find(self.tag_of(address)) is not None)
+        return self.locate(address) is not None
 
-    def invalidate_line(self, address: int) -> Optional[CacheLine]:
+    def locate(self, address: int) -> Optional[Tuple[CacheSet, int]]:
+        """``(set, way)`` holding ``address``, or None.  Non-perturbing:
+        no set is materialised, no LRU touch, no stats."""
+        cache_set = self._sets.get(self.set_index(address))
+        if cache_set is None:
+            return None
+        way = cache_set.find(self.tag_of(address))
+        return None if way is None else (cache_set, way)
+
+    def invalidate_line(self, address: int) -> Optional[bool]:
         """Invalidate the line holding ``address`` (coherence/sweeps).
 
-        Returns a copy-like reference to the line *before* reset, or None.
+        Returns the line's dirty flag, or None when it was not resident.
         """
-        cache_set = self.set_at(self.set_index(address))
-        way = cache_set.find(self.tag_of(address))
-        if way is None:
+        found = self.locate(address)
+        if found is None:
             return None
-        line = cache_set.lines[way]
-        evicted = CacheLine(tag=line.tag, valid=True, dirty=line.dirty,
-                            state=line.state, line_address=line.line_address,
-                            from_superpage=line.from_superpage)
-        line.reset()
-        return evicted
+        cache_set, way = found
+        dirty = cache_set.dirty[way]
+        cache_set.invalidate(way)
+        return dirty
 
     def valid_lines(self) -> int:
         """Number of valid lines (for occupancy checks in tests)."""
-        return sum(1 for s in self._sets.values()
-                   for line in s.lines if line.valid)
+        return sum(self.ways - s.tags.count(None)
+                   for s in self._sets.values())
 
-    def iter_valid_lines(self) -> "list[Tuple[int, int, CacheLine]]":
-        """List of (set index, way, line) for every valid line."""
-        out = []
-        for index, cache_set in sorted(self._sets.items()):
-            for way, line in enumerate(cache_set.lines):
-                if line.valid:
-                    out.append((index, way, line))
-        return out
+    def iter_valid_lines(self) -> "list[Tuple[int, int, int]]":
+        """List of (set index, way, line address) for every valid line."""
+        return [(index, way, (tag << self._tag_shift)
+                 | (index << self.offset_bits))
+                for index, cache_set in sorted(self._sets.items())
+                for way, tag in enumerate(cache_set.tags)
+                if tag is not None]

@@ -10,8 +10,8 @@ latency up front (paper Fig. 1a).
 from __future__ import annotations
 
 from repro.mem.address import PageSize
-from repro.cache.basic import CacheLine, SetAssociativeCache
-from repro.cache.vipt import CoherenceProbeResult, L1AccessResult, L1Timing
+from repro.cache.basic import SetAssociativeCache
+from repro.cache.vipt import L1AccessResult, L1Timing, ViptL1Cache
 
 
 class PiptL1Cache:
@@ -68,24 +68,6 @@ class PiptL1Cache:
         return (hit, self._hit_cycles, self.store.ways, False, None, None,
                 self._miss_detect)
 
-    def fill(self, physical_address: int, page_size: PageSize,
-             dirty: bool = False) -> CacheLine:
-        """Install a line after the next level services a miss."""
-        return self.store.fill(physical_address, dirty=dirty,
-                               from_superpage=page_size.is_superpage)
-
-    def coherence_probe(self, physical_address: int,
-                        invalidate: bool = False) -> CoherenceProbeResult:
-        """Coherence probe: indexes directly with the PA, probes all ways."""
-        self.store.stats.ways_probed += self.ways
-        cache_set = self.store.set_at(
-            self.store.set_index(physical_address))
-        way = cache_set.find(self.store.tag_of(physical_address))
-        if way is None:
-            return CoherenceProbeResult(present=False, ways_probed=self.ways)
-        line = cache_set.lines[way]
-        dirty = line.dirty
-        if invalidate:
-            line.reset()
-        return CoherenceProbeResult(present=True, ways_probed=self.ways,
-                                    dirty=dirty, invalidated=invalidate)
+    # Installs and coherence probes index with the PA, as in VIPT.
+    fill = ViptL1Cache.fill
+    coherence_probe = ViptL1Cache.coherence_probe

@@ -17,8 +17,7 @@ from typing import Optional, Sequence
 
 from repro.devtools import sanitize as _sanitize
 from repro.mem.address import PAGE_SIZE_4KB, CACHE_LINE_SIZE, PageSize
-from repro.cache.basic import CacheLine, SetAssociativeCache
-from repro.cache.replacement import LRUPolicy
+from repro.cache.basic import SetAssociativeCache
 
 
 class L1AccessResult:
@@ -170,46 +169,18 @@ class ViptL1Cache:
         ``(hit, latency_cycles, ways_probed, fast_path, tft_hit,
         way_prediction_correct, miss_detect_cycles)`` — the per-reference
         path allocates no result object.
-
-        The store probe is inlined (same order of stat updates and LRU
-        moves as :meth:`SetAssociativeCache.probe`) — this runs once per
-        memory reference.
         """
         if self._sanitize:
             _sanitize.check_vipt_index(self.store, virtual_address,
                                        physical_address, self.name)
-        store = self.store
-        stats = store.stats
-        set_index = (physical_address >> store.offset_bits) \
-            & store._index_mask
-        cache_set = store._sets.get(set_index)
-        if cache_set is None:
-            cache_set = store.set_at(set_index)
-        tag = physical_address >> store._tag_shift
-        stats.ways_probed += self._ways
-        hit = False
-        for way, line in enumerate(cache_set.lines):
-            if line.valid and line.tag == tag:
-                policy = cache_set.policy
-                if type(policy) is LRUPolicy:
-                    order = policy._order
-                    order.remove(way)
-                    order.append(way)
-                else:
-                    policy.touch(way)
-                if is_write:
-                    line.dirty = True
-                stats.hits += 1
-                hit = True
-                break
-        else:
-            stats.misses += 1
+        hit = self.store.probe(physical_address, is_write)
         return (hit, self._base_hit_cycles, self._ways, False, None, None,
                 self._miss_detect)
 
     def fill(self, physical_address: int, page_size: PageSize,
-             dirty: bool = False) -> CacheLine:
-        """Install a line after a miss is serviced by the next level."""
+             dirty: bool = False) -> int:
+        """Install a line after a miss is serviced by the next level;
+        returns its way."""
         return self.store.fill(physical_address, dirty=dirty,
                                from_superpage=page_size.is_superpage)
 
@@ -217,14 +188,12 @@ class ViptL1Cache:
                         invalidate: bool = False) -> CoherenceProbeResult:
         """Coherence lookup by physical address: probes all ways (baseline)."""
         self.store.stats.ways_probed += self.ways
-        cache_set = self.store.set_at(
-            self.store.set_index(physical_address))
-        way = cache_set.find(self.store.tag_of(physical_address))
-        if way is None:
+        found = self.store.locate(physical_address)
+        if found is None:
             return CoherenceProbeResult(present=False, ways_probed=self.ways)
-        line = cache_set.lines[way]
-        dirty = line.dirty
+        cache_set, way = found
+        dirty = cache_set.dirty[way]
         if invalidate:
-            line.reset()
+            cache_set.invalidate(way)
         return CoherenceProbeResult(present=True, ways_probed=self.ways,
                                     dirty=dirty, invalidated=invalidate)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.mem.address import CACHE_LINE_SIZE, PageSize
-from repro.cache.basic import CacheLine, SetAssociativeCache
+from repro.cache.basic import SetAssociativeCache
 from repro.cache.vipt import CoherenceProbeResult, L1AccessResult, L1Timing
 
 
@@ -142,18 +142,18 @@ class VivtL1Cache:
         return extra
 
     def fill(self, virtual_address: int, physical_address: int,
-             page_size: PageSize, dirty: bool = False) -> CacheLine:
+             page_size: PageSize, dirty: bool = False) -> int:
         """Install a line under its *virtual* address, tracking the alias
-        in the reverse map."""
+        in the reverse map; returns its way."""
         vline = self.store.line_address(virtual_address)
         pline = physical_address & ~(CACHE_LINE_SIZE - 1)
-        line = self.store.fill(virtual_address, dirty=dirty,
-                               from_superpage=page_size.is_superpage)
+        way = self.store.fill(virtual_address, dirty=dirty,
+                              from_superpage=page_size.is_superpage)
         if self._reverse[pline] - {vline}:
             self.synonym_stats.synonym_installs += 1
         self._reverse[pline].add(vline)
         self._forward[vline] = pline
-        return line
+        return way
 
     def _drop_mapping(self, vline: int) -> None:
         pline = self._forward.pop(vline, None)
@@ -176,14 +176,14 @@ class VivtL1Cache:
         ways_probed = max(self.ways, self.ways * len(aliases))
         self.store.stats.ways_probed += ways_probed
         for alias in aliases:
-            cache_set = self.store.set_at(self.store.set_index(alias))
-            way = cache_set.find(self.store.tag_of(alias))
-            if way is None:
+            found = self.store.locate(alias)
+            if found is None:
                 continue
+            cache_set, way = found
             present = True
-            dirty = dirty or cache_set.lines[way].dirty
+            dirty = dirty or cache_set.dirty[way]
             if invalidate:
-                cache_set.lines[way].reset()
+                cache_set.invalidate(way)
                 self._drop_mapping(alias)
         return CoherenceProbeResult(present=present, ways_probed=ways_probed,
                                     dirty=dirty, invalidated=invalidate)
@@ -191,8 +191,8 @@ class VivtL1Cache:
     def flush(self) -> int:
         """Context-switch flush (no ASID tags). Returns lines dropped."""
         dropped = self.store.valid_lines()
-        for _, _, line in self.store.iter_valid_lines():
-            line.reset()
+        for index, way, _ in self.store.iter_valid_lines():
+            self.store.set_at(index).invalidate(way)
         self._reverse.clear()
         self._forward.clear()
         self.synonym_stats.flushes += 1

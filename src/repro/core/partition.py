@@ -12,7 +12,6 @@ agree — the property SEESAW exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
 
 from repro.mem.address import CACHE_LINE_SIZE, PAGE_SIZE_4KB, PageSize
 
@@ -47,10 +46,6 @@ class WayPartitioning:
         object.__setattr__(self, "_low_bit", offset_bits + index_bits)
         object.__setattr__(self, "_partition_way_ranges", tuple(
             range(p * self.partition_ways, (p + 1) * self.partition_ways)
-            for p in range(partitions)))
-        object.__setattr__(self, "_other_ways", tuple(
-            [w for w in range(self.total_ways)
-             if w // self.partition_ways != p]
             for p in range(partitions)))
 
     @property
@@ -90,13 +85,6 @@ class WayPartitioning:
     def all_ways(self) -> range:
         """Every way in the set."""
         return range(self.total_ways)
-
-    def other_partitions_ways(self, partition: int) -> "List[int]":
-        """Ways *outside* ``partition`` (the cycle-2 read on a TFT miss).
-
-        The returned list is cached — callers must not mutate it.
-        """
-        return self._other_ways[partition]
 
     def index_bits_within_page(self, page_size: PageSize) -> bool:
         """True if the partition-index bits fit inside ``page_size``'s offset.

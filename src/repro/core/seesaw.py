@@ -20,11 +20,11 @@ probe (base page or superpage) touch a single partition (paper §IV-C1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.devtools import sanitize as _sanitize
 from repro.mem.address import CACHE_LINE_SIZE, PageSize
-from repro.cache.basic import CacheLine, SetAssociativeCache
+from repro.cache.basic import SetAssociativeCache
 from repro.cache.replacement import LRUPolicy
 from repro.cache.vipt import CoherenceProbeResult, L1AccessResult, L1Timing
 from repro.cache.way_predictor import MRUWayPredictor
@@ -181,7 +181,8 @@ class SeesawL1Cache:
         swept = 0
         for physical_base in old_physical_bases:
             for offset in range(0, int(PageSize.BASE_4KB), CACHE_LINE_SIZE):
-                if self.store.invalidate_line(physical_base + offset):
+                if self.store.invalidate_line(
+                        physical_base + offset) is not None:
                     swept += 1
         self.seesaw_stats.promotion_sweeps += 1
         self.seesaw_stats.promotion_sweep_cycles += self.promotion_sweep_cycles
@@ -194,16 +195,6 @@ class SeesawL1Cache:
     def on_context_switch(self) -> None:
         """The TFT carries no ASIDs, so it flushes on context switches."""
         self.tft.flush()
-
-    # ------------------------------------------------------------ search core
-
-    def _find(self, cache_set, tag: int,
-              ways: Iterable[int]) -> Optional[int]:
-        for way in ways:
-            line = cache_set.lines[way]
-            if line.valid and line.tag == tag:
-                return way
-        return None
 
     # ------------------------------------------------------------------- API
 
@@ -241,8 +232,11 @@ class SeesawL1Cache:
         cache_set = store._sets.get(set_index)
         if cache_set is None:
             cache_set = store.set_at(set_index)
-        lines = cache_set.lines
+        # A set holds a tag at most once, so one scan finds its way; the
+        # probed partitions then decide whether this lookup sees it.
+        tags = cache_set.tags
         tag = physical_address >> store._tag_shift
+        way = tags.index(tag) if tag in tags else None
         speculative_partition = (virtual_address >> partitioning._low_bit) \
             & partitioning._partition_mask
         partition_ways = \
@@ -279,12 +273,8 @@ class SeesawL1Cache:
             # Rows 1-2 of Table I: only the named partition is probed.
             latency = self._super_hit_cycles
             ways_probed = partitioning.partition_ways
-            way = None
-            for candidate in partition_ways:
-                line = lines[candidate]
-                if line.valid and line.tag == tag:
-                    way = candidate
-                    break
+            if way is not None and way not in partition_ways:
+                way = None
             if predict_this_access:
                 predicted = self.way_predictor.predict(
                     set_index, candidates=list(partition_ways))
@@ -309,19 +299,6 @@ class SeesawL1Cache:
             # Rows 3-4: speculative partition in cycle 1, rest in cycle 2.
             latency = self._base_hit_cycles
             ways_probed = partitioning.total_ways
-            way = None
-            for candidate in partition_ways:
-                line = lines[candidate]
-                if line.valid and line.tag == tag:
-                    way = candidate
-                    break
-            if way is None:
-                for candidate in \
-                        partitioning._other_ways[speculative_partition]:
-                    line = lines[candidate]
-                    if line.valid and line.tag == tag:
-                        way = candidate
-                        break
             if predict_this_access:
                 # Without a TFT hit the predictor works over the whole set
                 # (the plain way-prediction design of Fig. 15): a correct
@@ -368,7 +345,7 @@ class SeesawL1Cache:
             else:
                 policy.touch(way)
             if is_write:
-                lines[way].dirty = True
+                cache_set.dirty[way] = True
             stats.hits += 1
         else:
             stats.misses += 1
@@ -379,20 +356,18 @@ class SeesawL1Cache:
                 self._miss_detect)
 
     def fill(self, physical_address: int, page_size: PageSize,
-             dirty: bool = False) -> CacheLine:
-        """Install a line; the victim scope follows the insertion policy."""
+             dirty: bool = False) -> int:
+        """Install a line; the victim scope follows the insertion policy.
+        Returns its way."""
         candidates = self.insertion.candidate_ways(
             self.partitioning, physical_address, page_size)
-        line = self.store.fill(physical_address, dirty=dirty,
-                               from_superpage=page_size.is_superpage,
-                               candidate_ways=candidates)
+        way = self.store.fill(physical_address, dirty=dirty,
+                              from_superpage=page_size.is_superpage,
+                              candidate_ways=candidates)
         if self.way_predictor is not None:
-            set_index = self.store.set_index(physical_address)
-            way = self.store.set_at(set_index).find(
-                self.store.tag_of(physical_address))
-            if way is not None:
-                self.way_predictor.update_on_fill(set_index, way)
-        return line
+            self.way_predictor.update_on_fill(
+                self.store.set_index(physical_address), way)
+        return way
 
     def coherence_probe(self, physical_address: int,
                         invalidate: bool = False) -> CoherenceProbeResult:
@@ -413,14 +388,12 @@ class SeesawL1Cache:
         self.seesaw_stats.coherence_probes += 1
         self.seesaw_stats.coherence_ways_probed += ways_probed
         self.store.stats.ways_probed += ways_probed
-        cache_set = self.store.set_at(
-            self.store.set_index(physical_address))
-        way = self._find(cache_set, self.store.tag_of(physical_address), ways)
-        if way is None:
+        found = self.store.locate(physical_address)
+        if found is None or found[1] not in ways:
             return CoherenceProbeResult(present=False, ways_probed=ways_probed)
-        line = cache_set.lines[way]
-        dirty = line.dirty
+        cache_set, way = found
+        dirty = cache_set.dirty[way]
         if invalidate:
-            line.reset()
+            cache_set.invalidate(way)
         return CoherenceProbeResult(present=True, ways_probed=ways_probed,
                                     dirty=dirty, invalidated=invalidate)

@@ -73,28 +73,16 @@ def check(condition: bool, message: str) -> None:
 
 # ------------------------------------------------------------- cache lines
 
-def find_line(store, physical_address: int):
-    """Locate the line holding ``physical_address`` without perturbing the
-    cache: no set materialization, no LRU touch, no stats."""
-    cache_set = store._sets.get(store.set_index(physical_address))
-    if cache_set is None:
-        return None
-    tag = store.tag_of(physical_address)
-    for line in cache_set.lines:
-        if line.valid and line.tag == tag:
-            return line
-    return None
-
-
-def check_line_state(line, where: str = "cache") -> None:
-    """A valid line carries a valid MOESI state; an invalid one carries I."""
-    if line.valid:
-        check(line.state in VALID_LINE_STATES,
-              f"{where}: valid line {line.line_address:#x} in illegal "
-              f"coherence state {line.state!r}")
+def check_line_state(cache_set, way: int, where: str = "cache") -> None:
+    """A valid way carries a valid MOESI state; an invalid one carries I."""
+    state = cache_set.states[way]
+    if cache_set.tags[way] is not None:
+        check(state in VALID_LINE_STATES,
+              f"{where}: valid line in way {way} in illegal coherence "
+              f"state {state!r}")
     else:
-        check(line.state == "I",
-              f"{where}: invalid line still in state {line.state!r}")
+        check(state == "I",
+              f"{where}: invalid line in way {way} still in state {state!r}")
 
 
 def check_transition(state, event) -> None:
@@ -122,7 +110,7 @@ def holders(caches: Iterable, line_address: int) -> List[int]:
     found = []
     for core, cache in enumerate(caches):
         if _searchable(cache) and \
-                find_line(cache.store, line_address) is not None:
+                cache.store.locate(line_address) is not None:
             found.append(core)
     return found
 
@@ -133,8 +121,8 @@ def dirty_holders(caches: Iterable, line_address: int) -> List[int]:
     for core, cache in enumerate(caches):
         if not _searchable(cache):
             continue
-        line = find_line(cache.store, line_address)
-        if line is not None and line.dirty:
+        located = cache.store.locate(line_address)
+        if located is not None and located[0].dirty[located[1]]:
             found.append(core)
     return found
 
@@ -162,8 +150,9 @@ def check_coherence_entry(caches: Iterable, line_address: int,
           f"{context}: line {line_address:#x} dirty in multiple L1s "
           f"{dirty} — single-writer invariant broken")
     for core in holding:
-        check_line_state(find_line(caches[core].store, line_address),
-                         where=f"{context} core {core}")
+        check_line_state(*caches[core].store.locate(line_address),
+                         where=f"{context} core {core} line "
+                               f"{line_address:#x}")
 
 
 def check_write_exclusivity(caches: Iterable, line_address: int,
@@ -217,11 +206,11 @@ def check_partition_residency(cache) -> None:
     if insertion is None or not insertion.coherence_probes_single_partition:
         return
     partitioning = cache.partitioning
-    for set_index, way, line in cache.store.iter_valid_lines():
-        expected = partitioning.partition_of(line.line_address)
+    for set_index, way, line_address in cache.store.iter_valid_lines():
+        expected = partitioning.partition_of(line_address)
         actual = partitioning.partition_of_way(way)
         check(actual == expected,
-              f"{cache.name}: line {line.line_address:#x} resident in "
+              f"{cache.name}: line {line_address:#x} resident in "
               f"partition {actual} (set {set_index}, way {way}) but its "
               f"physical address names partition {expected} — the "
               f"partition map is desynchronized")

@@ -153,22 +153,18 @@ def _inject_partition_desync(sim, index: int) -> bool:
         if partitioning.total_ways <= partitioning.partition_ways:
             continue  # single partition: no foreign way exists
         movable_partitions = True
-        for set_index, way, line in l1.store.iter_valid_lines():
-            home = partitioning.partition_of(line.line_address)
+        for set_index, way, line_address in l1.store.iter_valid_lines():
+            home = partitioning.partition_of(line_address)
             cache_set = l1.store.set_at(set_index)
             for other_way in range(l1.store.ways):
                 if partitioning.partition_of_way(other_way) == home:
                     continue
-                target = cache_set.lines[other_way]
-                if target.valid:
+                if cache_set.tags[other_way] is not None:
                     continue
-                target.tag = line.tag
-                target.valid = True
-                target.dirty = line.dirty
-                target.state = line.state
-                target.line_address = line.line_address
-                target.from_superpage = line.from_superpage
-                line.reset()
+                for field in (cache_set.tags, cache_set.dirty,
+                              cache_set.states, cache_set.from_superpage):
+                    field[other_way] = field[way]
+                cache_set.invalidate(way)
                 return True
     if not movable_partitions:
         raise FaultInjectionError(

@@ -78,6 +78,11 @@ class SystemSimulator:
         self._sanitize = bool(config.sanitize or sanitize.enabled())
         self.sram = SRAMModel()
         self._rng = np.random.default_rng(config.seed)
+        # One scan of the trace's 2MB regions: their sorted bases, and the
+        # index of each region's first reference (its representative).
+        regions, self._region_firsts = np.unique(
+            trace.columns()[0] >> 21, return_index=True)
+        self._region_bases = (regions << 21).tolist()
         self._build_os()
         self._build_cores()
         self._build_coherence()
@@ -96,8 +101,6 @@ class SystemSimulator:
         self._recent_lines: List[int] = []
         self._superpage_references = 0
         self._measured_references = 0
-        self._region_bases = sorted({a & ~((1 << 21) - 1)
-                                     for a in trace.addresses})
         self._churn_cursor = 0
         # Interruptible-run state (checkpoint/resume support): the next
         # trace index to process, the warmup boundary, and whether the
@@ -120,8 +123,7 @@ class SystemSimulator:
             # Auto-scale: enough memory that the workload's 2MB-region
             # spread is a realistic fraction of the machine, as the paper's
             # 32GB machine relates to its footprints.
-            regions = len({a >> 21 for a in self.trace.addresses})
-            memory_mb = max(32, 8 * regions)
+            memory_mb = max(32, 8 * len(self._region_bases))
         self.physical = PhysicalMemory(memory_mb * 1024 * 1024)
         # Age the system, then apply the experiment's memhog level on top.
         # Capped below 0.95 so the workload itself can always be paged in.
@@ -325,8 +327,9 @@ class SystemSimulator:
         demand-page every page of the trace's footprint (in first-touch
         order, so hot regions claim superpages first — matching how a real
         run's early accesses do) and install the footprint's lines in the
-        LLC in first-touch order (``SetAssociativeCache.install``).
-        Compulsory DRAM traffic therefore does not pollute the window.
+        LLC in first-touch order (``SetAssociativeCache.install``, which
+        writes each LLC set's surviving tags with one slice).  Compulsory
+        DRAM traffic therefore does not pollute the window.
         """
         addresses, _ = self.trace.columns()
         lines = addresses >> 6
@@ -677,8 +680,9 @@ class SystemSimulator:
     #: bump when the snapshot payload layout changes.  v2: slotted
     #: TLBEntry/CacheLine/L1AccessResult and precomputed geometry fields
     #: make v1 payloads unloadable.  v3: PIPT and VIVT L1s carry folded
-    #: per-access latencies that v2 payloads lack.
-    SNAPSHOT_VERSION = 3
+    #: per-access latencies that v2 payloads lack.  v4: cache sets hold
+    #: flat per-way lists instead of ``CacheLine`` objects.
+    SNAPSHOT_VERSION = 4
 
     def snapshot(self) -> bytes:
         """Serialize the complete mutable simulation state.
@@ -858,19 +862,20 @@ class SystemSimulator:
         from repro.mem.address import PageSize
         from repro.mem.page_table import TranslationFault
         table = self.manager.page_table(asid=0)
-        representative = {}
-        for address in self.trace.addresses:
-            representative.setdefault(address >> 21, address)
-        if not representative:
+        addresses, _ = self.trace.columns()
+        # The trace-truncate fault cuts the trace in place to a prefix, so
+        # its regions are those whose first reference survives the cut.
+        firsts = self._region_firsts[self._region_firsts < len(addresses)]
+        if not firsts.size:
             return 0.0
         covered = 0
-        for address in representative.values():
+        for address in addresses[firsts].tolist():
             try:
                 if table.page_size_of(address) is PageSize.SUPER_2MB:
                     covered += 1
             except TranslationFault:
                 pass
-        return covered / len(representative)
+        return covered / firsts.size
 
     def counters(self) -> Dict:
         """Every counter a result is built from, read off the live machine.

@@ -47,8 +47,8 @@ class TestAccess:
     def test_write_sets_dirty(self):
         cache = make_cache()
         cache.access(0x1000, is_write=True)
-        index, way, line = cache.iter_valid_lines()[0]
-        assert line.dirty
+        index, way, _ = cache.iter_valid_lines()[0]
+        assert cache.set_at(index).dirty[way]
 
     def test_conflict_eviction_at_associativity(self):
         cache = make_cache()       # 8 ways
@@ -75,7 +75,7 @@ class TestFillAndInvalidate:
         cache = make_cache()
         cache.fill(0x0, candidate_ways=[4, 5, 6, 7])
         cache_set = cache.set_at(0)
-        occupied = [w for w in range(8) if cache_set.lines[w].valid]
+        occupied = [w for w in range(8) if cache_set.tags[w] is not None]
         assert occupied == [4]
 
     def test_fill_evicts_only_within_candidates(self):
@@ -101,8 +101,8 @@ class TestFillAndInvalidate:
     def test_invalidate_line(self):
         cache = make_cache()
         cache.fill(0x1000, dirty=True)
-        evicted = cache.invalidate_line(0x1000)
-        assert evicted is not None and evicted.dirty
+        evicted = cache.invalidate_line(0x1000)   # its dirty flag
+        assert evicted is not None and evicted
         assert not cache.contains(0x1000)
         assert cache.invalidate_line(0x1000) is None
 
@@ -114,8 +114,8 @@ class TestFillAndInvalidate:
 
     def test_from_superpage_flag_stored(self):
         cache = make_cache()
-        line = cache.fill(0x1000, from_superpage=True)
-        assert line.from_superpage
+        way = cache.fill(0x1000, from_superpage=True)
+        assert cache.set_at(cache.set_index(0x1000)).from_superpage[way]
 
 
 class TestStats:

@@ -7,11 +7,13 @@ from __future__ import annotations
 import json
 import os
 import signal
+import threading
 
 import pytest
 
 from repro.perf.parallel import parallel_sweep
 from repro.resilience import chaos
+from repro.resilience import runner as runner_module
 from repro.resilience.checkpoint import load_checkpoint, save_checkpoint
 from repro.resilience.doctor import (
     detect_kind,
@@ -332,10 +334,13 @@ class TestSupervision:
         assert report.ok
         assert target.read_bytes() == reference_journal
 
-    def test_hung_worker_degrades_not_wedges(self, tmp_path):
-        """With heartbeats effectively disabled workers look hung; the
-        watchdog must kill them and degrade the cells instead of letting
-        the sweep wedge forever."""
+    def test_hung_worker_degrades_not_wedges(self, tmp_path, monkeypatch):
+        """Workers that truly hang (and, with heartbeats effectively
+        disabled, fall silent) must be killed by the watchdog and their
+        cells degraded instead of letting the sweep wedge forever."""
+        # Forked workers inherit the patched module: every cell blocks.
+        monkeypatch.setattr(runner_module, "_run_cell",
+                            lambda *args, **kwargs: threading.Event().wait())
         policy = SupervisionPolicy(heartbeat_s=60.0, hung_after_s=90.0,
                                    check_interval_s=0.05)
         # cheat: worker thinks the heartbeat period is 60s (sends none in

@@ -64,11 +64,6 @@ class TestWaySets:
         assert p.partition_of_way(3) == 0
         assert p.partition_of_way(4) == 1
 
-    def test_other_partitions_ways(self):
-        p = WayPartitioning(total_ways=8, partition_ways=4)
-        assert p.other_partitions_ways(0) == [4, 5, 6, 7]
-        assert p.other_partitions_ways(1) == [0, 1, 2, 3]
-
     def test_all_ways(self):
         p = WayPartitioning(total_ways=8, partition_ways=4)
         assert list(p.all_ways()) == list(range(8))

@@ -7,6 +7,7 @@ guarantees, LRU behaviour, and the SEESAW invariant that a line is always
 found where the insertion policy put it.
 """
 
+import dataclasses
 import pickle
 from collections import OrderedDict
 
@@ -252,13 +253,143 @@ class TestCacheProperties:
             cache.access(address)
         before = pickle.dumps(cache)
         sets = list(cache._sets)
-        resident = {line.line_address
-                    for _, _, line in cache.iter_valid_lines()}
+        resident = {address for _, _, address in cache.iter_valid_lines()}
         for address in probed:
             assert cache.contains(address) == (address & ~63 in resident)
         # No set materialised: a fresh cache stays installable.
         assert list(cache._sets) == sets
         assert pickle.dumps(cache) == before
+
+
+class _ReferenceCache:
+    """A readable model of an LRU :class:`SetAssociativeCache`.
+
+    Per set: a way -> (tag, dirty) map of the valid ways and an explicit
+    recency list, least recent first.  Sets start all-invalid with recency
+    ``range(ways)``.
+    """
+
+    def __init__(self, num_sets: int, ways: int) -> None:
+        self.num_sets, self.ways = num_sets, ways
+        self.index_bits = num_sets.bit_length() - 1
+        self.sets = {}
+        self.evicted = []
+        self.stats = dict(hits=0, misses=0, fills=0, evictions=0,
+                          writebacks=0, ways_probed=0)
+
+    def view(self, index):
+        """(tag or None, dirty) per way, and the recency list."""
+        lines, recency = self.sets.get(index, ({}, list(range(self.ways))))
+        return ([lines.get(way, (None, False)) for way in range(self.ways)],
+                recency)
+
+    def _locate(self, address):
+        index = (address >> 6) % self.num_sets
+        tag = address >> (6 + self.index_bits)
+        lines, recency = self.sets.setdefault(
+            index, ({}, list(range(self.ways))))
+        way = next((w for w, (t, _) in lines.items() if t == tag), None)
+        return index, tag, lines, recency, way
+
+    @staticmethod
+    def _touch(recency, way):
+        recency.remove(way)
+        recency.append(way)
+
+    def probe(self, address, is_write):
+        _, _, lines, recency, way = self._locate(address)
+        self.stats["ways_probed"] += self.ways
+        if way is None:
+            self.stats["misses"] += 1
+            return False
+        self._touch(recency, way)
+        if is_write:
+            lines[way] = (lines[way][0], True)
+        self.stats["hits"] += 1
+        return True
+
+    def fill(self, address, dirty, candidates):
+        index, tag, lines, recency, way = self._locate(address)
+        if way is not None:
+            lines[way] = (tag, lines[way][1] or dirty)
+        else:
+            scope = range(self.ways) if candidates is None else candidates
+            free = [w for w in scope if w not in lines]
+            if free:
+                way = free[0]
+            else:
+                way = next(w for w in recency if w in scope)
+                old_tag, old_dirty = lines.pop(way)
+                self.stats["evictions"] += 1
+                self.stats["writebacks"] += old_dirty
+                self.evicted.append(
+                    ((((old_tag << self.index_bits) | index) << 6),
+                     old_dirty))
+            lines[way] = (tag, dirty)
+            self.stats["fills"] += 1
+        self._touch(recency, way)
+        return way
+
+    def invalidate(self, address):
+        _, _, lines, _, way = self._locate(address)
+        return None if way is None else lines.pop(way)[1]
+
+    def contains(self, address):
+        return self._locate(address)[4] is not None
+
+
+def _cache_view(cache, index):
+    """A cache set in the model's terms (an absent set is all-invalid)."""
+    cache_set = cache._sets.get(index)
+    if cache_set is None:
+        return [(None, False)] * cache.ways, list(range(cache.ways))
+    return (list(zip(cache_set.tags, cache_set.dirty)),
+            cache_set.policy.recency_order())
+
+
+class TestCacheReferenceModel:
+    """Every public cache operation against :class:`_ReferenceCache`:
+    return values, eviction-hook stream, stats, and each set's per-way
+    tag, dirty flag and recency order after every step."""
+
+    @given(st.integers(min_value=0, max_value=4),
+           st.integers(min_value=1, max_value=8), st.data())
+    def test_cache_matches_reference_model(self, set_bits, ways, data):
+        num_sets = 1 << set_bits
+        cache = SetAssociativeCache(num_sets * ways * 64, ways)
+        model = _ReferenceCache(num_sets, ways)
+        evicted = []
+        cache.register_eviction_hook(
+            lambda line, dirty: evicted.append((line, dirty)))
+        candidates = st.none() | st.lists(
+            st.integers(min_value=0, max_value=ways - 1), min_size=1,
+            unique=True)
+        # A small pool of lines (up to ways + 2 tags per set) makes hits,
+        # write hits, evictions and misses all frequent.
+        pool = data.draw(st.lists(
+            st.integers(min_value=0, max_value=num_sets * (ways + 2) - 1),
+            min_size=1, max_size=2 * ways + 4, unique=True))
+        operations = data.draw(st.lists(st.tuples(
+            st.sampled_from(["probe", "fill", "invalidate", "contains"]),
+            st.sampled_from(pool), st.integers(min_value=0, max_value=63),
+            st.booleans(), candidates), min_size=30, max_size=100))
+        for op, line, offset, flag, scope in operations:
+            address = (line << 6) | offset
+            if op == "probe":
+                assert (cache.probe(address, is_write=flag)
+                        == model.probe(address, flag))
+            elif op == "fill":
+                assert (cache.fill(address, dirty=flag, candidate_ways=scope)
+                        == model.fill(address, flag, scope))
+            elif op == "invalidate":
+                assert (cache.invalidate_line(address)
+                        == model.invalidate(address))
+            else:
+                assert cache.contains(address) == model.contains(address)
+            assert evicted == model.evicted
+            assert dataclasses.asdict(cache.stats) == model.stats
+            for index in set(cache._sets) | set(model.sets):
+                assert _cache_view(cache, index) == model.view(index)
 
 
 class TestSeesawInvariants:

@@ -209,10 +209,9 @@ class TestAddressDecomposition:
 
 
 class TestOptimizedCachePathEquivalence:
-    """The single-pass ``fill`` fast path (``candidate_ways is None``)
-    must be indistinguishable — stats, line contents, LRU order — from
-    the explicit find / first_invalid / victim composition it replaced,
-    which still runs when candidate ways are constrained."""
+    """The unconstrained ``fill`` path (``candidate_ways is None``) must
+    be indistinguishable — stats, per-way contents, LRU order — from the
+    constrained path given every way as a candidate."""
 
     @given(st.lists(st.tuples(st.sampled_from(["probe", "fill"]),
                               st.integers(min_value=0, max_value=255),
@@ -236,11 +235,12 @@ class TestOptimizedCachePathEquivalence:
         for index, cache_set in fast._sets.items():
             twin = reference._sets[index]
             assert cache_set.policy._order == twin.policy._order
-            for line, other in zip(cache_set.lines, twin.lines):
-                assert ((line.valid, line.tag, line.dirty,
-                         line.from_superpage, line.line_address)
-                        == (other.valid, other.tag, other.dirty,
-                            other.from_superpage, other.line_address))
+            for way in range(4):
+                assert ((cache_set.tags[way], cache_set.dirty[way],
+                         cache_set.states[way],
+                         cache_set.from_superpage[way])
+                        == (twin.tags[way], twin.dirty[way],
+                            twin.states[way], twin.from_superpage[way]))
 
     @given(st.lists(st.tuples(st.integers(min_value=0, max_value=511),
                               st.booleans()),

@@ -392,6 +392,37 @@ class TestFaultInjection:
         with pytest.raises(SanitizerError):
             sim.run()
 
+    def test_truncated_trace_coverage_counts_the_surviving_prefix(self):
+        """trace-truncate cuts the trace in place, so the footprint
+        coverage counts only the 2MB regions the surviving prefix
+        touches, each represented by its first reference."""
+        from repro.mem.address import PageSize
+        from repro.mem.page_table import TranslationFault
+
+        def coverage(addresses):
+            firsts = {}
+            for address in addresses:
+                firsts.setdefault(address >> 21, address)
+            covered = 0
+            for address in firsts.values():
+                try:
+                    covered += (table.page_size_of(address)
+                                is PageSize.SUPER_2MB)
+                except TranslationFault:
+                    pass
+            return covered / len(firsts)
+
+        trace = make_trace("redis")      # 12 regions, 10 by index 1200
+        full = list(trace.addresses)
+        sim = SystemSimulator(make_config(sanitize=False), trace)
+        sim.arm_faults(FaultPlan([FaultSpec("trace-truncate", 1200)]))
+        result = sim.run()
+        table = sim.manager.page_table(asid=0)
+        assert len(trace.addresses) == 1201
+        assert coverage(full) != coverage(trace.addresses)
+        assert result.footprint_superpage_fraction == coverage(
+            trace.addresses)
+
     def test_fault_requiring_tft_rejects_plain_vipt(self):
         config = make_config(l1_design="vipt", sanitize=False)
         sim = SystemSimulator(config, make_trace(length=800))

@@ -56,21 +56,25 @@ class TestActivation:
 class TestLineAndTransitionChecks:
     def test_corrupt_line_state_raises(self):
         cache = make_l1()
-        line = cache.store.fill(0x4000)
-        line.state = "Q"
+        way = cache.store.fill(0x4000)
+        cache_set = cache.store.set_at(cache.store.set_index(0x4000))
+        cache_set.states[way] = "Q"
         with pytest.raises(SanitizerError, match="illegal"):
-            sanitize.check_line_state(line)
+            sanitize.check_line_state(cache_set, way)
 
     def test_invalid_line_with_live_state_raises(self):
         cache = make_l1()
-        line = cache.store.fill(0x4000)
-        line.valid = False
+        way = cache.store.fill(0x4000)
+        cache_set = cache.store.set_at(cache.store.set_index(0x4000))
+        cache_set.tags[way] = None
         with pytest.raises(SanitizerError, match="invalid line"):
-            sanitize.check_line_state(line)
+            sanitize.check_line_state(cache_set, way)
 
     def test_healthy_line_passes(self):
         cache = make_l1()
-        sanitize.check_line_state(cache.store.fill(0x4000))
+        way = cache.store.fill(0x4000)
+        sanitize.check_line_state(
+            cache.store.set_at(cache.store.set_index(0x4000)), way)
 
     def test_illegal_moesi_transition_raises(self):
         from repro.coherence.protocol import MoesiState, ProtocolEvent
@@ -104,7 +108,7 @@ class TestCoherenceChecks:
         caches[0].store.fill(self.PA, dirty=True)
         caches[1].store.fill(self.PA)
         caches[1].store.set_at(
-            caches[1].store.set_index(self.PA)).lines[0].state = "S"
+            caches[1].store.set_index(self.PA)).states[0] = "S"
         sanitize.check_coherence_entry(caches, self.PA, sharers={1},
                                        owner=0, context="test")
 

@@ -113,7 +113,8 @@ class TestInsertionPolicy:
         cache = make_cache()
         cache.fill(0x1040, PageSize.BASE_4KB)   # PA bit 12 = 1
         cache_set = cache.store.set_at(cache.store.set_index(0x1040))
-        occupied = [w for w, line in enumerate(cache_set.lines) if line.valid]
+        occupied = [w for w, tag in enumerate(cache_set.tags)
+                    if tag is not None]
         assert occupied == [4]
 
     def test_4way_insertion_same_for_superpages(self):
@@ -121,7 +122,8 @@ class TestInsertionPolicy:
         cache.fill(SUPER_PA, PageSize.SUPER_2MB)
         partition = cache.partitioning.partition_of(SUPER_PA)
         cache_set = cache.store.set_at(cache.store.set_index(SUPER_PA))
-        occupied = [w for w, line in enumerate(cache_set.lines) if line.valid]
+        occupied = [w for w, tag in enumerate(cache_set.tags)
+                    if tag is not None]
         assert occupied[0] in cache.partitioning.ways_of_partition(partition)
 
     def test_4way_8way_spreads_base_pages_globally(self):
@@ -130,7 +132,7 @@ class TestInsertionPolicy:
         for i in range(8):
             cache.fill(0x0 + i * stride, PageSize.BASE_4KB)
         cache_set = cache.store.set_at(0)
-        assert sum(line.valid for line in cache_set.lines) == 8
+        assert sum(tag is not None for tag in cache_set.tags) == 8
 
     def test_4way_limits_effective_associativity(self):
         cache = make_cache()        # 4way insertion
@@ -139,7 +141,7 @@ class TestInsertionPolicy:
             cache.fill(i * stride, PageSize.BASE_4KB)
         cache_set = cache.store.set_at(0)
         # All eight lines map to partition 0, which holds only 4 ways.
-        assert sum(line.valid for line in cache_set.lines) == 4
+        assert sum(tag is not None for tag in cache_set.tags) == 4
 
 
 class TestCoherence:
