@@ -31,7 +31,7 @@ from repro.cache.way_predictor import MRUWayPredictor
 from repro.core.adaptive_wp import WayPredictionGate
 from repro.core.insertion import InsertionPolicy
 from repro.core.partition import WayPartitioning
-from repro.core.tft import TranslationFilterTable, _REGION_SHIFT
+from repro.core.tft import TranslationFilterTable
 from repro.tlb.tlb import TLBEntry
 
 
@@ -241,20 +241,7 @@ class SeesawL1Cache:
             & partitioning._partition_mask
         partition_ways = \
             partitioning._partition_way_ranges[speculative_partition]
-        # Inlined TranslationFilterTable.lookup (asid 0 — the per-reference
-        # path; same LRU move and stat updates as the method).
-        tft = self.tft
-        region = virtual_address >> _REGION_SHIFT
-        tft_entries = tft._sets[region % tft.num_sets]
-        tft_key = (region, 0)
-        if tft_key in tft_entries:
-            tft_entries.remove(tft_key)
-            tft_entries.append(tft_key)
-            tft.stats.hits += 1
-            tft_hit = True
-        else:
-            tft.stats.misses += 1
-            tft_hit = False
+        tft_hit = self.tft.lookup(virtual_address)
         is_super = page_size.is_superpage
         if is_super:
             seesaw_stats.superpage_accesses += 1

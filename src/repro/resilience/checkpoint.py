@@ -139,12 +139,25 @@ def load_checkpoint(path) -> Tuple[Dict, bytes]:
 def restore_simulator(path, config, trace):
     """Build a simulator for ``(config, trace)`` and restore ``path`` into it.
 
-    The snapshot's own digests double-check that the checkpoint actually
-    belongs to this config and trace.
+    The header's snapshot version and digests are checked before the
+    payload is unpickled: a payload from another snapshot layout may name
+    classes this build no longer has.  The snapshot's own digests then
+    double-check that the checkpoint belongs to this config and trace.
     """
     from repro.sim.system import SystemSimulator
 
-    _, payload = load_checkpoint(path)
+    header, payload = load_checkpoint(path)
+    version = SystemSimulator.SNAPSHOT_VERSION
+    if header.get("version") != version:
+        raise CheckpointError(
+            f"{path}: checkpoint holds snapshot version "
+            f"{header.get('version')!r}; this build reads version {version}")
+    for key, digest, what in (
+            ("config_digest", config_digest(config), "configuration"),
+            ("trace_digest", trace_digest(trace), "trace")):
+        if header.get(key) != digest:
+            raise CheckpointError(
+                f"{path}: checkpoint was taken under a different {what}")
     sim = SystemSimulator(config, trace)
     sim.restore(payload)
     return sim

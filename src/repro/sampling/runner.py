@@ -113,10 +113,10 @@ def _functional_warm_gap(sim, start: int, stop: int,
 
 def _fast_warmable(sim) -> bool:
     """True when :func:`_warm_span_fast` reproduces translation replay
-    bit-exactly: one core, split hierarchy with only the two default L1
-    TLBs, no L2 TLB (misses always walk), no sanitize shadowing, and no
-    fill hooks beyond SEESAW's TFT (whose update path the fast span
-    replays explicitly)."""
+    bit-exactly: split hierarchies with only the two default L1 TLBs, no
+    L2 TLB (misses always walk), no sanitize shadowing, and no fill hooks
+    beyond SEESAW's TFT (whose final state the fast span installs from
+    the 2MB TLB's fills)."""
     from repro.core.seesaw import SeesawL1Cache
     from repro.tlb.hierarchy import SplitTLBHierarchy
 
@@ -162,7 +162,7 @@ _KIND_4KB, _KIND_2MB, _KIND_SKIP = 0, 1, 2
 def _warm_span_fast(sim, start: int, stop: int, ctx: Dict) -> None:
     """O(distinct pages) translation replay for one event-free span.
 
-    Exploits two structural facts about the split hierarchy to avoid the
+    Exploits structural facts about the split hierarchy to avoid the
     per-reference interpreter cost of :meth:`translate_raw`:
 
     * The two L1 TLBs never interact: a 4KB reference can only hit or
@@ -175,11 +175,13 @@ def _warm_span_fast(sim, start: int, stop: int, ctx: Dict) -> None:
       ``ways`` *distinct* touched VPNs oldest-first through
       :meth:`TLB.fill` — refreshes, evictions, and ``_resident`` all
       follow the same rules the reference path applies.
-    * The 2MB side cannot collapse to a final state because SEESAW's
-      TFT observes the *fill sequence*, so its sub-stream is replayed
-      in order — but run-length compressed (a reference to the
-      still-MRU region cannot miss, fill, or reorder) and through a
-      hand-inlined hit check instead of the full translate path.
+    * The 2MB TLB collapses the same way unless SEESAW's TFT listens and
+      some region can miss.  Then its sub-stream is replayed in order
+      through :meth:`TLB.lookup` and :meth:`TLB.fill` — run-length
+      compressed, since a reference to the still-MRU region cannot miss,
+      fill, or reorder — to learn which regions fill.  Those fills are
+      the TFT's only operation inside a span, and the TFT is true LRU
+      over them, so it too gets just its final state.
 
     On multi-core traces each reference touches only its issuing core's
     hierarchy, and there is no cross-core translation traffic inside an
@@ -236,75 +238,71 @@ def _warm_span_fast(sim, start: int, stop: int, ctx: Dict) -> None:
 def _warm_hierarchy_fast(hierarchy, span, vpn, kinds, page_info) -> None:
     """Warm one core's split hierarchy from its ordered sub-stream."""
     from repro.mem.address import PageSize
-    from repro.tlb.tlb import TLBEntry
 
     # ---- 2MB TLB (+ TFT when hooked).
     super_vas = span[kinds == _KIND_2MB]
     if super_vas.size:
+        tlb2 = hierarchy.l1_2mb
+        super_size = PageSize.SUPER_2MB
         regions = super_vas >> 21
+        # Run-length compressed: a reference to the still-MRU region
+        # cannot miss, fill or reorder.
         keep = np.empty(regions.shape, dtype=bool)
         keep[0] = True
         np.not_equal(regions[1:], regions[:-1], out=keep[1:])
-        comp_vas = super_vas[keep]            # run-length compressed
-        tlb2 = hierarchy.l1_2mb
-        sets2 = tlb2._sets
-        mask2 = tlb2._set_mask
-        super_size = PageSize.SUPER_2MB
-        distinct, first = np.unique(comp_vas >> 21, return_index=True)
-        # The fill *sequence* only matters to fill hooks (SEESAW's TFT),
-        # and only spans that can miss produce fills.  With every
-        # distinct region resident up front no probe can miss (entries
-        # leave a set only through fill evictions, and invalidations
-        # ride on churn events, which never fire inside a span) — so
-        # the hooks stay silent and the LRU final state suffices.
-        sequence_matters = bool(hierarchy._fill_hooks) and not all(
-            any(entry.valid and entry.asid == 0
-                and entry.virtual_page == region
-                for entry in sets2[region & mask2])
-            for region in distinct.tolist())
-        if sequence_matters:
-            fire_fill = hierarchy._fire_fill
-            for va in comp_vas.tolist():
-                region = va >> 21
-                entries = sets2[region & mask2]
-                for position, entry in enumerate(entries):
-                    if (entry.virtual_page == region and entry.asid == 0
-                            and entry.valid):
-                        entries.append(entries.pop(position))
-                        break
-                else:
-                    ppn = page_info[va >> 12][1]
-                    tlb2.fill(region, ppn, super_size, 0)
-                    fire_fill(TLBEntry(region, ppn, super_size, 0))
+        regions = regions[keep]
+        distinct, first = np.unique(regions, return_index=True)
+        region_ppn = {
+            region: page_info[va >> 12][1]
+            for region, va in zip(distinct.tolist(),
+                                  super_vas[keep][first].tolist())}
+        # Only a miss fills, and only fills reach the hooks (SEESAW's
+        # TFT).  With every distinct region resident up front no lookup
+        # can miss (entries leave a set only through fill evictions, and
+        # invalidations ride on churn events, which never fire inside a
+        # span), so the LRU final state suffices.
+        if hierarchy._fill_hooks and any(
+                tlb2.probe(region << 21) is None
+                for region in distinct.tolist()):
+            filled = []
+            for region in regions.tolist():
+                if tlb2.lookup(region << 21) is None:
+                    tlb2.fill(region, region_ppn[region], super_size)
+                    filled.append(region)
+            # Inside a span fills are the TFT's only operation, and the
+            # TFT is true LRU over them.
+            filled = np.array(filled, dtype=np.int64)
+            for hook in hierarchy._fill_hooks:
+                tft = hook.__self__.tft
+                _lru_final_fill(filled << 21, filled % tft.num_sets,
+                                tft.ways, tft.fill)
         else:
-            region_ppn = {
-                int(region): page_info[int(va) >> 12][1]
-                for region, va in zip(distinct.tolist(),
-                                      comp_vas[first].tolist())}
-            _lru_final_fill(tlb2, comp_vas >> 21,
-                            lambda region: region_ppn[region], super_size)
+            _lru_final_fill(regions, regions & tlb2._set_mask, tlb2.ways,
+                            lambda region: tlb2.fill(
+                                region, region_ppn[region], super_size))
 
     # ---- 4KB TLB: no hooks listen to 4KB fills, so always collapse.
     base_vpns = vpn[kinds == _KIND_4KB]
     if base_vpns.size:
-        _lru_final_fill(hierarchy.l1_4kb, base_vpns,
-                        lambda page: page_info[page][1], PageSize.BASE_4KB)
+        tlb4 = hierarchy.l1_4kb
+        base_size = PageSize.BASE_4KB
+        _lru_final_fill(base_vpns, base_vpns & tlb4._set_mask, tlb4.ways,
+                        lambda page: tlb4.fill(
+                            page, page_info[page][1], base_size))
 
 
-def _lru_final_fill(tlb, sequence, ppn_of, page_size) -> None:
-    """Apply a touch sequence's net effect to a single-size LRU TLB.
+def _lru_final_fill(keys, set_index, ways: int, fill) -> None:
+    """Apply a touch sequence's net effect to a true-LRU structure.
 
-    Replaying each set's survivors (:func:`lru_final_state`) oldest-first
-    through :meth:`TLB.fill` reproduces the full replay's final contents,
-    LRU order, and ``_resident`` count exactly — refreshes of resident
-    entries and LRU-front evictions follow the same rules the reference
-    path applies.
+    Calling ``fill`` on each set's survivors (:func:`lru_final_state`)
+    oldest-first reproduces the full replay's final contents and LRU
+    order (and a TLB's ``_resident`` count) from any starting state:
+    refreshes of resident entries and LRU-front evictions follow the same
+    rules the reference path applies.
     """
-    survivors, _, _ = lru_final_state(sequence, sequence & tlb._set_mask,
-                                      tlb.ways)
-    fill = tlb.fill
+    survivors, _, _ = lru_final_state(keys, set_index, ways)
     for key in survivors.tolist():
-        fill(key, ppn_of(key), page_size, 0)
+        fill(key)
 
 
 def _subtract(after: Dict, before: Dict) -> Dict:

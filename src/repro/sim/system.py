@@ -681,8 +681,10 @@ class SystemSimulator:
     #: TLBEntry/CacheLine/L1AccessResult and precomputed geometry fields
     #: make v1 payloads unloadable.  v3: PIPT and VIVT L1s carry folded
     #: per-access latencies that v2 payloads lack.  v4: cache sets hold
-    #: flat per-way lists instead of ``CacheLine`` objects.
-    SNAPSHOT_VERSION = 4
+    #: flat per-way lists instead of ``CacheLine`` objects.  v5: TLB sets
+    #: are dicts keyed by ``(virtual_page, page_size, asid)`` and
+    #: ``TLBEntry`` is a NamedTuple without ``valid``.
+    SNAPSHOT_VERSION = 5
 
     def snapshot(self) -> bytes:
         """Serialize the complete mutable simulation state.
@@ -744,7 +746,16 @@ class SystemSimulator:
 
         from repro.resilience.checkpoint import (CheckpointError,
                                                  config_digest, trace_digest)
-        state = pickle.loads(blob)
+        try:
+            state = pickle.loads(blob)
+        except (pickle.UnpicklingError, AttributeError, EOFError,
+                ImportError, TypeError, ValueError) as exc:
+            # Classes a payload names may since have been removed or
+            # reshaped; unpickling fails before its version can be read.
+            raise CheckpointError(
+                f"snapshot payload cannot be loaded by this simulator "
+                f"(version {self.SNAPSHOT_VERSION}): "
+                f"{type(exc).__name__}: {exc}") from exc
         version = state.get("version")
         if version != self.SNAPSHOT_VERSION:
             raise CheckpointError(

@@ -9,7 +9,7 @@ exposes a fill callback the SEESAW cache registers.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.devtools import sanitize as _sanitize
 from repro.mem.address import PageSize
@@ -48,7 +48,16 @@ class TranslationResult:
 
 
 class TLBHierarchy:
-    """Base class: common L2-TLB + walker machinery and fill hooks."""
+    """Base class: the one translation path (L1 TLBs → L2 TLB → page walk),
+    invalidation and fill hooks.
+
+    Subclasses build the L1 TLBs and set ``_l1_probe_order``, the L1 TLBs
+    every reference probes, and ``_l1_by_size``, the L1 TLB that holds
+    each page size (None where no L1 TLB can).
+    """
+
+    _l1_probe_order: Tuple[TLB, ...]
+    _l1_by_size: Dict[PageSize, Optional[TLB]]
 
     def __init__(self, l2_tlb: Optional[TLB], walker: PageWalker,
                  l1_latency: int = 1, l2_latency: int = 7,
@@ -76,107 +85,83 @@ class TLBHierarchy:
         """Register a callback fired on every L1-level fill (TFT update path)."""
         self._fill_hooks.append(hook)
 
-    def _fire_fill(self, entry: TLBEntry) -> None:
+    def _fill_l1(self, entry: TLBEntry) -> None:
+        """Fill ``entry`` into the L1 TLB for its page size (if any) and
+        fire the fill hooks, which see every L1-level fill."""
+        tlb = self._l1_by_size[entry.page_size]
+        if tlb is not None:
+            tlb.fill(entry.virtual_page, entry.physical_page,
+                     entry.page_size, entry.asid)
         for hook in self._fill_hooks:
             hook(entry)
-
-    # ------------------------------------------------------------- interface
-
-    def _l1_lookup(self, virtual_address: int, asid: int) -> Optional[TLBEntry]:
-        raise NotImplementedError
-
-    def _l1_fill(self, entry: TLBEntry) -> None:
-        raise NotImplementedError
-
-    def invalidate(self, virtual_base: int, page_size: PageSize,
-                   asid: int = 0) -> None:
-        raise NotImplementedError
-
-    def superpage_l1_valid_entries(self) -> int:
-        """Valid 2MB-page entries at the L1 level (scheduler scarcity counter)."""
-        raise NotImplementedError
-
-    def superpage_l1_capacity(self) -> int:
-        """Capacity of the L1 structure(s) that can hold 2MB entries."""
-        raise NotImplementedError
 
     # ------------------------------------------------------------ translation
 
     def translate(self, virtual_address: int,
                   asid: int = 0) -> TranslationResult:
-        """Translate a VA through L1 TLBs → L2 TLB → page walk.
-
-        Misses at each level fill the levels above; L1 fills fire the fill
-        hooks so the TFT stays in sync (paper Fig. 5 steps 6-8).
-        """
-        entry = self._l1_lookup(virtual_address, asid)
-        if entry is not None:
-            size = entry.page_size
-            result = TranslationResult(
-                physical_address=(entry.physical_page << size.offset_bits)
-                                 | (virtual_address & size.offset_mask),
-                page_size=size,
-                level="l1",
-                latency_cycles=self.l1_latency,
-            )
-            if self._sanitize:
-                _sanitize.check_translation(
-                    self.walker.page_table, virtual_address,
-                    result.physical_address, level="l1")
-            return result
-        return self._translate_miss(virtual_address, asid)
+        """:meth:`translate_raw`, boxed as a :class:`TranslationResult`."""
+        return TranslationResult(*self.translate_raw(virtual_address, asid))
 
     def translate_raw(self, virtual_address: int, asid: int = 0
                       ) -> "tuple":
-        """Hot-loop variant of :meth:`translate` returning the plain tuple
-        ``(physical_address, page_size, level, latency_cycles)`` so the
-        per-reference path allocates no result object."""
-        result = self.translate(virtual_address, asid)
-        return (result.physical_address, result.page_size, result.level,
-                result.latency_cycles)
+        """Translate a VA through L1 TLBs → L2 TLB → page walk.
 
-    def _translate_miss(self, virtual_address: int,
-                        asid: int) -> TranslationResult:
-        """L1-miss continuation of :meth:`translate`: L2 TLB, then walk."""
-        latency = self.l1_latency
-        if self.l2_tlb is not None:
-            latency += self.l2_latency
-            l2_entry = self.l2_tlb.lookup(virtual_address, asid)
-            if l2_entry is not None:
-                size = l2_entry.page_size
-                filled = TLBEntry(l2_entry.virtual_page, l2_entry.physical_page,
-                                  size, asid)
-                self._l1_fill(filled)
-                self._fire_fill(filled)
-                result = TranslationResult(
-                    physical_address=(l2_entry.physical_page
-                                      << size.offset_bits)
-                                     | (virtual_address & size.offset_mask),
-                    page_size=size,
-                    level="l2",
-                    latency_cycles=latency,
-                )
-                if self._sanitize:
-                    _sanitize.check_translation(
-                        self.walker.page_table, virtual_address,
-                        result.physical_address, level="l2")
-                return result
-        walk = self.walker.walk(virtual_address)
-        latency += walk.latency_cycles
-        mapping = walk.mapping
-        vpn = mapping.virtual_base >> mapping.page_size.offset_bits
-        ppn = mapping.physical_base >> mapping.page_size.offset_bits
-        if self.l2_tlb is not None and mapping.page_size in self.l2_tlb.page_sizes:
-            self.l2_tlb.fill(vpn, ppn, mapping.page_size, asid)
-        filled = TLBEntry(vpn, ppn, mapping.page_size, asid)
-        self._l1_fill(filled)
-        self._fire_fill(filled)
-        return TranslationResult(
-            physical_address=mapping.translate(virtual_address),
-            page_size=mapping.page_size,
-            level="walk",
-            latency_cycles=latency,
-        )
+        Returns the plain tuple ``(physical_address, page_size, level,
+        latency_cycles)`` so the per-reference path allocates no result
+        object.  Misses at each level fill the levels above; L1 fills fire
+        the fill hooks so the TFT stays in sync (paper Fig. 5 steps 6-8).
+        """
+        # Hardware probes the L1 TLBs in parallel: each one counts its hit
+        # or miss, and at most one can hit.
+        hit = None
+        for tlb in self._l1_probe_order:
+            entry = tlb.lookup(virtual_address, asid)
+            if entry is not None:
+                hit = entry
+        level, latency = "l1", self.l1_latency
+        if hit is None and self.l2_tlb is not None:
+            level, latency = "l2", latency + self.l2_latency
+            hit = self.l2_tlb.lookup(virtual_address, asid)
+            if hit is not None:
+                self._fill_l1(hit)
+        if hit is None:
+            walk = self.walker.walk(virtual_address)
+            mapping = walk.mapping
+            size = mapping.page_size
+            entry = TLBEntry(mapping.virtual_base >> size.offset_bits,
+                             mapping.physical_base >> size.offset_bits,
+                             size, asid)
+            if self.l2_tlb is not None and size in self.l2_tlb.page_sizes:
+                self.l2_tlb.fill(entry.virtual_page, entry.physical_page,
+                                 size, asid)
+            self._fill_l1(entry)
+            return (mapping.translate(virtual_address), size, "walk",
+                    latency + walk.latency_cycles)
+        size = hit.page_size
+        pa = ((hit.physical_page << size.offset_bits)
+              | (virtual_address & size.offset_mask))
+        if self._sanitize:
+            _sanitize.check_translation(
+                self.walker.page_table, virtual_address, pa, level=level)
+        return pa, size, level, latency
+
+    # ------------------------------------------------------------ management
+
+    def invalidate(self, virtual_base: int, page_size: PageSize,
+                   asid: int = 0) -> None:
+        """``invlpg``: drop the translation from every level that may hold it."""
+        for tlb in (self._l1_by_size[page_size], self.l2_tlb):
+            if tlb is not None and page_size in tlb.page_sizes:
+                tlb.invalidate(virtual_base, page_size, asid)
+
+    def superpage_l1_valid_entries(self) -> int:
+        """Valid 2MB-page entries at the L1 level (scheduler scarcity counter)."""
+        return self._l1_by_size[PageSize.SUPER_2MB].valid_entry_count(
+            PageSize.SUPER_2MB)
+
+    def superpage_l1_capacity(self) -> int:
+        """Capacity of the L1 structure that holds 2MB entries."""
+        return self._l1_by_size[PageSize.SUPER_2MB].entries
 
 
 class SplitTLBHierarchy(TLBHierarchy):
@@ -213,127 +198,15 @@ class SplitTLBHierarchy(TLBHierarchy):
             self.l1_1gb = TLB(l1_1gb_entries,
                               min(l1_1gb_ways, l1_1gb_entries),
                               (PageSize.SUPER_1GB,), name="l1-1gb")
-        self._rebuild_l1_maps()
+        self._l1_by_size = {PageSize.BASE_4KB: self.l1_4kb,
+                            PageSize.SUPER_2MB: self.l1_2mb,
+                            PageSize.SUPER_1GB: self.l1_1gb}
+        self._l1_probe_order = tuple(
+            tlb for tlb in self._l1_by_size.values() if tlb is not None)
 
-    def _rebuild_l1_maps(self) -> None:
-        """(Re)derive the probe list and fill map from the L1 TLB fields.
-
-        Called from ``__init__`` and after unpickling — the derived
-        structures alias the TLB objects, so they must be rebuilt whenever
-        the fields are replaced wholesale.
-        """
-        self._l1_probe_order: List[TLB] = [self.l1_4kb, self.l1_2mb]
-        if self.l1_1gb is not None:
-            self._l1_probe_order.append(self.l1_1gb)
-        self._l1_by_size: Dict[PageSize, Optional[TLB]] = {
-            PageSize.BASE_4KB: self.l1_4kb,
-            PageSize.SUPER_2MB: self.l1_2mb,
-            PageSize.SUPER_1GB: self.l1_1gb,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._rebuild_l1_maps()
-
-    def _l1_tlbs(self) -> List[TLB]:
-        return list(self._l1_probe_order)
-
-    def _l1_lookup(self, virtual_address: int, asid: int) -> Optional[TLBEntry]:
-        # Hardware probes the split L1 TLBs in parallel; at most one can
-        # hit.  Unrolled (every structure is still probed, so stats match
-        # the parallel-probe model exactly).
-        hit = self.l1_4kb.lookup(virtual_address, asid)
-        entry = self.l1_2mb.lookup(virtual_address, asid)
-        if entry is not None:
-            hit = entry
-        if self.l1_1gb is not None:
-            entry = self.l1_1gb.lookup(virtual_address, asid)
-            if entry is not None:
-                hit = entry
-        return hit
-
-    def translate(self, virtual_address: int,
-                  asid: int = 0) -> TranslationResult:
-        pa, size, level, latency = self.translate_raw(virtual_address, asid)
-        result = TranslationResult.__new__(TranslationResult)
-        result.physical_address = pa
-        result.page_size = size
-        result.level = level
-        result.latency_cycles = latency
-        return result
-
-    def translate_raw(self, virtual_address: int, asid: int = 0
-                      ) -> "tuple":
-        """Hot-path specialization of the base :meth:`TLBHierarchy.translate`,
-        returning ``(physical_address, page_size, level, latency_cycles)``.
-
-        The split L1 TLBs are single-size structures, so their lookups are
-        inlined here (same probe order, LRU moves, and stat updates as
-        :meth:`TLB.lookup`'s single-size path — the generic method remains
-        the reference implementation and the unit-tested one).  Misses fall
-        through to the shared :meth:`_translate_miss`.
-        """
-        hit = None
-        tlb = self.l1_4kb
-        vpn = virtual_address >> tlb._single_offset
-        entries = tlb._sets[vpn & tlb._set_mask]
-        for position, entry in enumerate(entries):
-            if (entry.virtual_page == vpn and entry.asid == asid
-                    and entry.valid):
-                entries.append(entries.pop(position))
-                tlb.stats.hits += 1
-                hit = entry
-                break
-        else:
-            tlb.stats.misses += 1
-        tlb = self.l1_2mb
-        vpn = virtual_address >> tlb._single_offset
-        entries = tlb._sets[vpn & tlb._set_mask]
-        for position, entry in enumerate(entries):
-            if (entry.virtual_page == vpn and entry.asid == asid
-                    and entry.valid):
-                entries.append(entries.pop(position))
-                tlb.stats.hits += 1
-                hit = entry
-                break
-        else:
-            tlb.stats.misses += 1
-        if self.l1_1gb is not None:
-            entry = self.l1_1gb.lookup(virtual_address, asid)
-            if entry is not None:
-                hit = entry
-        if hit is not None:
-            size = hit.page_size
-            pa = ((hit.physical_page << size.offset_bits)
-                  | (virtual_address & size.offset_mask))
-            if self._sanitize:
-                _sanitize.check_translation(
-                    self.walker.page_table, virtual_address, pa, level="l1")
-            return pa, size, "l1", self.l1_latency
-        result = self._translate_miss(virtual_address, asid)
-        return (result.physical_address, result.page_size, result.level,
-                result.latency_cycles)
-
-    def _l1_fill(self, entry: TLBEntry) -> None:
-        table = self._l1_by_size[entry.page_size]
-        if table is not None:
-            table.fill(entry.virtual_page, entry.physical_page,
-                       entry.page_size, entry.asid)
-
-    def invalidate(self, virtual_base: int, page_size: PageSize,
-                   asid: int = 0) -> None:
-        """``invlpg``: drop the translation from every level that may hold it."""
-        for tlb in self._l1_tlbs():
-            if page_size in tlb.page_sizes:
-                tlb.invalidate(virtual_base, page_size, asid)
-        if self.l2_tlb is not None and page_size in self.l2_tlb.page_sizes:
-            self.l2_tlb.invalidate(virtual_base, page_size, asid)
-
-    def superpage_l1_valid_entries(self) -> int:
-        return self.l1_2mb.valid_entry_count(PageSize.SUPER_2MB)
-
-    def superpage_l1_capacity(self) -> int:
-        return self.l1_2mb.entries
+    #: The inherited translation, bound here too: perfbench's tracer times
+    #: only the methods a class defines itself.
+    translate_raw = TLBHierarchy.translate_raw
 
 
 class UnifiedTLBHierarchy(TLBHierarchy):
@@ -355,22 +228,5 @@ class UnifiedTLBHierarchy(TLBHierarchy):
                       (PageSize.BASE_4KB, PageSize.SUPER_2MB,
                        PageSize.SUPER_1GB),
                       name="l1-unified")
-
-    def _l1_lookup(self, virtual_address: int, asid: int) -> Optional[TLBEntry]:
-        return self.l1.lookup(virtual_address, asid)
-
-    def _l1_fill(self, entry: TLBEntry) -> None:
-        self.l1.fill(entry.virtual_page, entry.physical_page,
-                     entry.page_size, entry.asid)
-
-    def invalidate(self, virtual_base: int, page_size: PageSize,
-                   asid: int = 0) -> None:
-        self.l1.invalidate(virtual_base, page_size, asid)
-        if self.l2_tlb is not None and page_size in self.l2_tlb.page_sizes:
-            self.l2_tlb.invalidate(virtual_base, page_size, asid)
-
-    def superpage_l1_valid_entries(self) -> int:
-        return self.l1.valid_entry_count(PageSize.SUPER_2MB)
-
-    def superpage_l1_capacity(self) -> int:
-        return self.l1.entries
+        self._l1_by_size = dict.fromkeys(self.l1.page_sizes, self.l1)
+        self._l1_probe_order = (self.l1,)

@@ -1,58 +1,36 @@
 """A single TLB structure: set-associative or fully associative, one or more
 page sizes, LRU replacement, ASID tags.
 
-A TLB caches virtual-page-number → physical-page-number translations.  For
-set-associative TLBs serving a single page size (Intel-style split L1 TLBs),
-the set index is taken from the low bits of the VPN for that page size.  A
-fully-associative TLB (``ways == entries``) can hold any mix of page sizes.
+A TLB caches virtual-page-number → physical-page-number translations.  The
+set index is taken from the low bits of the VPN for the entry's page size,
+so a set-associative TLB serving one page size (Intel-style split L1 TLBs)
+and a fully associative one (``ways == entries``) holding any mix of sizes
+share one lookup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.mem.address import PageSize
 
 
-class TLBEntry:
-    """One cached translation.
+class TLBEntry(NamedTuple):
+    """One cached translation.  Immutable: a refill replaces the entry."""
 
-    A slotted plain class rather than a dataclass: entries are compared,
-    created and field-read on the translation fast path, and ``__slots__``
-    keeps both allocation and attribute access cheap.
-    """
-
-    __slots__ = ("virtual_page", "physical_page", "page_size", "asid",
-                 "valid")
-
-    def __init__(self, virtual_page: int, physical_page: int,
-                 page_size: PageSize, asid: int = 0,
-                 valid: bool = True) -> None:
-        self.virtual_page = virtual_page      # VPN for this entry's page size
-        self.physical_page = physical_page    # PPN
-        self.page_size = page_size
-        self.asid = asid
-        self.valid = valid
-
-    def __repr__(self) -> str:
-        return (f"TLBEntry(virtual_page={self.virtual_page!r}, "
-                f"physical_page={self.physical_page!r}, "
-                f"page_size={self.page_size!r}, asid={self.asid!r}, "
-                f"valid={self.valid!r})")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TLBEntry):
-            return NotImplemented
-        return (self.virtual_page == other.virtual_page
-                and self.physical_page == other.physical_page
-                and self.page_size is other.page_size
-                and self.asid == other.asid
-                and self.valid == other.valid)
+    virtual_page: int       # VPN for this entry's page size
+    physical_page: int      # PPN
+    page_size: PageSize
+    asid: int = 0
 
     def physical_base(self) -> int:
         """Physical base address of the mapped page."""
         return self.physical_page << self.page_size.offset_bits
+
+
+#: A TLB set's key for an entry: ``(virtual_page, page_size, asid)``.
+TLBKey = Tuple[int, PageSize, int]
 
 
 @dataclass
@@ -78,6 +56,13 @@ class TLBStats:
 class TLB:
     """Set-associative TLB with true-LRU replacement.
 
+    Each set is a dict from ``(virtual_page, page_size, asid)`` to its
+    :class:`TLBEntry`, in recency order (least recent first): a hit or a
+    refill re-inserts its key at the end, and an eviction drops the first
+    key.  Keying on the page size gives single- and multi-size TLBs one
+    code path — a lookup tries each supported size's key in that size's
+    set, smallest size first.
+
     Args:
         entries: total entry count.
         ways: associativity.  ``ways == entries`` gives fully associative.
@@ -99,21 +84,12 @@ class TLB:
         if not self.page_sizes:
             raise ValueError("TLB must support at least one page size")
         self.stats = TLBStats()
-        # Each set is an LRU-ordered list, most recent last.
-        self._sets: List[List[TLBEntry]] = [[] for _ in range(self.num_sets)]
+        self._sets: List[Dict[TLBKey, TLBEntry]] = [
+            {} for _ in range(self.num_sets)]
         # Running count of resident entries, so the scheduler's per-access
         # scarcity check (paper §IV-B3) is O(1).
         self._resident = 0
         self._set_mask = self.num_sets - 1
-        # Split (single-size) TLBs are the per-reference common case; their
-        # lookups skip the per-size probe loop entirely.
-        self._single_offset = (self.page_sizes[0].offset_bits
-                               if len(self.page_sizes) == 1 else None)
-
-    # --------------------------------------------------------------- indexing
-
-    def _set_index(self, virtual_page: int) -> int:
-        return virtual_page & self._set_mask
 
     # ------------------------------------------------------------------- API
 
@@ -123,29 +99,16 @@ class TLB:
         Updates LRU order and hit/miss stats.  Returns the entry on hit,
         ``None`` on miss.
         """
-        single_offset = self._single_offset
-        if single_offset is not None:
-            # Single-size TLB: one set to probe, no page-size check needed
-            # (fills reject foreign sizes).
-            vpn = virtual_address >> single_offset
-            entries = self._sets[vpn & self._set_mask]
-            for position, entry in enumerate(entries):
-                if (entry.virtual_page == vpn and entry.asid == asid
-                        and entry.valid):
-                    entries.append(entries.pop(position))
-                    self.stats.hits += 1
-                    return entry
-        else:
-            for size in self.page_sizes:
-                vpn = virtual_address >> size.offset_bits
-                entries = self._sets[vpn & self._set_mask]
-                for position, entry in enumerate(entries):
-                    if (entry.valid and entry.page_size is size
-                            and entry.virtual_page == vpn
-                            and entry.asid == asid):
-                        entries.append(entries.pop(position))
-                        self.stats.hits += 1
-                        return entry
+        sets = self._sets
+        for size in self.page_sizes:
+            vpn = virtual_address >> size.offset_bits
+            entries = sets[vpn & self._set_mask]
+            key = (vpn, size, asid)
+            entry = entries.pop(key, None)
+            if entry is not None:
+                entries[key] = entry
+                self.stats.hits += 1
+                return entry
         self.stats.misses += 1
         return None
 
@@ -153,43 +116,34 @@ class TLB:
         """Like :meth:`lookup` but with no stats or LRU side effects."""
         for size in self.page_sizes:
             vpn = virtual_address >> size.offset_bits
-            for entry in self._sets[vpn & self._set_mask]:
-                if (entry.valid and entry.page_size is size
-                        and entry.virtual_page == vpn
-                        and entry.asid == asid):
-                    return entry
+            entry = self._sets[vpn & self._set_mask].get((vpn, size, asid))
+            if entry is not None:
+                return entry
         return None
 
     def fill(self, virtual_page: int, physical_page: int,
              page_size: PageSize, asid: int = 0) -> Optional[TLBEntry]:
         """Insert a translation, evicting LRU if the set is full.
 
-        Returns the evicted entry, if any.
+        A resident translation is replaced and made most recent instead of
+        duplicated.  Returns the evicted entry, if any.
 
         Raises:
             ValueError: if ``page_size`` is not supported by this TLB.
         """
         if page_size not in self.page_sizes:
             raise ValueError(f"{self.name} does not hold {page_size.name} pages")
-        set_index = self._set_index(virtual_page)
-        entries = self._sets[set_index]
-        # Refresh an existing entry in place instead of duplicating it.
-        for position, entry in enumerate(entries):
-            if (entry.page_size is page_size
-                    and entry.virtual_page == virtual_page
-                    and entry.asid == asid):
-                entry.physical_page = physical_page
-                entry.valid = True
-                entries.append(entries.pop(position))
-                return None
+        entries = self._sets[virtual_page & self._set_mask]
+        key = (virtual_page, page_size, asid)
         victim = None
-        if len(entries) >= self.ways:
-            victim = entries.pop(0)
-            self.stats.evictions += 1
-            self._resident -= 1
-        entries.append(TLBEntry(virtual_page, physical_page, page_size, asid))
-        self._resident += 1
-        self.stats.fills += 1
+        if entries.pop(key, None) is None:
+            if len(entries) >= self.ways:
+                victim = entries.pop(next(iter(entries)))
+                self.stats.evictions += 1
+                self._resident -= 1
+            self._resident += 1
+            self.stats.fills += 1
+        entries[key] = TLBEntry(virtual_page, physical_page, page_size, asid)
         return victim
 
     def invalidate(self, virtual_base: int, page_size: PageSize,
@@ -199,27 +153,22 @@ class TLB:
         Returns True if an entry was removed.
         """
         vpn = virtual_base >> page_size.offset_bits
-        entries = self._sets[self._set_index(vpn)]
-        for position, entry in enumerate(entries):
-            if (entry.page_size is page_size and entry.virtual_page == vpn
-                    and entry.asid == asid):
-                entries.pop(position)
-                self._resident -= 1
-                self.stats.invalidations += 1
-                return True
-        return False
+        if self._sets[vpn & self._set_mask].pop(
+                (vpn, page_size, asid), None) is None:
+            return False
+        self._resident -= 1
+        self.stats.invalidations += 1
+        return True
 
     def flush(self, asid: Optional[int] = None) -> int:
         """Flush all entries (or all entries of one ASID). Returns count."""
         removed = 0
         for entries in self._sets:
-            if asid is None:
-                removed += len(entries)
-                entries.clear()
-            else:
-                keep = [e for e in entries if e.asid != asid]
-                removed += len(entries) - len(keep)
-                entries[:] = keep
+            stale = list(entries) if asid is None else [
+                key for key in entries if key[2] == asid]
+            for key in stale:
+                del entries[key]
+            removed += len(stale)
         self._resident -= removed
         self.stats.flushes += 1
         return removed
@@ -233,13 +182,8 @@ class TLB:
         if page_size is None or self.page_sizes == (page_size,):
             # All resident entries match: O(1) counter path.
             return self._resident
-        count = 0
-        for entries in self._sets:
-            for entry in entries:
-                if entry.valid and (page_size is None
-                                    or entry.page_size is page_size):
-                    count += 1
-        return count
+        return sum(1 for entries in self._sets for key in entries
+                   if key[1] is page_size)
 
     def occupancy(self) -> float:
         """Fraction of capacity holding valid entries."""

@@ -31,6 +31,7 @@ from repro.mem.address import (
 )
 from repro.mem.page_table import PageTable
 from repro.mem.physical import BuddyAllocator, OutOfMemoryError
+from repro.tlb.tlb import TLB
 
 addresses = st.integers(min_value=0, max_value=(1 << 48) - 1)
 page_sizes = st.sampled_from(list(PageSize))
@@ -390,6 +391,154 @@ class TestCacheReferenceModel:
             assert dataclasses.asdict(cache.stats) == model.stats
             for index in set(cache._sets) | set(model.sets):
                 assert _cache_view(cache, index) == model.view(index)
+
+
+class _ReferenceTLB:
+    """A readable model of an LRU :class:`TLB`.
+
+    Per set: a list of ``(vpn, size, asid, ppn)`` tuples, least recent
+    first.  A lookup tries each held page size, smallest first.
+    """
+
+    def __init__(self, num_sets: int, ways: int, page_sizes) -> None:
+        self.num_sets, self.ways = num_sets, ways
+        self.page_sizes = sorted(page_sizes)
+        self.sets = [[] for _ in range(num_sets)]
+        self.stats = dict(hits=0, misses=0, fills=0, evictions=0,
+                          invalidations=0, flushes=0)
+
+    def _find(self, vpn, size, asid):
+        entries = self.sets[vpn % self.num_sets]
+        for position, entry in enumerate(entries):
+            if entry[:3] == (vpn, size, asid):
+                return entries, position
+        return entries, None
+
+    def probe(self, address, asid):
+        for size in self.page_sizes:
+            entries, position = self._find(address >> size.offset_bits,
+                                           size, asid)
+            if position is not None:
+                return entries[position]
+        return None
+
+    def lookup(self, address, asid):
+        entry = self.probe(address, asid)
+        if entry is None:
+            self.stats["misses"] += 1
+            return None
+        entries, position = self._find(*entry[:3])
+        entries.append(entries.pop(position))
+        self.stats["hits"] += 1
+        return entry
+
+    def fill(self, vpn, ppn, size, asid):
+        entries, position = self._find(vpn, size, asid)
+        victim = None
+        if position is not None:
+            entries.pop(position)
+        else:
+            if len(entries) == self.ways:
+                victim = entries.pop(0)
+                self.stats["evictions"] += 1
+            self.stats["fills"] += 1
+        entries.append((vpn, size, asid, ppn))
+        return victim
+
+    def invalidate(self, address, size, asid):
+        entries, position = self._find(address >> size.offset_bits, size,
+                                       asid)
+        if position is None:
+            return False
+        entries.pop(position)
+        self.stats["invalidations"] += 1
+        return True
+
+    def flush(self, asid):
+        removed = 0
+        for entries in self.sets:
+            keep = [entry for entry in entries
+                    if asid is not None and entry[2] != asid]
+            removed += len(entries) - len(keep)
+            entries[:] = keep
+        self.stats["flushes"] += 1
+        return removed
+
+    def valid_entry_count(self, size):
+        return sum(1 for entries in self.sets for entry in entries
+                   if size is None or entry[1] is size)
+
+
+def _tlb_fields(entry):
+    """A TLB entry (or None) in the model's tuple order."""
+    if entry is None:
+        return None
+    return (entry.virtual_page, entry.page_size, entry.asid,
+            entry.physical_page)
+
+
+class TestTLBReferenceModel:
+    """Every public TLB operation against :class:`_ReferenceTLB`: return
+    values, stats, the resident count, and each set's entries in recency
+    order after every step.  Addresses span three 2MB regions and eight
+    4KB pages of region 0, so the 4KB and 2MB virtual page numbers
+    overlap and a lookup that confused sizes would hit."""
+
+    GEOMETRIES = {
+        "4kb": (PageSize.BASE_4KB,),
+        "2mb": (PageSize.SUPER_2MB,),
+        "multi": (PageSize.BASE_4KB, PageSize.SUPER_2MB,
+                  PageSize.SUPER_1GB),
+    }
+
+    @given(st.sampled_from(sorted(GEOMETRIES)),
+           st.integers(min_value=0, max_value=3),
+           st.integers(min_value=1, max_value=4), st.data())
+    def test_tlb_matches_reference_model(self, kind, set_bits, ways, data):
+        sizes = self.GEOMETRIES[kind]
+        num_sets = 1 << set_bits
+        tlb = TLB(num_sets * ways, ways, sizes)
+        model = _ReferenceTLB(num_sets, ways, sizes)
+        address = st.builds(
+            lambda region, page, offset: (region << 21) | (page << 12)
+            | offset,
+            st.integers(min_value=0, max_value=2),
+            st.integers(min_value=0, max_value=7),
+            st.integers(min_value=0, max_value=4095))
+        asid = st.integers(min_value=0, max_value=2)
+        operations = data.draw(st.lists(st.one_of(
+            st.tuples(st.just("lookup"), address, asid),
+            st.tuples(st.just("probe"), address, asid),
+            st.tuples(st.just("fill"), address, st.sampled_from(sizes),
+                      asid, st.integers(min_value=0, max_value=3)),
+            st.tuples(st.just("invalidate"), address,
+                      st.sampled_from(list(PageSize)), asid),
+            st.tuples(st.just("flush"), st.none() | asid),
+            st.tuples(st.just("count"),
+                      st.none() | st.sampled_from(list(PageSize)))),
+            min_size=30, max_size=100))
+        for op, *args in operations:
+            if op == "lookup":
+                assert (_tlb_fields(tlb.lookup(*args))
+                        == model.lookup(*args))
+            elif op == "probe":
+                assert _tlb_fields(tlb.probe(*args)) == model.probe(*args)
+            elif op == "fill":
+                va, size, space, ppn = args
+                vpn = va >> size.offset_bits
+                assert (_tlb_fields(tlb.fill(vpn, ppn, size, space))
+                        == model.fill(vpn, ppn, size, space))
+            elif op == "invalidate":
+                assert tlb.invalidate(*args) == model.invalidate(*args)
+            elif op == "flush":
+                assert tlb.flush(*args) == model.flush(*args)
+            else:
+                assert (tlb.valid_entry_count(*args)
+                        == model.valid_entry_count(*args))
+            assert dataclasses.asdict(tlb.stats) == model.stats
+            assert tlb._resident == sum(map(len, model.sets))
+            assert [[_tlb_fields(entry) for entry in entries.values()]
+                    for entries in tlb._sets] == model.sets
 
 
 class TestSeesawInvariants:

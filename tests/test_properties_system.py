@@ -7,9 +7,11 @@ fill/write/probe sequences, the coherence directory against the L1s it
 tracks, and the sampled lane's fast warmer against translation replay.
 """
 
+import dataclasses
+
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.cache.basic import SetAssociativeCache
 from repro.cache.vipt import L1Timing, ViptL1Cache
@@ -22,8 +24,10 @@ from repro.mem.page_table import PageTable
 from repro.sampling.runner import _fast_warmable, _warm_span
 from repro.sim.config import SystemConfig
 from repro.sim.system import SystemSimulator
-from repro.tlb.hierarchy import SplitTLBHierarchy, TLBHierarchy
+from repro.tlb.hierarchy import SplitTLBHierarchy
+from repro.tlb.walker import WalkerStats
 from repro.workloads.suite import cached_trace
+from tests.test_properties import _ReferenceTLB
 
 TIMING = L1Timing(base_hit_cycles=2, super_hit_cycles=1)
 
@@ -266,10 +270,11 @@ class TestOptimizedCachePathEquivalence:
 
 
 class TestTranslateRawEquivalence:
-    """``SplitTLBHierarchy.translate_raw`` inlines the single-size L1 TLB
-    probes; the generic ``TLBHierarchy.translate`` remains the reference.
-    Driving twin hierarchies over one page table, the raw tuple and every
-    TLB counter must match reference behaviour on any access pattern."""
+    """``SplitTLBHierarchy.translate_raw`` against the page table and one
+    :class:`_ReferenceTLB` per TLB: parallel L1 probes, an L2 hit filling
+    its page size's L1, and a walk filling the L2 and the L1.  On any
+    access pattern the raw tuple and every TLB and walker counter must
+    match."""
 
     PAGES = ([(0x1000 * (i + 1), 0x9000 + i * 0x1000, PageSize.BASE_4KB)
               for i in range(4)]
@@ -277,30 +282,54 @@ class TestTranslateRawEquivalence:
                  0x20_0000 * (i + 1), PageSize.SUPER_2MB)
                 for i in range(2)])
 
-    def _twins(self):
-        table = PageTable()
-        for virtual, physical, size in self.PAGES:
-            table.map(virtual, physical, size)
-        make = lambda: SplitTLBHierarchy(  # noqa: E731
-            table, l1_4kb_entries=4, l1_4kb_ways=2,
-            l1_2mb_entries=2, l1_2mb_ways=2, l2_entries=8)
-        return make(), make()
-
     @given(st.lists(st.tuples(st.integers(min_value=0, max_value=5),
                               st.integers(min_value=0, max_value=4095)),
                     min_size=1, max_size=60))
-    def test_raw_tuple_matches_generic_translate(self, accesses):
-        fast, reference = self._twins()
+    def test_raw_tuple_matches_reference_model(self, accesses):
+        table = PageTable()
+        for virtual, physical, size in self.PAGES:
+            table.map(virtual, physical, size)
+        # Every level is smaller than the page set, so L1 hits, L2 hits
+        # and walks all recur.
+        tlbs = SplitTLBHierarchy(
+            table, l1_4kb_entries=2, l1_4kb_ways=1,
+            l1_2mb_entries=1, l1_2mb_ways=1, l2_entries=4, l2_ways=2)
+        l1 = {PageSize.BASE_4KB: _ReferenceTLB(2, 1, [PageSize.BASE_4KB]),
+              PageSize.SUPER_2MB: _ReferenceTLB(1, 1, [PageSize.SUPER_2MB])}
+        l2 = _ReferenceTLB(2, 2, [PageSize.BASE_4KB, PageSize.SUPER_2MB])
+        walker = WalkerStats()
         for page_index, offset in accesses:
             virtual = self.PAGES[page_index][0] + offset
-            raw = fast.translate_raw(virtual)
-            result = TLBHierarchy.translate(reference, virtual)
-            assert raw == (result.physical_address, result.page_size,
-                           result.level, result.latency_cycles)
-        assert fast.l1_4kb.stats == reference.l1_4kb.stats
-        assert fast.l1_2mb.stats == reference.l1_2mb.stats
-        assert fast.l2_tlb.stats == reference.l2_tlb.stats
-        assert fast.walker.stats == reference.walker.stats
+            hits = [model.lookup(virtual, 0) for model in l1.values()]
+            hit = next((entry for entry in hits if entry is not None), None)
+            level, latency = "l1", 1
+            if hit is None:
+                level, latency = "l2", 1 + 7
+                hit = l2.lookup(virtual, 0)
+                if hit is not None:
+                    l1[hit[1]].fill(hit[0], hit[3], hit[1], 0)
+            if hit is None:
+                mapping, references = table.walk(virtual)
+                size = mapping.page_size
+                vpn = mapping.virtual_base >> size.offset_bits
+                ppn = mapping.physical_base >> size.offset_bits
+                l2.fill(vpn, ppn, size, 0)
+                l1[size].fill(vpn, ppn, size, 0)
+                walker.walks += 1
+                walker.walk_cycles += references * 15
+                walker.base_page_walks += size is PageSize.BASE_4KB
+                walker.superpage_walks += size is PageSize.SUPER_2MB
+                level, latency = "walk", latency + references * 15
+                hit = (vpn, size, 0, ppn)
+            _, size, _, ppn = hit
+            expected = ((ppn << size.offset_bits)
+                        | (virtual & size.offset_mask), size, level, latency)
+            assert tlbs.translate_raw(virtual) == expected
+        for tlb, model in ((tlbs.l1_4kb, l1[PageSize.BASE_4KB]),
+                           (tlbs.l1_2mb, l1[PageSize.SUPER_2MB]),
+                           (tlbs.l2_tlb, l2)):
+            assert dataclasses.asdict(tlb.stats) == model.stats
+        assert tlbs.walker.stats == walker
 
 
 class TestFastWarmerEquivalence:
@@ -309,7 +338,9 @@ class TestFastWarmerEquivalence:
     count, and the TFT's contents, bit-exact to the per-reference
     ``translate_raw`` replay of ``_warm_span``.  Twin simulators warm one
     random span after one random detailed prefix, one per path; stats
-    counters are excluded because the fast path skips them."""
+    counters are excluded because the fast path skips them.  The TFT's
+    final state is installed from the 2MB fills, so its geometry is an
+    input too: the default 16 entries, and 4, which evict far more."""
 
     LENGTH = 3000
 
@@ -319,9 +350,7 @@ class TestFastWarmerEquivalence:
         for hierarchy in sim.tlbs:
             for tlb in (hierarchy.l1_4kb, hierarchy.l1_2mb):
                 state.append(tlb._resident)
-                state.append([[(entry.virtual_page, entry.physical_page,
-                                entry.page_size, entry.asid, entry.valid)
-                               for entry in entries]
+                state.append([list(entries.values())
                               for entries in tlb._sets])
         for l1 in sim.l1s:
             if hasattr(l1, "tft"):
@@ -331,12 +360,15 @@ class TestFastWarmerEquivalence:
     @pytest.mark.parametrize("design", ("vipt", "seesaw"))
     @pytest.mark.parametrize("workload", ("gups", "mcf", "g500"))
     @given(prefix=st.integers(min_value=0, max_value=1500),
-           span=st.integers(min_value=1, max_value=1500))
+           span=st.integers(min_value=1, max_value=1500),
+           tft_entries=st.sampled_from((16, 4)))
+    @example(prefix=600, span=1500, tft_entries=4)
     @settings(max_examples=3, deadline=None)
     def test_fast_span_matches_translation_replay(self, workload, design,
-                                                  prefix, span):
+                                                  prefix, span, tft_entries):
         trace = cached_trace(workload, self.LENGTH, seed=5)
-        config = SystemConfig(l1_design=design, seed=5)
+        config = SystemConfig(l1_design=design, seed=5,
+                              tft_entries=tft_entries)
         fast, reference = (SystemSimulator(config, trace) for _ in range(2))
         stop = min(prefix + span, self.LENGTH)
         for sim, path in ((fast, True), (reference, False)):

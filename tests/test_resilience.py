@@ -194,6 +194,54 @@ class TestCheckpointFiles:
         assert resumed._next_index == 1200
         assert resumed.finish() == reference
 
+    @staticmethod
+    def _stand_in_checkpoint(path, version, config, trace, monkeypatch):
+        """Seal a checkpoint whose payload pickles an instance of
+        ``repro.cache.basic.CacheLine``, registered only while writing —
+        as a checkpoint from before that class was removed does."""
+        import pickle
+
+        import repro.cache.basic as basic
+        from repro.resilience.checkpoint import (CHECKPOINT, config_digest,
+                                                 trace_digest)
+        from repro.resilience.fsio import write_sealed
+
+        class CacheLine:
+            pass
+
+        CacheLine.__module__ = basic.__name__
+        CacheLine.__qualname__ = "CacheLine"
+        digests = {"version": version, "config_digest": config_digest(config),
+                   "trace_digest": trace_digest(trace)}
+        with monkeypatch.context() as patch:
+            patch.setattr(basic, "CacheLine", CacheLine, raising=False)
+            payload = pickle.dumps(dict(digests, components=[CacheLine()]))
+        write_sealed(path, CHECKPOINT,
+                     dict(digests, workload=trace.name, next_index=100),
+                     payload)
+
+    def test_older_snapshot_layout_is_refused_before_unpickling(
+            self, tmp_path, monkeypatch, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "old.ckpt"
+        config, trace = make_config(), make_trace(length=500)
+        self._stand_in_checkpoint(path, 3, config, trace, monkeypatch)
+        with pytest.raises(CheckpointError, match="snapshot version 3"):
+            restore_simulator(path, config, trace)
+        assert main(["run", "redis", "--length", "3000",
+                     "--from-checkpoint", str(path)]) == 2
+        assert "error: " in capsys.readouterr().err
+
+    def test_unpicklable_payload_is_a_checkpoint_error(self, tmp_path,
+                                                       monkeypatch):
+        path = tmp_path / "reshaped.ckpt"
+        config, trace = make_config(), make_trace(length=500)
+        self._stand_in_checkpoint(path, SystemSimulator.SNAPSHOT_VERSION,
+                                  config, trace, monkeypatch)
+        with pytest.raises(CheckpointError, match="cannot be loaded"):
+            restore_simulator(path, config, trace)
+
     def test_non_object_header_is_typed_and_doctorable(self, tmp_path):
         from repro.resilience.doctor import diagnose, repair
 

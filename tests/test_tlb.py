@@ -131,7 +131,7 @@ class TestValidCounters:
         for vpn in range(11):
             tlb.fill(vpn, vpn, PageSize.BASE_4KB)
         tlb.invalidate(3 << 12, PageSize.BASE_4KB)
-        scan = sum(1 for s in tlb._sets for e in s if e.valid)
+        scan = sum(len(entries) for entries in tlb._sets)
         assert tlb.valid_entry_count() == scan
 
     def test_occupancy(self):
