@@ -13,11 +13,7 @@ from repro.core.tft import TranslationFilterTable, TFTStats
 from repro.core.partition import WayPartitioning
 from repro.core.insertion import InsertionPolicy
 from repro.core.seesaw import SeesawL1Cache, SeesawStats
-from repro.core.scheduling import (
-    HitSpeculationPolicy,
-    SchedulerModel,
-    SpeculationOutcome,
-)
+from repro.core.scheduling import HitSpeculationPolicy, SchedulerModel
 
 __all__ = [
     "TranslationFilterTable",
@@ -28,5 +24,4 @@ __all__ = [
     "SeesawStats",
     "HitSpeculationPolicy",
     "SchedulerModel",
-    "SpeculationOutcome",
 ]

@@ -32,29 +32,6 @@ class HitSpeculationPolicy(enum.Enum):
     ADAPTIVE = "adaptive"
 
 
-class SpeculationOutcome:
-    """Scheduling consequence of one L1 access (slotted: one per hit)."""
-
-    __slots__ = ("effective_latency_cycles", "squashed")
-
-    def __init__(self, effective_latency_cycles: int,
-                 squashed: bool) -> None:
-        self.effective_latency_cycles = effective_latency_cycles
-        self.squashed = squashed
-
-    def __repr__(self) -> str:
-        return (f"SpeculationOutcome(effective_latency_cycles="
-                f"{self.effective_latency_cycles!r}, "
-                f"squashed={self.squashed!r})")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SpeculationOutcome):
-            return NotImplemented
-        return (self.effective_latency_cycles
-                == other.effective_latency_cycles
-                and self.squashed == other.squashed)
-
-
 @dataclass
 class SchedulerStats:
     """Squash/replay accounting."""
@@ -67,6 +44,11 @@ class SchedulerStats:
 
 class SchedulerModel:
     """Models speculative wakeup for a variable-hit-latency L1.
+
+    The simulator builds one per out-of-order core with a SEESAW L1 and
+    passes every L1 hit through :meth:`hit_latency`, which picks the
+    assumed latency, counts the assumption and any squash, and returns
+    the latency the core is charged.
 
     Args:
         fast_cycles: the SEESAW fast (superpage) hit latency.
@@ -95,61 +77,49 @@ class SchedulerModel:
         self.scarcity_threshold = scarcity_threshold
         self.stats = SchedulerStats()
 
-    # ----------------------------------------------------------- speculation
+    def hit_latency(self, actual_latency: int, superpage_tlb_valid: int,
+                    superpage_tlb_capacity: int) -> int:
+        """The latency one L1 hit of ``actual_latency`` costs the core.
 
-    def assume_fast(self, superpage_tlb_valid: int,
-                    superpage_tlb_capacity: int) -> bool:
-        """Decide the assumed hit latency for the next load."""
-        policy = self.policy
-        if policy is HitSpeculationPolicy.ADAPTIVE:
-            decision = (superpage_tlb_valid
-                        >= superpage_tlb_capacity * self.scarcity_threshold)
-        else:
-            decision = policy is HitSpeculationPolicy.ALWAYS_FAST
-        if decision:
-            self.stats.fast_assumptions += 1
-        else:
-            self.stats.slow_assumptions += 1
-        return decision
-
-    def effective_hit_latency(self, assumed_fast: bool,
-                              actual_latency: int) -> int:
-        """Stat-updating core of :meth:`resolve_hit`, returning only the
-        effective latency (the per-hit path allocates no outcome object)."""
-        assumed = self.fast_cycles if assumed_fast else self.slow_cycles
-        if actual_latency > assumed:
-            # Dependents were woken expecting data at `assumed`; only the
-            # wakeups issued inside the (actual - assumed) window need
-            # replay, so the penalty is capped by that window.
-            penalty = min(self.squash_penalty_cycles,
-                          actual_latency - assumed)
-            self.stats.squashes += 1
-            self.stats.squash_cycles += penalty
-            return actual_latency + penalty
-        return assumed if assumed > actual_latency else actual_latency
-
-    def resolve_hit(self, assumed_fast: bool,
-                    actual_latency: int) -> SpeculationOutcome:
-        """Combine the assumption with the actual hit latency.
+        The scheduler first picks the latency it assumes: the adaptive
+        policy assumes fast unless superpages are scarce, that is unless
+        the superpage L1 TLB's ``superpage_tlb_valid`` entries fall below
+        ``superpage_tlb_capacity * scarcity_threshold``; the fixed
+        policies always assume the same.  The assumption meets the actual
+        latency (§IV-B3):
 
         * assumed fast, actual fast  → fast latency, no squash;
-        * assumed fast, actual slow  → actual latency + squash penalty;
+        * assumed fast, actual slow  → actual latency + squash penalty,
+          the penalty capped by the ``actual - assumed`` window (only the
+          wakeups issued inside it need replay);
         * assumed slow, actual fast  → *slow* latency (dependents were
           scheduled for the slow wakeup; the early data cannot be consumed
           sooner), no squash;
         * assumed slow, actual slow  → slow latency, no squash.
-        """
-        assumed = self.fast_cycles if assumed_fast else self.slow_cycles
-        return SpeculationOutcome(
-            effective_latency_cycles=self.effective_hit_latency(
-                assumed_fast, actual_latency),
-            squashed=actual_latency > assumed)
 
-    def resolve_miss(self, assumed_fast: bool,
-                     total_latency: int) -> SpeculationOutcome:
-        """A cache miss squashes dependents under *any* design (the baseline
-        schedules for a hit too), so no SEESAW-specific penalty is added —
-        the replay cost is common-mode and cancels in comparisons.
+        Misses never come here: a miss squashes dependents under *any*
+        design (the baseline schedules for a hit too), so its replay cost
+        is common-mode and the core is charged the miss latency alone.
         """
-        return SpeculationOutcome(effective_latency_cycles=total_latency,
-                                  squashed=False)
+        policy = self.policy
+        if policy is HitSpeculationPolicy.ADAPTIVE:
+            assumed_fast = (superpage_tlb_valid
+                            >= superpage_tlb_capacity
+                            * self.scarcity_threshold)
+        else:
+            assumed_fast = policy is HitSpeculationPolicy.ALWAYS_FAST
+        stats = self.stats
+        if assumed_fast:
+            stats.fast_assumptions += 1
+            assumed = self.fast_cycles
+        else:
+            stats.slow_assumptions += 1
+            assumed = self.slow_cycles
+        if actual_latency > assumed:
+            penalty = actual_latency - assumed
+            if penalty > self.squash_penalty_cycles:
+                penalty = self.squash_penalty_cycles
+            stats.squashes += 1
+            stats.squash_cycles += penalty
+            return actual_latency + penalty
+        return assumed if assumed > actual_latency else actual_latency

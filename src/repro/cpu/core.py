@@ -29,8 +29,9 @@ class CoreModel:
     """Base trace-driven core timing model.
 
     Subclasses define how much of a memory reference's latency is exposed
-    as pipeline stall.  Front-end work is charged at ``issue_width``
-    instructions per cycle.
+    as pipeline stall (:meth:`memory_stall`).  The simulator charges each
+    reference once, through :meth:`retire`: front-end work at
+    ``issue_width`` instructions per cycle, then the exposed stall.
     """
 
     def __init__(self, issue_width: int = 2,
@@ -39,43 +40,30 @@ class CoreModel:
         self.frequency_ghz = frequency_ghz
         self.stats = CoreStats()
         # memory_stall() is pure in (hit, latency) for fixed core
-        # parameters, and the simulator calls it with a handful of
-        # distinct latencies millions of times — memoizing returns the
-        # exact same float the pow/log2 computation would.
+        # parameters, and retire() asks for a handful of distinct
+        # latencies millions of times — memoizing returns the exact same
+        # float the pow/log2 computation would.  The memo is pickled with
+        # the core, so a restored run keeps it.
         self._stall_cache: dict = {}
-
-    def advance(self, gap_instructions: int) -> None:
-        """Charge front-end cycles for non-memory instructions plus the
-        memory instruction itself."""
-        instructions = gap_instructions + 1
-        self.stats.instructions += instructions
-        self.stats.cycles += instructions / self.issue_width
-        self.stats.memory_references += 1
 
     def memory_stall(self, hit: bool, latency_cycles: float) -> float:
         """Exposed stall cycles for one memory reference."""
         raise NotImplementedError
 
-    def account_memory(self, hit: bool, latency_cycles: float) -> float:
-        """Charge the exposed portion of a reference's latency; return it."""
-        key = (hit, latency_cycles)
-        cache = self._stall_cache
-        stall = cache.get(key)
-        if stall is None:
-            stall = cache[key] = self.memory_stall(hit, latency_cycles)
+    def retire(self, gap_instructions: int, hit: bool,
+               latency_cycles: int) -> None:
+        """Charge one memory reference: the ``gap_instructions``
+        non-memory instructions before it plus itself at ``issue_width``
+        per cycle, then the exposed part of its ``latency_cycles``."""
         stats = self.stats
+        instructions = gap_instructions + 1
+        stats.instructions += instructions
+        stats.cycles += instructions / self.issue_width
+        stats.memory_references += 1
+        key = (hit, latency_cycles)
+        stall = self._stall_cache.get(key)
+        if stall is None:
+            stall = self._stall_cache[key] = self.memory_stall(
+                hit, latency_cycles)
         stats.cycles += stall
         stats.stall_cycles += stall
-        return stall
-
-    def charge_cycles(self, cycles: int) -> None:
-        """Charge raw cycles (promotion sweeps, shootdowns, etc.)."""
-        self.stats.cycles += cycles
-
-    @property
-    def runtime_cycles(self) -> int:
-        return round(self.stats.cycles)
-
-    def runtime_seconds(self) -> float:
-        """Wall-clock runtime at the configured frequency."""
-        return self.stats.cycles / (self.frequency_ghz * 1e9)

@@ -92,6 +92,12 @@ DYNAMIC_ENERGY_FIELDS = tuple(f.name for f in fields(EnergyBreakdown)
 class EnergyAccountant:
     """Per-event energy recorder for one simulated system.
 
+    The simulator charges every CPU reference through
+    :meth:`record_reference` and every L1 miss through
+    :meth:`record_miss`; coherence probes, dirty L1 evictions and
+    leakage come through :meth:`record_l1_lookup`,
+    :meth:`record_llc_access` and :meth:`record_runtime`.
+
     Args:
         sram: the SRAM model used for L1 lookup/fill energy.
         l1_size_bytes / l1_ways: geometry of the L1 being accounted.
@@ -135,30 +141,37 @@ class EnergyAccountant:
             self.breakdown.l1_cpu_lookup_nj += energy
         return energy
 
-    def record_l1_fill(self, ways_touched: int) -> float:
-        """A line install (write of one way + replacement bookkeeping)."""
-        energy = self._lookup_energy[max(1, min(ways_touched, self.l1_ways))]
-        self.breakdown.l1_fill_nj += energy
-        return energy
+    # --------------------------------------------------- per-reference events
+
+    def record_reference(self, tlb_lookups: int, tft_lookups: int,
+                         ways_probed: int) -> None:
+        """One CPU reference's lookups: ``tlb_lookups`` TLB probes (one
+        on an L1 TLB hit, two once the L1 TLBs miss), ``tft_lookups`` TFT
+        probes (one on a SEESAW L1, none without a TFT) and the L1 probe
+        of ``ways_probed`` ways."""
+        breakdown = self.breakdown
+        breakdown.tlb_nj += self.tlb_lookup_nj * tlb_lookups
+        if tft_lookups:
+            breakdown.tft_nj += self.tft_lookup_nj * tft_lookups
+        breakdown.l1_cpu_lookup_nj += self._lookup_energy[ways_probed]
+
+    def record_miss(self, miss) -> None:
+        """One L1 miss: every level the
+        :class:`~repro.cache.hierarchy.MissServiceResult` ``miss``
+        reached, then the line's install into one L1 way."""
+        breakdown = self.breakdown
+        if miss.llc_accessed:
+            breakdown.llc_nj += self.llc_access_nj
+        if miss.l2_accessed:
+            breakdown.l2_nj += self.l2_access_nj
+        if miss.dram_accessed:
+            breakdown.dram_nj += self.dram_access_nj
+        breakdown.l1_fill_nj += self._lookup_energy[1]
 
     # ---------------------------------------------------------- other events
 
-    def record_tlb_lookup(self, count: int = 1) -> None:
-        """TLB probe(s) for one access."""
-        self.breakdown.tlb_nj += self.tlb_lookup_nj * count
-
-    def record_tft_lookup(self, count: int = 1) -> None:
-        """TFT probe(s)."""
-        self.breakdown.tft_nj += self.tft_lookup_nj * count
-
-    def record_l2_access(self) -> None:
-        self.breakdown.l2_nj += self.l2_access_nj
-
     def record_llc_access(self) -> None:
         self.breakdown.llc_nj += self.llc_access_nj
-
-    def record_dram_access(self) -> None:
-        self.breakdown.dram_nj += self.dram_access_nj
 
     def record_runtime(self, cycles: int, frequency_ghz: float) -> None:
         """Charge leakage for ``cycles`` of runtime at ``frequency_ghz``.

@@ -34,7 +34,7 @@ from repro.cache.way_predictor import MRUWayPredictor
 from repro.coherence.directory import Directory
 from repro.coherence.snoop import SnoopyBus
 from repro.core.adaptive_wp import WayPredictionGate
-from repro.core.scheduling import HitSpeculationPolicy, SchedulerModel
+from repro.core.scheduling import SchedulerModel
 from repro.core.seesaw import SeesawL1Cache
 from repro.cpu.inorder import InOrderCore
 from repro.cpu.ooo import OutOfOrderCore
@@ -284,6 +284,7 @@ class SystemSimulator:
         traffic.
         """
         from repro.cache.basic import CacheStats
+        from repro.cache.way_predictor import WayPredictorStats
         from repro.coherence.directory import DirectoryStats
         from repro.coherence.snoop import SnoopStats
         from repro.core.scheduling import SchedulerStats
@@ -297,6 +298,8 @@ class SystemSimulator:
             if isinstance(l1, SeesawL1Cache):
                 l1.seesaw_stats = SeesawStats()
                 l1.tft.stats = TFTStats()
+                if l1.way_predictor is not None:
+                    l1.way_predictor.stats = WayPredictorStats()
         for tlb in self.tlbs:
             tlb.l1_4kb.stats = TLBStats()
             tlb.l1_2mb.stats = TLBStats()
@@ -422,16 +425,19 @@ class SystemSimulator:
         Returns the next unprocessed index.  Safe to call repeatedly; used
         by checkpoint tests and by :meth:`run`.  A fresh simulator begins
         with the default warmup fraction.
+
+        Each reference follows the Fig. 4 pipeline, and every quantity it
+        charges is charged by the component that owns it, once: the TLB
+        hierarchy translates (demand-paging on a fault) and the L1 looks
+        up; the energy accountant records the lookups
+        (``record_reference``) and, on a miss, the levels the miss
+        reached and the fill (``record_miss``); a hit's latency passes
+        through the core's scheduler when it has one (``hit_latency``);
+        and the core retires the reference (``retire``).  The events of
+        :meth:`_periodic_events` fire after the reference at their index.
         """
         if not self._prewarmed:
             self._begin(0.25)
-        config = self.config
-        is_seesaw = config.l1_design == "seesaw" or (
-            config.l1_design == "vipt" and config.way_prediction)
-        probe_interval = config.system_probe_interval
-        cs_interval = config.context_switch_period
-        splinter_interval = config.splinter_interval
-        promote_interval = config.promote_interval
         warmup_end = self._warmup_end
         addresses = self.trace.addresses
         writes = self.trace.writes
@@ -442,13 +448,8 @@ class SystemSimulator:
         index = self._next_index
         stop = min(stop, len(addresses))
 
-        # ------------------------------------------------ hoisted hot state
-        # Everything below is loop-invariant except ``breakdown`` (the
-        # energy accumulator object is *replaced* by reset_measurements at
-        # the warmup boundary, so it is re-fetched there) and the fault
-        # plan (armed between runs, never mid-run).  The inlined energy
-        # accumulations reproduce the EnergyAccountant.record_* arithmetic
-        # term for term, so every float lands bit-identically.
+        # Loop-invariant references; the fault plan is armed between runs,
+        # never mid-run.  Every L1 has the same design.
         cores = self.cores
         l1s = self.l1s
         tlbs = self.tlbs
@@ -458,57 +459,12 @@ class SystemSimulator:
         manager = self.manager
         fault_plan = self._fault_plan
         energy = self.energy
-        breakdown = energy.breakdown
-        lookup_energy = energy._lookup_energy
-        fill_energy = lookup_energy[1]         # record_l1_fill(1)
-        tlb_nj_1 = energy.tlb_lookup_nj        # tlb_lookup_nj * 1 is exact
-        tlb_nj_2 = energy.tlb_lookup_nj * 2
-        tft_nj = energy.tft_lookup_nj
-        l2_nj = energy.l2_access_nj
-        llc_nj = energy.llc_access_nj
-        dram_nj = energy.dram_access_nj
-        is_vivt = tuple(isinstance(l1, VivtL1Cache) for l1 in l1s)
-        has_fabric = fabric is not None
-        # Scheduler scarcity inputs: superpage_l1_valid_entries() reduces
-        # to the 2MB L1 TLB's O(1) resident counter and the capacity is
-        # fixed, so the per-hit method chain is flattened to reads.
-        if any(s is not None for s in schedulers):
-            superpage_tlbs = tuple(t.l1_2mb for t in tlbs)
-            # Per-core scheduler constants for the inlined hit path below
-            # (exact arithmetic of SchedulerModel.assume_fast /
-            # effective_hit_latency: the scarcity comparison uses the same
-            # precomputed float product).
-            sched_adaptive = tuple(
-                s is not None and s.policy is HitSpeculationPolicy.ADAPTIVE
-                for s in schedulers)
-            sched_always_fast = tuple(
-                s is not None
-                and s.policy is HitSpeculationPolicy.ALWAYS_FAST
-                for s in schedulers)
-            sched_threshold = tuple(
-                (tlb.entries * s.scarcity_threshold if s is not None else 0.0)
-                for s, tlb in zip(schedulers, superpage_tlbs))
-            sched_fast = tuple(
-                (s.fast_cycles if s is not None else 0) for s in schedulers)
-            sched_slow = tuple(
-                (s.slow_cycles if s is not None else 0) for s in schedulers)
-            sched_penalty = tuple(
-                (s.squash_penalty_cycles if s is not None else 0)
-                for s in schedulers)
-        else:
-            superpage_tlbs = ()
-            sched_adaptive = sched_always_fast = sched_threshold = ()
-            sched_fast = sched_slow = sched_penalty = ()
-        # Per-core stall memos keyed by the integer total latency (split by
-        # hit/miss so no per-reference key tuple is built); memory_stall is
-        # pure in (hit, latency) for fixed core parameters.
-        hit_stalls = tuple({} for _ in cores)
-        miss_stalls = tuple({} for _ in cores)
+        tft_lookups = 1 if isinstance(l1s[0], SeesawL1Cache) else 0
+        vivt = isinstance(l1s[0], VivtL1Cache)
 
-        probe_next = _next_fire(index, probe_interval)
-        cs_next = _next_fire(index, cs_interval)
-        splinter_next = _next_fire(index, splinter_interval)
-        promote_next = _next_fire(index, promote_interval)
+        events = self._periodic_events(index, probe=True)
+        next_event = min([event[0] for event in events],
+                         default=float("inf"))
         # The checkpoint check runs on the post-increment index.
         checkpoint_next = (_next_fire(index + 1, checkpoint_interval, 0)
                            if checkpoint_path is not None else float("inf"))
@@ -532,22 +488,12 @@ class SystemSimulator:
                 va = addresses[index]
                 is_write = writes[index]
                 core_id = trace_cores[index]
-                gap = gaps[index]
                 if index == warmup_end and index > 0:
                     self.reset_measurements()
-                    breakdown = energy.breakdown
                     measured = 0
                     superpage_refs = 0
                 measured += 1
-                core = cores[core_id]
                 l1 = l1s[core_id]
-                # Inlined CoreModel.advance (same arithmetic, term for term).
-                core_stats = core.stats
-                instructions = gap + 1
-                core_stats.instructions += instructions
-                core_stats.cycles += instructions / core.issue_width
-                core_stats.memory_references += 1
-
                 tlb = tlbs[core_id]
                 try:
                     pa, page_size, level, tlb_latency = tlb.translate_raw(va)
@@ -555,110 +501,61 @@ class SystemSimulator:
                     # Demand-page, then retry through the same hierarchy.
                     manager.touch(va)
                     pa, page_size, level, tlb_latency = tlb.translate_raw(va)
-                breakdown.tlb_nj += (tlb_nj_1 if level == "l1" else tlb_nj_2)
-                if is_seesaw:
-                    breakdown.tft_nj += tft_nj
                 if page_size.is_superpage:
                     superpage_refs += 1
 
-                (hit, l1_latency, ways_probed, _fast_path, _tft_hit,
+                (hit, latency, ways_probed, _fast_path, _tft_hit,
                  _wp_correct, miss_detect) = l1.access_raw(
                     va, pa, page_size, is_write)
-                breakdown.l1_cpu_lookup_nj += lookup_energy[ways_probed]
-                # TLB latency beyond the one overlapped L1-TLB cycle stalls the
-                # physical tag compare.
-                extra_tlb = tlb_latency - 1
-                if extra_tlb < 0:
-                    extra_tlb = 0
+                energy.record_reference(1 if level == "l1" else 2,
+                                        tft_lookups, ways_probed)
+                # TLB latency beyond the one overlapped L1-TLB cycle stalls
+                # the physical tag compare.
+                extra_tlb = tlb_latency - 1 if tlb_latency > 1 else 0
 
-                scheduler = schedulers[core_id]
                 if hit:
+                    scheduler = schedulers[core_id]
                     if scheduler is not None:
-                        # Inlined SchedulerModel.assume_fast +
-                        # effective_hit_latency (same stat updates and
-                        # arithmetic, term for term).
-                        sstats = scheduler.stats
-                        if sched_adaptive[core_id]:
-                            assumed_fast = (
-                                superpage_tlbs[core_id]._resident
-                                >= sched_threshold[core_id])
-                        else:
-                            assumed_fast = sched_always_fast[core_id]
-                        if assumed_fast:
-                            sstats.fast_assumptions += 1
-                            assumed = sched_fast[core_id]
-                        else:
-                            sstats.slow_assumptions += 1
-                            assumed = sched_slow[core_id]
-                        if l1_latency > assumed:
-                            penalty = l1_latency - assumed
-                            if penalty > sched_penalty[core_id]:
-                                penalty = sched_penalty[core_id]
-                            sstats.squashes += 1
-                            sstats.squash_cycles += penalty
-                            latency = l1_latency + penalty
-                        else:
-                            latency = (assumed if assumed > l1_latency
-                                       else l1_latency)
-                    else:
-                        latency = l1_latency
-                    # Inlined CoreModel.account_memory (memoized stall).
-                    lat_key = latency + extra_tlb
-                    stall_cache = hit_stalls[core_id]
-                    stall = stall_cache.get(lat_key)
-                    if stall is None:
-                        stall = stall_cache[lat_key] = core.memory_stall(
-                            True, lat_key)
-                    core_stats.cycles += stall
-                    core_stats.stall_cycles += stall
-                    if is_write and has_fabric \
+                        # The scarcity inputs: the 2MB L1 TLB's O(1)
+                        # resident count and its capacity.
+                        superpage_tlb = tlb.l1_2mb
+                        latency = scheduler.hit_latency(
+                            latency, superpage_tlb._resident,
+                            superpage_tlb.entries)
+                    cores[core_id].retire(gaps[index], True,
+                                          latency + extra_tlb)
+                    if is_write and fabric is not None \
                             and fabric.sharer_count(pa) > 1:
                         fabric.cpu_write(core_id, pa)
                 else:
                     miss = hierarchy.service_miss(pa, is_write)
-                    if miss.llc_accessed:
-                        breakdown.llc_nj += llc_nj
-                    if miss.l2_accessed:
-                        breakdown.l2_nj += l2_nj
-                    if miss.dram_accessed:
-                        breakdown.dram_nj += dram_nj
-                    if has_fabric:
+                    energy.record_miss(miss)
+                    if fabric is not None:
                         if is_write:
                             fabric.cpu_write(core_id, pa)
                         else:
                             fabric.cpu_read(core_id, pa)
-                    if is_vivt[core_id]:
+                    if vivt:
                         l1.fill(va, pa, page_size, is_write)
                     else:
                         l1.fill(pa, page_size, is_write)
-                    breakdown.l1_fill_nj += fill_energy
-                    total = miss_detect + miss.latency_cycles + extra_tlb
-                    # Inlined CoreModel.account_memory (memoized stall).
-                    stall_cache = miss_stalls[core_id]
-                    stall = stall_cache.get(total)
-                    if stall is None:
-                        stall = stall_cache[total] = core.memory_stall(
-                            False, total)
-                    core_stats.cycles += stall
-                    core_stats.stall_cycles += stall
+                    cores[core_id].retire(
+                        gaps[index], False,
+                        miss_detect + miss.latency_cycles + extra_tlb)
 
                 line = pa & ~63
                 if len(recent) < 64:
                     recent.append(line)
                 else:
                     recent[index & 63] = line
-                if index == probe_next:
-                    probe_next += probe_interval
-                    self._system_probe()
-                if index == cs_next:
-                    cs_next += cs_interval
-                    self._context_switch()
-                if index == splinter_next:
-                    splinter_next += splinter_interval
-                    self._churn_splinter()
-                if index == promote_next:
-                    promote_next += promote_interval
-                    self._churn_promote()
+                if index == next_event:
+                    next_event = float("inf")
+                    for event in events:
+                        if event[0] == index:
+                            event[0] += event[1]
+                            event[2]()
+                        if event[0] < next_event:
+                            next_event = event[0]
                 index += 1
                 if index == checkpoint_next:
                     checkpoint_next += checkpoint_interval
@@ -800,18 +697,23 @@ class SystemSimulator:
 
     # -------------------------------------------------------- periodic events
 
-    def _periodic_events(self, start: int) -> List[list]:
-        """The periodic events that change machine state, as mutable
-        ``[next index, interval, action, remaps pages]`` entries due at or
-        after trace index ``start``, in the run loop's dispatch order.
+    def _periodic_events(self, start: int,
+                         probe: bool = False) -> List[list]:
+        """The periodic events due at or after trace index ``start``, as
+        mutable ``[next index, interval, action, remaps pages]`` entries
+        in dispatch order.  Each fires after the reference at its index.
 
-        Each fires after the reference at its index.  The background
-        coherence probe is left out: it only observes (stats, probe
-        energy and one RNG draw).
+        :meth:`run_until` fires them all (``probe=True``).  Only then is
+        the background coherence probe included, first: it only observes
+        (stats, probe energy and one RNG draw), so the sampled lane's
+        warmer, which replays the events that change machine state,
+        leaves it out.
         """
         config = self.config
         return [[_next_fire(start, interval), interval, action, remaps]
                 for interval, action, remaps in (
+                    (config.system_probe_interval if probe else None,
+                     self._system_probe, False),
                     (config.context_switch_period, self._context_switch,
                      False),
                     (config.splinter_interval, self._churn_splinter, True),

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cache.hierarchy import MissServiceResult
 from repro.energy.accounting import EnergyAccountant, EnergyBreakdown
 from repro.energy.sram import SRAMModel
 
@@ -45,26 +46,64 @@ class TestL1Events:
             assert accountant._lookup_energy[ways] == pytest.approx(
                 model.partial_lookup_energy_nj(32 * 1024, 8, ways))
 
-    def test_fill_clamped_to_valid_range(self):
+
+class TestReferenceEvents:
+    def test_tlb_energy_times_lookup_count(self):
         accountant = make_accountant()
-        accountant.record_l1_fill(0)     # clamped to 1
-        accountant.record_l1_fill(99)    # clamped to 8
-        assert accountant.breakdown.l1_fill_nj > 0
+        accountant.record_reference(1, 0, 8)
+        accountant.record_reference(2, 0, 8)
+        tlb_nj = 0.0
+        tlb_nj += accountant.tlb_lookup_nj * 1
+        tlb_nj += accountant.tlb_lookup_nj * 2
+        assert accountant.breakdown.tlb_nj == tlb_nj
+
+    def test_tft_energy_only_when_asked(self):
+        accountant = make_accountant()
+        accountant.record_reference(1, 0, 4)
+        assert accountant.breakdown.tft_nj == 0.0
+        accountant.record_reference(1, 1, 4)
+        assert accountant.breakdown.tft_nj == accountant.tft_lookup_nj
+
+    def test_lookup_energy_by_ways_probed(self):
+        """The CPU-side L1 lookup is charged by ways probed, added in the
+        order the run loop makes the references."""
+        accountant = make_accountant()
+        for ways in (8, 4, 1, 4):
+            accountant.record_reference(1, 1, ways)
+        lookup_nj = 0.0
+        for ways in (8, 4, 1, 4):
+            lookup_nj += accountant._lookup_energy[ways]
+        assert accountant.breakdown.l1_cpu_lookup_nj == lookup_nj
+        assert accountant.breakdown.l1_coherence_lookup_nj == 0.0
+
+    def test_miss_charges_levels_reached_and_one_way_fill(self):
+        accountant = make_accountant()
+        accountant.record_miss(MissServiceResult(
+            30, "llc", l2_accessed=False, llc_accessed=True))
+        accountant.record_miss(MissServiceResult(
+            100, "dram", l2_accessed=True, llc_accessed=True,
+            dram_accessed=True))
+        b = accountant.breakdown
+        assert b.llc_nj == accountant.llc_access_nj * 2
+        assert b.l2_nj == accountant.l2_access_nj
+        assert b.dram_nj == accountant.dram_access_nj
+        assert b.l1_fill_nj == accountant._lookup_energy[1] * 2
+        assert b.l1_cpu_lookup_nj == b.tlb_nj == b.tft_nj == 0.0
 
 
 class TestOtherEvents:
     def test_event_constants_accumulate(self):
         accountant = make_accountant()
-        accountant.record_tlb_lookup(2)
-        accountant.record_tft_lookup()
-        accountant.record_l2_access()
+        accountant.record_reference(2, 1, 8)
+        accountant.record_miss(MissServiceResult(
+            100, "dram", l2_accessed=True, llc_accessed=True,
+            dram_accessed=True))
         accountant.record_llc_access()
-        accountant.record_dram_access()
         b = accountant.breakdown
         assert b.tlb_nj == pytest.approx(2 * accountant.tlb_lookup_nj)
         assert b.tft_nj == pytest.approx(accountant.tft_lookup_nj)
         assert b.l2_nj == accountant.l2_access_nj
-        assert b.llc_nj == accountant.llc_access_nj
+        assert b.llc_nj == 2 * accountant.llc_access_nj
         assert b.dram_nj == accountant.dram_access_nj
 
     def test_dram_dwarfs_l1(self):

@@ -5,35 +5,39 @@ import pytest
 from repro.cpu.core import CoreModel
 from repro.cpu.inorder import InOrderCore
 from repro.cpu.ooo import OutOfOrderCore
+from repro.sim.config import SystemConfig
+from repro.sim.system import SystemSimulator
+from repro.workloads.suite import build_trace, get_workload
 
 
 class TestCommon:
     def test_advance_charges_frontend_cycles(self):
+        """``retire`` charges the gap and the reference itself at the
+        issue width, then the stall, in that order."""
         core = OutOfOrderCore(issue_width=4)
-        core.advance(gap_instructions=7)   # 8 instructions total
+        core.retire(7, True, 1)             # 8 instructions total
+        cycles = 0.0
+        cycles += 8 / 4
+        cycles += core.memory_stall(True, 1)
         assert core.stats.instructions == 8
-        assert core.stats.cycles == pytest.approx(2.0)
+        assert core.stats.cycles == cycles
         assert core.stats.memory_references == 1
 
-    def test_charge_cycles(self):
-        core = InOrderCore()
-        core.charge_cycles(175)
-        assert core.stats.cycles == 175
-
     def test_runtime_rounding(self):
-        core = OutOfOrderCore(issue_width=4)
-        core.advance(0)                     # 0.25 cycles
-        assert isinstance(core.runtime_cycles, int)
-
-    def test_runtime_seconds(self):
-        core = InOrderCore(frequency_ghz=1.0)
-        core.charge_cycles(1_000_000_000)
-        assert core.runtime_seconds() == pytest.approx(1.0)
+        """Cores keep fractional cycles; a result's runtime is the slowest
+        core's cycles, rounded once when the result is built."""
+        sim = SystemSimulator(SystemConfig(),
+                              build_trace(get_workload("gups"), 2000, seed=42))
+        result = sim.run()
+        cycles = max(core.stats.cycles for core in sim.cores)
+        assert not cycles.is_integer()
+        assert result.runtime_cycles == round(cycles)
 
     def test_ipc(self):
         core = InOrderCore(issue_width=2)
-        core.advance(3)
-        assert core.stats.ipc == pytest.approx(2.0)
+        core.retire(3, True, 1)
+        assert core.stats.ipc == 4 / (4 / 2 + core.memory_stall(True, 1))
+        assert InOrderCore().stats.ipc == 0.0
 
     def test_base_class_abstract(self):
         with pytest.raises(NotImplementedError):
@@ -72,7 +76,22 @@ class TestLatencyExposure:
         assert core.memory_stall(False, 39) == pytest.approx(30.0)
 
     def test_account_memory_accumulates(self):
+        """Each ``retire`` adds the memoised stall to ``cycles`` and
+        ``stall_cycles``; hits and misses of one latency stay apart."""
         core = InOrderCore()
-        stall = core.account_memory(False, 40)
-        assert core.stats.stall_cycles == stall
-        assert core.stats.cycles == stall
+        core.retire(1, False, 40)
+        core.retire(1, False, 40)
+        core.retire(1, True, 40)
+        miss = core.memory_stall(False, 40)
+        hit = core.memory_stall(True, 40)
+        assert hit != miss
+        assert core._stall_cache == {(False, 40): miss, (True, 40): hit}
+        cycles = stall_cycles = 0.0
+        for stall in (miss, miss, hit):
+            cycles += 2 / 2
+            cycles += stall
+            stall_cycles += stall
+        assert core.stats.cycles == cycles
+        assert core.stats.stall_cycles == stall_cycles
+        assert core.stats.instructions == 6
+        assert core.stats.memory_references == 3

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.core.scheduling import HitSpeculationPolicy
 from repro.devtools.sanitize import SanitizerError
 from repro.resilience import (
     CheckpointError,
@@ -116,10 +117,25 @@ class TestFaultSpecs:
 
 # -------------------------------------------------------- snapshot/restore
 
+#: snapshot round-trip machines: the two default designs, the in-order
+#: core with way prediction, and SEESAW speculating every hit fast.
+ROUND_TRIPS = {
+    "vipt": dict(l1_design="vipt"),
+    "seesaw": dict(l1_design="seesaw"),
+    "inorder-wp": dict(l1_design="seesaw", core="inorder",
+                       way_prediction=True),
+    "seesaw-always-fast": dict(
+        l1_design="seesaw", speculation=HitSpeculationPolicy.ALWAYS_FAST),
+}
+
+
 class TestSnapshotRestore:
-    @pytest.mark.parametrize("design", ["vipt", "seesaw"])
-    def test_round_trip_bit_identical(self, design):
-        config = make_config(l1_design=design)
+    @pytest.mark.parametrize("machine", list(ROUND_TRIPS))
+    def test_round_trip_bit_identical(self, machine):
+        """A snapshot carries every component's state — the cores' stall
+        memos and the schedulers' counters too — so a resumed run ends
+        exactly where an uninterrupted one does."""
+        config = make_config(**ROUND_TRIPS[machine])
         reference = SystemSimulator(config, make_trace()).run()
 
         sim = SystemSimulator(config, make_trace())
@@ -127,6 +143,9 @@ class TestSnapshotRestore:
         blob = sim.snapshot()
         resumed = SystemSimulator(config, make_trace())
         resumed.restore(blob)
+        assert all(core._stall_cache for core in resumed.cores)
+        assert ([core._stall_cache for core in resumed.cores]
+                == [core._stall_cache for core in sim.cores])
         assert resumed.finish() == reference
 
     def test_restore_rejects_other_config(self):

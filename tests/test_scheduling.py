@@ -2,16 +2,17 @@
 
 import pytest
 
-from repro.core.scheduling import (
-    HitSpeculationPolicy,
-    SchedulerModel,
-    SpeculationOutcome,
-)
+from repro.core.scheduling import HitSpeculationPolicy, SchedulerModel
 
 
 def make(policy=HitSpeculationPolicy.ADAPTIVE, fast=1, slow=2, penalty=1):
     return SchedulerModel(fast_cycles=fast, slow_cycles=slow, policy=policy,
                           squash_penalty_cycles=penalty)
+
+
+#: a superpage L1 TLB (16 entries) that is full, and one that is empty.
+PLENTY = (16, 16)
+SCARCE = (0, 16)
 
 
 class TestConstruction:
@@ -23,64 +24,66 @@ class TestConstruction:
 class TestAssumption:
     def test_always_fast(self):
         scheduler = make(HitSpeculationPolicy.ALWAYS_FAST)
-        assert scheduler.assume_fast(0, 16)
+        assert scheduler.hit_latency(1, *SCARCE) == 1
+        assert scheduler.stats.fast_assumptions == 1
+        assert scheduler.stats.slow_assumptions == 0
 
     def test_always_slow(self):
         scheduler = make(HitSpeculationPolicy.ALWAYS_SLOW)
-        assert not scheduler.assume_fast(16, 16)
+        assert scheduler.hit_latency(1, *PLENTY) == 2
+        assert scheduler.stats.fast_assumptions == 0
+        assert scheduler.stats.slow_assumptions == 1
 
     def test_adaptive_threshold_is_quarter_capacity(self):
         # Paper: "setting the threshold of the counter to a quarter of the
         # number of superpage TLB entries achieves good performance".
         scheduler = make(HitSpeculationPolicy.ADAPTIVE)
-        assert not scheduler.assume_fast(3, 16)
-        assert scheduler.assume_fast(4, 16)
+        assert scheduler.hit_latency(1, 3, 16) == 2     # assumed slow
+        assert scheduler.hit_latency(1, 4, 16) == 1     # assumed fast
+        # Atom's 32-entry superpage TLB (Table II).
+        assert scheduler.hit_latency(1, 7, 32) == 2
+        assert scheduler.hit_latency(1, 8, 32) == 1
 
     def test_assumption_stats(self):
         scheduler = make(HitSpeculationPolicy.ADAPTIVE)
-        scheduler.assume_fast(16, 16)
-        scheduler.assume_fast(0, 16)
+        scheduler.hit_latency(1, *PLENTY)
+        scheduler.hit_latency(1, *SCARCE)
         assert scheduler.stats.fast_assumptions == 1
         assert scheduler.stats.slow_assumptions == 1
 
 
 class TestResolveHit:
+    """The four hit cases of §IV-B3, through ``hit_latency``."""
+
     def test_fast_assumption_fast_hit(self):
-        outcome = make().resolve_hit(assumed_fast=True, actual_latency=1)
-        assert outcome.effective_latency_cycles == 1
-        assert not outcome.squashed
+        scheduler = make()
+        assert scheduler.hit_latency(1, *PLENTY) == 1
+        assert scheduler.stats.squashes == 0
 
     def test_fast_assumption_slow_hit_squashes(self):
         scheduler = make(penalty=1)
-        outcome = scheduler.resolve_hit(assumed_fast=True, actual_latency=2)
-        assert outcome.squashed
-        assert outcome.effective_latency_cycles == 3
+        assert scheduler.hit_latency(2, *PLENTY) == 3
         assert scheduler.stats.squashes == 1
+        assert scheduler.stats.squash_cycles == 1
 
     def test_penalty_capped_by_speculation_window(self):
         scheduler = make(fast=1, slow=2, penalty=10)
-        outcome = scheduler.resolve_hit(assumed_fast=True, actual_latency=2)
         # Only one cycle of wakeups could have issued early.
-        assert outcome.effective_latency_cycles == 3
+        assert scheduler.hit_latency(2, *PLENTY) == 3
+        assert scheduler.stats.squash_cycles == 1
 
     def test_slow_assumption_forfeits_fast_hit(self):
         # Paper §IV-B3: "a faster hit ... may not translate to overall
         # runtime reduction, but will still provide the same energy
         # benefits."
-        outcome = make().resolve_hit(assumed_fast=False, actual_latency=1)
-        assert outcome.effective_latency_cycles == 2
-        assert not outcome.squashed
+        scheduler = make()
+        assert scheduler.hit_latency(1, *SCARCE) == 2
+        assert scheduler.stats.squashes == 0
 
     def test_slow_assumption_slow_hit(self):
-        outcome = make().resolve_hit(assumed_fast=False, actual_latency=2)
-        assert outcome.effective_latency_cycles == 2
-
-
-class TestResolveMiss:
-    def test_miss_charges_no_extra_penalty(self):
-        outcome = make().resolve_miss(assumed_fast=True, total_latency=40)
-        assert outcome.effective_latency_cycles == 40
-        assert not outcome.squashed
+        scheduler = make()
+        assert scheduler.hit_latency(2, *SCARCE) == 2
+        assert scheduler.stats.squashes == 0
 
 
 class TestHighFrequencyConfigs:
@@ -88,5 +91,5 @@ class TestHighFrequencyConfigs:
         # Table III: base 42, super 4 at 4GHz — big speculation window.
         scheduler = SchedulerModel(fast_cycles=4, slow_cycles=42,
                                    squash_penalty_cycles=3)
-        outcome = scheduler.resolve_hit(assumed_fast=True, actual_latency=42)
-        assert outcome.effective_latency_cycles == 45
+        assert scheduler.hit_latency(42, *PLENTY) == 45
+        assert scheduler.stats.squash_cycles == 3

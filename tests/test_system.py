@@ -141,6 +141,17 @@ class TestWayPredictionDesigns:
         result = run(SystemConfig(l1_design="seesaw", way_prediction=True))
         assert result.way_prediction_accuracy is not None
 
+    @pytest.mark.parametrize("design", ["vipt", "seesaw"])
+    def test_predictions_cover_the_measured_window(self, design):
+        """The warmup reset zeroes the predictor's counters with every
+        other statistic: one prediction per measured L1 access."""
+        sim = SystemSimulator(
+            SystemConfig(l1_design=design, way_prediction=True), TRACE)
+        sim.run()
+        counters = sim.counters()
+        assert counters["wp_predictions"] == (counters["l1_hits"]
+                                              + counters["l1_misses"])
+
     def test_wp_saves_energy_over_plain_vipt(self):
         plain = run(SystemConfig(l1_design="vipt"))
         wp = run(SystemConfig(l1_design="vipt", way_prediction=True))
