@@ -6,13 +6,6 @@ baseline designs it is compared against (paper Figs. 7-15) and the levels
 behind the L1.
 """
 
-from repro.cache.replacement import (
-    ReplacementPolicy,
-    LRUPolicy,
-    TreePLRUPolicy,
-    RandomPolicy,
-    make_policy,
-)
 from repro.cache.basic import CacheSet, SetAssociativeCache, CacheStats
 from repro.cache.vipt import ViptL1Cache, L1AccessResult
 from repro.cache.pipt import PiptL1Cache
@@ -21,11 +14,6 @@ from repro.cache.way_predictor import MRUWayPredictor, WayPredictorStats
 from repro.cache.hierarchy import MemoryHierarchy, HierarchyLevel, DRAMModel
 
 __all__ = [
-    "ReplacementPolicy",
-    "LRUPolicy",
-    "TreePLRUPolicy",
-    "RandomPolicy",
-    "make_policy",
     "CacheSet",
     "SetAssociativeCache",
     "CacheStats",

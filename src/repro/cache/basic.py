@@ -14,33 +14,33 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.mem.address import CACHE_LINE_SIZE
-from repro.cache.replacement import (LRUPolicy, ReplacementPolicy,
-                                     lru_final_state, make_policy)
+from repro.cache.replacement import lru_final_state
 
 #: log2 of the cache line size; 64B lines -> 6 byte-offset bits.
 LINE_OFFSET_BITS = CACHE_LINE_SIZE.bit_length() - 1
 
 
 class CacheSet:
-    """One set as flat per-way lists beside its replacement policy.
+    """One true-LRU set as flat per-way lists.
 
     ``tags[way]`` is the way's tag, or None when the way is invalid;
     ``dirty``, ``states`` (the MOESI state, "I" when invalid) and
     ``from_superpage`` (SEESAW: the fill came from a superpage mapping)
-    hold the rest of its bookkeeping.  No data payload is modeled, and a
+    hold the rest of its bookkeeping, and ``order`` lists every way from
+    least to most recently used.  No data payload is modeled, and a
     line's address is recomputed from its tag and set index.  A set never
     holds one tag twice, so one C-level ``tag in tags`` / ``tags.index``
     finds a line.
     """
 
-    __slots__ = ("tags", "dirty", "states", "from_superpage", "policy")
+    __slots__ = ("tags", "dirty", "states", "from_superpage", "order")
 
-    def __init__(self, ways: int, policy: ReplacementPolicy) -> None:
+    def __init__(self, ways: int) -> None:
         self.tags: List[Optional[int]] = [None] * ways
         self.dirty = [False] * ways
         self.states = ["I"] * ways
         self.from_superpage = [False] * ways
-        self.policy = policy
+        self.order = list(range(ways))
 
     def find(self, tag: int) -> Optional[int]:
         """Return the way holding ``tag``, or None."""
@@ -48,7 +48,7 @@ class CacheSet:
         return tags.index(tag) if tag in tags else None
 
     def invalidate(self, way: int) -> None:
-        """Return ``way`` to the invalid state (replacement state kept)."""
+        """Return ``way`` to the invalid state (recency order kept)."""
         self.tags[way] = None
         self.dirty[way] = False
         self.states[way] = "I"
@@ -90,7 +90,7 @@ EvictionHook = Callable[[int, bool], None]
 
 
 class SetAssociativeCache:
-    """Physically-addressed set-associative cache with configurable policy.
+    """Physically-addressed set-associative true-LRU cache.
 
     Addresses are byte addresses; lines are 64B.  Only metadata is tracked.
 
@@ -98,20 +98,12 @@ class SetAssociativeCache:
         size_bytes: total capacity.
         ways: associativity (``1`` = direct-mapped).
         line_size: line size in bytes (default 64).
-        replacement: ``lru`` | ``plru`` | ``random``.
         name: label for reporting.
-        seed: base seed for stochastic replacement (per-set streams are
-            derived as ``seed + set_index``).
-        rng: optional shared ``numpy.random.Generator``; when given, every
-            set's stochastic policy draws from this single stream instead
-            of a per-set one (the reproducibility seam — one RNG for the
-            whole cache).
     """
 
     def __init__(self, size_bytes: int, ways: int,
                  line_size: int = CACHE_LINE_SIZE,
-                 replacement: str = "lru", name: str = "cache",
-                 seed: int = 0, rng=None) -> None:
+                 name: str = "cache") -> None:
         if size_bytes % (ways * line_size):
             raise ValueError("size must be a multiple of ways * line_size")
         self.name = name
@@ -129,9 +121,6 @@ class SetAssociativeCache:
         self._tag_shift = self.offset_bits + self.index_bits
         self._line_mask = ~(line_size - 1)
         self.stats = CacheStats()
-        self.replacement = replacement
-        self.seed = seed
-        self.rng = rng
         # Sets are materialized lazily: a 24MB LLC has ~25k sets and most
         # simulations touch a small fraction of them.
         self._sets: Dict[int, CacheSet] = {}
@@ -141,11 +130,7 @@ class SetAssociativeCache:
         """The :class:`CacheSet` at ``index`` (created on first use)."""
         cache_set = self._sets.get(index)
         if cache_set is None:
-            cache_set = CacheSet(
-                self.ways,
-                make_policy(self.replacement, self.ways,
-                            seed=self.seed + index, rng=self.rng))
-            self._sets[index] = cache_set
+            cache_set = self._sets[index] = CacheSet(self.ways)
         return cache_set
 
     # ------------------------------------------------------------- pickling
@@ -207,14 +192,9 @@ class SetAssociativeCache:
         tags = cache_set.tags
         if tag in tags:
             way = tags.index(tag)
-            policy = cache_set.policy
-            if type(policy) is LRUPolicy:
-                # Inlined LRUPolicy.touch (the per-reference case).
-                order = policy._order
-                order.remove(way)
-                order.append(way)
-            else:
-                policy.touch(way)
+            order = cache_set.order
+            order.remove(way)
+            order.append(way)
             if is_write:
                 cache_set.dirty[way] = True
             stats.hits += 1
@@ -230,7 +210,9 @@ class SetAssociativeCache:
         Filling an address that is already resident refreshes the existing
         line in place — a cache never holds two copies of one tag.  A new
         line takes the first invalid way among ``candidate_ways`` (default:
-        all, in way order), else the replacement policy's victim among them.
+        all, in way order), else the least recently used of them.
+        Placing a new line among empty ``candidate_ways`` raises
+        ValueError.
         """
         set_index = (address >> self.offset_bits) & self._index_mask
         cache_set = self._sets.get(set_index)
@@ -238,7 +220,7 @@ class SetAssociativeCache:
             cache_set = self.set_at(set_index)
         tag = address >> self._tag_shift
         tags = cache_set.tags
-        policy = cache_set.policy
+        order = cache_set.order
         if tag in tags:
             way = tags.index(tag)
             if dirty:
@@ -254,14 +236,15 @@ class SetAssociativeCache:
                 else:
                     way = None
             if way is None:
-                if candidate_ways is None and type(policy) is LRUPolicy:
-                    # LRUPolicy.victim over the full way range returns the
-                    # head of the recency list.
-                    way = policy._order[0]
+                if candidate_ways is None:
+                    way = order[0]
                 else:
-                    way = policy.victim(list(range(self.ways))
-                                        if candidate_ways is None
-                                        else list(candidate_ways))
+                    for way in order:
+                        if way in candidate_ways:
+                            break
+                    else:
+                        raise ValueError(
+                            f"{self.name}: no candidate ways supplied")
                 # Every candidate way is valid here, so the victim is too.
                 stats = self.stats
                 stats.evictions += 1
@@ -277,12 +260,8 @@ class SetAssociativeCache:
             cache_set.states[way] = "M" if dirty else "E"
             cache_set.from_superpage[way] = from_superpage
             self.stats.fills += 1
-        if type(policy) is LRUPolicy:
-            order = policy._order
-            order.remove(way)
-            order.append(way)
-        else:
-            policy.touch(way)
+        order.remove(way)
+        order.append(way)
         return way
 
     def install(self, addresses) -> None:
@@ -291,7 +270,7 @@ class SetAssociativeCache:
         way *i* mod ``ways``, its recency list is ``range(ways)`` rotated
         left by its line count, and sets are created in first-touch order.
         Survivors are sorted into way order, so one slice writes each
-        set's tags.  Anything but an empty, hook-free LRU cache raises
+        set's tags.  Anything but an empty, hook-free cache raises
         ValueError.
         """
         lines = np.asarray(addresses, dtype=np.int64) >> self.offset_bits
@@ -303,10 +282,10 @@ class SetAssociativeCache:
         position = rank - np.maximum(count - ways, 0)
         first = position == 0
         per_set = count[first]
-        if (self._sets or self._eviction_hooks or self.replacement != "lru"
+        if (self._sets or self._eviction_hooks
                 or per_set.sum() != lines.size):
             raise ValueError(f"{self.name}: install needs distinct lines "
-                             f"and an empty, hook-free LRU cache")
+                             f"and an empty, hook-free cache")
         stats.misses += lines.size
         stats.fills += lines.size
         stats.ways_probed += lines.size * ways
@@ -322,7 +301,7 @@ class SetAssociativeCache:
             cache_set.tags[:size] = tags[start:start + size]
             cache_set.states[:size] = ["E"] * size
             shift = total % ways
-            cache_set.policy._order = [*range(shift, ways), *range(shift)]
+            cache_set.order = [*range(shift, ways), *range(shift)]
             start += size
 
     def contains(self, address: int) -> bool:

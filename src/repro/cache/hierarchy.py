@@ -90,17 +90,16 @@ class MemoryHierarchy:
     def __init__(self, frequency_ghz: float = 1.33,
                  l2_size: int = 0, l2_ways: int = 8, l2_latency: int = 12,
                  llc_size: int = 24 * 1024 * 1024, llc_ways: int = 16,
-                 llc_latency: int = 30, seed: int = 0) -> None:
+                 llc_latency: int = 30) -> None:
         self.frequency_ghz = frequency_ghz
         self.levels: List[HierarchyLevel] = []
         if l2_size:
             self.levels.append(HierarchyLevel(
-                SetAssociativeCache(l2_size, l2_ways, name="l2", seed=seed),
+                SetAssociativeCache(l2_size, l2_ways, name="l2"),
                 l2_latency))
         if llc_size:
             self.levels.append(HierarchyLevel(
-                SetAssociativeCache(llc_size, llc_ways, name="llc",
-                                    seed=seed + 1),
+                SetAssociativeCache(llc_size, llc_ways, name="llc"),
                 llc_latency))
         self.dram = DRAMModel()
 

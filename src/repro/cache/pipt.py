@@ -26,14 +26,12 @@ class PiptL1Cache:
     """
 
     def __init__(self, size_bytes: int, ways: int, hit_cycles: int,
-                 tlb_latency: int = 1, name: str = "pipt-l1",
-                 seed: int = 0) -> None:
+                 tlb_latency: int = 1, name: str = "pipt-l1") -> None:
         self.timing = L1Timing(base_hit_cycles=hit_cycles,
                                super_hit_cycles=hit_cycles)
         self.tlb_latency = tlb_latency
         self.name = name
-        self.store = SetAssociativeCache(
-            size_bytes, ways, replacement="lru", name=name, seed=seed)
+        self.store = SetAssociativeCache(size_bytes, ways, name=name)
         # Per-access constants, folded once (see ViptL1Cache).
         self._hit_cycles = tlb_latency + hit_cycles
         self._miss_detect = tlb_latency + self.timing.miss_detect_cycles()

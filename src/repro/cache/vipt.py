@@ -124,15 +124,13 @@ class ViptL1Cache:
     MAX_SETS = PAGE_SIZE_4KB // CACHE_LINE_SIZE
 
     def __init__(self, size_bytes: int, timing: L1Timing,
-                 name: str = "vipt-l1", seed: int = 0,
-                 sanitize: bool = False) -> None:
+                 name: str = "vipt-l1", sanitize: bool = False) -> None:
         ways = size_bytes // (self.MAX_SETS * CACHE_LINE_SIZE)
         if ways < 1:
             raise ValueError("cache smaller than one way per VIPT set")
         self.timing = timing
         self.name = name
-        self.store = SetAssociativeCache(
-            size_bytes, ways, replacement="lru", name=name, seed=seed)
+        self.store = SetAssociativeCache(size_bytes, ways, name=name)
         self._sanitize = bool(sanitize) or _sanitize.enabled()
         # Per-access constants, folded once (timing objects are immutable
         # in practice; tests that mutate them construct fresh caches).

@@ -55,12 +55,11 @@ class VivtL1Cache:
     physically_indexed = False
 
     def __init__(self, size_bytes: int, ways: int, hit_cycles: int,
-                 name: str = "vivt-l1", seed: int = 0) -> None:
+                 name: str = "vivt-l1") -> None:
         self.timing = L1Timing(base_hit_cycles=hit_cycles,
                                super_hit_cycles=hit_cycles)
         self.name = name
-        self.store = SetAssociativeCache(
-            size_bytes, ways, replacement="lru", name=name, seed=seed)
+        self.store = SetAssociativeCache(size_bytes, ways, name=name)
         self.synonym_stats = SynonymStats()
         # Per-access constants, folded once (see ViptL1Cache).
         self._hit_cycles = hit_cycles

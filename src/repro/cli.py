@@ -251,7 +251,14 @@ def _config_from_args(args: argparse.Namespace,
     )
 
 
+def _result_json(result) -> str:
+    """``--json`` output: the result's full sorted-key ``to_dict()``, the
+    form sweep journals record."""
+    return json.dumps(result.to_dict(), indent=2, sort_keys=True)
+
+
 def _result_row(result) -> dict:
+    """The headline rows of the table view."""
     return {
         "workload": result.workload,
         "runtime_cycles": result.runtime_cycles,
@@ -336,13 +343,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         trace = _build_run_trace(workload, args)
         result = simulate_sampled(_config_from_args(args), trace,
                                   sampling_plan)
-        payload = _result_row(result)
-        payload["config"] = _config_from_args(args).describe()
-        payload["sampling"] = result.sampling
         if args.json:
-            print(json.dumps(payload, indent=2))
+            print(_result_json(result))
         else:
-            block = payload.pop("sampling")
+            payload = _result_row(result)
+            payload["config"] = result.config_description
+            block = result.sampling
             rows = [[k, v] for k, v in payload.items()]
             rows.append(["sampled", f"{block['num_clusters']}/"
                                     f"{block['num_intervals']} intervals "
@@ -369,13 +375,13 @@ def cmd_run(args: argparse.Namespace) -> int:
                       checkpoint_path=args.checkpoint,
                       checkpoint_interval=args.checkpoint_every)
     result = sim.finish()
-    payload = _result_row(result)
-    payload["config"] = config.describe()
-    if result.faults_injected:
-        payload["faults_injected"] = ",".join(result.faults_injected)
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(_result_json(result))
     else:
+        payload = _result_row(result)
+        payload["config"] = result.config_description
+        if result.faults_injected:
+            payload["faults_injected"] = ",".join(result.faults_injected)
         print(format_table(["metric", "value"],
                            [[k, v] for k, v in payload.items()],
                            title=f"run: {trace.name}"))
@@ -393,11 +399,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps({
             "workload": args.workload,
-            "baseline": _result_row(results[args.baseline]),
-            "candidate": _result_row(results[args.design]),
+            "baseline": results[args.baseline].to_dict(),
+            "candidate": results[args.design].to_dict(),
             "runtime_improvement_pct": round(runtime, 3),
             "energy_improvement_pct": round(energy, 3),
-        }, indent=2))
+        }, indent=2, sort_keys=True))
     else:
         print(f"{args.workload}: {args.design} vs {args.baseline} — "
               f"runtime +{runtime:.2f}%, energy +{energy:.2f}%")

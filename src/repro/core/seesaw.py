@@ -25,7 +25,6 @@ from typing import List, Optional, Sequence
 from repro.devtools import sanitize as _sanitize
 from repro.mem.address import CACHE_LINE_SIZE, PageSize
 from repro.cache.basic import SetAssociativeCache
-from repro.cache.replacement import LRUPolicy
 from repro.cache.vipt import CoherenceProbeResult, L1AccessResult, L1Timing
 from repro.cache.way_predictor import MRUWayPredictor
 from repro.core.adaptive_wp import WayPredictionGate
@@ -84,17 +83,18 @@ class SeesawL1Cache:
         wp_gate: optional confidence gate that dynamically disables the
             way predictor during poor-locality phases (the paper's §VI-F
             future-work scheme).
-        wp_mispredict_penalty: extra cycles when the way predictor misses
-            and the line is present.  ``None`` (default) charges a full
-            second lookup of the relevant scope: the whole set on the
-            TFT-miss path, but only the partition on the TFT-hit path —
-            SEESAW "reduce[s] the way-predictor's misprediction penalty
-            for superpage accesses" (paper §IV-B2).
-        promotion_sweep_cycles: cycles charged per promotion-triggered cache
-            sweep (paper: 150-200; hidden under the TLB-shootdown window).
+
+    A way misprediction on a present line costs a second lookup of the
+    probed scope: the whole set on the TFT-miss path, but only the
+    partition on the TFT-hit path — SEESAW "reduce[s] the way-predictor's
+    misprediction penalty for superpage accesses" (paper §IV-B2).
     """
 
     MAX_SETS = ViptMaxSets = 64
+
+    #: cycles charged per promotion-triggered cache sweep (paper: 150-200;
+    #: hidden under the TLB-shootdown window).
+    PROMOTION_SWEEP_CYCLES = 175
 
     def __init__(self, size_bytes: int, timing: L1Timing,
                  partition_ways: int = 4,
@@ -102,10 +102,7 @@ class SeesawL1Cache:
                  tft_entries: int = 16,
                  way_predictor: Optional[MRUWayPredictor] = None,
                  wp_gate: Optional[WayPredictionGate] = None,
-                 wp_mispredict_penalty: Optional[int] = None,
-                 promotion_sweep_cycles: int = 175,
-                 name: str = "seesaw-l1", seed: int = 0,
-                 sanitize: bool = False) -> None:
+                 name: str = "seesaw-l1", sanitize: bool = False) -> None:
         num_sets = self.MAX_SETS
         ways = size_bytes // (num_sets * CACHE_LINE_SIZE)
         if ways < partition_ways:
@@ -117,14 +114,10 @@ class SeesawL1Cache:
         self.partitioning = WayPartitioning(total_ways=ways,
                                             partition_ways=partition_ways,
                                             num_sets=num_sets)
-        self.tft = TranslationFilterTable(entries=tft_entries,
-                                          lookup_cycles=timing.tft_cycles)
+        self.tft = TranslationFilterTable(entries=tft_entries)
         self.way_predictor = way_predictor
         self.wp_gate = wp_gate
-        self.wp_mispredict_penalty = wp_mispredict_penalty
-        self.promotion_sweep_cycles = promotion_sweep_cycles
-        self.store = SetAssociativeCache(
-            size_bytes, ways, replacement="lru", name=name, seed=seed)
+        self.store = SetAssociativeCache(size_bytes, ways, name=name)
         self.seesaw_stats = SeesawStats()
         self._sanitize = bool(sanitize) or _sanitize.enabled()
         # Per-access constants folded once (see ViptL1Cache).
@@ -185,7 +178,8 @@ class SeesawL1Cache:
                         physical_base + offset) is not None:
                     swept += 1
         self.seesaw_stats.promotion_sweeps += 1
-        self.seesaw_stats.promotion_sweep_cycles += self.promotion_sweep_cycles
+        self.seesaw_stats.promotion_sweep_cycles += \
+            self.PROMOTION_SWEEP_CYCLES
         self.seesaw_stats.lines_swept += swept
         if self._sanitize:
             # A promotion rearranges the region's partition mapping; verify
@@ -273,9 +267,7 @@ class SeesawL1Cache:
                     ways_probed = 1
                 elif way is not None:
                     # Second pass re-reads only this partition.
-                    latency += (self.wp_mispredict_penalty
-                                if self.wp_mispredict_penalty is not None
-                                else self.timing.super_hit_cycles)
+                    latency += self._super_hit_cycles
             hit = way is not None
             if hit:
                 seesaw_stats.fast_hits += 1
@@ -300,9 +292,7 @@ class SeesawL1Cache:
                     ways_probed = 1
                 elif way is not None:
                     # Second pass re-reads the whole set.
-                    latency += (self.wp_mispredict_penalty
-                                if self.wp_mispredict_penalty is not None
-                                else self.timing.base_hit_cycles)
+                    latency += self._base_hit_cycles
             hit = way is not None
             fast_path = False
             if is_super:
@@ -324,13 +314,9 @@ class SeesawL1Cache:
                 f"partition {actual} (way {way}) but the physical address "
                 f"names partition {expected} — partition map desynchronized")
         if hit:
-            policy = cache_set.policy
-            if type(policy) is LRUPolicy:
-                order = policy._order
-                order.remove(way)
-                order.append(way)
-            else:
-                policy.touch(way)
+            order = cache_set.order
+            order.remove(way)
+            order.append(way)
             if is_write:
                 cache_set.dirty[way] = True
             stats.hits += 1

@@ -8,20 +8,15 @@ false-positives), while a miss means "unknown" and forces the conservative
 full-set lookup.
 
 Sizing (paper §IV-A2 and Fig. 13): 16 entries ≈ 86 bytes per core keeps the
-missed-superpage-access rate under 10%.  The paper's design is
-direct-mapped ("although set-associative implementations are possible") and
-carries no ASID tags (§IV-C3: doubling the area was not worth <1%
-performance) — both variants are implemented here for the ablations:
-
-* ``ways > 1`` gives a set-associative TFT with LRU within each set;
-* ``asid_tags=True`` tags entries with an ASID so context switches no
-  longer force a flush.
+missed-superpage-access rate under 10%.  The table is the paper's design:
+direct-mapped, and without ASID tags (§IV-C3: doubling the area was not
+worth <1% performance), so a context switch flushes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.mem.address import PageSize, region_2mb
 
@@ -50,118 +45,77 @@ class TFTStats:
 
 
 class TranslationFilterTable:
-    """Table of superpage-backed 2MB virtual regions.
+    """Direct-mapped table of superpage-backed 2MB virtual regions.
+
+    ``slots[region % entries]`` (the paper's hash, VA[63:21] MOD the
+    entry count) holds the last region filled there, or None; a fill
+    simply displaces the slot's occupant.
 
     Args:
-        entries: total entry count (paper default 16).
-        ways: associativity; 1 (the paper's direct-mapped design) needs no
-            replacement policy — fills simply displace the slot's occupant.
-        asid_tags: tag entries with an address-space id instead of flushing
-            on context switches (the paper's rejected-for-area variant).
-        lookup_cycles: access latency; completes within the L1's first
-            cycle (paper: about a quarter of the cycle time), so 1 cycle is
-            an upper bound used for Table III reporting.
+        entries: slot count (paper default 16).
     """
 
     #: bits of a 64-bit VA above the 2MB offset — the stored tag width the
     #: paper quotes (43 bits).
     TAG_BITS = 64 - PageSize.SUPER_2MB.offset_bits
 
-    def __init__(self, entries: int = 16, ways: int = 1,
-                 asid_tags: bool = False, lookup_cycles: int = 1) -> None:
+    def __init__(self, entries: int = 16) -> None:
         if entries <= 0:
             raise ValueError("TFT must have at least one entry")
-        if ways <= 0 or entries % ways:
-            raise ValueError("entries must be a positive multiple of ways")
         self.entries = entries
-        self.ways = ways
-        self.num_sets = entries // ways
-        self.asid_tags = asid_tags
-        self.lookup_cycles = lookup_cycles
         self.stats = TFTStats()
-        # Each set holds (region, asid) pairs, LRU-ordered (MRU last).
-        self._sets: List[List[Tuple[int, int]]] = [
-            [] for _ in range(self.num_sets)]
-
-    def _index(self, region: int) -> int:
-        """Paper's hash: VA[63:21] MOD (# of TFT sets)."""
-        return region % self.num_sets
-
-    def _key(self, region: int, asid: int) -> Tuple[int, int]:
-        return (region, asid if self.asid_tags else 0)
+        self.slots: List[Optional[int]] = [None] * entries
 
     # ------------------------------------------------------------------- API
 
-    def lookup(self, virtual_address: int, asid: int = 0) -> bool:
+    def lookup(self, virtual_address: int) -> bool:
         """True iff the address's 2MB region is known superpage-backed."""
         region = virtual_address >> _REGION_SHIFT
-        entries = self._sets[region % self.num_sets]
-        key = (region, asid if self.asid_tags else 0)
-        if key in entries:
-            entries.remove(key)
-            entries.append(key)
+        if self.slots[region % self.entries] == region:
             self.stats.hits += 1
             return True
         self.stats.misses += 1
         return False
 
-    def probe(self, virtual_address: int, asid: int = 0) -> bool:
-        """Side-effect-free :meth:`lookup` (no stats, no LRU update)."""
+    def probe(self, virtual_address: int) -> bool:
+        """Side-effect-free :meth:`lookup` (no stats)."""
         region = region_2mb(virtual_address)
-        return self._key(region, asid) in self._sets[self._index(region)]
+        return self.slots[region % self.entries] == region
 
-    def fill(self, virtual_address: int, asid: int = 0) -> None:
+    def fill(self, virtual_address: int) -> None:
         """Mark the 2MB region of ``virtual_address`` as superpage-backed.
 
         Called on page-walk completion for 2MB leaves and on fills into the
-        2MB L1 TLB (paper Fig. 5 step 8).  Direct-mapped configurations
-        evict the slot's occupant; set-associative ones evict LRU.
+        2MB L1 TLB (paper Fig. 5 step 8); evicts the slot's occupant.
         """
         region = region_2mb(virtual_address)
-        entries = self._sets[self._index(region)]
-        key = self._key(region, asid)
-        if key in entries:
-            entries.remove(key)
-        elif len(entries) >= self.ways:
-            entries.pop(0)
-        entries.append(key)
+        self.slots[region % self.entries] = region
         self.stats.fills += 1
 
-    def invalidate(self, virtual_address: int, asid: int = 0) -> bool:
+    def invalidate(self, virtual_address: int) -> bool:
         """Drop the region entry (superpage splintered; ``invlpg`` hook).
 
         Returns True if an entry was removed.
         """
         region = region_2mb(virtual_address)
-        entries = self._sets[self._index(region)]
-        key = self._key(region, asid)
-        if key in entries:
-            entries.remove(key)
-            self.stats.invalidations += 1
-            return True
-        return False
+        slot = region % self.entries
+        if self.slots[slot] != region:
+            return False
+        self.slots[slot] = None
+        self.stats.invalidations += 1
+        return True
 
     def flush(self) -> None:
-        """Clear the table.
-
-        Without ASID tags, SEESAW flushes the TFT on every context switch
-        (paper §IV-C3); with tags a flush is only needed on ASID rollover.
-        """
-        self._sets = [[] for _ in range(self.num_sets)]
+        """Clear the table (every context switch, paper §IV-C3)."""
+        self.slots = [None] * self.entries
         self.stats.flushes += 1
-
-    def on_context_switch(self) -> None:
-        """Context-switch behaviour: flush unless ASID-tagged."""
-        if not self.asid_tags:
-            self.flush()
 
     def occupancy(self) -> int:
         """Number of valid entries."""
-        return sum(len(entries) for entries in self._sets)
+        return self.entries - self.slots.count(None)
 
     @property
     def storage_bytes(self) -> float:
-        """Approximate storage: 43-bit tags, plus 12-bit ASIDs if tagged
-        (16 entries -> 86B untagged, the paper's number)."""
-        bits = self.TAG_BITS + (12 if self.asid_tags else 0)
-        return self.entries * bits / 8
+        """Approximate storage: 43-bit tags (16 entries -> 86B, the
+        paper's number)."""
+        return self.entries * self.TAG_BITS / 8

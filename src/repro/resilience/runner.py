@@ -394,15 +394,15 @@ def sweep_header_fields(base_config, workloads, designs, trace_length: int,
         "trace_length": trace_length,
         "seed": seed,
     }
-    rtrace_digests = _rtrace_digests(workloads)
-    if rtrace_digests:
-        fields["rtrace_digests"] = rtrace_digests
+    digests = rtrace_digests(workloads)
+    if digests:
+        fields["rtrace_digests"] = digests
     if sampling_plan is not None:
         fields["sampling"] = sampling_plan.to_dict()
     return fields
 
 
-def _rtrace_digests(workloads) -> Dict[str, str]:
+def rtrace_digests(workloads) -> Dict[str, str]:
     """token -> trace digest for every ingested-trace workload (cheap:
     header reads only)."""
     from repro.ingest import is_rtrace_token, read_header, rtrace_path

@@ -113,17 +113,13 @@ def _functional_warm_gap(sim, start: int, stop: int,
 
 def _fast_warmable(sim) -> bool:
     """True when :func:`_warm_span_fast` reproduces translation replay
-    bit-exactly: split hierarchies with only the two default L1 TLBs, no
-    L2 TLB (misses always walk), no sanitize shadowing, and no fill hooks
-    beyond SEESAW's TFT (whose final state the fast span installs from
-    the 2MB TLB's fills)."""
+    bit-exactly: no L2 TLB (misses always walk), no sanitize shadowing,
+    and no fill hooks beyond SEESAW's TFT (whose final state the fast
+    span installs from the 2MB TLB's fills)."""
     from repro.core.seesaw import SeesawL1Cache
-    from repro.tlb.hierarchy import SplitTLBHierarchy
 
     return all(
-        type(hierarchy) is SplitTLBHierarchy
-        and hierarchy.l1_1gb is None
-        and hierarchy.l2_tlb is None
+        hierarchy.l2_tlb is None
         and not hierarchy._sanitize
         and all(getattr(hook, "__func__", None)
                 is SeesawL1Cache.on_tlb_fill
@@ -180,8 +176,9 @@ def _warm_span_fast(sim, start: int, stop: int, ctx: Dict) -> None:
       through :meth:`TLB.lookup` and :meth:`TLB.fill` — run-length
       compressed, since a reference to the still-MRU region cannot miss,
       fill, or reorder — to learn which regions fill.  Those fills are
-      the TFT's only operation inside a span, and the TFT is true LRU
-      over them, so it too gets just its final state.
+      the TFT's only operation inside a span, and each direct-mapped
+      slot keeps the last region filled into it, so the TFT too gets
+      just its final state.
 
     On multi-core traces each reference touches only its issuing core's
     hierarchy, and there is no cross-core translation traffic inside an
@@ -211,7 +208,7 @@ def _warm_span_fast(sim, start: int, stop: int, ctx: Dict) -> None:
             elif mapping.page_size is PageSize.SUPER_2MB:
                 info = (_KIND_2MB, mapping.physical_base >> 21)
             else:
-                # 1GB-backed and this hierarchy has no 1GB L1 TLB: the
+                # 1GB-backed, and no L1 TLB holds 1GB pages: the
                 # reference path always misses every L1 (stats only),
                 # walks, fills nothing (`_l1_by_size[SUPER_1GB]` is
                 # None), and the TFT hook ignores non-2MB fills — so
@@ -269,13 +266,13 @@ def _warm_hierarchy_fast(hierarchy, span, vpn, kinds, page_info) -> None:
                 if tlb2.lookup(region << 21) is None:
                     tlb2.fill(region, region_ppn[region], super_size)
                     filled.append(region)
-            # Inside a span fills are the TFT's only operation, and the
-            # TFT is true LRU over them.
+            # Inside a span fills are the TFT's only operation, and each
+            # slot ends holding the last region filled into it.
             filled = np.array(filled, dtype=np.int64)
             for hook in hierarchy._fill_hooks:
                 tft = hook.__self__.tft
-                _lru_final_fill(filled << 21, filled % tft.num_sets,
-                                tft.ways, tft.fill)
+                _lru_final_fill(filled << 21, filled % tft.entries, 1,
+                                tft.fill)
         else:
             _lru_final_fill(regions, regions & tlb2._set_mask, tlb2.ways,
                             lambda region: tlb2.fill(

@@ -38,7 +38,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.resilience.checkpoint import config_digest, trace_digest
 from repro.resilience.errors import JobNotFound, SweepInterrupted
 from repro.resilience.fsio import publish
-from repro.resilience.runner import execution_host
+from repro.resilience.runner import (execution_host, rtrace_digests,
+                                     sweep_header_fields)
 from repro.serve.cache import ResultCache, result_key
 from repro.serve.pending import Job
 from repro.serve.protocol import SIM_PARAM_KEYS
@@ -60,8 +61,14 @@ def request_digest(params: Dict) -> str:
     Only :data:`SIM_PARAM_KEYS` participate: scheduling knobs (``jobs``,
     ``wait``, ``deadline_s``, ...) don't change *what* is simulated, so
     retrying with a different deadline dedupes onto the same journal.
+    An ``rtrace:`` workload names a file that can be re-ingested, so its
+    trace digest joins the identity too: a changed trace gets its own
+    journal.  Requests on synthetic workloads hash their params alone.
     """
     identity = {key: params[key] for key in SIM_PARAM_KEYS if key in params}
+    digests = rtrace_digests(params.get("workloads", ()))
+    if digests:
+        identity["rtrace_digests"] = digests
     return hashlib.sha256(
         json.dumps(identity, sort_keys=True).encode("utf-8")).hexdigest()
 
@@ -174,25 +181,14 @@ def _preseed_from_cache(journal, params: Dict, cache: ResultCache,
                         base_config) -> int:
     """Append cache-hit ``done`` records for every cell the journal does
     not already have; returns the number preseeded."""
-    from repro.resilience.checkpoint import config_to_dict
-    from repro.resilience.runner import SweepJournal
-
     done: Dict[Tuple[str, str], Dict] = {}
     if journal.exists():
         _, done = journal.read()
     else:
-        header_fields = {
-            "config": config_to_dict(base_config),
-            "config_digest": config_digest(base_config),
-            "workloads": params["workloads"],
-            "designs": params["designs"],
-            "trace_length": params["length"],
-            "seed": params["seed"],
-        }
-        plan = sampling_plan_from_params(params)
-        if plan is not None:
-            header_fields["sampling"] = plan.to_dict()
-        journal.write_header(header_fields)
+        journal.write_header(sweep_header_fields(
+            base_config, params["workloads"], params["designs"],
+            params["length"], params["seed"],
+            sampling_plan=sampling_plan_from_params(params)))
     preseeded = 0
     for workload, design, cfg_digest, trc_digest in _cell_digests(params):
         record = done.get((workload, design))

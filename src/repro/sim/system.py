@@ -90,8 +90,7 @@ class SystemSimulator:
             frequency_ghz=config.frequency_ghz,
             llc_size=config.llc_size_kb * 1024,
             llc_ways=config.llc_ways,
-            llc_latency=config.llc_latency,
-            seed=config.seed)
+            llc_latency=config.llc_latency)
         self.energy = EnergyAccountant(
             sram=self.sram,
             l1_size_bytes=config.l1_size_bytes,
@@ -168,10 +167,9 @@ class SystemSimulator:
 
     def _make_l1(self, core_id: int, timing):
         config = self.config
-        seed = config.seed + 100 * core_id
         if config.l1_design == "vipt":
             l1 = ViptL1Cache(config.l1_size_bytes, timing,
-                             name=f"vipt-l1-{core_id}", seed=seed,
+                             name=f"vipt-l1-{core_id}",
                              sanitize=self._sanitize)
             if config.way_prediction:
                 # WP-only design point (Fig. 15): wrap baseline VIPT in a
@@ -190,18 +188,18 @@ class SystemSimulator:
                     partition_ways=config.l1_ways,   # one partition
                     tft_entries=1,
                     way_predictor=predictor,
-                    name=f"vipt-wp-l1-{core_id}", seed=seed,
+                    name=f"vipt-wp-l1-{core_id}",
                     sanitize=self._sanitize)
             return l1
         if config.l1_design == "pipt":
             return PiptL1Cache(config.l1_size_bytes, config.pipt_ways,
                                config.pipt_hit_cycles(self.sram),
                                tlb_latency=config.pipt_tlb_cycles(),
-                               name=f"pipt-l1-{core_id}", seed=seed)
+                               name=f"pipt-l1-{core_id}")
         if config.l1_design == "vivt":
             return VivtL1Cache(config.l1_size_bytes, config.vivt_ways,
                                config.vivt_hit_cycles(self.sram),
-                               name=f"vivt-l1-{core_id}", seed=seed)
+                               name=f"vivt-l1-{core_id}")
         predictor = (MRUWayPredictor(64, config.l1_ways)
                      if config.way_prediction else None)
         gate = (WayPredictionGate()
@@ -214,7 +212,7 @@ class SystemSimulator:
             tft_entries=config.tft_entries,
             way_predictor=predictor,
             wp_gate=gate,
-            name=f"seesaw-l1-{core_id}", seed=seed,
+            name=f"seesaw-l1-{core_id}",
             sanitize=self._sanitize)
 
     def _build_coherence(self) -> None:
@@ -580,8 +578,11 @@ class SystemSimulator:
     #: per-access latencies that v2 payloads lack.  v4: cache sets hold
     #: flat per-way lists instead of ``CacheLine`` objects.  v5: TLB sets
     #: are dicts keyed by ``(virtual_page, page_size, asid)`` and
-    #: ``TLBEntry`` is a NamedTuple without ``valid``.
-    SNAPSHOT_VERSION = 5
+    #: ``TLBEntry`` is a NamedTuple without ``valid``.  v6: cache sets keep
+    #: their LRU ``order`` list instead of a policy object, the TFT is a
+    #: list of direct-mapped slots, and TLB hierarchies have no 1GB L1
+    #: TLB or probe-order tuple.
+    SNAPSHOT_VERSION = 6
 
     def snapshot(self) -> bytes:
         """Serialize the complete mutable simulation state.

@@ -2,27 +2,18 @@
 
 Models the Intel-style hierarchy the paper assumes (Table II): split
 set-associative L1 TLBs for 4KB and 2MB pages, a unified L2 TLB, and a
-hardware page walker that terminates early for superpage leaves.  A
-fully-associative unified L1 option (ARM/Sparc-style, paper §II-B) is also
-provided.
+hardware page walker that terminates early for superpage leaves.
 """
 
 from repro.tlb.tlb import TLB, TLBEntry, TLBStats
-from repro.tlb.hierarchy import (
-    SplitTLBHierarchy,
-    UnifiedTLBHierarchy,
-    TLBHierarchy,
-    TranslationResult,
-)
+from repro.tlb.hierarchy import SplitTLBHierarchy, TranslationResult
 from repro.tlb.walker import PageWalker
 
 __all__ = [
     "TLB",
     "TLBEntry",
     "TLBStats",
-    "TLBHierarchy",
     "SplitTLBHierarchy",
-    "UnifiedTLBHierarchy",
     "TranslationResult",
     "PageWalker",
 ]

@@ -1,5 +1,5 @@
-"""TLB hierarchies: split (Intel-style) and unified (ARM/Sparc-style) L1s
-backed by a unified L2 TLB and a page walker.
+"""The TLB hierarchy: Intel-style split L1 TLBs backed by an optional
+unified L2 TLB and a page walker.
 
 The hierarchy is where the Translation Filter Table hooks in (paper Fig. 5):
 TFT fills happen on page-walk completions for 2MB leaves and on any fill
@@ -9,7 +9,7 @@ exposes a fill callback the SEESAW cache registers.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.devtools import sanitize as _sanitize
 from repro.mem.address import PageSize
@@ -47,25 +47,44 @@ class TranslationResult:
         return self.page_size.is_superpage
 
 
-class TLBHierarchy:
-    """Base class: the one translation path (L1 TLBs → L2 TLB → page walk),
-    invalidation and fill hooks.
+class SplitTLBHierarchy:
+    """Intel-style hierarchy (Table II): split set-associative L1 TLBs for
+    4KB and 2MB pages, an optional unified L2 TLB, and a page walker.
 
-    Subclasses build the L1 TLBs and set ``_l1_probe_order``, the L1 TLBs
-    every reference probes, and ``_l1_by_size``, the L1 TLB that holds
-    each page size (None where no L1 TLB can).
+    No L1 TLB holds 1GB pages: a 1GB-backed reference misses both L1s,
+    walks, and fills nothing but the hooks.
+
+    Args:
+        l1_4kb_entries / l1_2mb_entries: sizes of the split L1 TLBs
+            (Table II: Sandybridge 128/16, Atom 64/32).
+        l2_entries: unified L2 TLB size (0 disables; Atom uses 512,
+            Sandybridge in the paper's Table II has no L2).
     """
 
-    _l1_probe_order: Tuple[TLB, ...]
-    _l1_by_size: Dict[PageSize, Optional[TLB]]
-
-    def __init__(self, l2_tlb: Optional[TLB], walker: PageWalker,
+    def __init__(self, page_table: PageTable,
+                 l1_4kb_entries: int = 128, l1_4kb_ways: int = 4,
+                 l1_2mb_entries: int = 16, l1_2mb_ways: int = 4,
+                 l2_entries: int = 0, l2_ways: int = 8,
+                 walker: Optional[PageWalker] = None,
                  l1_latency: int = 1, l2_latency: int = 7,
                  sanitize: bool = False) -> None:
-        self.l2_tlb = l2_tlb
-        self.walker = walker
+        self.l1_4kb = TLB(l1_4kb_entries, min(l1_4kb_ways, l1_4kb_entries),
+                          (PageSize.BASE_4KB,), name="l1-4kb")
+        self.l1_2mb = TLB(l1_2mb_entries, min(l1_2mb_ways, l1_2mb_entries),
+                          (PageSize.SUPER_2MB,), name="l1-2mb")
+        self.l2_tlb = None
+        if l2_entries:
+            self.l2_tlb = TLB(l2_entries, l2_ways,
+                              (PageSize.BASE_4KB, PageSize.SUPER_2MB),
+                              name="l2")
+        self.walker = walker or PageWalker(page_table)
         self.l1_latency = l1_latency
         self.l2_latency = l2_latency
+        #: the L1 TLB that holds each page size (None: no L1 TLB can).
+        self._l1_by_size: Dict[PageSize, Optional[TLB]] = {
+            PageSize.BASE_4KB: self.l1_4kb,
+            PageSize.SUPER_2MB: self.l1_2mb,
+            PageSize.SUPER_1GB: None}
         self._fill_hooks: List[FillHook] = []
         self._sanitize = bool(sanitize) or _sanitize.enabled()
 
@@ -111,13 +130,12 @@ class TLBHierarchy:
         object.  Misses at each level fill the levels above; L1 fills fire
         the fill hooks so the TFT stays in sync (paper Fig. 5 steps 6-8).
         """
-        # Hardware probes the L1 TLBs in parallel: each one counts its hit
-        # or miss, and at most one can hit.
-        hit = None
-        for tlb in self._l1_probe_order:
-            entry = tlb.lookup(virtual_address, asid)
-            if entry is not None:
-                hit = entry
+        # Hardware probes both L1 TLBs in parallel: each one counts its
+        # hit or miss, and at most one can hit.
+        hit = self.l1_4kb.lookup(virtual_address, asid)
+        super_hit = self.l1_2mb.lookup(virtual_address, asid)
+        if super_hit is not None:
+            hit = super_hit
         level, latency = "l1", self.l1_latency
         if hit is None and self.l2_tlb is not None:
             level, latency = "l2", latency + self.l2_latency
@@ -156,77 +174,8 @@ class TLBHierarchy:
 
     def superpage_l1_valid_entries(self) -> int:
         """Valid 2MB-page entries at the L1 level (scheduler scarcity counter)."""
-        return self._l1_by_size[PageSize.SUPER_2MB].valid_entry_count(
-            PageSize.SUPER_2MB)
+        return self.l1_2mb.valid_entry_count(PageSize.SUPER_2MB)
 
     def superpage_l1_capacity(self) -> int:
         """Capacity of the L1 structure that holds 2MB entries."""
-        return self._l1_by_size[PageSize.SUPER_2MB].entries
-
-
-class SplitTLBHierarchy(TLBHierarchy):
-    """Intel-style hierarchy: separate L1 TLBs per page size, unified L2.
-
-    Args:
-        l1_4kb_entries / l1_2mb_entries / l1_1gb_entries: sizes of the split
-            L1 TLBs (Table II: Sandybridge 128/16, Atom 64/32).  Zero
-            disables a structure (e.g. no 1GB L1 TLB on Atom).
-        l2_entries: unified L2 TLB size (0 disables; Atom uses 512,
-            Sandybridge in the paper's Table II has no L2).
-    """
-
-    def __init__(self, page_table: PageTable,
-                 l1_4kb_entries: int = 128, l1_4kb_ways: int = 4,
-                 l1_2mb_entries: int = 16, l1_2mb_ways: int = 4,
-                 l1_1gb_entries: int = 0, l1_1gb_ways: int = 4,
-                 l2_entries: int = 0, l2_ways: int = 8,
-                 walker: Optional[PageWalker] = None,
-                 l1_latency: int = 1, l2_latency: int = 7,
-                 sanitize: bool = False) -> None:
-        l2_tlb = None
-        if l2_entries:
-            l2_tlb = TLB(l2_entries, l2_ways,
-                         (PageSize.BASE_4KB, PageSize.SUPER_2MB), name="l2")
-        super().__init__(l2_tlb, walker or PageWalker(page_table),
-                         l1_latency, l2_latency, sanitize=sanitize)
-        self.l1_4kb = TLB(l1_4kb_entries, min(l1_4kb_ways, l1_4kb_entries),
-                          (PageSize.BASE_4KB,), name="l1-4kb")
-        self.l1_2mb = TLB(l1_2mb_entries, min(l1_2mb_ways, l1_2mb_entries),
-                          (PageSize.SUPER_2MB,), name="l1-2mb")
-        self.l1_1gb = None
-        if l1_1gb_entries:
-            self.l1_1gb = TLB(l1_1gb_entries,
-                              min(l1_1gb_ways, l1_1gb_entries),
-                              (PageSize.SUPER_1GB,), name="l1-1gb")
-        self._l1_by_size = {PageSize.BASE_4KB: self.l1_4kb,
-                            PageSize.SUPER_2MB: self.l1_2mb,
-                            PageSize.SUPER_1GB: self.l1_1gb}
-        self._l1_probe_order = tuple(
-            tlb for tlb in self._l1_by_size.values() if tlb is not None)
-
-    #: The inherited translation, bound here too: perfbench's tracer times
-    #: only the methods a class defines itself.
-    translate_raw = TLBHierarchy.translate_raw
-
-
-class UnifiedTLBHierarchy(TLBHierarchy):
-    """ARM/Sparc-style hierarchy: one fully-associative multi-size L1 TLB."""
-
-    def __init__(self, page_table: PageTable,
-                 l1_entries: int = 48,
-                 l2_entries: int = 1024, l2_ways: int = 8,
-                 walker: Optional[PageWalker] = None,
-                 l1_latency: int = 1, l2_latency: int = 7,
-                 sanitize: bool = False) -> None:
-        l2_tlb = None
-        if l2_entries:
-            l2_tlb = TLB(l2_entries, l2_ways,
-                         (PageSize.BASE_4KB, PageSize.SUPER_2MB), name="l2")
-        super().__init__(l2_tlb, walker or PageWalker(page_table),
-                         l1_latency, l2_latency, sanitize=sanitize)
-        self.l1 = TLB(l1_entries, l1_entries,
-                      (PageSize.BASE_4KB, PageSize.SUPER_2MB,
-                       PageSize.SUPER_1GB),
-                      name="l1-unified")
-        self._l1_by_size = dict.fromkeys(self.l1.page_sizes, self.l1)
-        self._l1_probe_order = (self.l1,)
+        return self.l1_2mb.entries

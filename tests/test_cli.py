@@ -54,6 +54,22 @@ class TestCommands:
         assert payload["workload"] == "astar"
         assert payload["runtime_cycles"] > 0
 
+    def test_run_json_prints_the_full_result(self, capsys):
+        """``--json`` is the sorted-key ``to_dict()`` a sweep journal
+        records, so byte comparisons of it see every counter."""
+        from repro.cli import _config_from_args
+        from repro.sim.system import SystemSimulator
+        from repro.workloads.suite import build_trace, get_workload
+
+        argv = ["run", "astar", "--length", "2000", "--json"]
+        assert main(argv) == 0
+        args = build_parser().parse_args(argv)
+        trace = build_trace(get_workload("astar"), length=2000,
+                            seed=args.seed)
+        result = SystemSimulator(_config_from_args(args), trace).run()
+        assert capsys.readouterr().out == json.dumps(
+            result.to_dict(), indent=2, sort_keys=True) + "\n"
+
     def test_compare_reports_improvements(self, capsys):
         assert main(["compare", "redis", "--size-kb", "64",
                      "--length", "4000", "--json"]) == 0

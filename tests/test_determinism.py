@@ -4,16 +4,14 @@ The reproducibility contract: the same ``(SystemConfig, trace)`` pair run
 twice yields a *bit-identical* ``SimulationResult.to_dict()`` — every
 counter and every energy float — and the same ``(spec, length, seed)``
 always rebuilds the identical trace.  The shared-RNG seam
-(``build_trace(..., rng=...)``, ``make_policy(..., rng=...)``) threads one
-``numpy`` generator through every stochastic draw for callers that manage
-a single experiment-wide stream.
+(``build_trace(..., rng=...)``) threads one ``numpy`` generator through
+every stochastic draw for callers that manage a single experiment-wide
+stream.
 """
 
 import numpy as np
 import pytest
 
-from repro.cache.basic import SetAssociativeCache
-from repro.cache.replacement import RandomPolicy, make_policy
 from repro.sim.config import SystemConfig
 from repro.sim.system import SystemSimulator
 from repro.workloads.generators import UniformRandomGenerator, ZipfGenerator
@@ -66,31 +64,6 @@ class TestSharedRngSeam:
         a = ZipfGenerator(512, s=1.0, seed=9).generate(64)
         b = ZipfGenerator(512, s=1.0, seed=9, rng=None).generate(64)
         assert np.array_equal(a, b)
-
-    def test_random_policy_shared_rng(self):
-        shared = np.random.default_rng(9)
-        p1 = make_policy("random", 8, rng=shared)
-        p2 = make_policy("random", 8, rng=shared)
-        observed = ([p1.victim(range(8)) for _ in range(8)]
-                    + [p2.victim(range(8)) for _ in range(8)])
-        expected_rng = np.random.default_rng(9)
-        expected = [int(expected_rng.integers(0, 8)) for _ in range(16)]
-        assert observed == expected
-
-    def test_random_policy_per_seed_default(self):
-        a = RandomPolicy(8, seed=4)
-        b = RandomPolicy(8, seed=4)
-        assert ([a.victim(range(8)) for _ in range(10)]
-                == [b.victim(range(8)) for _ in range(10)])
-
-    def test_cache_threads_shared_rng_to_policies(self):
-        shared = np.random.default_rng(2)
-        cache = SetAssociativeCache(4096, 4, replacement="random",
-                                    rng=shared)
-        policy = cache.set_at(0).policy
-        assert isinstance(policy, RandomPolicy)
-        assert policy._rng is shared
-        assert cache.set_at(1).policy._rng is shared
 
 
 class TestEndToEndDeterminism:

@@ -13,8 +13,8 @@ TIMING = L1Timing(base_hit_cycles=2, super_hit_cycles=1)
 
 def make_l1s(n=4, seesaw=False):
     if seesaw:
-        return [SeesawL1Cache(32 * 1024, TIMING, seed=i) for i in range(n)]
-    return [ViptL1Cache(32 * 1024, TIMING, seed=i) for i in range(n)]
+        return [SeesawL1Cache(32 * 1024, TIMING) for _ in range(n)]
+    return [ViptL1Cache(32 * 1024, TIMING) for _ in range(n)]
 
 
 class TestDirectoryReads:

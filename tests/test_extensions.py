@@ -1,15 +1,13 @@
 """Tests for the paper's optional/extension features.
 
-Covers the set-associative TFT (§IV-A2 "set-associative implementations
-are possible"), the ASID-tagged TFT (§IV-C3's rejected-for-area variant),
-the confidence-gated WP+SEESAW combination (§VI-F future work), and
-runtime page churn (§IV-C2).
+Covers the untagged TFT's context-switch flush (§IV-C3 rejects ASID tags
+for area), the confidence-gated WP+SEESAW combination (§VI-F future
+work), and runtime page churn (§IV-C2).
 """
 
-import pytest
-
+from repro.cache.vipt import L1Timing
 from repro.core.adaptive_wp import WayPredictionGate
-from repro.core.tft import TranslationFilterTable
+from repro.core.seesaw import SeesawL1Cache
 from repro.mem.address import PAGE_SIZE_2MB, PageSize
 from repro.sim.config import SystemConfig
 from repro.sim.system import SystemSimulator
@@ -20,63 +18,17 @@ def region_va(region, offset=0):
     return region * PAGE_SIZE_2MB + offset
 
 
-class TestSetAssociativeTFT:
-    def test_geometry_validation(self):
-        with pytest.raises(ValueError):
-            TranslationFilterTable(entries=16, ways=3)
-        with pytest.raises(ValueError):
-            TranslationFilterTable(entries=16, ways=0)
-
-    def test_conflicting_regions_coexist_with_ways(self):
-        """Regions 5 and 21 alias in a 16-set direct-mapped TFT but fit
-        together in a 2-way set."""
-        tft = TranslationFilterTable(entries=16, ways=2)
-        tft.fill(region_va(5))
-        tft.fill(region_va(21))
-        assert tft.probe(region_va(5))
-        assert tft.probe(region_va(21))
-
-    def test_lru_within_set(self):
-        tft = TranslationFilterTable(entries=16, ways=2)   # 8 sets
-        tft.fill(region_va(0))
-        tft.fill(region_va(8))
-        tft.lookup(region_va(0))          # region 0 becomes MRU
-        tft.fill(region_va(16))           # evicts LRU region 8
-        assert tft.probe(region_va(0))
-        assert not tft.probe(region_va(8))
-        assert tft.probe(region_va(16))
-
-    def test_fully_associative(self):
-        tft = TranslationFilterTable(entries=4, ways=4)
-        for region in (0, 4, 8, 12):      # all alias in direct-mapped
-            tft.fill(region_va(region))
-        assert tft.occupancy() == 4
-
-
 class TestAsidTaggedTFT:
-    def test_asid_isolation(self):
-        tft = TranslationFilterTable(entries=16, asid_tags=True)
-        tft.fill(region_va(3), asid=1)
-        assert tft.lookup(region_va(3), asid=1)
-        assert not tft.lookup(region_va(3), asid=2)
-
-    def test_context_switch_no_flush_with_tags(self):
-        tft = TranslationFilterTable(entries=16, asid_tags=True)
-        tft.fill(region_va(3), asid=1)
-        tft.on_context_switch()
-        assert tft.probe(region_va(3), asid=1)
+    """§IV-C3: the TFT carries no ASID tags, so it flushes on every
+    context switch."""
 
     def test_context_switch_flushes_without_tags(self):
-        tft = TranslationFilterTable(entries=16, asid_tags=False)
-        tft.fill(region_va(3))
-        tft.on_context_switch()
-        assert not tft.probe(region_va(3))
-
-    def test_area_roughly_doubles_with_tags(self):
-        """The paper's §IV-C3 reason for rejecting ASID tags."""
-        plain = TranslationFilterTable(16).storage_bytes
-        tagged = TranslationFilterTable(16, asid_tags=True).storage_bytes
-        assert tagged > plain * 1.2
+        cache = SeesawL1Cache(32 * 1024, L1Timing(base_hit_cycles=4,
+                                                  super_hit_cycles=2))
+        cache.tft.fill(region_va(3))
+        cache.on_context_switch()
+        assert not cache.tft.probe(region_va(3))
+        assert cache.tft.stats.flushes == 1
 
 
 class TestWayPredictionGate:

@@ -14,10 +14,10 @@ from collections import OrderedDict
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 
 from repro.cache.basic import SetAssociativeCache
-from repro.cache.replacement import LRUPolicy, lru_final_state
+from repro.cache.replacement import lru_final_state
 from repro.cache.vipt import L1Timing
 from repro.core.partition import WayPartitioning
 from repro.core.seesaw import SeesawL1Cache
@@ -142,25 +142,33 @@ class TestTFTProperties:
         assert 0 <= tft.occupancy() <= 16
 
 
+def _touched_set(touches):
+    """A one-set, 8-way cache whose line ``w`` sits in way ``w``, after a
+    hit on the line of each way in ``touches``."""
+    cache = SetAssociativeCache(8 * 64, 8)
+    for way in range(8):
+        cache.fill(way * 64)
+    for way in touches:
+        assert cache.probe(way * 64)
+    return cache
+
+
 class TestLRUProperties:
     @given(st.lists(st.integers(min_value=0, max_value=7), min_size=1,
                     max_size=100))
     def test_most_recent_touch_never_victim(self, touches):
-        lru = LRUPolicy(8)
-        for way in touches:
-            lru.touch(way)
-        assert lru.victim(range(8)) != touches[-1]
+        cache = _touched_set(touches)
+        assert cache.fill(8 * 64) != touches[-1]
 
-    @given(st.lists(st.integers(min_value=0, max_value=7), min_size=8,
-                    max_size=100))
-    def test_victim_is_oldest_distinct(self, touches):
-        assume(len(set(touches)) == 8)
-        lru = LRUPolicy(8)
-        for way in touches:
-            lru.touch(way)
+    @given(st.lists(st.integers(min_value=0, max_value=7), max_size=46),
+           st.permutations(range(8)),
+           st.lists(st.integers(min_value=0, max_value=7), max_size=46))
+    def test_victim_is_oldest_distinct(self, prefix, every_way, suffix):
+        touches = prefix + every_way + suffix
+        cache = _touched_set(touches)
         last_seen = {way: i for i, way in enumerate(touches)}
         expected = min(last_seen, key=last_seen.get)
-        assert lru.victim(range(8)) == expected
+        assert cache.fill(8 * 64) == expected
 
 
 class TestLRUFinalState:
@@ -207,12 +215,9 @@ class TestCacheInstall:
         # Contents, way positions, recency, stats and set creation order.
         assert pickle.dumps(installed) == pickle.dumps(replayed)
 
-    @pytest.mark.parametrize("case", ["non-empty", "plru", "random", "hook",
-                                      "repeated line"])
+    @pytest.mark.parametrize("case", ["non-empty", "hook", "repeated line"])
     def test_install_refuses_states_without_a_closed_form(self, case):
-        cache = SetAssociativeCache(
-            4096, 4, replacement=case if case in ("plru", "random")
-            else "lru")
+        cache = SetAssociativeCache(4096, 4)
         addresses = [0, 64, 128]
         if case == "non-empty":
             cache.access(1 << 20)
@@ -345,7 +350,7 @@ def _cache_view(cache, index):
     if cache_set is None:
         return [(None, False)] * cache.ways, list(range(cache.ways))
     return (list(zip(cache_set.tags, cache_set.dirty)),
-            cache_set.policy.recency_order())
+            list(cache_set.order))
 
 
 class TestCacheReferenceModel:

@@ -138,7 +138,7 @@ class TestDirectoryInvariants:
     def test_single_writer_invariant(self, operations):
         """After any transaction sequence, a write leaves exactly one
         registered sharer for the line."""
-        caches = [ViptL1Cache(32 * 1024, TIMING, seed=i) for i in range(4)]
+        caches = [ViptL1Cache(32 * 1024, TIMING) for _ in range(4)]
         directory = Directory(caches)
         for core, line_index, op in operations:
             address = 0x1000 + line_index * 64
@@ -166,7 +166,7 @@ class TestDirectoryInvariants:
                     min_size=1, max_size=60))
     @settings(max_examples=30, deadline=None)
     def test_sharer_count_never_exceeds_cores(self, reads):
-        caches = [ViptL1Cache(32 * 1024, TIMING, seed=i) for i in range(4)]
+        caches = [ViptL1Cache(32 * 1024, TIMING) for _ in range(4)]
         directory = Directory(caches)
         for core, line_index in reads:
             address = 0x1000 + line_index * 64
@@ -238,7 +238,7 @@ class TestOptimizedCachePathEquivalence:
         assert set(fast._sets) == set(reference._sets)
         for index, cache_set in fast._sets.items():
             twin = reference._sets[index]
-            assert cache_set.policy._order == twin.policy._order
+            assert cache_set.order == twin.order
             for way in range(4):
                 assert ((cache_set.tags[way], cache_set.dirty[way],
                          cache_set.states[way],
@@ -340,7 +340,8 @@ class TestFastWarmerEquivalence:
     random span after one random detailed prefix, one per path; stats
     counters are excluded because the fast path skips them.  The TFT's
     final state is installed from the 2MB fills, so its geometry is an
-    input too: the default 16 entries, and 4, which evict far more."""
+    input too: the default 16 entries, 12 (not a power of two, so a slot
+    is a true modulus), and 4, which evict far more."""
 
     LENGTH = 3000
 
@@ -354,14 +355,14 @@ class TestFastWarmerEquivalence:
                               for entries in tlb._sets])
         for l1 in sim.l1s:
             if hasattr(l1, "tft"):
-                state.append([list(entries) for entries in l1.tft._sets])
+                state.append(list(l1.tft.slots))
         return state
 
     @pytest.mark.parametrize("design", ("vipt", "seesaw"))
     @pytest.mark.parametrize("workload", ("gups", "mcf", "g500"))
     @given(prefix=st.integers(min_value=0, max_value=1500),
            span=st.integers(min_value=1, max_value=1500),
-           tft_entries=st.sampled_from((16, 4)))
+           tft_entries=st.sampled_from((16, 12, 4)))
     @example(prefix=600, span=1500, tft_entries=4)
     @settings(max_examples=3, deadline=None)
     def test_fast_span_matches_translation_replay(self, workload, design,

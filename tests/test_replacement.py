@@ -1,95 +1,47 @@
-"""Tests for replacement policies."""
+"""Tests for true-LRU replacement in cache sets."""
 
 import pytest
 
-from repro.cache.replacement import (
-    LRUPolicy,
-    RandomPolicy,
-    TreePLRUPolicy,
-    make_policy,
-)
+from repro.cache.basic import SetAssociativeCache
+
+
+def one_set_cache(ways):
+    """A single-set cache, so every line competes for the same ways."""
+    return SetAssociativeCache(ways * 64, ways)
+
+
+def line(tag):
+    """The address of the 64B line with ``tag`` in a one-set cache."""
+    return tag * 64
 
 
 class TestLRU:
     def test_victim_is_least_recently_used(self):
-        lru = LRUPolicy(4)
-        for way in (0, 1, 2, 3):
-            lru.touch(way)
-        assert lru.victim(range(4)) == 0
-        lru.touch(0)
-        assert lru.victim(range(4)) == 1
+        cache = one_set_cache(4)
+        for tag in range(4):
+            assert cache.fill(line(tag)) == tag
+        assert cache.set_at(0).order[0] == 0
+        assert cache.fill(line(4)) == 0
+        cache.probe(line(1))
+        assert cache.fill(line(5)) == 2
 
     def test_victim_restricted_to_candidates(self):
         """Partition-local LRU: the SEESAW 4way insertion policy."""
-        lru = LRUPolicy(8)
-        for way in range(8):
-            lru.touch(way)
+        cache = one_set_cache(8)
+        for tag in range(8):
+            cache.fill(line(tag))
         # Global LRU victim is 0, but candidates name partition 1 (ways 4-7).
-        assert lru.victim([4, 5, 6, 7]) == 4
-        lru.touch(4)
-        assert lru.victim([4, 5, 6, 7]) == 5
+        assert cache.fill(line(8), candidate_ways=range(4, 8)) == 4
+        assert cache.fill(line(9), candidate_ways=[4, 5, 6, 7]) == 5
 
     def test_empty_candidates_rejected(self):
+        cache = one_set_cache(4)
+        for tag in range(4):
+            cache.fill(line(tag))
         with pytest.raises(ValueError):
-            LRUPolicy(4).victim([])
+            cache.fill(line(4), candidate_ways=[])
 
     def test_recency_order_exposed(self):
-        lru = LRUPolicy(3)
-        lru.touch(2)
-        assert lru.recency_order()[-1] == 2
-
-
-class TestTreePLRU:
-    def test_requires_power_of_two(self):
-        with pytest.raises(ValueError):
-            TreePLRUPolicy(6)
-
-    def test_untouched_ways_preferred(self):
-        plru = TreePLRUPolicy(4)
-        plru.touch(0)
-        victim = plru.victim(range(4))
-        assert victim != 0
-
-    def test_round_robin_like_behaviour(self):
-        plru = TreePLRUPolicy(4)
-        victims = []
-        for _ in range(4):
-            victim = plru.victim(range(4))
-            victims.append(victim)
-            plru.touch(victim)
-        assert len(set(victims)) >= 3  # near-perfect coverage of ways
-
-    def test_candidate_fallback(self):
-        plru = TreePLRUPolicy(8)
-        for way in range(8):
-            plru.touch(way)
-        victim = plru.victim([2, 3])
-        assert victim in (2, 3)
-
-
-class TestRandom:
-    def test_victim_from_candidates_only(self):
-        rand = RandomPolicy(8, seed=1)
-        for _ in range(50):
-            assert rand.victim([1, 5]) in (1, 5)
-
-    def test_deterministic_with_seed(self):
-        a = [RandomPolicy(8, seed=3).victim(range(8)) for _ in range(5)]
-        b = [RandomPolicy(8, seed=3).victim(range(8)) for _ in range(5)]
-        assert a == b
-
-    def test_empty_candidates_rejected(self):
-        with pytest.raises(ValueError):
-            RandomPolicy(4).victim([])
-
-
-class TestFactory:
-    @pytest.mark.parametrize("name,cls", [
-        ("lru", LRUPolicy), ("plru", TreePLRUPolicy), ("random", RandomPolicy),
-    ])
-    def test_make_policy(self, name, cls):
-        assert isinstance(make_policy(name, 4), cls)
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            make_policy("mru", 4)
+        cache = one_set_cache(3)
+        cache.fill(line(7), candidate_ways=[2])
+        assert cache.set_at(0).order[-1] == 2

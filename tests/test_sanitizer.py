@@ -6,6 +6,8 @@ and an uncorrupted full simulation must run green with every check armed
 (via ``SystemConfig(sanitize=True)`` and via ``REPRO_SANITIZE=1``).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.cache.vipt import L1Timing, ViptL1Cache
@@ -210,6 +212,10 @@ class TestSanitizedSimulations:
         config = SystemConfig(l1_design=design, sanitize=True)
         result = SystemSimulator(config, trace).run()
         assert result.l1_hits + result.l1_misses == result.memory_references
+        # The checks only observe: an unsanitized run gives the same numbers.
+        plain = SystemSimulator(dataclasses.replace(config, sanitize=False),
+                                trace).run()
+        assert plain.to_dict() == result.to_dict()
 
     def test_multithreaded_sim_green(self):
         trace = build_trace(get_workload("nutch"), length=3000, seed=5)

@@ -241,7 +241,7 @@ class TestWayPredictionCombination:
 
     def test_misprediction_pays_penalty_within_partition(self):
         predictor = MRUWayPredictor(64, 8)
-        cache = make_cache(way_predictor=predictor, wp_mispredict_penalty=1)
+        cache = make_cache(way_predictor=predictor)
         known_superpage(cache)
         line_a = SUPER_PA
         line_b = SUPER_PA + 8 * 64 * 64   # same set & partition bits
@@ -252,7 +252,8 @@ class TestWayPredictionCombination:
         result = cache.access(SUPER_VA + 8 * 64 * 64, line_b,
                               PageSize.SUPER_2MB)
         assert result.way_prediction_correct is False
-        assert result.latency_cycles == 2       # fast (1) + penalty (1)
+        # Fast lookup (1) + a re-read of the partition (1).
+        assert result.latency_cycles == 2
         assert result.ways_probed == 4          # partition re-read only
 
     def test_prediction_over_full_set_on_tft_miss_path(self):
@@ -260,7 +261,7 @@ class TestWayPredictionCombination:
         (paper §IV-B2): correct -> one way read, wrong -> full set plus
         the replay penalty."""
         predictor = MRUWayPredictor(64, 8)
-        cache = make_cache(way_predictor=predictor, wp_mispredict_penalty=1)
+        cache = make_cache(way_predictor=predictor)
         cache.fill(0x9000, PageSize.BASE_4KB)
         first = cache.access(0x1000, 0x9000, PageSize.BASE_4KB)
         repeat = cache.access(0x1000, 0x9000, PageSize.BASE_4KB)

@@ -609,3 +609,48 @@ class TestSampledProtocol:
         plan = sampling_plan_from_params(params)
         assert plan == SamplingPlan(interval_size=450, max_clusters=6,
                                     warmup=SamplingPlan().warmup)
+
+
+class TestReingestedRtrace:
+    """An ``rtrace:`` token names a file that can be re-ingested: a
+    request over the new contents is a new request, answered by a fresh
+    simulation rather than from the old trace's journal or cache."""
+
+    @staticmethod
+    def _capture(stride):
+        lines = ["==1== capture"]
+        lines += [f" L {0x100000 + stride * i:08x},8" for i in range(3000)]
+        return "\n".join(lines) + "\n"
+
+    def test_reingested_trace_is_simulated_afresh(self, tmp_path):
+        from repro.ingest import ingest_trace, load_rtrace, trace_token
+        from repro.serve.jobs import (base_config_from_params, execute_job,
+                                      request_digest)
+        from repro.serve.pending import Job
+        from repro.sim.system import SystemSimulator
+
+        source = tmp_path / "t.lackey"
+        rtrace = tmp_path / "t.rtrace"
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        cache = ResultCache(directory=tmp_path / "cache")
+
+        def answer(stride):
+            source.write_text(self._capture(stride))
+            ingest_trace(source, output=rtrace, force=True)
+            params = validate_params("run", {
+                "workload": trace_token(rtrace), "design": "seesaw"})
+            job = Job(id="job-1", client="test", method="run",
+                      params=params, digest=request_digest(params))
+            return params, job, execute_job(job, spool, cache)
+
+        _, first_job, first = answer(64)
+        params, job, second = answer(4096)
+        assert second["simulated"] == 1
+        token = params["workloads"][0]
+        config = base_config_from_params(params).with_design("seesaw")
+        expected = SystemSimulator(config, load_rtrace(rtrace)).run()
+        assert second["results"][token]["seesaw"] == expected.to_dict()
+        assert (second["results"][token]["seesaw"]
+                != first["results"][token]["seesaw"])
+        assert job.digest != first_job.digest

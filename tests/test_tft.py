@@ -43,6 +43,17 @@ class TestLookupFill:
         assert not tft.probe(region_va(5))
         assert tft.probe(region_va(21))
 
+    def test_slot_is_region_mod_entries_for_12_entries(self):
+        """Fig. 13's 12-entry point: not a power of two, so the slot is a
+        true modulus, not a bit mask."""
+        tft = TranslationFilterTable(12)
+        tft.fill(region_va(5))
+        tft.fill(region_va(21))      # 21 mod 12 = 9: no conflict
+        assert tft.probe(region_va(5)) and tft.probe(region_va(21))
+        tft.fill(region_va(17))      # 17 mod 12 = 5: evicts region 5
+        assert not tft.probe(region_va(5))
+        assert tft.probe(region_va(17)) and tft.probe(region_va(21))
+
     def test_16_consecutive_regions_coexist(self):
         """Contiguous heaps do not self-conflict under the mod hash."""
         tft = TranslationFilterTable(16)

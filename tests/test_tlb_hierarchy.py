@@ -1,10 +1,10 @@
-"""Tests for the split/unified TLB hierarchies and page walker."""
+"""Tests for the split TLB hierarchy and page walker."""
 
 import pytest
 
 from repro.mem.address import PAGE_SIZE_2MB, PageSize
 from repro.mem.page_table import PageTable, TranslationFault
-from repro.tlb.hierarchy import SplitTLBHierarchy, UnifiedTLBHierarchy
+from repro.tlb.hierarchy import SplitTLBHierarchy
 from repro.tlb.walker import PageWalker
 
 VA_4KB = 0x1000
@@ -102,24 +102,3 @@ class TestSplitHierarchy:
         # L1 miss + L2 miss + walk.
         assert result.latency_cycles > 1 + 7
 
-
-class TestUnifiedHierarchy:
-    def test_unified_l1_holds_both_sizes(self, mapped_table):
-        tlbs = UnifiedTLBHierarchy(mapped_table, l1_entries=8, l2_entries=0)
-        tlbs.translate(VA_4KB)
-        tlbs.translate(VA_2MB)
-        assert tlbs.l1.valid_entry_count() == 2
-        assert tlbs.translate(VA_4KB).level == "l1"
-        assert tlbs.translate(VA_2MB).level == "l1"
-
-    def test_superpage_counters(self, mapped_table):
-        tlbs = UnifiedTLBHierarchy(mapped_table, l1_entries=8, l2_entries=0)
-        tlbs.translate(VA_2MB)
-        assert tlbs.superpage_l1_valid_entries() == 1
-        assert tlbs.superpage_l1_capacity() == 8
-
-    def test_invalidate(self, mapped_table):
-        tlbs = UnifiedTLBHierarchy(mapped_table, l1_entries=8, l2_entries=64)
-        tlbs.translate(VA_2MB)
-        tlbs.invalidate(VA_2MB, PageSize.SUPER_2MB)
-        assert tlbs.l1.probe(VA_2MB) is None
