@@ -311,11 +311,13 @@ class SetAssociativeCache:
     def locate(self, address: int) -> Optional[Tuple[CacheSet, int]]:
         """``(set, way)`` holding ``address``, or None.  Non-perturbing:
         no set is materialised, no LRU touch, no stats."""
-        cache_set = self._sets.get(self.set_index(address))
+        cache_set = self._sets.get(
+            (address >> self.offset_bits) & self._index_mask)
         if cache_set is None:
             return None
-        way = cache_set.find(self.tag_of(address))
-        return None if way is None else (cache_set, way)
+        tags = cache_set.tags
+        tag = address >> self._tag_shift
+        return (cache_set, tags.index(tag)) if tag in tags else None
 
     def invalidate_line(self, address: int) -> Optional[bool]:
         """Invalidate the line holding ``address`` (coherence/sweeps).

@@ -8,8 +8,8 @@ set-associative structures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from repro.cache.basic import SetAssociativeCache
 
@@ -44,7 +44,9 @@ class HierarchyLevel:
 class MissServiceResult:
     """Where a miss was serviced and what it cost.
 
-    Slotted plain class: one is allocated per L1 miss.
+    Slotted plain class.  A hierarchy builds one per level a miss can end
+    at and returns it for every miss serviced there, so callers must not
+    mutate it.
     """
 
     __slots__ = ("latency_cycles", "serviced_by", "l2_accessed",
@@ -102,30 +104,33 @@ class MemoryHierarchy:
                 SetAssociativeCache(llc_size, llc_ways, name="llc"),
                 llc_latency))
         self.dram = DRAMModel()
+        # What a miss costs depends only on the level that services it:
+        # the latencies of every level it passed, and which levels those
+        # were.  One result per level, built once.
+        self._serviced: List[Tuple[SetAssociativeCache,
+                                   MissServiceResult]] = []
+        latency = 0
+        reached = {"l2": False, "llc": False}
+        for level in self.levels:
+            latency += level.hit_latency_cycles
+            reached[level.name] = True
+            self._serviced.append((level.cache, MissServiceResult(
+                latency, level.name, l2_accessed=reached["l2"],
+                llc_accessed=reached["llc"])))
+        self._dram_serviced = MissServiceResult(
+            latency + self.dram.latency_cycles(frequency_ghz), "dram",
+            l2_accessed=reached["l2"], llc_accessed=reached["llc"],
+            dram_accessed=True)
 
     def service_miss(self, physical_address: int,
                      is_write: bool = False) -> MissServiceResult:
-        """Service an L1 miss; fills every level the request passed through."""
-        latency = 0
-        l2_touched = False
-        llc_touched = False
-        for level in self.levels:
-            latency += level.hit_latency_cycles
-            name = level.cache.name
-            if name == "l2":
-                l2_touched = True
-            else:
-                llc_touched = True
-            if level.cache.access(physical_address, is_write=is_write):
-                return MissServiceResult(
-                    latency_cycles=latency, serviced_by=name,
-                    l2_accessed=l2_touched, llc_accessed=llc_touched)
-        latency += self.dram.latency_cycles(self.frequency_ghz)
+        """Service an L1 miss; fills every level the request passed
+        through, and returns the result of the level that serviced it."""
+        for cache, result in self._serviced:
+            if cache.access(physical_address, is_write):
+                return result
         self.dram.accesses += 1
-        return MissServiceResult(
-            latency_cycles=latency, serviced_by="dram",
-            l2_accessed=l2_touched, llc_accessed=llc_touched,
-            dram_accessed=True)
+        return self._dram_serviced
 
     def writeback(self, physical_address: int) -> None:
         """Accept a dirty eviction from the L1 into the nearest level."""

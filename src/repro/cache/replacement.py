@@ -24,8 +24,9 @@ def lru_final_state(keys, set_index, ways: int):
     # First occurrence in the reversed stream is the last touch.
     distinct, reversed_first = np.unique(keys[::-1], return_index=True)
     last = keys.size - 1 - reversed_first
-    set_ids, set_first = np.unique(set_index, return_index=True)
-    group = set_first[np.searchsorted(set_ids, set_index[last])]
+    _, set_first, set_of = np.unique(set_index, return_index=True,
+                                     return_inverse=True)
+    group = set_first[set_of[last]]
     order = np.lexsort((last, group))
     distinct, group = distinct[order], group[order]
     _, starts, sizes = np.unique(group, return_index=True,

@@ -54,6 +54,7 @@ class Directory:
                  sanitize: bool = False) -> None:
         self.caches = caches
         self.line_size = line_size
+        self._line_mask = ~(line_size - 1)
         self.stats = DirectoryStats()
         self._entries: Dict[int, DirectoryEntry] = {}
         self._probe_listeners: List[ProbeListener] = []
@@ -71,16 +72,6 @@ class Directory:
         """Observe every delivered probe (core id, ways probed)."""
         self._probe_listeners.append(listener)
 
-    def _line(self, physical_address: int) -> int:
-        return physical_address & ~(self.line_size - 1)
-
-    def _entry(self, line: int) -> DirectoryEntry:
-        entry = self._entries.get(line)
-        if entry is None:
-            entry = DirectoryEntry()
-            self._entries[line] = entry
-        return entry
-
     def _deliver_probe(self, core: int, line: int, invalidate: bool) -> None:
         result = self.caches[core].coherence_probe(line, invalidate=invalidate)
         self.stats.probes_sent += 1
@@ -96,8 +87,10 @@ class Directory:
     def cpu_read(self, core: int, physical_address: int) -> bool:
         """Core ``core`` reads a line it missed on. Returns True if another
         core held the only dirty copy (owner forward, faster than DRAM)."""
-        line = self._line(physical_address)
-        entry = self._entry(line)
+        line = physical_address & self._line_mask
+        entry = self._entries.get(line)
+        if entry is None:
+            entry = self._entries[line] = DirectoryEntry()
         self.stats.read_transactions += 1
         forwarded = False
         if entry.owner is not None and entry.owner != core:
@@ -118,8 +111,10 @@ class Directory:
 
         Returns the number of invalidation probes sent.
         """
-        line = self._line(physical_address)
-        entry = self._entry(line)
+        line = physical_address & self._line_mask
+        entry = self._entries.get(line)
+        if entry is None:
+            entry = self._entries[line] = DirectoryEntry()
         self.stats.write_transactions += 1
         probes = 0
         for sharer in sorted(entry.sharers - {core}):
@@ -138,7 +133,7 @@ class Directory:
 
     def evict(self, core: int, physical_address: int) -> None:
         """A core evicted its copy (keeps the directory from over-probing)."""
-        line = self._line(physical_address)
+        line = physical_address & self._line_mask
         entry = self._entries.get(line)
         if entry is None:
             return
@@ -150,5 +145,5 @@ class Directory:
 
     def sharer_count(self, physical_address: int) -> int:
         """Number of cores currently sharing the line."""
-        entry = self._entries.get(self._line(physical_address))
+        entry = self._entries.get(physical_address & self._line_mask)
         return len(entry.sharers) if entry else 0

@@ -120,10 +120,22 @@ class SeesawL1Cache:
         self.store = SetAssociativeCache(size_bytes, ways, name=name)
         self.seesaw_stats = SeesawStats()
         self._sanitize = bool(sanitize) or _sanitize.enabled()
-        # Per-access constants folded once (see ViptL1Cache).
+        # Per-access constants folded once (see ViptL1Cache): timing, the
+        # store's set and tag split, and the partition geometry.
         self._super_hit_cycles = timing.super_hit_cycles
         self._base_hit_cycles = timing.base_hit_cycles
         self._miss_detect = timing.miss_detect_cycles()
+        self._set_shift = self.store.offset_bits
+        self._set_mask = self.store._index_mask
+        self._tag_shift = self.store._tag_shift
+        partitioning = self.partitioning
+        self._partition_low_bit = partitioning._low_bit
+        self._partition_mask = partitioning._partition_mask
+        self._partition_way_ranges = partitioning._partition_way_ranges
+        self._partition_ways = partitioning.partition_ways
+        self._total_ways = partitioning.total_ways
+        self._single_partition_probes = \
+            insertion.coherence_probes_single_partition
 
     # ------------------------------------------------------------ properties
 
@@ -220,21 +232,15 @@ class SeesawL1Cache:
         store = self.store
         stats = store.stats
         seesaw_stats = self.seesaw_stats
-        partitioning = self.partitioning
-        set_index = (physical_address >> store.offset_bits) \
-            & store._index_mask
+        set_index = (physical_address >> self._set_shift) & self._set_mask
         cache_set = store._sets.get(set_index)
         if cache_set is None:
             cache_set = store.set_at(set_index)
         # A set holds a tag at most once, so one scan finds its way; the
         # probed partitions then decide whether this lookup sees it.
         tags = cache_set.tags
-        tag = physical_address >> store._tag_shift
+        tag = physical_address >> self._tag_shift
         way = tags.index(tag) if tag in tags else None
-        speculative_partition = (virtual_address >> partitioning._low_bit) \
-            & partitioning._partition_mask
-        partition_ways = \
-            partitioning._partition_way_ranges[speculative_partition]
         tft_hit = self.tft.lookup(virtual_address)
         is_super = page_size.is_superpage
         if is_super:
@@ -251,9 +257,13 @@ class SeesawL1Cache:
         predict_this_access = self.way_predictor is not None and (
             self.wp_gate is None or self.wp_gate.should_predict())
         if tft_hit:
-            # Rows 1-2 of Table I: only the named partition is probed.
+            # Rows 1-2 of Table I: only the partition the VA names is
+            # probed.
             latency = self._super_hit_cycles
-            ways_probed = partitioning.partition_ways
+            ways_probed = self._partition_ways
+            partition_ways = self._partition_way_ranges[
+                (virtual_address >> self._partition_low_bit)
+                & self._partition_mask]
             if way is not None and way not in partition_ways:
                 way = None
             if predict_this_access:
@@ -277,7 +287,7 @@ class SeesawL1Cache:
         else:
             # Rows 3-4: speculative partition in cycle 1, rest in cycle 2.
             latency = self._base_hit_cycles
-            ways_probed = partitioning.total_ways
+            ways_probed = self._total_ways
             if predict_this_access:
                 # Without a TFT hit the predictor works over the whole set
                 # (the plain way-prediction design of Fig. 15): a correct
@@ -302,8 +312,7 @@ class SeesawL1Cache:
                     seesaw_stats.tft_missed_superpage_l1_misses += 1
 
         stats.ways_probed += ways_probed
-        if hit and self._sanitize \
-                and self.insertion.coherence_probes_single_partition:
+        if hit and self._sanitize and self._single_partition_probes:
             # Under 4way insertion a hit must land in the PA's partition;
             # anywhere else means the partition map desynchronized.
             expected = self.partitioning.partition_of(physical_address)
@@ -351,15 +360,17 @@ class SeesawL1Cache:
         for base pages and superpages alike.  Under ``4way-8way`` the whole
         set must be searched.
         """
-        if self.insertion.coherence_probes_single_partition:
-            partition = self.partitioning.partition_of(physical_address)
-            ways: Sequence[int] = self.partitioning.ways_of_partition(partition)
-            ways_probed = self.partitioning.partition_ways
+        if self._single_partition_probes:
+            ways: Sequence[int] = self._partition_way_ranges[
+                (physical_address >> self._partition_low_bit)
+                & self._partition_mask]
+            ways_probed = self._partition_ways
         else:
-            ways = self.partitioning.all_ways()
-            ways_probed = self.partitioning.total_ways
-        self.seesaw_stats.coherence_probes += 1
-        self.seesaw_stats.coherence_ways_probed += ways_probed
+            ways = range(self._total_ways)
+            ways_probed = self._total_ways
+        seesaw_stats = self.seesaw_stats
+        seesaw_stats.coherence_probes += 1
+        seesaw_stats.coherence_ways_probed += ways_probed
         self.store.stats.ways_probed += ways_probed
         found = self.store.locate(physical_address)
         if found is None or found[1] not in ways:

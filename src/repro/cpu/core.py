@@ -17,8 +17,6 @@ class CoreStats:
 
     cycles: float = 0.0
     instructions: int = 0
-    memory_references: int = 0
-    stall_cycles: float = 0.0
 
     @property
     def ipc(self) -> float:
@@ -42,8 +40,10 @@ class CoreModel:
         # memory_stall() is pure in (hit, latency) for fixed core
         # parameters, and retire() asks for a handful of distinct
         # latencies millions of times — memoizing returns the exact same
-        # float the pow/log2 computation would.  The memo is pickled with
-        # the core, so a restored run keeps it.
+        # float the pow/log2 computation would.  A hit is keyed by its
+        # latency and a miss by ``~latency`` (negative), so one int keys
+        # both.  The memo is pickled with the core, so a restored run
+        # keeps it.
         self._stall_cache: dict = {}
 
     def memory_stall(self, hit: bool, latency_cycles: float) -> float:
@@ -58,12 +58,9 @@ class CoreModel:
         stats = self.stats
         instructions = gap_instructions + 1
         stats.instructions += instructions
-        stats.cycles += instructions / self.issue_width
-        stats.memory_references += 1
-        key = (hit, latency_cycles)
+        key = latency_cycles if hit else ~latency_cycles
         stall = self._stall_cache.get(key)
         if stall is None:
             stall = self._stall_cache[key] = self.memory_stall(
                 hit, latency_cycles)
-        stats.cycles += stall
-        stats.stall_cycles += stall
+        stats.cycles = stats.cycles + instructions / self.issue_width + stall

@@ -128,6 +128,9 @@ class EnergyAccountant:
                 self.l1_size_bytes, self.l1_ways, ways)
             for ways in range(1, self.l1_ways + 1)
         }
+        # A reference makes one or two TLB lookups: index the products.
+        self._tlb_energy = tuple(self.tlb_lookup_nj * lookups
+                                 for lookups in range(3))
 
     # ------------------------------------------------------------- L1 events
 
@@ -150,7 +153,7 @@ class EnergyAccountant:
         probes (one on a SEESAW L1, none without a TFT) and the L1 probe
         of ``ways_probed`` ways."""
         breakdown = self.breakdown
-        breakdown.tlb_nj += self.tlb_lookup_nj * tlb_lookups
+        breakdown.tlb_nj += self._tlb_energy[tlb_lookups]
         if tft_lookups:
             breakdown.tft_nj += self.tft_lookup_nj * tft_lookups
         breakdown.l1_cpu_lookup_nj += self._lookup_energy[ways_probed]

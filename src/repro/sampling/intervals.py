@@ -34,16 +34,6 @@ __all__ = ["partition_intervals", "interval_signature", "profile_trace"]
 SIGNATURE_DIM = 76
 
 
-def _reuse_buckets(counts: "np.ndarray", n: float):
-    """Fractions of references to items touched 1 / 2-3 / 4-7 / 8+ times."""
-    return (
-        float(counts[counts == 1].sum()) / n,
-        float(counts[(counts >= 2) & (counts <= 3)].sum()) / n,
-        float(counts[(counts >= 4) & (counts <= 7)].sum()) / n,
-        float(counts[counts >= 8].sum()) / n,
-    )
-
-
 def partition_intervals(total: int, interval_size: int,
                         start: int = 0) -> List[Tuple[int, int]]:
     """Split ``[start, total)`` into consecutive ``[lo, hi)`` intervals.
@@ -62,7 +52,8 @@ def partition_intervals(total: int, interval_size: int,
 
 
 def interval_signature(addresses, writes) -> np.ndarray:
-    """The feature vector of one interval's references.
+    """The feature vector of one interval's references: the one-interval
+    case of :func:`_signature_matrix`.
 
     Accepts any address/write sequences (lists or arrays); empty
     intervals are rejected — the partitioner never produces them.
@@ -70,32 +61,88 @@ def interval_signature(addresses, writes) -> np.ndarray:
     va = np.asarray(addresses, dtype=np.int64)
     if va.size == 0:
         raise ValueError("interval_signature: empty interval")
-    wr = np.asarray(writes, dtype=bool)
-    n = float(va.size)
+    return _signature_matrix(va, np.asarray(writes, dtype=bool),
+                             [(0, va.size)])[0]
+
+
+#: Reuse buckets: a key touched ``c`` times falls in bucket
+#: ``searchsorted(_REUSE_EDGES, c, "right")`` — 1, 2-3, 4-7 or 8+.
+_REUSE_EDGES = np.array([2, 4, 8])
+
+
+def _runs(owner: np.ndarray, keys: np.ndarray, count: int):
+    """Each interval's distinct ``keys``, as run lengths.
+
+    ``owner`` is sorted (interval-major), so packing it above the keys'
+    offsets and sorting once groups every interval's equal keys into
+    runs.  Returns each run's interval and length.  Keys too wide to
+    share 63 bits with the interval number are ranked first.
+    """
+    keys = keys - keys.min()
+    width = int(keys.max()).bit_length()
+    if width + (count - 1).bit_length() > 63:
+        keys = np.unique(keys, return_inverse=True)[1].reshape(-1)
+        width = int(keys.max()).bit_length()
+    packed = np.sort((owner << width) | keys)
+    starts = np.flatnonzero(np.concatenate(
+        ([True], packed[1:] != packed[:-1])))
+    lengths = np.diff(np.append(starts, packed.size))
+    return packed[starts] >> width, lengths
+
+
+def _signature_matrix(addresses: np.ndarray, writes: np.ndarray,
+                      intervals: List[Tuple[int, int]]) -> np.ndarray:
+    """Signature matrix (num_intervals x SIGNATURE_DIM) of the
+    ``[lo, hi)`` ``intervals`` of the address and write columns, in one
+    pass over all of their references.
+
+    Counts per interval come from ``bincount`` over the interval number
+    of each reference; distinct lines, pages and regions and their reuse
+    buckets from one sort per feature (:func:`_runs`).  Every count is an
+    exact integer, so each row equals the per-interval computation bit
+    for bit.  Intervals must be non-empty.
+    """
+    bounds = np.array(intervals, dtype=np.int64).reshape(-1, 2)
+    lengths = bounds[:, 1] - bounds[:, 0]
+    if not lengths.size or lengths.min() <= 0:
+        raise ValueError("profile_trace: empty interval")
+    count = lengths.size
+    owner = np.repeat(np.arange(count, dtype=np.int64), lengths)
+    # Each reference's trace index: its interval's start plus its offset
+    # into the interval.
+    offsets = np.cumsum(lengths) - lengths
+    index = np.arange(owner.size) + np.repeat(bounds[:, 0] - offsets,
+                                              lengths)
+    va = np.asarray(addresses, dtype=np.int64)[index]
+    n = lengths.astype(np.float64)
 
     lines = va >> 6
-    histogram = np.bincount((lines & 63).astype(np.intp),
-                            minlength=64).astype(np.float64) / n
+    histogram = np.bincount(owner * 64 + (lines & 63),
+                            minlength=64 * count).reshape(count, 64) \
+        / n[:, None]
+    line_owner, line_counts = _runs(owner, lines, count)
+    page_owner, page_counts = _runs(owner, va >> 12, count)
+    region_owner, _ = _runs(owner, va >> 21, count)
+    written = np.bincount(
+        owner, weights=np.asarray(writes, dtype=bool)[index], minlength=count)
 
-    unique_lines, line_counts = np.unique(lines, return_counts=True)
-    unique_pages, page_counts = np.unique(va >> 12, return_counts=True)
-    regions = np.unique(va >> 21).size
+    def distinct(run_owner):
+        return np.bincount(run_owner, minlength=count)
 
-    scalars = np.array([
-        unique_pages.size / n,
-        regions / n,
-        unique_lines.size / n,
-        float(wr.sum()) / n,
-        *_reuse_buckets(line_counts, n),
-        *_reuse_buckets(page_counts, n),
-    ])
-    return np.concatenate([histogram, scalars])
+    def reuse(run_owner, run_lengths):
+        bucket = np.searchsorted(_REUSE_EDGES, run_lengths, side="right")
+        return np.bincount(run_owner * 4 + bucket,
+                           weights=run_lengths.astype(np.float64),
+                           minlength=4 * count).reshape(count, 4)
+
+    scalars = np.column_stack([
+        distinct(page_owner), distinct(region_owner), distinct(line_owner),
+        written, reuse(line_owner, line_counts),
+        reuse(page_owner, page_counts)]) / n[:, None]
+    return np.concatenate([histogram, scalars], axis=1)
 
 
 def profile_trace(trace, intervals: List[Tuple[int, int]]) -> np.ndarray:
     """Signature matrix (num_intervals x SIGNATURE_DIM) for ``trace``."""
     addresses, writes = trace.columns()
-    return np.stack([
-        interval_signature(addresses[lo:hi], writes[lo:hi])
-        for lo, hi in intervals
-    ])
+    return _signature_matrix(addresses, writes, intervals)

@@ -80,7 +80,7 @@ def _functional_warm_gap(sim, start: int, stop: int,
       (context switches, superpage splinter/promote churn) fire on
       their global trace indices, in the run loop's dispatch order.
       Background coherence probes are *not* replayed: they only observe
-      (stats, probe energy, one RNG draw), the delta discipline cancels
+      (stats, probe energy, their RNG draws), the delta discipline cancels
       those, so replaying them buys no architectural fidelity at ~1/12
       of the warming cost.
 
@@ -173,12 +173,12 @@ def _warm_span_fast(sim, start: int, stop: int, ctx: Dict) -> None:
       follow the same rules the reference path applies.
     * The 2MB TLB collapses the same way unless SEESAW's TFT listens and
       some region can miss.  Then its sub-stream is replayed in order
-      through :meth:`TLB.lookup` and :meth:`TLB.fill` — run-length
-      compressed, since a reference to the still-MRU region cannot miss,
-      fill, or reorder — to learn which regions fill.  Those fills are
-      the TFT's only operation inside a span, and each direct-mapped
-      slot keeps the last region filled into it, so the TFT too gets
-      just its final state.
+      through :meth:`TLB.lookup` and :meth:`TLB.fill` — without the
+      references to the region their set touched last, which cannot
+      miss, fill, or reorder — to learn which regions fill.  Those
+      fills are the TFT's only operation inside a span, and each
+      direct-mapped slot keeps the last region filled into it, so the
+      TFT too gets just its final state.
 
     On multi-core traces each reference touches only its issuing core's
     hierarchy, and there is no cross-core translation traffic inside an
@@ -197,9 +197,9 @@ def _warm_span_fast(sim, start: int, stop: int, ctx: Dict) -> None:
     addresses, _ = sim.trace.columns()
     span = addresses[start:stop]
     vpn = span >> 12
-    uniq = np.unique(vpn)                      # sorted
-    flags = np.empty(uniq.size, dtype=np.int8)
-    for position, page in enumerate(uniq.tolist()):
+    uniq, page_of_reference = np.unique(vpn, return_inverse=True)
+    flags = []
+    for page in uniq.tolist():
         info = page_info.get(page)
         if info is None:
             mapping = page_table.lookup(page << 12)
@@ -215,8 +215,8 @@ def _warm_span_fast(sim, start: int, stop: int, ctx: Dict) -> None:
                 # these references leave no architectural state behind.
                 info = (_KIND_SKIP, 0)
             page_info[page] = info
-        flags[position] = info[0]
-    kinds = flags[np.searchsorted(uniq, vpn)]
+        flags.append(info[0])
+    kinds = np.array(flags, dtype=np.int8)[page_of_reference]
 
     if len(sim.tlbs) == 1:
         _warm_hierarchy_fast(sim.tlbs[0], span, vpn, kinds, page_info)
@@ -261,8 +261,14 @@ def _warm_hierarchy_fast(hierarchy, span, vpn, kinds, page_info) -> None:
         if hierarchy._fill_hooks and any(
                 tlb2.probe(region << 21) is None
                 for region in distinct.tolist()):
+            # Nor can a reference to the region its own set touched
+            # last: a stable sort by set puts each set's references side
+            # by side in trace order, and those repeats are dropped too.
+            by_set = np.argsort(regions & tlb2._set_mask, kind="stable")
+            repeat = np.zeros(regions.shape, dtype=bool)
+            repeat[by_set[1:]] = regions[by_set[1:]] == regions[by_set[:-1]]
             filled = []
-            for region in regions.tolist():
+            for region in regions[~repeat].tolist():
                 if tlb2.lookup(region << 21) is None:
                     tlb2.fill(region, region_ppn[region], super_size)
                     filled.append(region)

@@ -78,9 +78,14 @@ class ResultCache:
         return payload
 
     def put(self, key: str, payload: Dict) -> None:
+        """Remember ``payload`` under ``key`` and publish it to disk,
+        unless the memory tier already holds an equal payload: that one
+        was read from or written to the disk tier already."""
         with self._lock:
+            unchanged = self._memory.get(key) == payload
             self._remember(key, payload)
-        self._disk_put(key, payload)
+        if not unchanged:
+            self._disk_put(key, payload)
 
     def _remember(self, key: str, payload: Dict) -> None:
         self._memory[key] = payload

@@ -178,9 +178,10 @@ def _cell_digests(params: Dict) -> List[Tuple[str, str, str, str]]:
 
 
 def _preseed_from_cache(journal, params: Dict, cache: ResultCache,
-                        base_config) -> int:
-    """Append cache-hit ``done`` records for every cell the journal does
-    not already have; returns the number preseeded."""
+                        base_config, cells) -> int:
+    """Append cache-hit ``done`` records for every one of ``cells``
+    (:func:`_cell_digests`) the journal does not already have; returns
+    the number preseeded."""
     done: Dict[Tuple[str, str], Dict] = {}
     if journal.exists():
         _, done = journal.read()
@@ -190,7 +191,7 @@ def _preseed_from_cache(journal, params: Dict, cache: ResultCache,
             params["length"], params["seed"],
             sampling_plan=sampling_plan_from_params(params)))
     preseeded = 0
-    for workload, design, cfg_digest, trc_digest in _cell_digests(params):
+    for workload, design, cfg_digest, trc_digest in cells:
         record = done.get((workload, design))
         if record is not None and record.get("type") == "done" \
                 and record.get("config_digest") == cfg_digest:
@@ -202,11 +203,12 @@ def _preseed_from_cache(journal, params: Dict, cache: ResultCache,
     return preseeded
 
 
-def _fill_cache(journal, params: Dict, cache: ResultCache) -> None:
-    """Publish every ``done`` record of the finished journal to the cache."""
+def _fill_cache(journal, cache: ResultCache, cells) -> None:
+    """Publish every ``done`` record of the finished journal to the
+    cache, keyed by the trace digests of ``cells``
+    (:func:`_cell_digests`)."""
     trace_by_cell = {(workload, design): trc_digest
-                     for workload, design, _cfg, trc_digest
-                     in _cell_digests(params)}
+                     for workload, design, _cfg, trc_digest in cells}
     _, done = journal.read()
     for (workload, design), record in done.items():
         if record.get("type") != "done":
@@ -261,7 +263,10 @@ def execute_job(job: Job, spool: Path, cache: ResultCache,
     journal = SweepJournal(journal_path)
     save_request_params(spool, job.digest, params)
 
-    reused_cache = _preseed_from_cache(journal, params, cache, base_config)
+    # Each digest hashes whole trace columns: compute them once.
+    cells = _cell_digests(params)
+    reused_cache = _preseed_from_cache(journal, params, cache, base_config,
+                                       cells)
 
     deadline_s = None
     if job.deadline_at is not None:
@@ -288,7 +293,7 @@ def execute_job(job: Job, spool: Path, cache: ResultCache,
     )
     elapsed = time.monotonic() - started
 
-    _fill_cache(journal, params, cache)
+    _fill_cache(journal, cache, cells)
 
     results_payload = {
         workload: {design: result.to_dict()

@@ -22,6 +22,7 @@ misses and write-upgrades.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -50,6 +51,13 @@ from repro.sim.config import SystemConfig
 from repro.sim.stats import SimulationResult
 from repro.tlb.hierarchy import SplitTLBHierarchy
 from repro.workloads.trace import MemoryTrace
+
+
+#: capacity of the ring of recently referenced lines the background
+#: coherence probe picks from.
+RECENT_LINES = 64
+#: (line, core) index pairs one RNG call draws for the background probe.
+PROBE_DRAW_BLOCK = 128
 
 
 def _next_fire(start: int, interval: Optional[int],
@@ -98,6 +106,11 @@ class SystemSimulator:
                      else config.l1_ways))
         self._wire()
         self._recent_lines: List[int] = []
+        # Undrawn (line, core) probe indices, last pair first (see
+        # _system_probe), and the bounds one block draw passes.
+        self._probe_draws: List[int] = []
+        self._probe_draw_highs = np.array(
+            [RECENT_LINES, self.num_cores] * PROBE_DRAW_BLOCK)
         self._superpage_references = 0
         self._measured_references = 0
         self._churn_cursor = 0
@@ -249,8 +262,7 @@ class SystemSimulator:
                     ways, coherence=True))
         for core_id, l1 in enumerate(self.l1s):
             l1.store.register_eviction_hook(
-                lambda line, dirty, _c=core_id: self._on_l1_eviction(
-                    _c, line, dirty))
+                partial(self._on_l1_eviction, core_id))
 
     def _on_l1_eviction(self, core_id: int, line_address: int,
                         dirty: bool) -> None:
@@ -264,12 +276,29 @@ class SystemSimulator:
 
     def _system_probe(self) -> None:
         """Background OS/IO coherence activity (paper §VI-B: even
-        single-threaded workloads see coherence lookups)."""
-        if not self._recent_lines or self.fabric is None:
+        single-threaded workloads see coherence lookups).
+
+        Each probe picks a recent line and a core, in that order, as two
+        draws ``integers(0, len(recent))`` and ``integers(0, num_cores)``.
+        Once the ring is full its length stays ``RECENT_LINES``, so the
+        draws come ``PROBE_DRAW_BLOCK`` pairs at a time from one
+        ``integers`` call, whose broadcast bounds yield exactly the
+        scalar sequence and leave the generator where the scalar calls
+        would.  The undrawn rest is part of a snapshot.
+        """
+        recent = self._recent_lines
+        if not recent or self.fabric is None:
             return
-        line = self._recent_lines[
-            int(self._rng.integers(0, len(self._recent_lines)))]
-        core = int(self._rng.integers(0, self.num_cores))
+        if len(recent) < RECENT_LINES:
+            line = recent[int(self._rng.integers(0, len(recent)))]
+            core = int(self._rng.integers(0, self.num_cores))
+        else:
+            draws = self._probe_draws
+            if not draws:
+                draws = self._probe_draws = self._rng.integers(
+                    0, self._probe_draw_highs).tolist()[::-1]
+            line = recent[draws.pop()]
+            core = draws.pop()
         result = self.l1s[core].coherence_probe(line, invalidate=False)
         self.energy.record_l1_lookup(result.ways_probed, coherence=True)
 
@@ -542,10 +571,10 @@ class SystemSimulator:
                         miss_detect + miss.latency_cycles + extra_tlb)
 
                 line = pa & ~63
-                if len(recent) < 64:
+                if len(recent) < RECENT_LINES:
                     recent.append(line)
                 else:
-                    recent[index & 63] = line
+                    recent[index % RECENT_LINES] = line
                 if index == next_event:
                     next_event = float("inf")
                     for event in events:
@@ -581,8 +610,11 @@ class SystemSimulator:
     #: ``TLBEntry`` is a NamedTuple without ``valid``.  v6: cache sets keep
     #: their LRU ``order`` list instead of a policy object, the TFT is a
     #: list of direct-mapped slots, and TLB hierarchies have no 1GB L1
-    #: TLB or probe-order tuple.
-    SNAPSHOT_VERSION = 6
+    #: TLB or probe-order tuple.  v7: the loop state carries the
+    #: background probe's undrawn indices, core stats drop
+    #: ``memory_references`` and ``stall_cycles``, and the hierarchy
+    #: holds one prebuilt miss result per serviced level.
+    SNAPSHOT_VERSION = 7
 
     def snapshot(self) -> bytes:
         """Serialize the complete mutable simulation state.
@@ -623,6 +655,7 @@ class SystemSimulator:
                 "measured_references": self._measured_references,
                 "superpage_references": self._superpage_references,
                 "recent_lines": self._recent_lines,
+                "probe_draws": self._probe_draws,
                 "region_bases": self._region_bases,
                 "churn_cursor": self._churn_cursor,
                 "prewarmed": self._prewarmed,
@@ -688,6 +721,7 @@ class SystemSimulator:
         self._measured_references = loop["measured_references"]
         self._superpage_references = loop["superpage_references"]
         self._recent_lines = loop["recent_lines"]
+        self._probe_draws = loop["probe_draws"]
         self._region_bases = loop["region_bases"]
         self._churn_cursor = loop["churn_cursor"]
         self._prewarmed = loop["prewarmed"]
@@ -706,7 +740,7 @@ class SystemSimulator:
 
         :meth:`run_until` fires them all (``probe=True``).  Only then is
         the background coherence probe included, first: it only observes
-        (stats, probe energy and one RNG draw), so the sampled lane's
+        (stats, probe energy and its RNG draws), so the sampled lane's
         warmer, which replays the events that change machine state,
         leaves it out.
         """

@@ -83,6 +83,9 @@ class TLB:
         self.page_sizes: Tuple[PageSize, ...] = tuple(sorted(page_sizes))
         if not self.page_sizes:
             raise ValueError("TLB must support at least one page size")
+        #: ``(size, offset bits)`` per supported size, in probe order.
+        self._size_shifts = tuple((size, size.offset_bits)
+                                  for size in self.page_sizes)
         self.stats = TLBStats()
         self._sets: List[Dict[TLBKey, TLBEntry]] = [
             {} for _ in range(self.num_sets)]
@@ -100,8 +103,8 @@ class TLB:
         ``None`` on miss.
         """
         sets = self._sets
-        for size in self.page_sizes:
-            vpn = virtual_address >> size.offset_bits
+        for size, shift in self._size_shifts:
+            vpn = virtual_address >> shift
             entries = sets[vpn & self._set_mask]
             key = (vpn, size, asid)
             entry = entries.pop(key, None)
@@ -114,8 +117,8 @@ class TLB:
 
     def probe(self, virtual_address: int, asid: int = 0) -> Optional[TLBEntry]:
         """Like :meth:`lookup` but with no stats or LRU side effects."""
-        for size in self.page_sizes:
-            vpn = virtual_address >> size.offset_bits
+        for size, shift in self._size_shifts:
+            vpn = virtual_address >> shift
             entry = self._sets[vpn & self._set_mask].get((vpn, size, asid))
             if entry is not None:
                 return entry
@@ -137,12 +140,14 @@ class TLB:
         key = (virtual_page, page_size, asid)
         victim = None
         if entries.pop(key, None) is None:
+            stats = self.stats
             if len(entries) >= self.ways:
+                # The LRU entry makes room: the resident count holds.
                 victim = entries.pop(next(iter(entries)))
-                self.stats.evictions += 1
-                self._resident -= 1
-            self._resident += 1
-            self.stats.fills += 1
+                stats.evictions += 1
+            else:
+                self._resident += 1
+            stats.fills += 1
         entries[key] = TLBEntry(virtual_page, physical_page, page_size, asid)
         return victim
 

@@ -598,7 +598,84 @@ from repro.sampling import (  # noqa: E402  (grouped with its test class)
     extrapolate_totals,
     interval_signature,
     partition_intervals,
+    profile_trace,
 )
+
+
+def _reference_signature(addresses, writes) -> np.ndarray:
+    """One interval's signature computed directly, interval by interval:
+    the reference model for :func:`profile_trace`'s one-pass matrix."""
+    va = np.asarray(addresses, dtype=np.int64)
+    wr = np.asarray(writes, dtype=bool)
+    n = float(va.size)
+
+    lines = va >> 6
+    histogram = np.bincount((lines & 63).astype(np.intp),
+                            minlength=64).astype(np.float64) / n
+
+    unique_lines, line_counts = np.unique(lines, return_counts=True)
+    unique_pages, page_counts = np.unique(va >> 12, return_counts=True)
+    regions = np.unique(va >> 21).size
+
+    def reuse_buckets(counts):
+        """Fractions of references to items touched 1 / 2-3 / 4-7 / 8+
+        times."""
+        return (
+            float(counts[counts == 1].sum()) / n,
+            float(counts[(counts >= 2) & (counts <= 3)].sum()) / n,
+            float(counts[(counts >= 4) & (counts <= 7)].sum()) / n,
+            float(counts[counts >= 8].sum()) / n,
+        )
+
+    scalars = np.array([
+        unique_pages.size / n,
+        regions / n,
+        unique_lines.size / n,
+        float(wr.sum()) / n,
+        *reuse_buckets(line_counts),
+        *reuse_buckets(page_counts),
+    ])
+    return np.concatenate([histogram, scalars])
+
+
+@st.composite
+def _columns_and_intervals(draw):
+    """Random address/write columns and an interval layout over them:
+    one interval, contiguous, gapped, or length-1 intervals."""
+    # Narrow spans repeat lines, pages and regions; the widest needs
+    # nearly all 63 bits.
+    span = draw(st.sampled_from([1 << 13, 1 << 24, 1 << 40, 1 << 63]))
+    size = draw(st.integers(min_value=1, max_value=300))
+    addresses = draw(st.lists(st.integers(min_value=0, max_value=span - 1),
+                              min_size=size, max_size=size))
+    writes = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    layout = draw(st.sampled_from(["single", "contiguous", "gapped",
+                                   "length-1"]))
+    if layout == "single":
+        lo = draw(st.integers(min_value=0, max_value=size - 1))
+        intervals = [(lo, draw(st.integers(min_value=lo + 1,
+                                           max_value=size)))]
+    elif layout == "length-1":
+        starts = draw(st.sets(st.integers(min_value=0, max_value=size - 1),
+                              min_size=1, max_size=40))
+        intervals = [(lo, lo + 1) for lo in sorted(starts)]
+    else:
+        cuts = draw(st.sets(st.integers(min_value=1, max_value=size),
+                            max_size=30)) if size > 1 else set()
+        bounds = [0, *sorted(cuts - {size}), size]
+        intervals = list(zip(bounds, bounds[1:]))
+        if layout == "gapped":
+            keep = draw(st.lists(st.booleans(), min_size=len(intervals),
+                                 max_size=len(intervals)))
+            intervals = ([interval for interval, kept
+                          in zip(intervals, keep) if kept]
+                         or intervals[-1:])
+            # Trim some intervals' ends, leaving gaps inside the runs too.
+            intervals = [(lo, draw(st.integers(min_value=lo + 1,
+                                               max_value=hi)))
+                         for lo, hi in intervals]
+    return (np.array(addresses, dtype=np.int64), np.array(writes),
+            intervals)
 
 
 class TestSamplingProperties:
@@ -641,6 +718,27 @@ class TestSamplingProperties:
         permuted = interval_signature([a for a, _ in shuffled],
                                       [w for _, w in shuffled])
         assert permuted.tolist() == original.tolist()
+
+    @given(_columns_and_intervals())
+    @settings(max_examples=100, deadline=None)
+    def test_profile_matches_per_interval_reference(self, case):
+        """The one-pass signature matrix equals the per-interval
+        reference model, row for row and bit for bit."""
+        addresses, writes, intervals = case
+
+        class Trace:
+            @staticmethod
+            def columns():
+                return addresses, writes
+
+        expected = np.stack([
+            _reference_signature(addresses[lo:hi], writes[lo:hi])
+            for lo, hi in intervals])
+        assert np.array_equal(profile_trace(Trace, intervals), expected)
+        lo, hi = intervals[0]
+        assert np.array_equal(
+            interval_signature(addresses[lo:hi], writes[lo:hi]),
+            expected[0])
 
     @given(st.lists(st.lists(st.floats(min_value=-100.0, max_value=100.0,
                                        allow_nan=False),

@@ -244,6 +244,43 @@ class TestResultCache:
     def test_result_key_is_order_sensitive(self):
         assert result_key("aa", "bb") != result_key("bb", "aa")
 
+    def test_equal_put_leaves_the_disk_entry_alone(self, tmp_path):
+        cache = ResultCache(capacity=4, directory=tmp_path)
+        cache.put("k", {"ipc": 1.5})
+        before = (tmp_path / "k.result.json").stat()
+        cache.put("k", {"ipc": 1.5})
+        after = (tmp_path / "k.result.json").stat()
+        assert (after.st_ino, after.st_mtime_ns) \
+            == (before.st_ino, before.st_mtime_ns)
+        cache.put("k", {"ipc": 2.5})
+        assert ResultCache(directory=tmp_path).get("k") == {"ipc": 2.5}
+
+    def test_repeated_request_rewrites_no_cache_entry(self, tmp_path):
+        """A request served wholly from the journal and cache publishes
+        nothing: its cache file keeps its inode and mtime."""
+        from repro.serve.jobs import execute_job, request_digest
+        from repro.serve.pending import Job
+
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        cache = ResultCache(directory=tmp_path / "cache")
+        params = validate_params("run", dict(SMALL))
+
+        def answer():
+            job = Job(id="job-1", client="test", method="run",
+                      params=params, digest=request_digest(params))
+            return execute_job(job, spool, cache)
+
+        first = answer()
+        [entry] = (tmp_path / "cache").glob("*.result.json")
+        before = entry.stat()
+        second = answer()
+        after = entry.stat()
+        assert first["simulated"] == 1 and second["simulated"] == 0
+        assert second["results"] == first["results"]
+        assert (after.st_ino, after.st_mtime_ns) \
+            == (before.st_ino, before.st_mtime_ns)
+
 
 # -------------------------------------------------- deterministic jitter
 

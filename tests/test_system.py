@@ -1,10 +1,12 @@
 """Integration tests for the full-system simulator."""
 
+import numpy as np
 import pytest
 
 from repro.core.seesaw import SeesawL1Cache
 from repro.sim.config import SystemConfig
-from repro.sim.system import SystemSimulator, simulate
+from repro.sim.system import (PROBE_DRAW_BLOCK, RECENT_LINES,
+                              SystemSimulator, simulate)
 from repro.workloads.suite import build_trace, get_workload
 from repro.workloads.trace import MemoryTrace
 
@@ -130,6 +132,71 @@ class TestHooksWiring:
         result = run(SystemConfig(coherence="none",
                                   system_probe_interval=0))
         assert result.coherence_probes == 0
+
+
+class TestBackgroundProbeDraws:
+    """The background coherence probe picks a ring line, then a core,
+    with the draws ``integers(0, len(ring))`` and
+    ``integers(0, num_cores)`` of ``default_rng(config.seed)``, in that
+    order — while the ring fills, across block draws, and across a
+    snapshot taken with draws pending.  No result shows the picks:
+    synthetic traces have no synonyms, so every pick probes the same
+    number of ways."""
+
+    @staticmethod
+    def _record(sim, log):
+        """Log each background probe's ring and its (core, line) calls
+        to ``coherence_probe``."""
+        def probe():
+            calls = []
+            for core, l1 in enumerate(sim.l1s):
+                def spy(line, invalidate=False, _core=core,
+                        _probe=l1.coherence_probe):
+                    calls.append((_core, line))
+                    return _probe(line, invalidate=invalidate)
+                l1.coherence_probe = spy
+            ring = list(sim._recent_lines)
+            try:
+                SystemSimulator._system_probe(sim)
+            finally:
+                for l1 in sim.l1s:
+                    del l1.coherence_probe
+            log.append((ring, calls))
+        sim._system_probe = probe
+
+    @pytest.mark.parametrize("workload, cores", [("gups", 1), ("cann", 4)])
+    def test_picks_follow_the_scalar_draws(self, workload, cores):
+        config = SystemConfig(seed=5)
+        interval = config.system_probe_interval
+        # The ring fills, then two full blocks and part of a third.
+        length = RECENT_LINES + interval * (2 * PROBE_DRAW_BLOCK + 40)
+        trace = build_trace(get_workload(workload), length=length, seed=3)
+        assert trace.num_cores == cores
+        log = []
+        sim = SystemSimulator(config, trace)
+        self._record(sim, log)
+        pause = RECENT_LINES + interval * (PROBE_DRAW_BLOCK // 2)
+        sim.run_until(pause)
+        assert sim._probe_draws  # the snapshot carries undrawn picks
+        blob = sim.snapshot()
+        resumed = SystemSimulator(config, trace)
+        resumed.restore(blob)
+        self._record(resumed, log)
+        resumed.run_until(length)
+
+        assert len(log) == length // interval
+        assert any(len(ring) < RECENT_LINES for ring, _ in log)
+        rng = np.random.default_rng(config.seed)
+        for ring, calls in log:
+            line = ring[int(rng.integers(0, len(ring)))]
+            core = int(rng.integers(0, cores))
+            assert calls == [(core, line)]
+        # The undrawn picks are the scalar draws still to come, and the
+        # generator stands where those scalar calls leave it.
+        pending = resumed._probe_draws[::-1]
+        assert pending == [int(rng.integers(0, high)) for high
+                           in [RECENT_LINES, cores] * (len(pending) // 2)]
+        assert resumed._rng.bit_generator.state == rng.bit_generator.state
 
 
 class TestWayPredictionDesigns:
