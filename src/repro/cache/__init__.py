@@ -1,5 +1,5 @@
-"""Cache substrate: generic set-associative caches, VIPT/PIPT L1 frontends,
-way prediction, and the L2/LLC/DRAM backing hierarchy.
+"""Cache substrate: generic set-associative caches, VIPT/PIPT/VIVT L1
+frontends, way prediction, and the LLC/DRAM backing hierarchy.
 
 The SEESAW L1 itself lives in :mod:`repro.core`; this package provides the
 baseline designs it is compared against (paper Figs. 7-15) and the levels
@@ -7,11 +7,11 @@ behind the L1.
 """
 
 from repro.cache.basic import CacheSet, SetAssociativeCache, CacheStats
-from repro.cache.vipt import ViptL1Cache, L1AccessResult
+from repro.cache.vipt import ViptL1Cache
 from repro.cache.pipt import PiptL1Cache
 from repro.cache.vivt import VivtL1Cache, SynonymStats
 from repro.cache.way_predictor import MRUWayPredictor, WayPredictorStats
-from repro.cache.hierarchy import MemoryHierarchy, HierarchyLevel, DRAMModel
+from repro.cache.hierarchy import MemoryHierarchy, DRAMModel
 
 __all__ = [
     "CacheSet",
@@ -21,10 +21,8 @@ __all__ = [
     "PiptL1Cache",
     "VivtL1Cache",
     "SynonymStats",
-    "L1AccessResult",
     "MRUWayPredictor",
     "WayPredictorStats",
     "MemoryHierarchy",
-    "HierarchyLevel",
     "DRAMModel",
 ]

@@ -1,6 +1,6 @@
 """Generic physically-addressed set-associative cache.
 
-This is the building block for L2/LLC levels and for the MPKI study in
+This is the building block for the LLC and for the MPKI study in
 Fig. 2a, where only hit/miss behaviour matters.  L1 frontends (VIPT, PIPT,
 SEESAW) layer indexing/tagging semantics and timing on top of the same
 structures.
@@ -104,6 +104,9 @@ class SetAssociativeCache:
     def __init__(self, size_bytes: int, ways: int,
                  line_size: int = CACHE_LINE_SIZE,
                  name: str = "cache") -> None:
+        if size_bytes < ways * line_size:
+            raise ValueError("size must hold at least one set of ways * "
+                             "line_size bytes")
         if size_bytes % (ways * line_size):
             raise ValueError("size must be a multiple of ways * line_size")
         self.name = name

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.mem.address import PageSize
 from repro.cache.basic import SetAssociativeCache
-from repro.cache.vipt import L1AccessResult, L1Timing, ViptL1Cache
+from repro.cache.vipt import L1Timing, ViptL1Cache
 
 
 class PiptL1Cache:
@@ -48,19 +48,11 @@ class PiptL1Cache:
     def stats(self):
         return self.store.stats
 
-    def access(self, virtual_address: int, physical_address: int,
-               page_size: PageSize, is_write: bool = False) -> L1AccessResult:
-        """CPU lookup: translation latency is serialized before the array."""
-        return L1AccessResult.from_raw(
-            self.access_raw(virtual_address, physical_address, page_size,
-                            is_write), page_size)
-
     def access_raw(self, virtual_address: int, physical_address: int,
                    page_size: PageSize, is_write: bool = False) -> "tuple":
-        """Hot-loop variant of :meth:`access` returning the plain tuple
-        ``(hit, latency_cycles, ways_probed, fast_path, tft_hit,
-        way_prediction_correct, miss_detect_cycles)``.  Both latencies
-        include the serialized TLB: a miss is declared a tag path after
+        """CPU lookup, returning :meth:`ViptL1Cache.access_raw`'s tuple.
+        Translation latency is serialized before the array, so both
+        latencies include the TLB: a miss is declared a tag path after
         translation finishes."""
         hit = self.store.probe(physical_address, is_write=is_write)
         return (hit, self._hit_cycles, self.store.ways, False, None, None,

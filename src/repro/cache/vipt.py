@@ -13,65 +13,10 @@ cost SEESAW attacks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from repro.devtools import sanitize as _sanitize
 from repro.mem.address import PAGE_SIZE_4KB, CACHE_LINE_SIZE, PageSize
 from repro.cache.basic import SetAssociativeCache
-
-
-class L1AccessResult:
-    """Outcome of one CPU-side L1 lookup (timing + energy inputs).
-
-    Slotted plain class: one is allocated per memory reference.
-    """
-
-    __slots__ = ("hit", "latency_cycles", "ways_probed", "page_size",
-                 "fast_path", "tft_hit", "way_prediction_correct",
-                 "miss_detect_cycles")
-
-    def __init__(self, hit: bool, latency_cycles: int, ways_probed: int,
-                 page_size: PageSize, fast_path: bool = False,
-                 tft_hit: Optional[bool] = None,
-                 way_prediction_correct: Optional[bool] = None,
-                 miss_detect_cycles: int = 0) -> None:
-        self.hit = hit
-        self.latency_cycles = latency_cycles
-        self.ways_probed = ways_probed
-        self.page_size = page_size
-        #: True when the lookup completed with the reduced (partitioned)
-        #: probe.
-        self.fast_path = fast_path
-        #: TFT outcome for SEESAW caches (None for designs without a TFT).
-        self.tft_hit = tft_hit
-        #: way-prediction outcome when a way predictor is attached.
-        self.way_prediction_correct = way_prediction_correct
-        #: cycles until a miss is declared and the next level can be
-        #: probed.  Per the paper's Table I, a TFT-hit miss in SEESAW
-        #: saves *energy*, not latency: miss detection completes at the
-        #: design's full *tag path* — the quoted load-to-use latency
-        #: covers data array + way select + aligners, while tag
-        #: comparison (which is all a miss needs) finishes earlier.
-        self.miss_detect_cycles = miss_detect_cycles
-
-    @classmethod
-    def from_raw(cls, raw: tuple, page_size: PageSize) -> "L1AccessResult":
-        """Box the tuple an L1's ``access_raw`` returns:
-        ``(hit, latency_cycles, ways_probed, fast_path, tft_hit,
-        way_prediction_correct, miss_detect_cycles)``."""
-        (hit, latency, ways_probed, fast_path, tft_hit, wp_correct,
-         miss_detect) = raw
-        return cls(hit, latency, ways_probed, page_size, fast_path, tft_hit,
-                   wp_correct, miss_detect)
-
-    def __repr__(self) -> str:
-        return (f"L1AccessResult(hit={self.hit!r}, "
-                f"latency_cycles={self.latency_cycles!r}, "
-                f"ways_probed={self.ways_probed!r}, "
-                f"page_size={self.page_size!r}, "
-                f"fast_path={self.fast_path!r}, tft_hit={self.tft_hit!r}, "
-                f"way_prediction_correct={self.way_prediction_correct!r}, "
-                f"miss_detect_cycles={self.miss_detect_cycles!r})")
 
 
 @dataclass
@@ -154,19 +99,21 @@ class ViptL1Cache:
 
     # ------------------------------------------------------------------- API
 
-    def access(self, virtual_address: int, physical_address: int,
-               page_size: PageSize, is_write: bool = False) -> L1AccessResult:
-        """CPU-side lookup. All ways of the indexed set are probed."""
-        return L1AccessResult.from_raw(
-            self.access_raw(virtual_address, physical_address, page_size,
-                            is_write), page_size)
-
     def access_raw(self, virtual_address: int, physical_address: int,
                    page_size: PageSize, is_write: bool = False) -> "tuple":
-        """Hot-loop variant of :meth:`access` returning the plain tuple
-        ``(hit, latency_cycles, ways_probed, fast_path, tft_hit,
-        way_prediction_correct, miss_detect_cycles)`` — the per-reference
-        path allocates no result object.
+        """CPU-side lookup.  All ways of the indexed set are probed.
+
+        Every L1 design returns the same plain tuple, so the
+        per-reference path allocates no result object: ``(hit,
+        latency_cycles, ways_probed, fast_path, tft_hit,
+        way_prediction_correct, miss_detect_cycles)``.  ``fast_path`` is
+        True when the lookup completed with SEESAW's reduced
+        (partitioned) probe; ``tft_hit`` and ``way_prediction_correct``
+        are None for designs without a TFT or a way predictor.
+        ``miss_detect_cycles`` is the cycles until a miss is declared and
+        the next level can be probed: tag comparison finishes before the
+        data mux and aligners, so it is a fraction of the load-to-use
+        latency (:meth:`L1Timing.miss_detect_cycles`).
         """
         if self._sanitize:
             _sanitize.check_vipt_index(self.store, virtual_address,

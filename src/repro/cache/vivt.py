@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.mem.address import CACHE_LINE_SIZE, PageSize
 from repro.cache.basic import SetAssociativeCache
-from repro.cache.vipt import CoherenceProbeResult, L1AccessResult, L1Timing
+from repro.cache.vipt import CoherenceProbeResult, L1Timing
 
 
 @dataclass
@@ -98,23 +98,15 @@ class VivtL1Cache:
 
     # ------------------------------------------------------------------- API
 
-    def access(self, virtual_address: int, physical_address: int,
-               page_size: PageSize, is_write: bool = False) -> L1AccessResult:
-        """CPU lookup by virtual address — no translation on the hit path.
+    def access_raw(self, virtual_address: int, physical_address: int,
+                   page_size: PageSize, is_write: bool = False) -> "tuple":
+        """CPU lookup by virtual address — no translation on the hit
+        path — returning :meth:`ViptL1Cache.access_raw`'s tuple.
 
         Stores to aliased physical lines must invalidate the other virtual
         copies (the synonym problem); each fixup costs extra probes, which
         is charged through ``ways_probed``.
         """
-        return L1AccessResult.from_raw(
-            self.access_raw(virtual_address, physical_address, page_size,
-                            is_write), page_size)
-
-    def access_raw(self, virtual_address: int, physical_address: int,
-                   page_size: PageSize, is_write: bool = False) -> "tuple":
-        """Hot-loop variant of :meth:`access` returning the plain tuple
-        ``(hit, latency_cycles, ways_probed, fast_path, tft_hit,
-        way_prediction_correct, miss_detect_cycles)``."""
         hit = self.store.probe(virtual_address, is_write=is_write)
         ways_probed = self.store.ways
         if is_write and hit:

@@ -167,9 +167,9 @@ class CampaignSpec:
             if axis == "workload":
                 continue
             kwargs[AXIS_FIELDS[axis]] = value
-        if isinstance(kwargs.get("thp_policy"), str):
-            kwargs["thp_policy"] = THPPolicy(kwargs["thp_policy"])
         try:
+            if isinstance(kwargs.get("thp_policy"), str):
+                kwargs["thp_policy"] = THPPolicy(kwargs["thp_policy"])
             return SystemConfig(**kwargs)
         except (TypeError, ValueError) as exc:
             raise CampaignError(

@@ -16,7 +16,7 @@
 * ``resume``     — continue an interrupted journaled sweep;
 * ``doctor``     — validate a sweep or campaign journal, a checkpoint or
   an ``.rtrace`` and, with ``--repair``, quarantine the damage and
-  rebuild (or move aside) the file;
+  rebuild (or quarantine whole) the file;
 * ``bench``      — run perfbench and gate its simulation speed on the
   newest committed ``benchmarks/perf/BENCH_<n>.json``; ``--sampled``
   gates the sampled lane's speedup and accuracy instead;
@@ -1028,9 +1028,9 @@ def build_parser() -> argparse.ArgumentParser:
     doctor.add_argument("--repair", action="store_true",
                         help="quarantine corrupt records to "
                              "<path>.quarantine and rebuild the journal "
-                             "canonically (corrupt checkpoints are moved "
-                             "aside whole; torn .rtrace files are rebuilt "
-                             "from their whole records)")
+                             "canonically (corrupt checkpoints are "
+                             "quarantined whole; torn .rtrace files are "
+                             "rebuilt from their whole records)")
     doctor.add_argument("--json", action="store_true",
                         help="emit the diagnosis as JSON")
 

@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence
 from repro.devtools import sanitize as _sanitize
 from repro.mem.address import CACHE_LINE_SIZE, PageSize
 from repro.cache.basic import SetAssociativeCache
-from repro.cache.vipt import CoherenceProbeResult, L1AccessResult, L1Timing
+from repro.cache.vipt import CoherenceProbeResult, L1Timing
 from repro.cache.way_predictor import MRUWayPredictor
 from repro.core.adaptive_wp import WayPredictionGate
 from repro.core.insertion import InsertionPolicy
@@ -204,24 +204,16 @@ class SeesawL1Cache:
 
     # ------------------------------------------------------------------- API
 
-    def access(self, virtual_address: int, physical_address: int,
-               page_size: PageSize, is_write: bool = False) -> L1AccessResult:
-        """CPU-side lookup (paper Table I).
+    def access_raw(self, virtual_address: int, physical_address: int,
+                   page_size: PageSize, is_write: bool = False) -> "tuple":
+        """CPU-side lookup (paper Table I), returning
+        :meth:`ViptL1Cache.access_raw`'s tuple.
 
         The physical address (used for the tag compare) arrives from the
         parallel TLB lookup, exactly as in baseline VIPT; the TFT outcome
-        decides how many ways were probed and the resulting latency.
-        """
-        return L1AccessResult.from_raw(
-            self.access_raw(virtual_address, physical_address, page_size,
-                            is_write), page_size)
-
-    def access_raw(self, virtual_address: int, physical_address: int,
-                   page_size: PageSize, is_write: bool = False) -> "tuple":
-        """Hot-loop variant of :meth:`access` returning the plain tuple
-        ``(hit, latency_cycles, ways_probed, fast_path, tft_hit,
-        way_prediction_correct, miss_detect_cycles)`` — the per-reference
-        path allocates no result object.
+        decides how many ways were probed and the resulting latency.  A
+        TFT-hit miss saves energy, not latency: miss detection completes
+        at the design's full tag path.
         """
         if self._sanitize:
             _sanitize.check_vipt_index(self.store, virtual_address,

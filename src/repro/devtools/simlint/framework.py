@@ -123,11 +123,6 @@ class Checker:
             col=getattr(node, "col_offset", 0),
             message=message))
 
-    def report_at(self, module_path: str, line: int, col: int,
-                  message: str) -> None:
-        self._findings.append(Finding(rule=self.rule, path=module_path,
-                                      line=line, col=col, message=message))
-
     @property
     def findings(self) -> List[Finding]:
         return self._findings

@@ -8,7 +8,7 @@ tracks, per simulation:
 * L1 dynamic lookup energy, split into CPU-side and coherence lookups
   (the Fig. 11 attribution), scaled by the number of ways actually probed;
 * TLB and TFT lookup energy;
-* L2 / LLC / DRAM dynamic access energy;
+* LLC / DRAM dynamic access energy;
 * leakage, proportional to runtime.
 """
 
@@ -29,6 +29,8 @@ class EnergyBreakdown:
     l1_fill_nj: float = 0.0
     tlb_nj: float = 0.0
     tft_nj: float = 0.0
+    #: always 0.0: the machine has no private L2 (paper Table II), but
+    #: every result and golden carries the component.
     l2_nj: float = 0.0
     llc_nj: float = 0.0
     dram_nj: float = 0.0
@@ -114,7 +116,6 @@ class EnergyAccountant:
     l1_ways: int
     tlb_lookup_nj: float = 0.004
     tft_lookup_nj: float = 0.0008
-    l2_access_nj: float = 0.35
     llc_access_nj: float = 0.9
     dram_access_nj: float = 18.0
     leakage_mw: float = 350.0
@@ -159,14 +160,11 @@ class EnergyAccountant:
         breakdown.l1_cpu_lookup_nj += self._lookup_energy[ways_probed]
 
     def record_miss(self, miss) -> None:
-        """One L1 miss: every level the
+        """One L1 miss: the LLC access every miss makes, DRAM when the
         :class:`~repro.cache.hierarchy.MissServiceResult` ``miss``
-        reached, then the line's install into one L1 way."""
+        reached it, then the line's install into one L1 way."""
         breakdown = self.breakdown
-        if miss.llc_accessed:
-            breakdown.llc_nj += self.llc_access_nj
-        if miss.l2_accessed:
-            breakdown.l2_nj += self.l2_access_nj
+        breakdown.llc_nj += self.llc_access_nj
         if miss.dram_accessed:
             breakdown.dram_nj += self.dram_access_nj
         breakdown.l1_fill_nj += self._lookup_energy[1]

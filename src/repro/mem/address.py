@@ -91,11 +91,6 @@ def decompose(address: int, page_size: PageSize) -> "tuple[int, int]":
     return address >> page_size.offset_bits, address & page_size.offset_mask
 
 
-def recompose(number: int, offset: int, page_size: PageSize) -> int:
-    """Inverse of :func:`decompose`: rebuild the address from its parts."""
-    return (number << page_size.offset_bits) | offset
-
-
 def align_down(value: int, alignment: int) -> int:
     """Round ``value`` down to a multiple of ``alignment`` (a power of two)."""
     return value & ~(alignment - 1)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, List, Optional, Set
 
 from repro.mem.address import PageSize, align_down, page_base
 from repro.mem.page_table import Mapping, PageTable, TranslationFault
@@ -38,7 +38,6 @@ class THPPolicy(enum.Enum):
 
     ALWAYS = "always"    # try 2MB first for every eligible region
     NEVER = "never"      # only 4KB base pages
-    MADVISE = "madvise"  # 2MB only for regions explicitly advised
 
 
 @dataclass
@@ -57,18 +56,17 @@ class MemoryManager:
 
     Demand paging: the first touch to an unmapped virtual page triggers
     :meth:`touch`, which installs a mapping according to the THP policy.
-    The manager owns one page table per address-space id (asid).
+    The manager owns the one address space's page table.
     """
 
     def __init__(self, physical_memory: PhysicalMemory,
                  thp_policy: THPPolicy = THPPolicy.ALWAYS) -> None:
         self.physical = physical_memory
         self.thp_policy = thp_policy
-        self._page_tables: Dict[int, PageTable] = {}
-        self._advised_regions: Set[int] = set()  # 2MB region numbers
-        # (asid, region number) pairs that already fell back to base pages;
+        self.page_table = PageTable()
+        # 2MB region numbers that already fell back to base pages;
         # skipping them keeps demand faulting O(1) per touch.
-        self._broken_regions: Set[tuple] = set()
+        self._broken_regions: Set[int] = set()
         self._invalidation_hooks: List[InvalidationHook] = []
         self._promotion_hooks: List[PromotionHook] = []
         self.stats = MemoryManagerStats()
@@ -99,55 +97,32 @@ class MemoryManager:
         for hook in self._invalidation_hooks:
             hook(virtual_base, page_size)
 
-    # ----------------------------------------------------------- page tables
-
-    def page_table(self, asid: int = 0) -> PageTable:
-        """Get (creating on demand) the page table for an address space."""
-        table = self._page_tables.get(asid)
-        if table is None:
-            table = PageTable(asid=asid)
-            self._page_tables[asid] = table
-        return table
-
-    def madvise_hugepage(self, virtual_address: int) -> None:
-        """Mark the 2MB region containing ``virtual_address`` as huge-eligible."""
-        self._advised_regions.add(
-            virtual_address >> PageSize.SUPER_2MB.offset_bits)
-
-    def _wants_superpage(self, virtual_address: int) -> bool:
-        if self.thp_policy is THPPolicy.ALWAYS:
-            return True
-        if self.thp_policy is THPPolicy.NEVER:
-            return False
-        region = virtual_address >> PageSize.SUPER_2MB.offset_bits
-        return region in self._advised_regions
-
     # ----------------------------------------------------------------- touch
 
-    def touch(self, virtual_address: int, asid: int = 0) -> Mapping:
+    def touch(self, virtual_address: int) -> Mapping:
         """Ensure ``virtual_address`` is mapped; return its mapping.
 
-        First touch of a region attempts a 2MB superpage under the ALWAYS /
-        MADVISE policies.  If the buddy allocator cannot produce an aligned
-        2MB block (fragmentation), falls back to a single 4KB page — the
+        First touch of a region attempts a 2MB superpage under the ALWAYS
+        policy.  If the buddy allocator cannot produce an aligned 2MB
+        block (fragmentation), falls back to a single 4KB page — the
         mechanism behind Fig. 3's coverage collapse under memhog.
         """
-        table = self.page_table(asid)
+        table = self.page_table
         try:
             return table.lookup(virtual_address)
         except TranslationFault:
             pass
         base = page_base(virtual_address, PageSize.SUPER_2MB)
-        region_key = (asid, base >> PageSize.SUPER_2MB.offset_bits)
-        if (self._wants_superpage(virtual_address)
-                and region_key not in self._broken_regions):
+        region = base >> PageSize.SUPER_2MB.offset_bits
+        if (self.thp_policy is THPPolicy.ALWAYS
+                and region not in self._broken_regions):
             if self._region_is_free(table, base):
                 physical = self.physical.allocate_page(PageSize.SUPER_2MB)
                 if physical is not None:
                     self.stats.superpages_allocated += 1
                     return table.map(base, physical, PageSize.SUPER_2MB)
                 self.stats.superpage_fallbacks += 1
-            self._broken_regions.add(region_key)
+            self._broken_regions.add(region)
         physical = self.physical.allocate_page(PageSize.BASE_4KB)
         if physical is None:
             raise MemoryError("physical memory exhausted")
@@ -165,25 +140,25 @@ class MemoryManager:
         """
         return not table.region_has_mappings(region_base)
 
-    def touch_range(self, start: int, length: int, asid: int = 0) -> None:
+    def touch_range(self, start: int, length: int) -> None:
         """Demand-fault every base page in ``[start, start + length)``."""
         step = int(PageSize.BASE_4KB)
         address = align_down(start, step)
         end = start + length
         while address < end:
-            self.touch(address, asid)
+            self.touch(address)
             address += step
 
     # --------------------------------------------------- splinter / promote
 
-    def splinter_superpage(self, virtual_base: int, asid: int = 0) -> None:
+    def splinter_superpage(self, virtual_base: int) -> None:
         """Split a 2MB mapping into base pages, firing invalidations.
 
         Paper §IV-C2: the OS executes ``invlpg`` for the stale superpage
         translation; our hook model invalidates TLB entries *and* the TFT
         entry tagged with this virtual page number.
         """
-        table = self.page_table(asid)
+        table = self.page_table
         mapping = table.lookup(virtual_base)
         table.splinter(virtual_base)
         # Split the compound physical allocation too, so the new base
@@ -192,7 +167,7 @@ class MemoryManager:
         self.stats.superpages_splintered += 1
         self._fire_invalidation(virtual_base, PageSize.SUPER_2MB)
 
-    def promote_region(self, virtual_base: int, asid: int = 0,
+    def promote_region(self, virtual_base: int,
                        fault_in_missing: bool = False) -> Optional[Mapping]:
         """Collapse 512 resident base pages into one 2MB superpage.
 
@@ -209,7 +184,7 @@ class MemoryManager:
         Returns the new mapping, or ``None`` if physical memory is too
         fragmented to provide a 2MB block or the region is not promotable.
         """
-        table = self.page_table(asid)
+        table = self.page_table
         step = int(PageSize.BASE_4KB)
         count = int(PageSize.SUPER_2MB) // step
         old_mappings = []
@@ -241,16 +216,16 @@ class MemoryManager:
             hook(virtual_base, old_physical_bases)
         self.stats.superpages_promoted += 1
         self._broken_regions.discard(
-            (asid, virtual_base >> PageSize.SUPER_2MB.offset_bits))
+            virtual_base >> PageSize.SUPER_2MB.offset_bits)
         return mapping
 
     # ------------------------------------------------------------ measurement
 
-    def footprint_superpage_fraction(self, asid: int = 0) -> float:
+    def footprint_superpage_fraction(self) -> float:
         """Fraction of the mapped footprint backed by 2MB superpages (Fig. 3)."""
         total = 0
         super_bytes = 0
-        for mapping in self.page_table(asid).mappings():
+        for mapping in self.page_table.mappings():
             size = int(mapping.page_size)
             total += size
             if mapping.is_superpage:

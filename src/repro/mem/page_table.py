@@ -85,10 +85,9 @@ class _Node:
 
 
 class PageTable:
-    """A per-address-space page table supporting 4KB/2MB/1GB leaves."""
+    """An address space's page table supporting 4KB/2MB/1GB leaves."""
 
-    def __init__(self, asid: int = 0) -> None:
-        self.asid = asid
+    def __init__(self) -> None:
         self._root = _Node()
         self._mapping_count = 0
 

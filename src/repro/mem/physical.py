@@ -165,10 +165,6 @@ class BuddyAllocator:
         return sum(len(blocks) << order
                    for order, blocks in enumerate(self._free_lists))
 
-    def free_blocks_of_order(self, order: int) -> int:
-        """Number of free blocks at exactly ``order`` (no splitting counted)."""
-        return len(self._free_lists[order])
-
     def available_blocks_at_or_above(self, order: int) -> int:
         """How many order-``order`` allocations could currently succeed."""
         count = 0

@@ -7,7 +7,7 @@ kind's validator.  A validator never raises on content: it fills in a
 same validator and carries the plan out the same way for every kind: it
 appends the damaged pieces to ``<path>.quarantine`` (JSONL), then either
 publishes the rebuilt file atomically or, when nothing can be rebuilt,
-moves the damaged file aside to ``<path>.quarantine``.
+moves the damaged file to ``<path>.quarantine``.
 
 The validators:
 
@@ -24,7 +24,7 @@ The validators:
   :func:`repro.resilience.fsio.inspect_sealed`).  A truncated ``.rtrace``
   is rebuilt from its whole fixed-size records, and its torn tail is
   quarantined as ``{"offset": N, "raw_hex": ...}``.  Any other damaged
-  sealed file is moved aside whole: a checkpoint's payload hash is
+  sealed file is quarantined whole: a checkpoint's payload hash is
   all-or-nothing, and a checksum mismatch at full length cannot say
   which records are poisoned.
 """
@@ -98,7 +98,7 @@ class _Plan(NamedTuple):
 
     #: JSON objects appended to ``<path>.quarantine``, one per line.
     quarantine: Sequence[Dict] = ()
-    #: the rebuilt file; None moves the damaged file aside whole.
+    #: the rebuilt file; None quarantines the damaged file whole.
     content: Optional[bytes] = None
     #: records the rebuilt file holds.
     salvaged: int = 0
@@ -251,7 +251,7 @@ def _check_sealed(path: Path, diagnosis: Diagnosis) -> Optional[_Plan]:
     if plan is None:
         diagnosis.notes.append(
             f"a damaged {fmt.label} cannot be patched: repair moves it "
-            f"aside to {path.name}.quarantine")
+            f"to {path.name}.quarantine")
         return _Plan()
     diagnosis.notes.append(
         f"repair rebuilds a valid {fmt.label} from its {plan.salvaged} "
@@ -278,8 +278,8 @@ def diagnose(path) -> Diagnosis:
 
 
 def repair(path) -> Diagnosis:
-    """Quarantine what is damaged in ``path`` and rebuild (or move aside)
-    the file; a healthy file is left alone.
+    """Quarantine what is damaged in ``path`` and rebuild the file (or
+    quarantine it whole); a healthy file is left alone.
 
     Raises :class:`JournalError` when the file cannot be repaired (a
     journal with no valid header, an unreadable file).

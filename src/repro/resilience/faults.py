@@ -102,7 +102,7 @@ def _current_base_page_mapping(sim, index: int):
 
     if index >= len(sim.trace.addresses):
         return None
-    table = sim.manager.page_table(asid=0)
+    table = sim.manager.page_table
     try:
         mapping = table.lookup(sim.trace.addresses[index])
     except TranslationFault:
@@ -197,8 +197,7 @@ def _inject_tlb_shootdown_drop(sim, index: int) -> bool:
     if promoted is None:
         stale_ppn ^= 1
     core_id = sim.trace.cores[index]
-    sim.tlbs[core_id].l1_4kb.fill(stale_vpn, stale_ppn,
-                                  PageSize.BASE_4KB, 0)
+    sim.tlbs[core_id].l1_4kb.fill(stale_vpn, stale_ppn, PageSize.BASE_4KB)
     return True
 
 

@@ -152,7 +152,7 @@ def _warm_span(sim, start: int, stop: int, ctx: Dict) -> None:
 
 
 #: Page kinds for the fast warm path's memoized classification.
-_KIND_4KB, _KIND_2MB, _KIND_SKIP = 0, 1, 2
+_KIND_4KB, _KIND_2MB = 0, 1
 
 
 def _warm_span_fast(sim, start: int, stop: int, ctx: Dict) -> None:
@@ -203,17 +203,11 @@ def _warm_span_fast(sim, start: int, stop: int, ctx: Dict) -> None:
         info = page_info.get(page)
         if info is None:
             mapping = page_table.lookup(page << 12)
+            # The OS maps only 4KB and 2MB pages.
             if mapping.page_size is PageSize.BASE_4KB:
                 info = (_KIND_4KB, mapping.physical_base >> 12)
-            elif mapping.page_size is PageSize.SUPER_2MB:
-                info = (_KIND_2MB, mapping.physical_base >> 21)
             else:
-                # 1GB-backed, and no L1 TLB holds 1GB pages: the
-                # reference path always misses every L1 (stats only),
-                # walks, fills nothing (`_l1_by_size[SUPER_1GB]` is
-                # None), and the TFT hook ignores non-2MB fills — so
-                # these references leave no architectural state behind.
-                info = (_KIND_SKIP, 0)
+                info = (_KIND_2MB, mapping.physical_base >> 21)
             page_info[page] = info
         flags.append(info[0])
     kinds = np.array(flags, dtype=np.int8)[page_of_reference]

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.resilience.errors import AdmissionError
 
@@ -382,11 +382,3 @@ def http_response(status: int, body: bytes,
             f"Content-Length: {len(body)}\r\n"
             f"Connection: close\r\n\r\n")
     return head.encode("ascii") + body
-
-
-def batch_ids(payload) -> List:
-    """Best-effort ids of a parsed batch (for error correlation)."""
-    if isinstance(payload, list):
-        return [element.get("id") if isinstance(element, dict) else None
-                for element in payload]
-    return [payload.get("id")]

@@ -150,7 +150,7 @@ class SystemSimulator:
 
     def _build_cores(self) -> None:
         config = self.config
-        page_table = self.manager.page_table(asid=0)
+        page_table = self.manager.page_table
         shape = config.tlb_shape()
         timing = config.l1_timing(self.sram)
         self.timing = timing
@@ -341,8 +341,7 @@ class SystemSimulator:
             self.fabric.stats = (DirectoryStats()
                                  if isinstance(self.fabric, Directory)
                                  else SnoopStats())
-        for level in self.hierarchy.levels:
-            level.cache.stats = CacheStats()
+        self.hierarchy.llc.stats = CacheStats()
         self.hierarchy.dram.accesses = 0
         self.energy.breakdown = EnergyBreakdown()
         self._superpage_references = 0
@@ -371,13 +370,11 @@ class SystemSimulator:
             lines >> 6, return_index=True, return_inverse=True)
         for page in pages[np.argsort(first)].tolist():
             self.manager.touch(page << 12)
-        if not self.hierarchy.levels:
-            return
-        lookup = self.manager.page_table(asid=0).lookup
+        lookup = self.manager.page_table.lookup
         offsets = np.array([m.physical_base - m.virtual_base
                             for m in map(lookup, (pages << 12).tolist())],
                            dtype=np.int64)
-        self.hierarchy.levels[-1].cache.install(
+        self.hierarchy.llc.install(
             (lines << 6) + offsets[page_of_line])
 
     def arm_faults(self, plan) -> None:
@@ -601,20 +598,23 @@ class SystemSimulator:
 
     # ---------------------------------------------------- snapshot / restore
 
-    #: bump when the snapshot payload layout changes.  v2: slotted
-    #: TLBEntry/CacheLine/L1AccessResult and precomputed geometry fields
-    #: make v1 payloads unloadable.  v3: PIPT and VIVT L1s carry folded
-    #: per-access latencies that v2 payloads lack.  v4: cache sets hold
-    #: flat per-way lists instead of ``CacheLine`` objects.  v5: TLB sets
-    #: are dicts keyed by ``(virtual_page, page_size, asid)`` and
-    #: ``TLBEntry`` is a NamedTuple without ``valid``.  v6: cache sets keep
-    #: their LRU ``order`` list instead of a policy object, the TFT is a
-    #: list of direct-mapped slots, and TLB hierarchies have no 1GB L1
-    #: TLB or probe-order tuple.  v7: the loop state carries the
-    #: background probe's undrawn indices, core stats drop
-    #: ``memory_references`` and ``stall_cycles``, and the hierarchy
-    #: holds one prebuilt miss result per serviced level.
-    SNAPSHOT_VERSION = 7
+    #: bump when the snapshot payload layout changes.  v2: slotted TLB
+    #: entries, cache lines and L1 access results and precomputed
+    #: geometry fields make v1 payloads unloadable.  v3: PIPT and VIVT L1s
+    #: carry folded per-access latencies that v2 payloads lack.  v4: cache
+    #: sets hold flat per-way lists instead of ``CacheLine`` objects.  v5:
+    #: TLB sets are dicts keyed by virtual page, page size and
+    #: address-space id, and ``TLBEntry`` is a NamedTuple without
+    #: ``valid``.  v6: cache sets keep their LRU ``order`` list instead of
+    #: a policy object, the TFT is a list of direct-mapped slots, and TLB
+    #: hierarchies have no 1GB L1 TLB or probe-order tuple.  v7: the loop
+    #: state carries the background probe's undrawn indices, core stats
+    #: drop ``memory_references`` and ``stall_cycles``, and the hierarchy
+    #: holds one prebuilt miss result per serviced level.  v8: TLB keys
+    #: are ``(virtual_page, page_size)``, the memory manager holds one
+    #: page table, and the hierarchy holds its ``llc`` instead of a list
+    #: of levels.
+    SNAPSHOT_VERSION = 8
 
     def snapshot(self) -> bytes:
         """Serialize the complete mutable simulation state.
@@ -768,7 +768,7 @@ class SystemSimulator:
         """Splinter the next superpage-backed region of the workload's
         heap (models the OS breaking a huge page, paper §IV-C2)."""
         from repro.mem.address import PageSize
-        table = self.manager.page_table(asid=0)
+        table = self.manager.page_table
         for _ in range(len(self._region_bases)):
             base = self._region_bases[self._churn_cursor
                                       % len(self._region_bases)]
@@ -784,7 +784,7 @@ class SystemSimulator:
         """Promote the next base-page-backed region (khugepaged model);
         SEESAW caches sweep the retired frames via their promotion hook."""
         from repro.mem.address import PageSize
-        table = self.manager.page_table(asid=0)
+        table = self.manager.page_table
         for _ in range(len(self._region_bases)):
             base = self._region_bases[self._churn_cursor
                                       % len(self._region_bases)]
@@ -809,7 +809,7 @@ class SystemSimulator:
         """
         from repro.mem.address import PageSize
         from repro.mem.page_table import TranslationFault
-        table = self.manager.page_table(asid=0)
+        table = self.manager.page_table
         addresses, _ = self.trace.columns()
         # The trace-truncate fault cuts the trace in place to a prefix, so
         # its regions are those whose first reference survives the cut.

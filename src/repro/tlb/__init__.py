@@ -6,7 +6,7 @@ hardware page walker that terminates early for superpage leaves.
 """
 
 from repro.tlb.tlb import TLB, TLBEntry, TLBStats
-from repro.tlb.hierarchy import SplitTLBHierarchy, TranslationResult
+from repro.tlb.hierarchy import SplitTLBHierarchy
 from repro.tlb.walker import PageWalker
 
 __all__ = [
@@ -14,6 +14,5 @@ __all__ = [
     "TLBEntry",
     "TLBStats",
     "SplitTLBHierarchy",
-    "TranslationResult",
     "PageWalker",
 ]

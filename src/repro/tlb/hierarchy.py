@@ -9,7 +9,7 @@ exposes a fill callback the SEESAW cache registers.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.devtools import sanitize as _sanitize
 from repro.mem.address import PageSize
@@ -22,37 +22,10 @@ from repro.tlb.walker import PageWalker
 FillHook = Callable[[TLBEntry], None]
 
 
-class TranslationResult:
-    """Outcome of a full hierarchy translation (one allocated per
-    reference, hence slotted rather than a dataclass)."""
-
-    __slots__ = ("physical_address", "page_size", "level", "latency_cycles")
-
-    def __init__(self, physical_address: int, page_size: PageSize,
-                 level: str, latency_cycles: int) -> None:
-        self.physical_address = physical_address
-        self.page_size = page_size
-        #: where the translation was found: "l1", "l2", or "walk"
-        self.level = level
-        self.latency_cycles = latency_cycles
-
-    def __repr__(self) -> str:
-        return (f"TranslationResult(physical_address="
-                f"{self.physical_address:#x}, page_size={self.page_size!r}, "
-                f"level={self.level!r}, "
-                f"latency_cycles={self.latency_cycles!r})")
-
-    @property
-    def is_superpage(self) -> bool:
-        return self.page_size.is_superpage
-
-
 class SplitTLBHierarchy:
     """Intel-style hierarchy (Table II): split set-associative L1 TLBs for
-    4KB and 2MB pages, an optional unified L2 TLB, and a page walker.
-
-    No L1 TLB holds 1GB pages: a 1GB-backed reference misses both L1s,
-    walks, and fills nothing but the hooks.
+    the 4KB and 2MB pages the OS maps, an optional unified L2 TLB, and a
+    page walker.
 
     Args:
         l1_4kb_entries / l1_2mb_entries: sizes of the split L1 TLBs
@@ -61,12 +34,14 @@ class SplitTLBHierarchy:
             Sandybridge in the paper's Table II has no L2).
     """
 
+    #: cycles an L1 TLB lookup takes, and an L2 TLB lookup adds.
+    L1_LATENCY = 1
+    L2_LATENCY = 7
+
     def __init__(self, page_table: PageTable,
                  l1_4kb_entries: int = 128, l1_4kb_ways: int = 4,
                  l1_2mb_entries: int = 16, l1_2mb_ways: int = 4,
                  l2_entries: int = 0, l2_ways: int = 8,
-                 walker: Optional[PageWalker] = None,
-                 l1_latency: int = 1, l2_latency: int = 7,
                  sanitize: bool = False) -> None:
         self.l1_4kb = TLB(l1_4kb_entries, min(l1_4kb_ways, l1_4kb_entries),
                           (PageSize.BASE_4KB,), name="l1-4kb")
@@ -77,14 +52,11 @@ class SplitTLBHierarchy:
             self.l2_tlb = TLB(l2_entries, l2_ways,
                               (PageSize.BASE_4KB, PageSize.SUPER_2MB),
                               name="l2")
-        self.walker = walker or PageWalker(page_table)
-        self.l1_latency = l1_latency
-        self.l2_latency = l2_latency
-        #: the L1 TLB that holds each page size (None: no L1 TLB can).
-        self._l1_by_size: Dict[PageSize, Optional[TLB]] = {
+        self.walker = PageWalker(page_table)
+        #: the L1 TLB that holds each page size.
+        self._l1_by_size: Dict[PageSize, TLB] = {
             PageSize.BASE_4KB: self.l1_4kb,
-            PageSize.SUPER_2MB: self.l1_2mb,
-            PageSize.SUPER_1GB: None}
+            PageSize.SUPER_2MB: self.l1_2mb}
         self._fill_hooks: List[FillHook] = []
         self._sanitize = bool(sanitize) or _sanitize.enabled()
 
@@ -105,41 +77,35 @@ class SplitTLBHierarchy:
         self._fill_hooks.append(hook)
 
     def _fill_l1(self, entry: TLBEntry) -> None:
-        """Fill ``entry`` into the L1 TLB for its page size (if any) and
-        fire the fill hooks, which see every L1-level fill."""
-        tlb = self._l1_by_size[entry.page_size]
-        if tlb is not None:
-            tlb.fill(entry.virtual_page, entry.physical_page,
-                     entry.page_size, entry.asid)
+        """Fill ``entry`` into the L1 TLB for its page size and fire the
+        fill hooks, which see every L1-level fill."""
+        self._l1_by_size[entry.page_size].fill(
+            entry.virtual_page, entry.physical_page, entry.page_size)
         for hook in self._fill_hooks:
             hook(entry)
 
     # ------------------------------------------------------------ translation
 
-    def translate(self, virtual_address: int,
-                  asid: int = 0) -> TranslationResult:
-        """:meth:`translate_raw`, boxed as a :class:`TranslationResult`."""
-        return TranslationResult(*self.translate_raw(virtual_address, asid))
-
-    def translate_raw(self, virtual_address: int, asid: int = 0
-                      ) -> "tuple":
+    def translate_raw(self, virtual_address: int) -> "tuple":
         """Translate a VA through L1 TLBs → L2 TLB → page walk.
 
         Returns the plain tuple ``(physical_address, page_size, level,
-        latency_cycles)`` so the per-reference path allocates no result
-        object.  Misses at each level fill the levels above; L1 fills fire
-        the fill hooks so the TFT stays in sync (paper Fig. 5 steps 6-8).
+        latency_cycles)``, where ``level`` is where the translation was
+        found (``"l1"``, ``"l2"`` or ``"walk"``), so the per-reference
+        path allocates no result object.  Misses at each level fill the
+        levels above; L1 fills fire the fill hooks so the TFT stays in
+        sync (paper Fig. 5 steps 6-8).
         """
         # Hardware probes both L1 TLBs in parallel: each one counts its
         # hit or miss, and at most one can hit.
-        hit = self.l1_4kb.lookup(virtual_address, asid)
-        super_hit = self.l1_2mb.lookup(virtual_address, asid)
+        hit = self.l1_4kb.lookup(virtual_address)
+        super_hit = self.l1_2mb.lookup(virtual_address)
         if super_hit is not None:
             hit = super_hit
-        level, latency = "l1", self.l1_latency
+        level, latency = "l1", self.L1_LATENCY
         if hit is None and self.l2_tlb is not None:
-            level, latency = "l2", latency + self.l2_latency
-            hit = self.l2_tlb.lookup(virtual_address, asid)
+            level, latency = "l2", latency + self.L2_LATENCY
+            hit = self.l2_tlb.lookup(virtual_address)
             if hit is not None:
                 self._fill_l1(hit)
         if hit is None:
@@ -148,10 +114,10 @@ class SplitTLBHierarchy:
             size = mapping.page_size
             entry = TLBEntry(mapping.virtual_base >> size.offset_bits,
                              mapping.physical_base >> size.offset_bits,
-                             size, asid)
-            if self.l2_tlb is not None and size in self.l2_tlb.page_sizes:
+                             size)
+            if self.l2_tlb is not None:
                 self.l2_tlb.fill(entry.virtual_page, entry.physical_page,
-                                 size, asid)
+                                 size)
             self._fill_l1(entry)
             return (mapping.translate(virtual_address), size, "walk",
                     latency + walk.latency_cycles)
@@ -165,12 +131,11 @@ class SplitTLBHierarchy:
 
     # ------------------------------------------------------------ management
 
-    def invalidate(self, virtual_base: int, page_size: PageSize,
-                   asid: int = 0) -> None:
+    def invalidate(self, virtual_base: int, page_size: PageSize) -> None:
         """``invlpg``: drop the translation from every level that may hold it."""
-        for tlb in (self._l1_by_size[page_size], self.l2_tlb):
-            if tlb is not None and page_size in tlb.page_sizes:
-                tlb.invalidate(virtual_base, page_size, asid)
+        self._l1_by_size[page_size].invalidate(virtual_base, page_size)
+        if self.l2_tlb is not None:
+            self.l2_tlb.invalidate(virtual_base, page_size)
 
     def superpage_l1_valid_entries(self) -> int:
         """Valid 2MB-page entries at the L1 level (scheduler scarcity counter)."""

@@ -1,5 +1,5 @@
 """A single TLB structure: set-associative or fully associative, one or more
-page sizes, LRU replacement, ASID tags.
+page sizes, LRU replacement.
 
 A TLB caches virtual-page-number → physical-page-number translations.  The
 set index is taken from the low bits of the VPN for the entry's page size,
@@ -22,15 +22,14 @@ class TLBEntry(NamedTuple):
     virtual_page: int       # VPN for this entry's page size
     physical_page: int      # PPN
     page_size: PageSize
-    asid: int = 0
 
     def physical_base(self) -> int:
         """Physical base address of the mapped page."""
         return self.physical_page << self.page_size.offset_bits
 
 
-#: A TLB set's key for an entry: ``(virtual_page, page_size, asid)``.
-TLBKey = Tuple[int, PageSize, int]
+#: A TLB set's key for an entry: ``(virtual_page, page_size)``.
+TLBKey = Tuple[int, PageSize]
 
 
 @dataclass
@@ -56,7 +55,7 @@ class TLBStats:
 class TLB:
     """Set-associative TLB with true-LRU replacement.
 
-    Each set is a dict from ``(virtual_page, page_size, asid)`` to its
+    Each set is a dict from ``(virtual_page, page_size)`` to its
     :class:`TLBEntry`, in recency order (least recent first): a hit or a
     refill re-inserts its key at the end, and an eviction drops the first
     key.  Keying on the page size gives single- and multi-size TLBs one
@@ -96,7 +95,7 @@ class TLB:
 
     # ------------------------------------------------------------------- API
 
-    def lookup(self, virtual_address: int, asid: int = 0) -> Optional[TLBEntry]:
+    def lookup(self, virtual_address: int) -> Optional[TLBEntry]:
         """Probe for the translation covering ``virtual_address``.
 
         Updates LRU order and hit/miss stats.  Returns the entry on hit,
@@ -106,7 +105,7 @@ class TLB:
         for size, shift in self._size_shifts:
             vpn = virtual_address >> shift
             entries = sets[vpn & self._set_mask]
-            key = (vpn, size, asid)
+            key = (vpn, size)
             entry = entries.pop(key, None)
             if entry is not None:
                 entries[key] = entry
@@ -115,17 +114,17 @@ class TLB:
         self.stats.misses += 1
         return None
 
-    def probe(self, virtual_address: int, asid: int = 0) -> Optional[TLBEntry]:
+    def probe(self, virtual_address: int) -> Optional[TLBEntry]:
         """Like :meth:`lookup` but with no stats or LRU side effects."""
         for size, shift in self._size_shifts:
             vpn = virtual_address >> shift
-            entry = self._sets[vpn & self._set_mask].get((vpn, size, asid))
+            entry = self._sets[vpn & self._set_mask].get((vpn, size))
             if entry is not None:
                 return entry
         return None
 
     def fill(self, virtual_page: int, physical_page: int,
-             page_size: PageSize, asid: int = 0) -> Optional[TLBEntry]:
+             page_size: PageSize) -> Optional[TLBEntry]:
         """Insert a translation, evicting LRU if the set is full.
 
         A resident translation is replaced and made most recent instead of
@@ -137,7 +136,7 @@ class TLB:
         if page_size not in self.page_sizes:
             raise ValueError(f"{self.name} does not hold {page_size.name} pages")
         entries = self._sets[virtual_page & self._set_mask]
-        key = (virtual_page, page_size, asid)
+        key = (virtual_page, page_size)
         victim = None
         if entries.pop(key, None) is None:
             stats = self.stats
@@ -148,32 +147,28 @@ class TLB:
             else:
                 self._resident += 1
             stats.fills += 1
-        entries[key] = TLBEntry(virtual_page, physical_page, page_size, asid)
+        entries[key] = TLBEntry(virtual_page, physical_page, page_size)
         return victim
 
-    def invalidate(self, virtual_base: int, page_size: PageSize,
-                   asid: int = 0) -> bool:
+    def invalidate(self, virtual_base: int, page_size: PageSize) -> bool:
         """Invalidate the entry for a virtual page (``invlpg`` model).
 
         Returns True if an entry was removed.
         """
         vpn = virtual_base >> page_size.offset_bits
         if self._sets[vpn & self._set_mask].pop(
-                (vpn, page_size, asid), None) is None:
+                (vpn, page_size), None) is None:
             return False
         self._resident -= 1
         self.stats.invalidations += 1
         return True
 
-    def flush(self, asid: Optional[int] = None) -> int:
-        """Flush all entries (or all entries of one ASID). Returns count."""
+    def flush(self) -> int:
+        """Flush all entries. Returns the count removed."""
         removed = 0
         for entries in self._sets:
-            stale = list(entries) if asid is None else [
-                key for key in entries if key[2] == asid]
-            for key in stale:
-                del entries[key]
-            removed += len(stale)
+            removed += len(entries)
+            entries.clear()
         self._resident -= removed
         self.stats.flushes += 1
         return removed

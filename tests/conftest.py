@@ -52,8 +52,8 @@ def memory_manager(physical_memory):
 
 @pytest.fixture
 def page_table():
-    """An empty page table (asid 0)."""
-    return PageTable(asid=0)
+    """An empty page table."""
+    return PageTable()
 
 
 @pytest.fixture

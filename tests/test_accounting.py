@@ -77,15 +77,17 @@ class TestReferenceEvents:
         assert accountant.breakdown.l1_coherence_lookup_nj == 0.0
 
     def test_miss_charges_levels_reached_and_one_way_fill(self):
+        """Every miss charges the LLC; only a miss that reached DRAM
+        charges DRAM."""
         accountant = make_accountant()
         accountant.record_miss(MissServiceResult(
-            30, "llc", l2_accessed=False, llc_accessed=True))
+            30, "llc", llc_accessed=True))
+        assert accountant.breakdown.dram_nj == 0.0
         accountant.record_miss(MissServiceResult(
-            100, "dram", l2_accessed=True, llc_accessed=True,
-            dram_accessed=True))
+            100, "dram", llc_accessed=True, dram_accessed=True))
         b = accountant.breakdown
         assert b.llc_nj == accountant.llc_access_nj * 2
-        assert b.l2_nj == accountant.l2_access_nj
+        assert b.l2_nj == 0.0
         assert b.dram_nj == accountant.dram_access_nj
         assert b.l1_fill_nj == accountant._lookup_energy[1] * 2
         assert b.l1_cpu_lookup_nj == b.tlb_nj == b.tft_nj == 0.0
@@ -96,13 +98,12 @@ class TestOtherEvents:
         accountant = make_accountant()
         accountant.record_reference(2, 1, 8)
         accountant.record_miss(MissServiceResult(
-            100, "dram", l2_accessed=True, llc_accessed=True,
-            dram_accessed=True))
+            100, "dram", llc_accessed=True, dram_accessed=True))
         accountant.record_llc_access()
         b = accountant.breakdown
         assert b.tlb_nj == pytest.approx(2 * accountant.tlb_lookup_nj)
         assert b.tft_nj == pytest.approx(accountant.tft_lookup_nj)
-        assert b.l2_nj == accountant.l2_access_nj
+        assert b.l2_nj == 0.0
         assert b.llc_nj == 2 * accountant.llc_access_nj
         assert b.dram_nj == accountant.dram_access_nj
 

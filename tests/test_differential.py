@@ -107,8 +107,8 @@ class TestViptPiptAgreement:
             # while preserving the page-offset bits VIPT indexes with.
             pa = (va + (7 << page.offset_bits)) & ((1 << 48) - 1)
             is_write = trace.writes[reference]
-            vipt_hit = vipt.access(va, pa, page, is_write).hit
-            pipt_hit = pipt.access(va, pa, page, is_write).hit
+            vipt_hit, *_ = vipt.access_raw(va, pa, page, is_write)
+            pipt_hit, *_ = pipt.access_raw(va, pa, page, is_write)
             assert vipt_hit == pipt_hit, f"diverged at reference {reference}"
             if not vipt_hit:
                 vipt.fill(pa, page, dirty=is_write)

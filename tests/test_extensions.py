@@ -107,7 +107,7 @@ class TestPageChurn:
         sim = SystemSimulator(config, trace)
         result = sim.run(warmup_fraction=0.0)
         assert result.runtime_cycles > 0
-        table = sim.manager.page_table(asid=0)
+        table = sim.manager.page_table
         for address in trace.addresses[:200]:
             assert table.is_mapped(address)
 

@@ -1,7 +1,11 @@
-"""Tests for the L2/LLC/DRAM backing hierarchy."""
+"""Tests for the LLC/DRAM backing hierarchy."""
+
+from dataclasses import replace
 
 import pytest
 
+from repro import cli
+from repro.cache.basic import SetAssociativeCache
 from repro.cache.hierarchy import DRAMModel, MemoryHierarchy
 
 
@@ -29,23 +33,26 @@ class TestMissService:
         assert result.latency_cycles == 30
         assert not result.dram_accessed
 
-    def test_l2_level_optional(self):
-        hierarchy = MemoryHierarchy(l2_size=256 * 1024, l2_latency=12,
-                                    llc_size=1024 * 1024, llc_latency=30)
-        hierarchy.service_miss(0x1000)
-        result = hierarchy.service_miss(0x1000)
-        assert result.serviced_by == "l2"
-        assert result.latency_cycles == 12
-
-    def test_no_levels_all_dram(self):
-        hierarchy = MemoryHierarchy(llc_size=0)
-        result = hierarchy.service_miss(0x1000)
-        assert result.serviced_by == "dram"
+    def test_no_llc_is_rejected(self, monkeypatch, capsys):
+        """The LLC is mandatory: a cache with no sets cannot be built, so
+        neither can a machine without an LLC, and ``repro run`` on one
+        exits 2."""
+        with pytest.raises(ValueError, match="at least one set"):
+            SetAssociativeCache(0, 4)
+        with pytest.raises(ValueError, match="at least one set"):
+            MemoryHierarchy(llc_size=0)
+        build = cli._config_from_args
+        monkeypatch.setattr(
+            cli, "_config_from_args",
+            lambda args, design=None: replace(build(args, design),
+                                              llc_size_kb=0))
+        assert cli.main(["run", "gups", "--length", "4000"]) == 2
+        assert "at least one set" in capsys.readouterr().err
 
     def test_writeback_lands_in_nearest_level(self):
         hierarchy = MemoryHierarchy(llc_size=1024 * 1024)
         hierarchy.writeback(0x2000)
-        assert hierarchy.levels[0].cache.contains(0x2000)
+        assert hierarchy.llc.contains(0x2000)
 
     def test_dram_access_counter(self):
         hierarchy = MemoryHierarchy(llc_size=1024 * 1024)

@@ -29,13 +29,6 @@ class TestTouch:
         assert mapping.page_size is PageSize.BASE_4KB
         assert manager.stats.base_pages_allocated == 1
 
-    def test_thp_madvise_only_advised_regions(self, physical_memory):
-        manager = MemoryManager(physical_memory, thp_policy=THPPolicy.MADVISE)
-        assert manager.touch(VA).page_size is PageSize.BASE_4KB
-        other = VA + 4 * PAGE_SIZE_2MB
-        manager.madvise_hugepage(other)
-        assert manager.touch(other).page_size is PageSize.SUPER_2MB
-
     def test_fallback_to_base_page_when_fragmented(self):
         memory = PhysicalMemory(32 * 1024 * 1024)
         fragment_memory(memory, 0.6, seed=3)
@@ -61,14 +54,9 @@ class TestTouch:
     def test_touch_range_faults_every_page(self, memory_manager):
         memory_manager.thp_policy = THPPolicy.NEVER
         memory_manager.touch_range(VA, 10 * PAGE_SIZE_4KB)
-        table = memory_manager.page_table(0)
+        table = memory_manager.page_table
         for i in range(10):
             assert table.is_mapped(VA + i * PAGE_SIZE_4KB)
-
-    def test_separate_address_spaces(self, memory_manager):
-        memory_manager.touch(VA, asid=1)
-        assert memory_manager.page_table(1).is_mapped(VA)
-        assert not memory_manager.page_table(2).is_mapped(VA)
 
 
 class TestFootprintFraction:
@@ -101,9 +89,9 @@ class TestSplinterAndPromotion:
 
     def test_splinter_preserves_translation(self, memory_manager):
         memory_manager.touch(VA)
-        pa_before = memory_manager.page_table(0).translate(VA + 777)
+        pa_before = memory_manager.page_table.translate(VA + 777)
         memory_manager.splinter_superpage(VA)
-        assert memory_manager.page_table(0).translate(VA + 777) == pa_before
+        assert memory_manager.page_table.translate(VA + 777) == pa_before
 
     def test_promote_region_after_splinter(self, memory_manager):
         memory_manager.touch(VA)
@@ -155,5 +143,5 @@ class TestSplinterAndPromotion:
         memory_manager.touch_range(VA, PAGE_SIZE_2MB)
         memory_manager.thp_policy = THPPolicy.ALWAYS
         assert memory_manager.promote_region(VA) is not None
-        table = memory_manager.page_table(0)
+        table = memory_manager.page_table
         assert table.page_size_of(VA) is PageSize.SUPER_2MB

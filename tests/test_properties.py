@@ -401,7 +401,7 @@ class TestCacheReferenceModel:
 class _ReferenceTLB:
     """A readable model of an LRU :class:`TLB`.
 
-    Per set: a list of ``(vpn, size, asid, ppn)`` tuples, least recent
+    Per set: a list of ``(vpn, size, ppn)`` tuples, least recent
     first.  A lookup tries each held page size, smallest first.
     """
 
@@ -412,33 +412,33 @@ class _ReferenceTLB:
         self.stats = dict(hits=0, misses=0, fills=0, evictions=0,
                           invalidations=0, flushes=0)
 
-    def _find(self, vpn, size, asid):
+    def _find(self, vpn, size):
         entries = self.sets[vpn % self.num_sets]
         for position, entry in enumerate(entries):
-            if entry[:3] == (vpn, size, asid):
+            if entry[:2] == (vpn, size):
                 return entries, position
         return entries, None
 
-    def probe(self, address, asid):
+    def probe(self, address):
         for size in self.page_sizes:
             entries, position = self._find(address >> size.offset_bits,
-                                           size, asid)
+                                           size)
             if position is not None:
                 return entries[position]
         return None
 
-    def lookup(self, address, asid):
-        entry = self.probe(address, asid)
+    def lookup(self, address):
+        entry = self.probe(address)
         if entry is None:
             self.stats["misses"] += 1
             return None
-        entries, position = self._find(*entry[:3])
+        entries, position = self._find(*entry[:2])
         entries.append(entries.pop(position))
         self.stats["hits"] += 1
         return entry
 
-    def fill(self, vpn, ppn, size, asid):
-        entries, position = self._find(vpn, size, asid)
+    def fill(self, vpn, ppn, size):
+        entries, position = self._find(vpn, size)
         victim = None
         if position is not None:
             entries.pop(position)
@@ -447,25 +447,22 @@ class _ReferenceTLB:
                 victim = entries.pop(0)
                 self.stats["evictions"] += 1
             self.stats["fills"] += 1
-        entries.append((vpn, size, asid, ppn))
+        entries.append((vpn, size, ppn))
         return victim
 
-    def invalidate(self, address, size, asid):
-        entries, position = self._find(address >> size.offset_bits, size,
-                                       asid)
+    def invalidate(self, address, size):
+        entries, position = self._find(address >> size.offset_bits, size)
         if position is None:
             return False
         entries.pop(position)
         self.stats["invalidations"] += 1
         return True
 
-    def flush(self, asid):
+    def flush(self):
         removed = 0
         for entries in self.sets:
-            keep = [entry for entry in entries
-                    if asid is not None and entry[2] != asid]
-            removed += len(entries) - len(keep)
-            entries[:] = keep
+            removed += len(entries)
+            entries.clear()
         self.stats["flushes"] += 1
         return removed
 
@@ -478,8 +475,7 @@ def _tlb_fields(entry):
     """A TLB entry (or None) in the model's tuple order."""
     if entry is None:
         return None
-    return (entry.virtual_page, entry.page_size, entry.asid,
-            entry.physical_page)
+    return (entry.virtual_page, entry.page_size, entry.physical_page)
 
 
 class TestTLBReferenceModel:
@@ -510,15 +506,14 @@ class TestTLBReferenceModel:
             st.integers(min_value=0, max_value=2),
             st.integers(min_value=0, max_value=7),
             st.integers(min_value=0, max_value=4095))
-        asid = st.integers(min_value=0, max_value=2)
         operations = data.draw(st.lists(st.one_of(
-            st.tuples(st.just("lookup"), address, asid),
-            st.tuples(st.just("probe"), address, asid),
+            st.tuples(st.just("lookup"), address),
+            st.tuples(st.just("probe"), address),
             st.tuples(st.just("fill"), address, st.sampled_from(sizes),
-                      asid, st.integers(min_value=0, max_value=3)),
+                      st.integers(min_value=0, max_value=3)),
             st.tuples(st.just("invalidate"), address,
-                      st.sampled_from(list(PageSize)), asid),
-            st.tuples(st.just("flush"), st.none() | asid),
+                      st.sampled_from(list(PageSize))),
+            st.tuples(st.just("flush")),
             st.tuples(st.just("count"),
                       st.none() | st.sampled_from(list(PageSize)))),
             min_size=30, max_size=100))
@@ -529,10 +524,10 @@ class TestTLBReferenceModel:
             elif op == "probe":
                 assert _tlb_fields(tlb.probe(*args)) == model.probe(*args)
             elif op == "fill":
-                va, size, space, ppn = args
+                va, size, ppn = args
                 vpn = va >> size.offset_bits
-                assert (_tlb_fields(tlb.fill(vpn, ppn, size, space))
-                        == model.fill(vpn, ppn, size, space))
+                assert (_tlb_fields(tlb.fill(vpn, ppn, size))
+                        == model.fill(vpn, ppn, size))
             elif op == "invalidate":
                 assert tlb.invalidate(*args) == model.invalidate(*args)
             elif op == "flush":
@@ -586,9 +581,10 @@ class TestSeesawInvariants:
             va = (7 << 30) | (pa & (PAGE_SIZE_2MB - 1))  # same low 21 bits
             cache.tft.fill(va)
             cache.fill(pa, PageSize.SUPER_2MB)
-            result = cache.access(va, pa, PageSize.SUPER_2MB)
-            assert result.hit and result.fast_path
-            assert result.ways_probed == 4
+            hit, _, ways_probed, fast_path, *_ = cache.access_raw(
+                va, pa, PageSize.SUPER_2MB)
+            assert hit and fast_path
+            assert ways_probed == 4
 
 
 # ------------------------------------------------- sampling invariants

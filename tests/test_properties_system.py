@@ -44,7 +44,7 @@ class TestOsChurnInvariants:
         physical frame accounting stays consistent."""
         memory = PhysicalMemory(64 * 1024 * 1024)
         manager = MemoryManager(memory, thp_policy=THPPolicy.ALWAYS)
-        table = manager.page_table(0)
+        table = manager.page_table
         touched = set()
         for op, region in operations:
             base = 0x4000_0000 + region * PAGE_SIZE_2MB
@@ -77,7 +77,7 @@ class TestOsChurnInvariants:
         manager = MemoryManager(memory, thp_policy=THPPolicy.ALWAYS)
         base = 0x4000_0000 + region * PAGE_SIZE_2MB
         manager.touch(base)
-        table = manager.page_table(0)
+        table = manager.page_table
         for _ in range(cycles):
             manager.splinter_superpage(base)
             assert table.page_size_of(base) is PageSize.BASE_4KB
@@ -104,7 +104,7 @@ class TestVivtSynonymInvariants:
             pa = 0x9_0000 + pline * 64
             cache.fill(va, pa, PageSize.BASE_4KB)
             if is_write:
-                cache.access(va, pa, PageSize.BASE_4KB, is_write=True)
+                cache.access_raw(va, pa, PageSize.BASE_4KB, is_write=True)
                 # No other alias of pa may remain cached.
                 others = [alias_bases[a] + pline * 64 for a in range(4)
                           if a != alias]
@@ -300,28 +300,28 @@ class TestTranslateRawEquivalence:
         walker = WalkerStats()
         for page_index, offset in accesses:
             virtual = self.PAGES[page_index][0] + offset
-            hits = [model.lookup(virtual, 0) for model in l1.values()]
+            hits = [model.lookup(virtual) for model in l1.values()]
             hit = next((entry for entry in hits if entry is not None), None)
             level, latency = "l1", 1
             if hit is None:
                 level, latency = "l2", 1 + 7
-                hit = l2.lookup(virtual, 0)
+                hit = l2.lookup(virtual)
                 if hit is not None:
-                    l1[hit[1]].fill(hit[0], hit[3], hit[1], 0)
+                    l1[hit[1]].fill(hit[0], hit[2], hit[1])
             if hit is None:
                 mapping, references = table.walk(virtual)
                 size = mapping.page_size
                 vpn = mapping.virtual_base >> size.offset_bits
                 ppn = mapping.physical_base >> size.offset_bits
-                l2.fill(vpn, ppn, size, 0)
-                l1[size].fill(vpn, ppn, size, 0)
+                l2.fill(vpn, ppn, size)
+                l1[size].fill(vpn, ppn, size)
                 walker.walks += 1
                 walker.walk_cycles += references * 15
                 walker.base_page_walks += size is PageSize.BASE_4KB
                 walker.superpage_walks += size is PageSize.SUPER_2MB
                 level, latency = "walk", latency + references * 15
-                hit = (vpn, size, 0, ppn)
-            _, size, _, ppn = hit
+                hit = (vpn, size, ppn)
+            _, size, ppn = hit
             expected = ((ppn << size.offset_bits)
                         | (virtual & size.offset_mask), size, level, latency)
             assert tlbs.translate_raw(virtual) == expected

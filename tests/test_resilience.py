@@ -484,7 +484,7 @@ class TestFaultInjection:
         sim = SystemSimulator(make_config(sanitize=False), trace)
         sim.arm_faults(FaultPlan([FaultSpec("trace-truncate", 1200)]))
         result = sim.run()
-        table = sim.manager.page_table(asid=0)
+        table = sim.manager.page_table
         assert len(trace.addresses) == 1201
         assert coverage(full) != coverage(trace.addresses)
         assert result.footprint_superpage_fraction == coverage(

@@ -148,27 +148,27 @@ class TestTranslationChecks:
 
     def test_stale_tlb_after_remap_raises(self):
         table, tlbs = self._hierarchy()
-        tlbs.translate(self.VA)              # warms the L1 TLB
+        tlbs.translate_raw(self.VA)              # warms the L1 TLB
         table.unmap(self.VA, PageSize.BASE_4KB)
         table.map(self.VA, 0x3000_0000, PageSize.BASE_4KB)
         with pytest.raises(SanitizerError, match="shootdown"):
-            tlbs.translate(self.VA)
+            tlbs.translate_raw(self.VA)
 
     def test_stale_tlb_after_unmap_raises(self):
         table, tlbs = self._hierarchy()
-        tlbs.translate(self.VA)
+        tlbs.translate_raw(self.VA)
         table.unmap(self.VA, PageSize.BASE_4KB)
         with pytest.raises(SanitizerError, match="unmap"):
-            tlbs.translate(self.VA)
+            tlbs.translate_raw(self.VA)
 
     def test_invalidated_tlb_passes(self):
         table, tlbs = self._hierarchy()
-        tlbs.translate(self.VA)
+        tlbs.translate_raw(self.VA)
         table.unmap(self.VA, PageSize.BASE_4KB)
         table.map(self.VA, 0x3000_0000, PageSize.BASE_4KB)
         tlbs.invalidate(self.VA, PageSize.BASE_4KB)
-        result = tlbs.translate(self.VA)
-        assert result.physical_address == 0x3000_0000
+        pa, *_ = tlbs.translate_raw(self.VA)
+        assert pa == 0x3000_0000
 
 
 class TestResultChecks:

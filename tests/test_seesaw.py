@@ -52,47 +52,52 @@ class TestTableOneLookupAnatomy:
         cache = make_cache()
         known_superpage(cache)
         cache.fill(SUPER_PA, PageSize.SUPER_2MB)
-        result = cache.access(SUPER_VA, SUPER_PA, PageSize.SUPER_2MB)
-        assert result.hit and result.tft_hit and result.fast_path
-        assert result.latency_cycles == 1       # fast hit
-        assert result.ways_probed == 4          # one partition
+        hit, latency, ways_probed, fast_path, tft_hit, _, _ = \
+            cache.access_raw(SUPER_VA, SUPER_PA, PageSize.SUPER_2MB)
+        assert hit and tft_hit and fast_path
+        assert latency == 1                     # fast hit
+        assert ways_probed == 4                 # one partition
         assert cache.seesaw_stats.fast_hits == 1
 
     def test_row2_tft_hit_cache_miss_energy_only(self):
         cache = make_cache()
         known_superpage(cache)
-        result = cache.access(SUPER_VA, SUPER_PA, PageSize.SUPER_2MB)
-        assert not result.hit and result.tft_hit
-        assert result.ways_probed == 4          # energy saving survives
+        hit, _, ways_probed, _, tft_hit, _, miss_detect = cache.access_raw(
+            SUPER_VA, SUPER_PA, PageSize.SUPER_2MB)
+        assert not hit and tft_hit
+        assert ways_probed == 4                 # energy saving survives
         # ... but the miss is declared at the same tag-path point as the
         # baseline (no latency saving on misses, per Table I's savings
         # column).
-        assert result.miss_detect_cycles == cache.timing.miss_detect_cycles()
+        assert miss_detect == cache.timing.miss_detect_cycles()
         assert cache.seesaw_stats.fast_misses == 1
 
     def test_row3_tft_miss_superpage_reads_whole_set(self):
         cache = make_cache()          # TFT empty
         cache.fill(SUPER_PA, PageSize.SUPER_2MB)
-        result = cache.access(SUPER_VA, SUPER_PA, PageSize.SUPER_2MB)
-        assert result.hit and not result.tft_hit and not result.fast_path
-        assert result.latency_cycles == 2
-        assert result.ways_probed == 8
+        hit, latency, ways_probed, fast_path, tft_hit, _, _ = \
+            cache.access_raw(SUPER_VA, SUPER_PA, PageSize.SUPER_2MB)
+        assert hit and not tft_hit and not fast_path
+        assert latency == 2
+        assert ways_probed == 8
         assert cache.seesaw_stats.tft_missed_superpage_l1_hits == 1
 
     def test_row4_base_page_behaves_like_vipt(self):
         cache = make_cache()
         cache.fill(0x9000, PageSize.BASE_4KB)
-        result = cache.access(0x1000, 0x9000, PageSize.BASE_4KB)
-        assert result.hit and not result.tft_hit
-        assert result.latency_cycles == 2
-        assert result.ways_probed == 8
+        hit, latency, ways_probed, _, tft_hit, _, _ = cache.access_raw(
+            0x1000, 0x9000, PageSize.BASE_4KB)
+        assert hit and not tft_hit
+        assert latency == 2
+        assert ways_probed == 8
 
     def test_tft_never_hits_for_base_pages(self):
         cache = make_cache()
         # TFT coherence is maintained by the OS hooks; a hit for a 4KB
         # access would be a wiring bug, caught by the assertion.
-        result = cache.access(0x1000, 0x9000, PageSize.BASE_4KB)
-        assert result.tft_hit is False
+        _, _, _, _, tft_hit, _, _ = cache.access_raw(
+            0x1000, 0x9000, PageSize.BASE_4KB)
+        assert tft_hit is False
 
 
 class TestBasePageCrossPartitionHit:
@@ -103,9 +108,9 @@ class TestBasePageCrossPartitionHit:
         pa = 0x0000_9040            # PA bit 12 = 1? 0x9040 -> bit12=1
         cache.fill(pa, PageSize.BASE_4KB)
         va = 0x0000_0040            # VA bit 12 = 0: wrong partition guess
-        result = cache.access(va, pa, PageSize.BASE_4KB)
-        assert result.hit
-        assert result.ways_probed == 8
+        hit, _, ways_probed, *_ = cache.access_raw(va, pa, PageSize.BASE_4KB)
+        assert hit
+        assert ways_probed == 8
 
 
 class TestInsertionPolicy:
@@ -233,11 +238,12 @@ class TestWayPredictionCombination:
         cache = make_cache(way_predictor=predictor)
         known_superpage(cache)
         cache.fill(SUPER_PA, PageSize.SUPER_2MB)
-        cache.access(SUPER_VA, SUPER_PA, PageSize.SUPER_2MB)  # trains MRU
-        result = cache.access(SUPER_VA, SUPER_PA, PageSize.SUPER_2MB)
-        assert result.way_prediction_correct
-        assert result.ways_probed == 1
-        assert result.latency_cycles == 1
+        cache.access_raw(SUPER_VA, SUPER_PA, PageSize.SUPER_2MB)  # MRU
+        _, latency, ways_probed, _, _, wp_correct, _ = cache.access_raw(
+            SUPER_VA, SUPER_PA, PageSize.SUPER_2MB)
+        assert wp_correct
+        assert ways_probed == 1
+        assert latency == 1
 
     def test_misprediction_pays_penalty_within_partition(self):
         predictor = MRUWayPredictor(64, 8)
@@ -248,13 +254,13 @@ class TestWayPredictionCombination:
         cache.tft.fill(SUPER_VA + 8 * 64 * 64)
         cache.fill(line_a, PageSize.SUPER_2MB)
         cache.fill(line_b, PageSize.SUPER_2MB)
-        cache.access(SUPER_VA, line_a, PageSize.SUPER_2MB)
-        result = cache.access(SUPER_VA + 8 * 64 * 64, line_b,
-                              PageSize.SUPER_2MB)
-        assert result.way_prediction_correct is False
+        cache.access_raw(SUPER_VA, line_a, PageSize.SUPER_2MB)
+        _, latency, ways_probed, _, _, wp_correct, _ = cache.access_raw(
+            SUPER_VA + 8 * 64 * 64, line_b, PageSize.SUPER_2MB)
+        assert wp_correct is False
         # Fast lookup (1) + a re-read of the partition (1).
-        assert result.latency_cycles == 2
-        assert result.ways_probed == 4          # partition re-read only
+        assert latency == 2
+        assert ways_probed == 4                 # partition re-read only
 
     def test_prediction_over_full_set_on_tft_miss_path(self):
         """Base-page accesses use plain way prediction over the whole set
@@ -263,11 +269,12 @@ class TestWayPredictionCombination:
         predictor = MRUWayPredictor(64, 8)
         cache = make_cache(way_predictor=predictor)
         cache.fill(0x9000, PageSize.BASE_4KB)
-        first = cache.access(0x1000, 0x9000, PageSize.BASE_4KB)
-        repeat = cache.access(0x1000, 0x9000, PageSize.BASE_4KB)
-        assert repeat.way_prediction_correct
-        assert repeat.ways_probed == 1
-        assert repeat.latency_cycles == 2
+        cache.access_raw(0x1000, 0x9000, PageSize.BASE_4KB)
+        _, latency, ways_probed, _, _, wp_correct, _ = cache.access_raw(
+            0x1000, 0x9000, PageSize.BASE_4KB)
+        assert wp_correct
+        assert ways_probed == 1
+        assert latency == 2
 
 
 class TestStats:
@@ -275,9 +282,9 @@ class TestStats:
         cache = make_cache()
         known_superpage(cache)
         other_va = SUPER_VA + 5 * PAGE_SIZE_2MB   # not in TFT
-        cache.access(SUPER_VA, SUPER_PA, PageSize.SUPER_2MB)       # TFT hit
-        cache.access(other_va, SUPER_PA + 0x40_0000,
-                     PageSize.SUPER_2MB)                            # TFT miss
+        cache.access_raw(SUPER_VA, SUPER_PA, PageSize.SUPER_2MB)   # TFT hit
+        cache.access_raw(other_va, SUPER_PA + 0x40_0000,
+                         PageSize.SUPER_2MB)                        # TFT miss
         stats = cache.seesaw_stats
         assert stats.superpage_accesses == 2
         assert stats.tft_missed_superpage_accesses == 1

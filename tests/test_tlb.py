@@ -6,10 +6,9 @@ from repro.mem.address import PageSize
 from repro.tlb.tlb import TLB
 
 
-def fill_va(tlb, va, pa, size=PageSize.BASE_4KB, asid=0):
+def fill_va(tlb, va, pa, size=PageSize.BASE_4KB):
     """Helper: fill a TLB from byte addresses."""
-    return tlb.fill(va >> size.offset_bits, pa >> size.offset_bits, size,
-                    asid)
+    return tlb.fill(va >> size.offset_bits, pa >> size.offset_bits, size)
 
 
 class TestConstruction:
@@ -46,12 +45,6 @@ class TestLookup:
         entry = tlb.lookup(0x40000000 + 12345)
         assert entry is not None
         assert entry.page_size is PageSize.SUPER_2MB
-
-    def test_asid_isolation(self):
-        tlb = TLB(16, 4, [PageSize.BASE_4KB])
-        fill_va(tlb, 0x1000, 0x9000, asid=1)
-        assert tlb.lookup(0x1000, asid=2) is None
-        assert tlb.lookup(0x1000, asid=1) is not None
 
     def test_probe_has_no_side_effects(self):
         tlb = TLB(16, 4, [PageSize.BASE_4KB])
@@ -107,14 +100,6 @@ class TestInvalidation:
         removed = tlb.flush()
         assert removed == 8
         assert tlb.valid_entry_count() == 0
-
-    def test_flush_single_asid(self):
-        tlb = TLB(16, 4, [PageSize.BASE_4KB])
-        tlb.fill(0, 0, PageSize.BASE_4KB, asid=1)
-        tlb.fill(1, 1, PageSize.BASE_4KB, asid=2)
-        removed = tlb.flush(asid=1)
-        assert removed == 1
-        assert tlb.valid_entry_count() == 1
 
 
 class TestValidCounters:

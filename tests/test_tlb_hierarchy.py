@@ -40,26 +40,27 @@ class TestSplitHierarchy:
 
     def test_first_translation_walks(self, mapped_table):
         tlbs = self.make(mapped_table)
-        result = tlbs.translate(VA_4KB + 5)
-        assert result.level == "walk"
-        assert result.physical_address == 0x9005
-        assert result.page_size is PageSize.BASE_4KB
+        pa, page_size, level, _ = tlbs.translate_raw(VA_4KB + 5)
+        assert level == "walk"
+        assert pa == 0x9005
+        assert page_size is PageSize.BASE_4KB
 
     def test_second_translation_hits_l1(self, mapped_table):
         tlbs = self.make(mapped_table)
-        tlbs.translate(VA_4KB)
-        result = tlbs.translate(VA_4KB + 100)
-        assert result.level == "l1"
-        assert result.latency_cycles == tlbs.l1_latency
+        tlbs.translate_raw(VA_4KB)
+        _, _, level, latency = tlbs.translate_raw(VA_4KB + 100)
+        assert level == "l1"
+        assert latency == SplitTLBHierarchy.L1_LATENCY
 
     def test_superpage_goes_to_2mb_tlb(self, mapped_table):
         tlbs = self.make(mapped_table)
-        tlbs.translate(VA_2MB + 123)
+        tlbs.translate_raw(VA_2MB + 123)
         assert tlbs.l1_2mb.valid_entry_count() == 1
         assert tlbs.l1_4kb.valid_entry_count() == 0
-        result = tlbs.translate(VA_2MB + PAGE_SIZE_2MB - 1)
-        assert result.level == "l1"
-        assert result.is_superpage
+        _, page_size, level, _ = tlbs.translate_raw(
+            VA_2MB + PAGE_SIZE_2MB - 1)
+        assert level == "l1"
+        assert page_size.is_superpage
 
     def test_l2_tlb_catches_l1_evictions(self, mapped_table):
         # Map enough base pages to overflow the 16-entry L1.
@@ -67,22 +68,22 @@ class TestSplitHierarchy:
             mapped_table.map(i << 12, (1000 + i) << 12, PageSize.BASE_4KB)
         tlbs = self.make(mapped_table, l2_entries=512)
         for i in range(2, 40):
-            tlbs.translate(i << 12)
+            tlbs.translate_raw(i << 12)
         # Page 2 long evicted from L1 but still in the big L2.
-        result = tlbs.translate(2 << 12)
-        assert result.level == "l2"
+        _, _, level, _ = tlbs.translate_raw(2 << 12)
+        assert level == "l2"
 
     def test_fill_hook_fires_on_l1_fills(self, mapped_table):
         tlbs = self.make(mapped_table)
         fills = []
         tlbs.register_fill_hook(lambda entry: fills.append(entry.page_size))
-        tlbs.translate(VA_2MB)
-        tlbs.translate(VA_4KB)
+        tlbs.translate_raw(VA_2MB)
+        tlbs.translate_raw(VA_4KB)
         assert fills == [PageSize.SUPER_2MB, PageSize.BASE_4KB]
 
     def test_invalidate_reaches_all_levels(self, mapped_table):
         tlbs = self.make(mapped_table, l2_entries=64)
-        tlbs.translate(VA_2MB)
+        tlbs.translate_raw(VA_2MB)
         tlbs.invalidate(VA_2MB, PageSize.SUPER_2MB)
         assert tlbs.l1_2mb.probe(VA_2MB) is None
         assert tlbs.l2_tlb.probe(VA_2MB) is None
@@ -91,14 +92,13 @@ class TestSplitHierarchy:
         tlbs = self.make(mapped_table)
         assert tlbs.superpage_l1_capacity() == 8
         assert tlbs.superpage_l1_valid_entries() == 0
-        tlbs.translate(VA_2MB)
+        tlbs.translate_raw(VA_2MB)
         assert tlbs.superpage_l1_valid_entries() == 1
 
     def test_translation_latency_accumulates_on_miss_path(self, mapped_table):
-        tlbs = SplitTLBHierarchy(mapped_table, l1_4kb_entries=16,
-                                 l1_2mb_entries=8, l2_entries=64,
-                                 l1_latency=1, l2_latency=7)
-        result = tlbs.translate(VA_4KB)
+        tlbs = self.make(mapped_table, l2_entries=64)
+        _, _, _, latency = tlbs.translate_raw(VA_4KB)
         # L1 miss + L2 miss + walk.
-        assert result.latency_cycles > 1 + 7
+        assert latency > (SplitTLBHierarchy.L1_LATENCY
+                          + SplitTLBHierarchy.L2_LATENCY)
 

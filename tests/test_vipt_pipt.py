@@ -24,30 +24,31 @@ class TestViptGeometry:
 class TestViptAccess:
     def test_all_ways_probed_every_access(self, timing_32kb):
         cache = ViptL1Cache(32 * 1024, timing_32kb)
-        result = cache.access(0x1000, 0x1000, PageSize.BASE_4KB)
-        assert result.ways_probed == 8
-        assert result.latency_cycles == 2
-        assert not result.hit
+        hit, latency, ways_probed, *_ = cache.access_raw(
+            0x1000, 0x1000, PageSize.BASE_4KB)
+        assert ways_probed == 8
+        assert latency == 2
+        assert not hit
 
     def test_hit_after_fill(self, timing_32kb):
         cache = ViptL1Cache(32 * 1024, timing_32kb)
         cache.fill(0x9000, PageSize.BASE_4KB)
-        result = cache.access(0x1000, 0x9000, PageSize.BASE_4KB)
-        assert result.hit
+        hit, *_ = cache.access_raw(0x1000, 0x9000, PageSize.BASE_4KB)
+        assert hit
 
     def test_latency_identical_for_all_page_sizes(self, timing_32kb):
         # Baseline VIPT cannot exploit superpages.
         cache = ViptL1Cache(32 * 1024, timing_32kb)
-        base = cache.access(0x1000, 0x1000, PageSize.BASE_4KB)
-        superpage = cache.access(0x40000000, 0x200000, PageSize.SUPER_2MB)
-        assert base.latency_cycles == superpage.latency_cycles
+        _, base, *_ = cache.access_raw(0x1000, 0x1000, PageSize.BASE_4KB)
+        _, superpage, *_ = cache.access_raw(0x40000000, 0x200000,
+                                            PageSize.SUPER_2MB)
+        assert base == superpage
 
     def test_miss_detect_at_tag_path(self, timing_32kb):
         cache = ViptL1Cache(32 * 1024, timing_32kb)
-        result = cache.access(0x1000, 0x1000, PageSize.BASE_4KB)
-        assert (result.miss_detect_cycles
-                == timing_32kb.miss_detect_cycles())
-        assert 1 <= result.miss_detect_cycles <= timing_32kb.base_hit_cycles
+        *_, miss_detect = cache.access_raw(0x1000, 0x1000, PageSize.BASE_4KB)
+        assert miss_detect == timing_32kb.miss_detect_cycles()
+        assert 1 <= miss_detect <= timing_32kb.base_hit_cycles
 
 
 class TestViptCoherence:
@@ -78,16 +79,16 @@ class TestPipt:
 
     def test_tlb_latency_serialized(self):
         cache = PiptL1Cache(32 * 1024, ways=4, hit_cycles=2, tlb_latency=2)
-        result = cache.access(0x1000, 0x1000, PageSize.BASE_4KB)
-        assert result.latency_cycles == 4
+        _, latency, *_, miss_detect = cache.access_raw(
+            0x1000, 0x1000, PageSize.BASE_4KB)
+        assert latency == 4
         # Miss detection waits for the serialized TLB plus the tag path.
-        assert (result.miss_detect_cycles
-                == 2 + cache.timing.miss_detect_cycles())
+        assert miss_detect == 2 + cache.timing.miss_detect_cycles()
 
     def test_hit_after_fill(self):
         cache = PiptL1Cache(32 * 1024, ways=4, hit_cycles=2)
         cache.fill(0x9000, PageSize.BASE_4KB)
-        assert cache.access(0x0, 0x9000, PageSize.BASE_4KB).hit
+        assert cache.access_raw(0x0, 0x9000, PageSize.BASE_4KB)[0]
 
     def test_coherence_probe(self):
         cache = PiptL1Cache(32 * 1024, ways=4, hit_cycles=2)

@@ -23,13 +23,13 @@ class TestBasic:
     def test_hit_by_virtual_address_without_translation(self):
         cache = make_cache()
         cache.fill(VA_A, PA, PageSize.BASE_4KB)
-        result = cache.access(VA_A, PA, PageSize.BASE_4KB)
-        assert result.hit
-        assert result.latency_cycles == 1      # no TLB on the hit path
+        hit, latency, *_ = cache.access_raw(VA_A, PA, PageSize.BASE_4KB)
+        assert hit
+        assert latency == 1                    # no TLB on the hit path
 
     def test_miss_for_unmapped(self):
         cache = make_cache()
-        assert not cache.access(VA_A, PA, PageSize.BASE_4KB).hit
+        assert not cache.access_raw(VA_A, PA, PageSize.BASE_4KB)[0]
 
 
 class TestSynonyms:
@@ -38,8 +38,8 @@ class TestSynonyms:
         cache.fill(VA_A, PA, PageSize.BASE_4KB)
         cache.fill(VA_B, PA, PageSize.BASE_4KB)
         assert cache.synonym_stats.synonym_installs == 1
-        assert cache.access(VA_A, PA, PageSize.BASE_4KB).hit
-        assert cache.access(VA_B, PA, PageSize.BASE_4KB).hit
+        assert cache.access_raw(VA_A, PA, PageSize.BASE_4KB)[0]
+        assert cache.access_raw(VA_B, PA, PageSize.BASE_4KB)[0]
 
     def test_store_invalidates_other_alias(self):
         """The synonym problem: a store through one alias must kill the
@@ -47,17 +47,19 @@ class TestSynonyms:
         cache = make_cache()
         cache.fill(VA_A, PA, PageSize.BASE_4KB)
         cache.fill(VA_B, PA, PageSize.BASE_4KB)
-        result = cache.access(VA_A, PA, PageSize.BASE_4KB, is_write=True)
-        assert result.hit
-        assert result.ways_probed > cache.ways     # fixup cost charged
+        hit, _, ways_probed, *_ = cache.access_raw(
+            VA_A, PA, PageSize.BASE_4KB, is_write=True)
+        assert hit
+        assert ways_probed > cache.ways            # fixup cost charged
         assert cache.synonym_stats.synonym_fixups == 1
-        assert not cache.access(VA_B, PA, PageSize.BASE_4KB).hit
+        assert not cache.access_raw(VA_B, PA, PageSize.BASE_4KB)[0]
 
     def test_store_without_aliases_is_cheap(self):
         cache = make_cache()
         cache.fill(VA_A, PA, PageSize.BASE_4KB)
-        result = cache.access(VA_A, PA, PageSize.BASE_4KB, is_write=True)
-        assert result.ways_probed == cache.ways
+        _, _, ways_probed, *_ = cache.access_raw(
+            VA_A, PA, PageSize.BASE_4KB, is_write=True)
+        assert ways_probed == cache.ways
 
 
 class TestCoherence:
@@ -73,8 +75,8 @@ class TestCoherence:
         cache.fill(VA_B, PA, PageSize.BASE_4KB)
         result = cache.coherence_probe(PA, invalidate=True)
         assert result.present
-        assert not cache.access(VA_A, PA, PageSize.BASE_4KB).hit
-        assert not cache.access(VA_B, PA, PageSize.BASE_4KB).hit
+        assert not cache.access_raw(VA_A, PA, PageSize.BASE_4KB)[0]
+        assert not cache.access_raw(VA_B, PA, PageSize.BASE_4KB)[0]
 
     def test_probe_cost_scales_with_alias_count(self):
         cache = make_cache()
