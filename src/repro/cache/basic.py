@@ -35,12 +35,16 @@ class CacheSet:
 
     __slots__ = ("tags", "dirty", "states", "from_superpage", "order")
 
-    def __init__(self, ways: int) -> None:
-        self.tags: List[Optional[int]] = [None] * ways
+    def __init__(self, ways: int, tags: Sequence[int] = (),
+                 order: Optional[List[int]] = None) -> None:
+        """An empty set, or one whose first ways hold the clean (``E``)
+        lines ``tags``, with recency ``order`` (default: way order)."""
+        free = ways - len(tags)
+        self.tags: List[Optional[int]] = [*tags, *[None] * free]
         self.dirty = [False] * ways
-        self.states = ["I"] * ways
+        self.states = ["E"] * len(tags) + ["I"] * free
         self.from_superpage = [False] * ways
-        self.order = list(range(ways))
+        self.order = list(range(ways)) if order is None else order
 
     def find(self, tag: int) -> Optional[int]:
         """Return the way holding ``tag``, or None."""
@@ -272,12 +276,12 @@ class SetAssociativeCache:
         each would, from :func:`lru_final_state`: line *i* of a set sits in
         way *i* mod ``ways``, its recency list is ``range(ways)`` rotated
         left by its line count, and sets are created in first-touch order.
-        Survivors are sorted into way order, so one slice writes each
-        set's tags.  Anything but an empty, hook-free cache raises
-        ValueError.
+        Survivors are sorted into way order, so each set is built once,
+        already holding its slice of tags.  Anything but an empty,
+        hook-free cache raises ValueError.
         """
         lines = np.asarray(addresses, dtype=np.int64) >> self.offset_bits
-        ways, stats, set_at = self.ways, self.stats, self.set_at
+        ways, stats, sets = self.ways, self.stats, self._sets
         keys, rank, count = lru_final_state(
             lines, lines & self._index_mask, ways)
         # A survivor's position in its set's run of ``keys``; the run's
@@ -299,12 +303,10 @@ class SetAssociativeCache:
         start = 0
         for index, total in zip((keys[first] & self._index_mask).tolist(),
                                 per_set.tolist()):
-            cache_set = set_at(index)
             size = min(total, ways)
-            cache_set.tags[:size] = tags[start:start + size]
-            cache_set.states[:size] = ["E"] * size
             shift = total % ways
-            cache_set.order = [*range(shift, ways), *range(shift)]
+            sets[index] = CacheSet(ways, tags[start:start + size],
+                                   [*range(shift, ways), *range(shift)])
             start += size
 
     def contains(self, address: int) -> bool:

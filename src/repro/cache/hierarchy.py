@@ -73,7 +73,6 @@ class MemoryHierarchy:
     def __init__(self, frequency_ghz: float = 1.33,
                  llc_size: int = 24 * 1024 * 1024, llc_ways: int = 16,
                  llc_latency: int = 30) -> None:
-        self.frequency_ghz = frequency_ghz
         self.llc = SetAssociativeCache(llc_size, llc_ways, name="llc")
         self.dram = DRAMModel()
         # What a miss costs depends only on where it is serviced: one
@@ -88,8 +87,10 @@ class MemoryHierarchy:
                      is_write: bool = False) -> MissServiceResult:
         """Service an L1 miss: the LLC fills on its own miss, and the
         result of the level that serviced it is returned."""
-        if self.llc.access(physical_address, is_write):
+        llc = self.llc
+        if llc.probe(physical_address, is_write):
             return self._llc_serviced
+        llc.fill(physical_address, dirty=is_write)
         self.dram.accesses += 1
         return self._dram_serviced
 

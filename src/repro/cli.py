@@ -791,8 +791,13 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                 axes=[parse_axis_argument(axis) for axis in args.axis],
                 trace_length=args.length,
                 seed=args.seed)
-        path = spec.save(args.dir)
+        # Every cell must build its machine before the spec is written:
+        # the first bad cell's CampaignError names it (exit 2), instead
+        # of each shard failing it later.
         cells = spec.cells()
+        for cell in cells:
+            spec.cell_config(cell)
+        path = spec.save(args.dir)
         print(f"campaign {spec.name}: {len(cells)} cell(s), spec digest "
               f"{spec.digest()[:12]}..., wrote {path}")
         return 0

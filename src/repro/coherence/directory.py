@@ -11,23 +11,23 @@ recorded by the accounting layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Callable, Dict, List
 
-from repro.coherence.protocol import MoesiState
 from repro.devtools import sanitize as _sanitize
 
 #: Called for every probe delivered to a core's L1:
 #: (core id, ways probed) — the hook the energy accountant registers.
 ProbeListener = Callable[[int, int], None]
 
+#: A directory entry's two slots: the bitmask of sharing cores (bit *c*
+#: for core *c*), and the core holding the line M/O (dirty), or None.
+SHARERS, OWNER = 0, 1
 
-@dataclass
-class DirectoryEntry:
-    """Sharer bookkeeping for one physical line."""
 
-    sharers: Set[int] = field(default_factory=set)
-    owner: Optional[int] = None  # core holding the line M/O (dirty)
+def _cores(mask: int) -> List[int]:
+    """The cores of a sharer bitmask, in ascending order."""
+    return [core for core in range(mask.bit_length()) if mask >> core & 1]
 
 
 @dataclass
@@ -56,7 +56,8 @@ class Directory:
         self.line_size = line_size
         self._line_mask = ~(line_size - 1)
         self.stats = DirectoryStats()
-        self._entries: Dict[int, DirectoryEntry] = {}
+        #: line -> ``[sharer bitmask, owner]`` (see ``SHARERS``/``OWNER``).
+        self._entries: Dict[int, list] = {}
         self._probe_listeners: List[ProbeListener] = []
         self._sanitize = bool(sanitize) or _sanitize.enabled()
 
@@ -90,42 +91,49 @@ class Directory:
         line = physical_address & self._line_mask
         entry = self._entries.get(line)
         if entry is None:
-            entry = self._entries[line] = DirectoryEntry()
+            entry = self._entries[line] = [0, None]
         self.stats.read_transactions += 1
         forwarded = False
-        if entry.owner is not None and entry.owner != core:
+        owner = entry[OWNER]
+        if owner is not None and owner != core:
             # Dirty elsewhere: probe the owner, who transitions M->O / stays O
             # and forwards the data without a memory writeback.
-            self._deliver_probe(entry.owner, line, invalidate=False)
+            self._deliver_probe(owner, line, invalidate=False)
             self.stats.owner_forwards += 1
             forwarded = True
-        entry.sharers.add(core)
+        entry[SHARERS] |= 1 << core
         if self._sanitize:
             _sanitize.check_coherence_entry(
-                self.caches, line, entry.sharers, entry.owner,
+                self.caches, line, _cores(entry[SHARERS]), owner,
                 context="directory.cpu_read")
         return forwarded
 
     def cpu_write(self, core: int, physical_address: int) -> int:
-        """Core ``core`` writes a line. Invalidates all other copies.
+        """Core ``core`` writes a line. Invalidates all other copies,
+        probing the other sharers in ascending core order.
 
         Returns the number of invalidation probes sent.
         """
         line = physical_address & self._line_mask
         entry = self._entries.get(line)
         if entry is None:
-            entry = self._entries[line] = DirectoryEntry()
+            entry = self._entries[line] = [0, None]
         self.stats.write_transactions += 1
         probes = 0
-        for sharer in sorted(entry.sharers - {core}):
-            self._deliver_probe(sharer, line, invalidate=True)
-            probes += 1
-        if entry.owner is not None and entry.owner != core:
-            if entry.owner not in entry.sharers:
-                self._deliver_probe(entry.owner, line, invalidate=True)
+        sharers, owner = entry
+        others, sharer = sharers & ~(1 << core), 0
+        while others:
+            if others & 1:
+                self._deliver_probe(sharer, line, invalidate=True)
                 probes += 1
-        entry.sharers = {core}
-        entry.owner = core
+            others >>= 1
+            sharer += 1
+        if owner is not None and owner != core \
+                and not sharers >> owner & 1:
+            self._deliver_probe(owner, line, invalidate=True)
+            probes += 1
+        entry[SHARERS] = 1 << core
+        entry[OWNER] = core
         if self._sanitize:
             _sanitize.check_write_exclusivity(
                 self.caches, line, core, context="directory.cpu_write")
@@ -137,13 +145,13 @@ class Directory:
         entry = self._entries.get(line)
         if entry is None:
             return
-        entry.sharers.discard(core)
-        if entry.owner == core:
-            entry.owner = None
-        if not entry.sharers and entry.owner is None:
+        entry[SHARERS] &= ~(1 << core)
+        if entry[OWNER] == core:
+            entry[OWNER] = None
+        if not entry[SHARERS] and entry[OWNER] is None:
             del self._entries[line]
 
     def sharer_count(self, physical_address: int) -> int:
         """Number of cores currently sharing the line."""
         entry = self._entries.get(physical_address & self._line_mask)
-        return len(entry.sharers) if entry else 0
+        return bin(entry[SHARERS]).count("1") if entry else 0

@@ -136,6 +136,14 @@ class SeesawL1Cache:
         self._total_ways = partitioning.total_ways
         self._single_partition_probes = \
             insertion.coherence_probes_single_partition
+        # The insertion policy's candidate ways depend only on whether the
+        # fill is a superpage's and on its PA's partition: one table,
+        # indexed ``[is_superpage][partition]``.
+        self._fill_candidates = tuple(
+            tuple(insertion.candidate_ways(
+                partitioning, partition << self._partition_low_bit, size)
+                  for partition in range(partitioning.num_partitions))
+            for size in (PageSize.BASE_4KB, PageSize.SUPER_2MB))
 
     # ------------------------------------------------------------ properties
 
@@ -333,10 +341,12 @@ class SeesawL1Cache:
              dirty: bool = False) -> int:
         """Install a line; the victim scope follows the insertion policy.
         Returns its way."""
-        candidates = self.insertion.candidate_ways(
-            self.partitioning, physical_address, page_size)
+        is_super = page_size.is_superpage
+        candidates = self._fill_candidates[is_super][
+            (physical_address >> self._partition_low_bit)
+            & self._partition_mask]
         way = self.store.fill(physical_address, dirty=dirty,
-                              from_superpage=page_size.is_superpage,
+                              from_superpage=is_super,
                               candidate_ways=candidates)
         if self.way_predictor is not None:
             self.way_predictor.update_on_fill(

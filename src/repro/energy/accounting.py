@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Dict
 
+import numpy as np
+
 from repro.energy.sram import SRAMModel
 
 
@@ -94,8 +96,8 @@ DYNAMIC_ENERGY_FIELDS = tuple(f.name for f in fields(EnergyBreakdown)
 class EnergyAccountant:
     """Per-event energy recorder for one simulated system.
 
-    The simulator charges every CPU reference through
-    :meth:`record_reference` and every L1 miss through
+    The simulator charges its CPU references' lookups in bulk, in trace
+    order, through :meth:`fold_references`, and every L1 miss through
     :meth:`record_miss`; coherence probes, dirty L1 evictions and
     leakage come through :meth:`record_l1_lookup`,
     :meth:`record_llc_access` and :meth:`record_runtime`.
@@ -129,9 +131,13 @@ class EnergyAccountant:
                 self.l1_size_bytes, self.l1_ways, ways)
             for ways in range(1, self.l1_ways + 1)
         }
-        # A reference makes one or two TLB lookups: index the products.
-        self._tlb_energy = tuple(self.tlb_lookup_nj * lookups
-                                 for lookups in range(3))
+        # The same energies as arrays a block of references indexes: by
+        # TLB lookup count (one or two), and by ways probed.
+        self._tlb_energy = np.array([self.tlb_lookup_nj * lookups
+                                     for lookups in range(3)])
+        self._lookup_energy_by_ways = np.array(
+            [0.0] + [self._lookup_energy[ways]
+                     for ways in range(1, self.l1_ways + 1)])
 
     # ------------------------------------------------------------- L1 events
 
@@ -147,17 +153,30 @@ class EnergyAccountant:
 
     # --------------------------------------------------- per-reference events
 
-    def record_reference(self, tlb_lookups: int, tft_lookups: int,
-                         ways_probed: int) -> None:
-        """One CPU reference's lookups: ``tlb_lookups`` TLB probes (one
-        on an L1 TLB hit, two once the L1 TLBs miss), ``tft_lookups`` TFT
-        probes (one on a SEESAW L1, none without a TFT) and the L1 probe
-        of ``ways_probed`` ways."""
+    def fold_references(self, codes: np.ndarray, tft_lookups: int) -> None:
+        """Charge a block of CPU references' lookups, in trace order.
+
+        ``codes[i]`` is the ways reference *i*'s L1 lookup probed, or
+        ``~ways`` when the L1 TLBs missed: one TLB lookup on an L1 TLB
+        hit, two (an L1 and an L2 TLB or walker lookup) otherwise.
+        Every reference also makes ``tft_lookups`` TFT probes (one on a
+        SEESAW L1, none without a TFT).  Each component's terms are
+        added one at a time, left to right (``np.add.accumulate``), so
+        its float sum is the one a per-reference ``+=`` would give.
+        """
+        if not len(codes):
+            return
         breakdown = self.breakdown
-        breakdown.tlb_nj += self._tlb_energy[tlb_lookups]
+        missed = codes < 0
+        breakdown.tlb_nj = _running_sum(breakdown.tlb_nj,
+                                        self._tlb_energy[missed + 1])
         if tft_lookups:
-            breakdown.tft_nj += self.tft_lookup_nj * tft_lookups
-        breakdown.l1_cpu_lookup_nj += self._lookup_energy[ways_probed]
+            breakdown.tft_nj = _running_sum(
+                breakdown.tft_nj,
+                np.full(len(codes), self.tft_lookup_nj * tft_lookups))
+        breakdown.l1_cpu_lookup_nj = _running_sum(
+            breakdown.l1_cpu_lookup_nj,
+            self._lookup_energy_by_ways[np.where(missed, ~codes, codes)])
 
     def record_miss(self, miss) -> None:
         """One L1 miss: the LLC access every miss makes, DRAM when the
@@ -182,3 +201,8 @@ class EnergyAccountant:
         """
         seconds = cycles / (frequency_ghz * 1e9)
         self.breakdown.leakage_nj += self.leakage_mw * 1e-3 * seconds * 1e9
+
+
+def _running_sum(start: float, terms: np.ndarray) -> float:
+    """``start`` plus each of ``terms`` in order, one float add at a time."""
+    return float(np.add.accumulate(np.concatenate(([start], terms)))[-1])

@@ -86,11 +86,6 @@ def page_base(address: int, page_size: PageSize) -> int:
     return address & ~page_size.offset_mask
 
 
-def decompose(address: int, page_size: PageSize) -> "tuple[int, int]":
-    """Split ``address`` into ``(page_number, page_offset)``."""
-    return address >> page_size.offset_bits, address & page_size.offset_mask
-
-
 def align_down(value: int, alignment: int) -> int:
     """Round ``value`` down to a multiple of ``alignment`` (a power of two)."""
     return value & ~(alignment - 1)

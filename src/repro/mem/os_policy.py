@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Set
 
-from repro.mem.address import PageSize, align_down, page_base
+from repro.mem.address import PageSize, page_base
 from repro.mem.page_table import Mapping, PageTable, TranslationFault
 from repro.mem.physical import PhysicalMemory
 
@@ -140,15 +140,6 @@ class MemoryManager:
         """
         return not table.region_has_mappings(region_base)
 
-    def touch_range(self, start: int, length: int) -> None:
-        """Demand-fault every base page in ``[start, start + length)``."""
-        step = int(PageSize.BASE_4KB)
-        address = align_down(start, step)
-        end = start + length
-        while address < end:
-            self.touch(address)
-            address += step
-
     # --------------------------------------------------- splinter / promote
 
     def splinter_superpage(self, virtual_base: int) -> None:
@@ -218,16 +209,3 @@ class MemoryManager:
         self._broken_regions.discard(
             virtual_base >> PageSize.SUPER_2MB.offset_bits)
         return mapping
-
-    # ------------------------------------------------------------ measurement
-
-    def footprint_superpage_fraction(self) -> float:
-        """Fraction of the mapped footprint backed by 2MB superpages (Fig. 3)."""
-        total = 0
-        super_bytes = 0
-        for mapping in self.page_table.mappings():
-            size = int(mapping.page_size)
-            total += size
-            if mapping.is_superpage:
-                super_bytes += size
-        return super_bytes / total if total else 0.0

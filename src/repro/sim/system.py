@@ -54,10 +54,12 @@ from repro.workloads.trace import MemoryTrace
 
 
 #: capacity of the ring of recently referenced lines the background
-#: coherence probe picks from.
+#: coherence probe picks from (a power of two: slots are index bits).
 RECENT_LINES = 64
 #: (line, core) index pairs one RNG call draws for the background probe.
 PROBE_DRAW_BLOCK = 128
+#: most references whose core timing and lookup energy wait to be folded.
+FOLD_BLOCK = 1 << 14
 
 
 def _next_fire(start: int, interval: Optional[int],
@@ -113,6 +115,12 @@ class SystemSimulator:
             [RECENT_LINES, self.num_cores] * PROBE_DRAW_BLOCK)
         self._superpage_references = 0
         self._measured_references = 0
+        # References run_until has made but not yet charged to the cores
+        # and the energy accountant (see _fold): one contiguous run of
+        # the trace from _fold_start.
+        self._retire_keys: List[int] = []
+        self._lookup_codes: List[int] = []
+        self._fold_start = 0
         self._churn_cursor = 0
         # Interruptible-run state (checkpoint/resume support): the next
         # trace index to process, the warmup boundary, and whether the
@@ -344,8 +352,45 @@ class SystemSimulator:
         self.hierarchy.llc.stats = CacheStats()
         self.hierarchy.dram.accesses = 0
         self.energy.breakdown = EnergyBreakdown()
+        self._retire_keys.clear()
+        self._lookup_codes.clear()
         self._superpage_references = 0
         self._measured_references = 0
+
+    def _fold(self) -> None:
+        """Charge the pending references to the cores and the accountant.
+
+        :meth:`run_until` leaves two ints per reference: its retire key
+        (latency, or ``~latency`` for a miss) and its lookup code (ways
+        probed, or ``~ways`` when the L1 TLBs missed).  The references
+        are the contiguous trace run from ``_fold_start``, so their gaps
+        and cores come from the trace.  Each core folds its own keys and
+        the accountant the codes, in trace order, so every float sum is
+        the per-reference one.  Counters, snapshots and checkpoints
+        fold first, and the loop folds whenever ``FOLD_BLOCK`` references
+        wait.
+        """
+        keys = self._retire_keys
+        if keys:
+            start = self._fold_start
+            stop = start + len(keys)
+            gaps = np.array(self.trace.gaps[start:stop], dtype=np.int64)
+            keys_array = np.array(keys, dtype=np.int64)
+            if len(self.cores) == 1:
+                self.cores[0].fold_references(gaps, keys_array)
+            else:
+                owners = np.array(self.trace.cores[start:stop])
+                for core_id, core in enumerate(self.cores):
+                    mine = owners == core_id
+                    core.fold_references(gaps[mine], keys_array[mine])
+            self._fold_start = stop
+            keys.clear()
+        codes = self._lookup_codes
+        if codes:
+            tft_lookups = 1 if isinstance(self.l1s[0], SeesawL1Cache) else 0
+            self.energy.fold_references(np.array(codes, dtype=np.int64),
+                                        tft_lookups)
+            codes.clear()
 
     def _prewarm(self) -> None:
         """Bring the system to application steady state before timing.
@@ -453,38 +498,54 @@ class SystemSimulator:
         Each reference follows the Fig. 4 pipeline, and every quantity it
         charges is charged by the component that owns it, once: the TLB
         hierarchy translates (demand-paging on a fault) and the L1 looks
-        up; the energy accountant records the lookups
-        (``record_reference``) and, on a miss, the levels the miss
-        reached and the fill (``record_miss``); a hit's latency passes
-        through the core's scheduler when it has one (``hit_latency``);
-        and the core retires the reference (``retire``).  The events of
-        :meth:`_periodic_events` fire after the reference at their index.
+        up; on a miss the accountant records the levels the miss reached
+        and the fill (``record_miss``); a hit's latency passes through the
+        core's scheduler when it has one (``hit_latency``).  The core's
+        timing and the lookup energy are left as one retire key and one
+        lookup code per reference, which :meth:`_fold` charges in bulk.
+
+        The trace is walked in segments that end at each of the loop's
+        stops: the warmup reset, each periodic event of
+        :meth:`_periodic_events` (which fire after the reference at their
+        index), each checkpoint, each fold (at most ``FOLD_BLOCK``
+        references wait), ``stop``, and every reference while a fault
+        plan is armed.  Those checks and the measured-reference count run
+        once per segment.
         """
         if not self._prewarmed:
             self._begin(0.25)
-        warmup_end = self._warmup_end
+        warmup_end = self._warmup_end or 0
         addresses = self.trace.addresses
         writes = self.trace.writes
         trace_cores = self.trace.cores
-        gaps = self.trace.gaps
         if checkpoint_path is not None and checkpoint_interval is None:
             checkpoint_interval = 10_000
         index = self._next_index
         stop = min(stop, len(addresses))
+        retire_keys = self._retire_keys
+        if self._fold_start + len(retire_keys) != index:
+            # The pending run does not end here (the sampled lane skipped
+            # a gap, or a reset dropped it): fold it, and start anew.
+            self._fold()
+            self._fold_start = index
 
-        # Loop-invariant references; the fault plan is armed between runs,
-        # never mid-run.  Every L1 has the same design.
-        cores = self.cores
+        # Loop-invariant references, with each core's lookups bound once;
+        # the fault plan is armed between runs, never mid-run.  Every L1
+        # has the same design.
         l1s = self.l1s
-        tlbs = self.tlbs
+        translate = [tlb.translate_raw for tlb in self.tlbs]
+        access = [l1.access_raw for l1 in l1s]
+        superpage_tlbs = [tlb.l1_2mb for tlb in self.tlbs]
         schedulers = self.schedulers
         fabric = self.fabric
-        hierarchy = self.hierarchy
+        service_miss = self.hierarchy.service_miss
+        record_miss = self.energy.record_miss
         manager = self.manager
         fault_plan = self._fault_plan
-        energy = self.energy
-        tft_lookups = 1 if isinstance(l1s[0], SeesawL1Cache) else 0
         vivt = isinstance(l1s[0], VivtL1Cache)
+        keys_append = retire_keys.append
+        codes_append = self._lookup_codes.append
+        fold_next = index + FOLD_BLOCK - len(retire_keys)
 
         events = self._periodic_events(index, probe=True)
         next_event = min([event[0] for event in events],
@@ -499,9 +560,12 @@ class SystemSimulator:
         measured = self._measured_references
         superpage_refs = self._superpage_references
         recent = self._recent_lines
+        ring_full = len(recent) >= RECENT_LINES
+        ring_mask = RECENT_LINES - 1
 
         try:
             while index < stop:
+                end = stop
                 if fault_plan is not None:
                     applied = fault_plan.apply(self, index)
                     if applied:
@@ -509,78 +573,103 @@ class SystemSimulator:
                     # A fault may have truncated the trace in place.
                     if index >= len(addresses):
                         break
-                va = addresses[index]
-                is_write = writes[index]
-                core_id = trace_cores[index]
-                if index == warmup_end and index > 0:
+                    end = index + 1
+                if index == warmup_end > 0:
                     self.reset_measurements()
+                    self._fold_start = index
+                    fold_next = index + FOLD_BLOCK
                     measured = 0
                     superpage_refs = 0
-                measured += 1
-                l1 = l1s[core_id]
-                tlb = tlbs[core_id]
+                if index < warmup_end < end:
+                    end = warmup_end
+                if next_event < end:
+                    end = next_event + 1
+                if checkpoint_next < end:
+                    end = checkpoint_next
+                if fold_next < end:
+                    end = fold_next
+
+                start = index
                 try:
-                    pa, page_size, level, tlb_latency = tlb.translate_raw(va)
-                except TranslationFault:
-                    # Demand-page, then retry through the same hierarchy.
-                    manager.touch(va)
-                    pa, page_size, level, tlb_latency = tlb.translate_raw(va)
-                if page_size.is_superpage:
-                    superpage_refs += 1
-
-                (hit, latency, ways_probed, _fast_path, _tft_hit,
-                 _wp_correct, miss_detect) = l1.access_raw(
-                    va, pa, page_size, is_write)
-                energy.record_reference(1 if level == "l1" else 2,
-                                        tft_lookups, ways_probed)
-                # TLB latency beyond the one overlapped L1-TLB cycle stalls
-                # the physical tag compare.
-                extra_tlb = tlb_latency - 1 if tlb_latency > 1 else 0
-
-                if hit:
-                    scheduler = schedulers[core_id]
-                    if scheduler is not None:
-                        # The scarcity inputs: the 2MB L1 TLB's O(1)
-                        # resident count and its capacity.
-                        superpage_tlb = tlb.l1_2mb
-                        latency = scheduler.hit_latency(
-                            latency, superpage_tlb._resident,
-                            superpage_tlb.entries)
-                    cores[core_id].retire(gaps[index], True,
-                                          latency + extra_tlb)
-                    if is_write and fabric is not None \
-                            and fabric.sharer_count(pa) > 1:
-                        fabric.cpu_write(core_id, pa)
-                else:
-                    miss = hierarchy.service_miss(pa, is_write)
-                    energy.record_miss(miss)
-                    if fabric is not None:
-                        if is_write:
-                            fabric.cpu_write(core_id, pa)
+                    for index, va, is_write, core_id in zip(
+                            range(start, end), addresses[start:end],
+                            writes[start:end], trace_cores[start:end]):
+                        try:
+                            pa, page_size, level, tlb_latency = \
+                                translate[core_id](va)
+                        except TranslationFault:
+                            # Demand-page, then retry through the same
+                            # hierarchy.
+                            manager.touch(va)
+                            pa, page_size, level, tlb_latency = \
+                                translate[core_id](va)
+                        if page_size.is_superpage:
+                            superpage_refs += 1
+                        (hit, latency, ways_probed, _fast_path, _tft_hit,
+                         _wp_correct, miss_detect) = access[core_id](
+                            va, pa, page_size, is_write)
+                        if level == "l1":
+                            codes_append(ways_probed)
+                            extra_tlb = 0
                         else:
-                            fabric.cpu_read(core_id, pa)
-                    if vivt:
-                        l1.fill(va, pa, page_size, is_write)
-                    else:
-                        l1.fill(pa, page_size, is_write)
-                    cores[core_id].retire(
-                        gaps[index], False,
-                        miss_detect + miss.latency_cycles + extra_tlb)
-
-                line = pa & ~63
-                if len(recent) < RECENT_LINES:
-                    recent.append(line)
-                else:
-                    recent[index % RECENT_LINES] = line
-                if index == next_event:
-                    next_event = float("inf")
+                            # TLB latency beyond the one overlapped L1-TLB
+                            # cycle stalls the physical tag compare.
+                            codes_append(~ways_probed)
+                            extra_tlb = tlb_latency - 1
+                        if hit:
+                            scheduler = schedulers[core_id]
+                            if scheduler is not None:
+                                # The scarcity inputs: the 2MB L1 TLB's
+                                # O(1) resident count and its capacity.
+                                superpage_tlb = superpage_tlbs[core_id]
+                                latency = scheduler.hit_latency(
+                                    latency, superpage_tlb._resident,
+                                    superpage_tlb.entries)
+                            if is_write and fabric is not None \
+                                    and fabric.sharer_count(pa) > 1:
+                                fabric.cpu_write(core_id, pa)
+                            keys_append(latency + extra_tlb)
+                        else:
+                            miss = service_miss(pa, is_write)
+                            record_miss(miss)
+                            if fabric is not None:
+                                if is_write:
+                                    fabric.cpu_write(core_id, pa)
+                                else:
+                                    fabric.cpu_read(core_id, pa)
+                            if vivt:
+                                l1s[core_id].fill(va, pa, page_size,
+                                                  is_write)
+                            else:
+                                l1s[core_id].fill(pa, page_size, is_write)
+                            keys_append(~(miss_detect + miss.latency_cycles
+                                          + extra_tlb))
+                        # The probe's ring of recent lines fills in
+                        # order, then each index owns a slot (the sampled
+                        # lane skips indices).
+                        if ring_full:
+                            recent[index & ring_mask] = pa & ~63
+                        else:
+                            recent.append(pa & ~63)
+                            ring_full = len(recent) == RECENT_LINES
+                except BaseException:
+                    # Count the references begun, the one that raised
+                    # included, as a per-reference count would.
+                    measured += index + 1 - start
+                    raise
+                measured += end - start
+                index = end
+                if next_event < end:
+                    fired, next_event = next_event, float("inf")
                     for event in events:
-                        if event[0] == index:
+                        if event[0] == fired:
                             event[0] += event[1]
                             event[2]()
                         if event[0] < next_event:
                             next_event = event[0]
-                index += 1
+                if index == fold_next:
+                    self._fold()
+                    fold_next = index + FOLD_BLOCK
                 if index == checkpoint_next:
                     checkpoint_next += checkpoint_interval
                     self._next_index = index
@@ -613,8 +702,12 @@ class SystemSimulator:
     #: holds one prebuilt miss result per serviced level.  v8: TLB keys
     #: are ``(virtual_page, page_size)``, the memory manager holds one
     #: page table, and the hierarchy holds its ``llc`` instead of a list
-    #: of levels.
-    SNAPSHOT_VERSION = 8
+    #: of levels.  v9: TLB keys are ints (``tlb_key``), TLB hierarchies
+    #: carry their L1 probe order, directory entries are ``[sharer
+    #: bitmask, owner]`` lists, the accountant holds its energies as
+    #: arrays, SEESAW L1s hold a fill-candidate table, and the memory
+    #: hierarchy no longer stores its frequency.
+    SNAPSHOT_VERSION = 9
 
     def snapshot(self) -> bytes:
         """Serialize the complete mutable simulation state.
@@ -631,6 +724,7 @@ class SystemSimulator:
         import pickle
 
         from repro.resilience.checkpoint import config_digest, trace_digest
+        self._fold()
         state = {
             "version": self.SNAPSHOT_VERSION,
             "config_digest": config_digest(self.config),
@@ -726,6 +820,10 @@ class SystemSimulator:
         self._churn_cursor = loop["churn_cursor"]
         self._prewarmed = loop["prewarmed"]
         self._faults_injected = loop["faults_injected"]
+        # A snapshot folds first, so nothing is pending.
+        self._retire_keys.clear()
+        self._lookup_codes.clear()
+        self._fold_start = self._next_index
         self._fault_plan = None
         self._fault_pending = []
         self._wire()
@@ -835,6 +933,7 @@ class SystemSimulator:
         lane scales and sums.  Counters of structures this machine lacks
         (TFT, way predictor, OoO scheduler) read zero.
         """
+        self._fold()
         seesaw_l1s = [l1 for l1 in self.l1s if isinstance(l1, SeesawL1Cache)]
         seesaw_stats = [l1.seesaw_stats for l1 in seesaw_l1s]
         tft_stats = [l1.tft.stats for l1 in seesaw_l1s]

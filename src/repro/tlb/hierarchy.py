@@ -53,6 +53,8 @@ class SplitTLBHierarchy:
                               (PageSize.BASE_4KB, PageSize.SUPER_2MB),
                               name="l2")
         self.walker = PageWalker(page_table)
+        #: the two L1 TLBs in probe order: the one that hit last first.
+        self._probe_order = (self.l1_4kb, self.l1_2mb)
         #: the L1 TLB that holds each page size.
         self._l1_by_size: Dict[PageSize, TLB] = {
             PageSize.BASE_4KB: self.l1_4kb,
@@ -96,12 +98,23 @@ class SplitTLBHierarchy:
         levels above; L1 fills fire the fill hooks so the TFT stays in
         sync (paper Fig. 5 steps 6-8).
         """
-        # Hardware probes both L1 TLBs in parallel: each one counts its
-        # hit or miss, and at most one can hit.
-        hit = self.l1_4kb.lookup(virtual_address)
-        super_hit = self.l1_2mb.lookup(virtual_address)
-        if super_hit is not None:
-            hit = super_hit
+        # Hardware probes both L1 TLBs in parallel, and each one counts
+        # its hit or miss.  At most one can hit: promotions and splinters
+        # shoot a page out of the other page size's TLB.  So the TLB that
+        # hit last is probed first, and when it hits the other one only
+        # counts its miss (its LRU order moves on hits alone).
+        first, second = self._probe_order
+        hit = first.lookup(virtual_address)
+        if hit is not None:
+            second.stats.misses += 1
+            if self._sanitize and second.probe(virtual_address) is not None:
+                raise _sanitize.SanitizerError(
+                    f"{first.name} and {second.name} both hold "
+                    f"va={virtual_address:#x} — a shootdown was dropped")
+        else:
+            hit = second.lookup(virtual_address)
+            if hit is not None:
+                self._probe_order = second, first
         level, latency = "l1", self.L1_LATENCY
         if hit is None and self.l2_tlb is not None:
             level, latency = "l2", latency + self.L2_LATENCY
@@ -136,11 +149,3 @@ class SplitTLBHierarchy:
         self._l1_by_size[page_size].invalidate(virtual_base, page_size)
         if self.l2_tlb is not None:
             self.l2_tlb.invalidate(virtual_base, page_size)
-
-    def superpage_l1_valid_entries(self) -> int:
-        """Valid 2MB-page entries at the L1 level (scheduler scarcity counter)."""
-        return self.l1_2mb.valid_entry_count(PageSize.SUPER_2MB)
-
-    def superpage_l1_capacity(self) -> int:
-        """Capacity of the L1 structure that holds 2MB entries."""
-        return self.l1_2mb.entries

@@ -28,8 +28,15 @@ class TLBEntry(NamedTuple):
         return self.physical_page << self.page_size.offset_bits
 
 
-#: A TLB set's key for an entry: ``(virtual_page, page_size)``.
-TLBKey = Tuple[int, PageSize]
+#: A distinct two-bit code per page size: a TLB set keys an entry by the
+#: int ``virtual_page << 2 | code``, so a 4KB and a 2MB page with one
+#: virtual page number never share a key.
+SIZE_CODES = {size: code for code, size in enumerate(PageSize)}
+
+
+def tlb_key(virtual_page: int, page_size: PageSize) -> int:
+    """The set key of ``page_size``'s page ``virtual_page``."""
+    return virtual_page << 2 | SIZE_CODES[page_size]
 
 
 @dataclass
@@ -55,12 +62,12 @@ class TLBStats:
 class TLB:
     """Set-associative TLB with true-LRU replacement.
 
-    Each set is a dict from ``(virtual_page, page_size)`` to its
-    :class:`TLBEntry`, in recency order (least recent first): a hit or a
-    refill re-inserts its key at the end, and an eviction drops the first
-    key.  Keying on the page size gives single- and multi-size TLBs one
-    code path — a lookup tries each supported size's key in that size's
-    set, smallest size first.
+    Each set is a dict from :func:`tlb_key` (the virtual page number and
+    its size's code, one int) to its :class:`TLBEntry`, in recency order
+    (least recent first): a hit or a refill re-inserts its key at the
+    end, and an eviction drops the first key.  Keying on the page size
+    gives single- and multi-size TLBs one code path — a lookup tries each
+    supported size's key in that size's set, smallest size first.
 
     Args:
         entries: total entry count.
@@ -82,11 +89,11 @@ class TLB:
         self.page_sizes: Tuple[PageSize, ...] = tuple(sorted(page_sizes))
         if not self.page_sizes:
             raise ValueError("TLB must support at least one page size")
-        #: ``(size, offset bits)`` per supported size, in probe order.
-        self._size_shifts = tuple((size, size.offset_bits)
+        #: ``(size code, offset bits)`` per supported size, in probe order.
+        self._size_shifts = tuple((SIZE_CODES[size], size.offset_bits)
                                   for size in self.page_sizes)
         self.stats = TLBStats()
-        self._sets: List[Dict[TLBKey, TLBEntry]] = [
+        self._sets: List[Dict[int, TLBEntry]] = [
             {} for _ in range(self.num_sets)]
         # Running count of resident entries, so the scheduler's per-access
         # scarcity check (paper §IV-B3) is O(1).
@@ -102,10 +109,10 @@ class TLB:
         ``None`` on miss.
         """
         sets = self._sets
-        for size, shift in self._size_shifts:
+        for code, shift in self._size_shifts:
             vpn = virtual_address >> shift
             entries = sets[vpn & self._set_mask]
-            key = (vpn, size)
+            key = vpn << 2 | code               # tlb_key, inlined
             entry = entries.pop(key, None)
             if entry is not None:
                 entries[key] = entry
@@ -116,9 +123,10 @@ class TLB:
 
     def probe(self, virtual_address: int) -> Optional[TLBEntry]:
         """Like :meth:`lookup` but with no stats or LRU side effects."""
-        for size, shift in self._size_shifts:
+        for code, shift in self._size_shifts:
             vpn = virtual_address >> shift
-            entry = self._sets[vpn & self._set_mask].get((vpn, size))
+            entry = self._sets[vpn & self._set_mask].get(
+                vpn << 2 | code)                # tlb_key, inlined
             if entry is not None:
                 return entry
         return None
@@ -136,7 +144,7 @@ class TLB:
         if page_size not in self.page_sizes:
             raise ValueError(f"{self.name} does not hold {page_size.name} pages")
         entries = self._sets[virtual_page & self._set_mask]
-        key = (virtual_page, page_size)
+        key = virtual_page << 2 | SIZE_CODES[page_size]   # tlb_key, inlined
         victim = None
         if entries.pop(key, None) is None:
             stats = self.stats
@@ -157,7 +165,7 @@ class TLB:
         """
         vpn = virtual_base >> page_size.offset_bits
         if self._sets[vpn & self._set_mask].pop(
-                (vpn, page_size), None) is None:
+                tlb_key(vpn, page_size), None) is None:
             return False
         self._resident -= 1
         self.stats.invalidations += 1
@@ -182,12 +190,9 @@ class TLB:
         if page_size is None or self.page_sizes == (page_size,):
             # All resident entries match: O(1) counter path.
             return self._resident
-        return sum(1 for entries in self._sets for key in entries
-                   if key[1] is page_size)
-
-    def occupancy(self) -> float:
-        """Fraction of capacity holding valid entries."""
-        return self.valid_entry_count() / self.entries
+        return sum(1 for entries in self._sets
+                   for entry in entries.values()
+                   if entry.page_size is page_size)
 
     def __contains__(self, virtual_address: int) -> bool:
         return self.probe(virtual_address) is not None

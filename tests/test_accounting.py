@@ -1,5 +1,6 @@
 """Tests for memory-hierarchy energy accounting."""
 
+import numpy as np
 import pytest
 
 from repro.cache.hierarchy import MissServiceResult
@@ -49,9 +50,10 @@ class TestL1Events:
 
 class TestReferenceEvents:
     def test_tlb_energy_times_lookup_count(self):
+        """A lookup code complemented (``~ways``) marks an L1 TLB miss:
+        two TLB lookups instead of one."""
         accountant = make_accountant()
-        accountant.record_reference(1, 0, 8)
-        accountant.record_reference(2, 0, 8)
+        accountant.fold_references(np.array([8, ~8]), 0)
         tlb_nj = 0.0
         tlb_nj += accountant.tlb_lookup_nj * 1
         tlb_nj += accountant.tlb_lookup_nj * 2
@@ -59,17 +61,16 @@ class TestReferenceEvents:
 
     def test_tft_energy_only_when_asked(self):
         accountant = make_accountant()
-        accountant.record_reference(1, 0, 4)
+        accountant.fold_references(np.array([4]), 0)
         assert accountant.breakdown.tft_nj == 0.0
-        accountant.record_reference(1, 1, 4)
+        accountant.fold_references(np.array([4]), 1)
         assert accountant.breakdown.tft_nj == accountant.tft_lookup_nj
 
     def test_lookup_energy_by_ways_probed(self):
         """The CPU-side L1 lookup is charged by ways probed, added in the
         order the run loop makes the references."""
         accountant = make_accountant()
-        for ways in (8, 4, 1, 4):
-            accountant.record_reference(1, 1, ways)
+        accountant.fold_references(np.array([8, 4, ~1, 4]), 1)
         lookup_nj = 0.0
         for ways in (8, 4, 1, 4):
             lookup_nj += accountant._lookup_energy[ways]
@@ -96,7 +97,7 @@ class TestReferenceEvents:
 class TestOtherEvents:
     def test_event_constants_accumulate(self):
         accountant = make_accountant()
-        accountant.record_reference(2, 1, 8)
+        accountant.fold_references(np.array([~8]), 1)
         accountant.record_miss(MissServiceResult(
             100, "dram", llc_accessed=True, dram_accessed=True))
         accountant.record_llc_access()

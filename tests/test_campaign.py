@@ -617,6 +617,19 @@ class TestPresets:
         assert main(["campaign", "init", str(tmp_path / "c2")]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("axis", ("core=bogus", "thp=madvise"))
+    def test_cli_init_rejects_a_cell_without_a_machine(self, tmp_path,
+                                                       capsys, axis):
+        """A value no SystemConfig takes fails init with exit 2 and the
+        error naming the cell, and no spec is written for shards to fail
+        on later."""
+        from repro.cli import main
+        campaign_dir = tmp_path / "c"
+        assert main(["campaign", "init", str(campaign_dir), "--name", "t",
+                     "--axis", "workload=gups,mcf", "--axis", axis]) == 2
+        assert "cell 0000-gups-" in capsys.readouterr().err
+        assert not (campaign_dir / "spec.json").exists()
+
     def test_cli_presets_listing(self, capsys):
         from repro.cli import main
         assert main(["campaign", "presets"]) == 0

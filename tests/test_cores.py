@@ -1,5 +1,6 @@
 """Tests for the in-order and out-of-order core timing models."""
 
+import numpy as np
 import pytest
 
 from repro.cpu.core import CoreModel
@@ -12,10 +13,10 @@ from repro.workloads.suite import build_trace, get_workload
 
 class TestCommon:
     def test_advance_charges_frontend_cycles(self):
-        """``retire`` charges the gap and the reference itself at the
-        issue width, then the stall, in that order."""
+        """``fold_references`` charges the gap and the reference itself
+        at the issue width, then the stall, in that order."""
         core = OutOfOrderCore(issue_width=4)
-        core.retire(7, True, 1)             # 8 instructions total
+        core.fold_references(np.array([7]), np.array([1]))  # 8 instructions
         cycles = 0.0
         cycles += 8 / 4
         cycles += core.memory_stall(True, 1)
@@ -34,7 +35,7 @@ class TestCommon:
 
     def test_ipc(self):
         core = InOrderCore(issue_width=2)
-        core.retire(3, True, 1)
+        core.fold_references(np.array([3]), np.array([1]))
         assert core.stats.ipc == 4 / (4 / 2 + core.memory_stall(True, 1))
         assert InOrderCore().stats.ipc == 0.0
 
@@ -75,14 +76,12 @@ class TestLatencyExposure:
         assert core.memory_stall(False, 39) == pytest.approx(30.0)
 
     def test_account_memory_accumulates(self):
-        """Each ``retire`` adds the memoised stall to ``cycles``; the memo
+        """Each reference adds its memoised stall to ``cycles``; the memo
         keys a hit by its latency and a miss by ``~latency``, so hits and
         misses of one latency stay apart."""
         core = InOrderCore()
-        core.retire(1, False, 40)
-        core.retire(1, False, 40)
-        core.retire(1, True, 40)
-        core.retire(1, False, 0)
+        core.fold_references(np.array([1, 1, 1, 1]),
+                             np.array([~40, ~40, 40, ~0]))
         miss = core.memory_stall(False, 40)
         hit = core.memory_stall(True, 40)
         assert hit != miss

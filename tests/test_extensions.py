@@ -134,7 +134,8 @@ class TestPromoteFaultIn:
         memory_manager.thp_policy = \
             __import__("repro.mem.os_policy", fromlist=["THPPolicy"]).THPPolicy.NEVER
         # Touch only half the region's pages.
-        memory_manager.touch_range(va, PAGE_SIZE_2MB // 2)
+        for offset in range(0, PAGE_SIZE_2MB // 2, 4096):
+            memory_manager.touch(va + offset)
         assert memory_manager.promote_region(va) is None
         mapping = memory_manager.promote_region(va, fault_in_missing=True)
         assert mapping is not None

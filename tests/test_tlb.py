@@ -119,12 +119,6 @@ class TestValidCounters:
         scan = sum(len(entries) for entries in tlb._sets)
         assert tlb.valid_entry_count() == scan
 
-    def test_occupancy(self):
-        tlb = TLB(8, 4, [PageSize.BASE_4KB])
-        tlb.fill(0, 0, PageSize.BASE_4KB)
-        tlb.fill(1, 1, PageSize.BASE_4KB)
-        assert tlb.occupancy() == pytest.approx(0.25)
-
     def test_hit_rate_stat(self):
         tlb = TLB(8, 4, [PageSize.BASE_4KB])
         tlb.fill(0, 0, PageSize.BASE_4KB)

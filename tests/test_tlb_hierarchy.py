@@ -89,11 +89,13 @@ class TestSplitHierarchy:
         assert tlbs.l2_tlb.probe(VA_2MB) is None
 
     def test_superpage_counters(self, mapped_table):
+        """The scheduler's scarcity inputs: the 2MB L1 TLB's capacity and
+        its O(1) resident count."""
         tlbs = self.make(mapped_table)
-        assert tlbs.superpage_l1_capacity() == 8
-        assert tlbs.superpage_l1_valid_entries() == 0
+        assert tlbs.l1_2mb.entries == 8
+        assert tlbs.l1_2mb._resident == 0
         tlbs.translate_raw(VA_2MB)
-        assert tlbs.superpage_l1_valid_entries() == 1
+        assert tlbs.l1_2mb._resident == 1
 
     def test_translation_latency_accumulates_on_miss_path(self, mapped_table):
         tlbs = self.make(mapped_table, l2_entries=64)
