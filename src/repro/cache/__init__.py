@@ -9,7 +9,7 @@ behind the L1.
 from repro.cache.basic import CacheSet, SetAssociativeCache, CacheStats
 from repro.cache.vipt import ViptL1Cache
 from repro.cache.pipt import PiptL1Cache
-from repro.cache.vivt import VivtL1Cache, SynonymStats
+from repro.cache.vivt import VivtL1Cache
 from repro.cache.way_predictor import MRUWayPredictor, WayPredictorStats
 from repro.cache.hierarchy import MemoryHierarchy, DRAMModel
 
@@ -20,7 +20,6 @@ __all__ = [
     "ViptL1Cache",
     "PiptL1Cache",
     "VivtL1Cache",
-    "SynonymStats",
     "MRUWayPredictor",
     "WayPredictorStats",
     "MemoryHierarchy",

@@ -8,7 +8,7 @@ structures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,26 +24,22 @@ class CacheSet:
     """One true-LRU set as flat per-way lists.
 
     ``tags[way]`` is the way's tag, or None when the way is invalid;
-    ``dirty``, ``states`` (the MOESI state, "I" when invalid) and
-    ``from_superpage`` (SEESAW: the fill came from a superpage mapping)
-    hold the rest of its bookkeeping, and ``order`` lists every way from
-    least to most recently used.  No data payload is modeled, and a
-    line's address is recomputed from its tag and set index.  A set never
-    holds one tag twice, so one C-level ``tag in tags`` / ``tags.index``
-    finds a line.
+    ``dirty[way]`` says whether its line must be written back, and
+    ``order`` lists every way from least to most recently used.  No data
+    payload or coherence state is modeled (the fabric tracks sharers and
+    owners), and a line's address is recomputed from its tag and set
+    index.  A set never holds one tag twice, so one C-level ``tag in
+    tags`` / ``tags.index`` finds a line.
     """
 
-    __slots__ = ("tags", "dirty", "states", "from_superpage", "order")
+    __slots__ = ("tags", "dirty", "order")
 
     def __init__(self, ways: int, tags: Sequence[int] = (),
                  order: Optional[List[int]] = None) -> None:
-        """An empty set, or one whose first ways hold the clean (``E``)
-        lines ``tags``, with recency ``order`` (default: way order)."""
-        free = ways - len(tags)
-        self.tags: List[Optional[int]] = [*tags, *[None] * free]
+        """An empty set, or one whose first ways hold the clean lines
+        ``tags``, with recency ``order`` (default: way order)."""
+        self.tags: List[Optional[int]] = [*tags, *[None] * (ways - len(tags))]
         self.dirty = [False] * ways
-        self.states = ["E"] * len(tags) + ["I"] * free
-        self.from_superpage = [False] * ways
         self.order = list(range(ways)) if order is None else order
 
     def find(self, tag: int) -> Optional[int]:
@@ -55,8 +51,6 @@ class CacheSet:
         """Return ``way`` to the invalid state (recency order kept)."""
         self.tags[way] = None
         self.dirty[way] = False
-        self.states[way] = "I"
-        self.from_superpage[way] = False
 
 
 @dataclass
@@ -65,9 +59,6 @@ class CacheStats:
 
     hits: int = 0
     misses: int = 0
-    fills: int = 0
-    evictions: int = 0
-    writebacks: int = 0
     #: total ways probed across all lookups — the quantity SEESAW reduces
     #: and the basis of dynamic lookup-energy accounting.
     ways_probed: int = 0
@@ -210,7 +201,6 @@ class SetAssociativeCache:
         return False
 
     def fill(self, address: int, dirty: bool = False,
-             from_superpage: bool = False,
              candidate_ways: Optional[Sequence[int]] = None) -> int:
         """Install ``address``, evicting if necessary. Returns its way.
 
@@ -232,7 +222,6 @@ class SetAssociativeCache:
             way = tags.index(tag)
             if dirty:
                 cache_set.dirty[way] = True
-            cache_set.from_superpage[way] = from_superpage
         else:
             if candidate_ways is None:
                 way = tags.index(None) if None in tags else None
@@ -253,20 +242,13 @@ class SetAssociativeCache:
                         raise ValueError(
                             f"{self.name}: no candidate ways supplied")
                 # Every candidate way is valid here, so the victim is too.
-                stats = self.stats
-                stats.evictions += 1
                 victim_dirty = cache_set.dirty[way]
-                if victim_dirty:
-                    stats.writebacks += 1
                 victim = ((tags[way] << self._tag_shift)
                           | (set_index << self.offset_bits))
                 for hook in self._eviction_hooks:
                     hook(victim, victim_dirty)
             tags[way] = tag
             cache_set.dirty[way] = dirty
-            cache_set.states[way] = "M" if dirty else "E"
-            cache_set.from_superpage[way] = from_superpage
-            self.stats.fills += 1
         order.remove(way)
         order.append(way)
         return way
@@ -294,9 +276,7 @@ class SetAssociativeCache:
             raise ValueError(f"{self.name}: install needs distinct lines "
                              f"and an empty, hook-free cache")
         stats.misses += lines.size
-        stats.fills += lines.size
         stats.ways_probed += lines.size * ways
-        stats.evictions += int(np.maximum(per_set - ways, 0).sum())
         by_way = np.empty_like(keys)
         by_way[np.arange(keys.size) - position + rank % ways] = keys
         tags = (by_way >> self.index_bits).tolist()

@@ -21,7 +21,6 @@ class DRAMModel:
     """
 
     round_trip_ns: float = 51.0
-    accesses: int = 0
 
     def latency_cycles(self, frequency_ghz: float) -> int:
         """Round-trip latency in core cycles at ``frequency_ghz``."""
@@ -29,27 +28,24 @@ class DRAMModel:
 
 
 class MissServiceResult:
-    """Where a miss was serviced and what it cost.
+    """Where a miss was serviced and what it cost: the levels it reached
+    (a DRAM-serviced miss reached the LLC first) and its latency.
 
     Slotted plain class.  A hierarchy builds one per level a miss can end
     at and returns it for every miss serviced there, so callers must not
     mutate it.
     """
 
-    __slots__ = ("latency_cycles", "serviced_by", "llc_accessed",
-                 "dram_accessed")
+    __slots__ = ("latency_cycles", "llc_accessed", "dram_accessed")
 
-    def __init__(self, latency_cycles: int, serviced_by: str,
-                 llc_accessed: bool = False,
+    def __init__(self, latency_cycles: int, llc_accessed: bool = False,
                  dram_accessed: bool = False) -> None:
         self.latency_cycles = latency_cycles
-        self.serviced_by = serviced_by     # "llc" or "dram"
         self.llc_accessed = llc_accessed
         self.dram_accessed = dram_accessed
 
     def __repr__(self) -> str:
         return (f"MissServiceResult(latency_cycles={self.latency_cycles!r}, "
-                f"serviced_by={self.serviced_by!r}, "
                 f"llc_accessed={self.llc_accessed!r}, "
                 f"dram_accessed={self.dram_accessed!r})")
 
@@ -57,7 +53,6 @@ class MissServiceResult:
         if not isinstance(other, MissServiceResult):
             return NotImplemented
         return (self.latency_cycles == other.latency_cycles
-                and self.serviced_by == other.serviced_by
                 and self.llc_accessed == other.llc_accessed
                 and self.dram_accessed == other.dram_accessed)
 
@@ -77,10 +72,10 @@ class MemoryHierarchy:
         self.dram = DRAMModel()
         # What a miss costs depends only on where it is serviced: one
         # result for the LLC and one for DRAM, built once.
-        self._llc_serviced = MissServiceResult(llc_latency, "llc",
+        self._llc_serviced = MissServiceResult(llc_latency,
                                                llc_accessed=True)
         self._dram_serviced = MissServiceResult(
-            llc_latency + self.dram.latency_cycles(frequency_ghz), "dram",
+            llc_latency + self.dram.latency_cycles(frequency_ghz),
             llc_accessed=True, dram_accessed=True)
 
     def service_miss(self, physical_address: int,
@@ -91,7 +86,6 @@ class MemoryHierarchy:
         if llc.probe(physical_address, is_write):
             return self._llc_serviced
         llc.fill(physical_address, dirty=is_write)
-        self.dram.accesses += 1
         return self._dram_serviced
 
     def writeback(self, physical_address: int) -> None:

@@ -29,7 +29,6 @@ class PiptL1Cache:
                  tlb_latency: int = 1, name: str = "pipt-l1") -> None:
         self.timing = L1Timing(base_hit_cycles=hit_cycles,
                                super_hit_cycles=hit_cycles)
-        self.tlb_latency = tlb_latency
         self.name = name
         self.store = SetAssociativeCache(size_bytes, ways, name=name)
         # Per-access constants, folded once (see ViptL1Cache).
@@ -55,8 +54,7 @@ class PiptL1Cache:
         latencies include the TLB: a miss is declared a tag path after
         translation finishes."""
         hit = self.store.probe(physical_address, is_write=is_write)
-        return (hit, self._hit_cycles, self.store.ways, False, None, None,
-                self._miss_detect)
+        return hit, self._hit_cycles, self.store.ways, self._miss_detect
 
     # Installs and coherence probes index with the PA, as in VIPT.
     fill = ViptL1Cache.fill

@@ -26,7 +26,6 @@ class CoherenceProbeResult:
     present: bool
     ways_probed: int
     dirty: bool = False
-    invalidated: bool = False
 
 
 @dataclass
@@ -105,11 +104,7 @@ class ViptL1Cache:
 
         Every L1 design returns the same plain tuple, so the
         per-reference path allocates no result object: ``(hit,
-        latency_cycles, ways_probed, fast_path, tft_hit,
-        way_prediction_correct, miss_detect_cycles)``.  ``fast_path`` is
-        True when the lookup completed with SEESAW's reduced
-        (partitioned) probe; ``tft_hit`` and ``way_prediction_correct``
-        are None for designs without a TFT or a way predictor.
+        latency_cycles, ways_probed, miss_detect_cycles)``.
         ``miss_detect_cycles`` is the cycles until a miss is declared and
         the next level can be probed: tag comparison finishes before the
         data mux and aligners, so it is a fraction of the load-to-use
@@ -119,15 +114,14 @@ class ViptL1Cache:
             _sanitize.check_vipt_index(self.store, virtual_address,
                                        physical_address, self.name)
         hit = self.store.probe(physical_address, is_write)
-        return (hit, self._base_hit_cycles, self._ways, False, None, None,
-                self._miss_detect)
+        return hit, self._base_hit_cycles, self._ways, self._miss_detect
 
     def fill(self, physical_address: int, page_size: PageSize,
              dirty: bool = False) -> int:
         """Install a line after a miss is serviced by the next level;
-        returns its way."""
-        return self.store.fill(physical_address, dirty=dirty,
-                               from_superpage=page_size.is_superpage)
+        returns its way.  Every L1 design's ``fill`` takes the page size;
+        only SEESAW's placement depends on it."""
+        return self.store.fill(physical_address, dirty=dirty)
 
     def coherence_probe(self, physical_address: int,
                         invalidate: bool = False) -> CoherenceProbeResult:
@@ -141,4 +135,4 @@ class ViptL1Cache:
         if invalidate:
             cache_set.invalidate(way)
         return CoherenceProbeResult(present=True, ways_probed=self.ways,
-                                    dirty=dirty, invalidated=invalidate)
+                                    dirty=dirty)

@@ -22,22 +22,11 @@ real-world products" (paper §I).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Set
 
 from repro.mem.address import CACHE_LINE_SIZE, PageSize
 from repro.cache.basic import SetAssociativeCache
 from repro.cache.vipt import CoherenceProbeResult, L1Timing
-
-
-@dataclass
-class SynonymStats:
-    """Synonym-management accounting."""
-
-    synonym_installs: int = 0     # second+ virtual alias of a physical line
-    synonym_fixups: int = 0       # store hit had to invalidate aliases
-    reverse_map_probes: int = 0   # coherence lookups through the map
-    flushes: int = 0
 
 
 class VivtL1Cache:
@@ -60,7 +49,6 @@ class VivtL1Cache:
                                super_hit_cycles=hit_cycles)
         self.name = name
         self.store = SetAssociativeCache(size_bytes, ways, name=name)
-        self.synonym_stats = SynonymStats()
         # Per-access constants, folded once (see ViptL1Cache).
         self._hit_cycles = hit_cycles
         self._miss_detect = self.timing.miss_detect_cycles()
@@ -112,8 +100,7 @@ class VivtL1Cache:
         if is_write and hit:
             ways_probed += self._fix_synonyms(virtual_address,
                                               physical_address)
-        return (hit, self._hit_cycles, ways_probed, False, None, None,
-                self._miss_detect)
+        return hit, self._hit_cycles, ways_probed, self._miss_detect
 
     def _fix_synonyms(self, virtual_address: int,
                       physical_address: int) -> int:
@@ -129,7 +116,6 @@ class VivtL1Cache:
             self.store.invalidate_line(alias)
             self._drop_mapping(alias)
             extra += self.ways
-            self.synonym_stats.synonym_fixups += 1
         return extra
 
     def fill(self, virtual_address: int, physical_address: int,
@@ -138,10 +124,7 @@ class VivtL1Cache:
         in the reverse map; returns its way."""
         vline = self.store.line_address(virtual_address)
         pline = physical_address & ~(CACHE_LINE_SIZE - 1)
-        way = self.store.fill(virtual_address, dirty=dirty,
-                              from_superpage=page_size.is_superpage)
-        if self._reverse[pline] - {vline}:
-            self.synonym_stats.synonym_installs += 1
+        way = self.store.fill(virtual_address, dirty=dirty)
         self._reverse[pline].add(vline)
         self._forward[vline] = pline
         return way
@@ -160,7 +143,6 @@ class VivtL1Cache:
         """Coherence by physical address must go through the reverse map —
         one cache probe per cached virtual alias."""
         pline = physical_address & ~(CACHE_LINE_SIZE - 1)
-        self.synonym_stats.reverse_map_probes += 1
         aliases = sorted(self._reverse.get(pline, ()))
         present = False
         dirty = False
@@ -177,7 +159,7 @@ class VivtL1Cache:
                 cache_set.invalidate(way)
                 self._drop_mapping(alias)
         return CoherenceProbeResult(present=present, ways_probed=ways_probed,
-                                    dirty=dirty, invalidated=invalidate)
+                                    dirty=dirty)
 
     def flush(self) -> int:
         """Context-switch flush (no ASID tags). Returns lines dropped."""
@@ -186,5 +168,4 @@ class VivtL1Cache:
             self.store.set_at(index).invalidate(way)
         self._reverse.clear()
         self._forward.clear()
-        self.synonym_stats.flushes += 1
         return dropped

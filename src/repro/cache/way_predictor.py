@@ -21,9 +21,6 @@ class WayPredictorStats:
 
     predictions: int = 0
     correct: int = 0
-    #: predictions that pointed at a way outside the supplied candidate set
-    #: (can happen when SEESAW narrows the candidates to one partition).
-    out_of_candidates: int = 0
 
     @property
     def accuracy(self) -> float:
@@ -53,12 +50,11 @@ class MRUWayPredictor:
 
         ``candidates`` restricts legal predictions (SEESAW passes the
         partition's ways); an MRU way outside the candidates falls back to
-        the first candidate and is counted as ``out_of_candidates``.
+        the first candidate.
         """
         self.stats.predictions += 1
         predicted = self._mru[set_index]
         if candidates is not None and predicted not in candidates:
-            self.stats.out_of_candidates += 1
             predicted = candidates[0]
         return predicted
 

@@ -79,7 +79,7 @@ from typing import List, Optional
 from repro.analysis.report import format_table
 from repro.energy.sram import TABLE3
 from repro.resilience.errors import EXIT_PAUSED
-from repro.sim.config import SystemConfig
+from repro.sim.config import CORE_MODELS, L1_DESIGNS, SystemConfig
 from repro.sim.experiment import (
     compare_designs,
     energy_improvement,
@@ -88,17 +88,14 @@ from repro.sim.experiment import (
 from repro.sim.system import simulate
 from repro.workloads.suite import WORKLOADS, build_trace, get_workload
 
-DESIGNS = ("vipt", "pipt", "vivt", "seesaw")
-
-
 def _add_machine_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--design", choices=DESIGNS, default="seesaw",
+    parser.add_argument("--design", choices=L1_DESIGNS, default="seesaw",
                         help="L1 design under test")
     parser.add_argument("--size-kb", type=int, default=32,
                         choices=(32, 64, 128), help="L1 capacity")
     parser.add_argument("--freq", type=float, default=1.33,
                         help="core frequency in GHz")
-    parser.add_argument("--core", choices=("ooo", "inorder"), default="ooo",
+    parser.add_argument("--core", choices=CORE_MODELS, default="ooo",
                         help="core timing model")
     parser.add_argument("--memhog", type=float, default=0.0,
                         help="memhog fraction (0..0.75)")
@@ -973,7 +970,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser("compare",
                              help="compare a design against a baseline")
     compare.add_argument("workload", choices=sorted(WORKLOADS))
-    compare.add_argument("--baseline", choices=DESIGNS, default="vipt")
+    compare.add_argument("--baseline", choices=L1_DESIGNS, default="vipt")
     compare.add_argument("--json", action="store_true")
     _add_machine_arguments(compare)
 
@@ -985,7 +982,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="add an ingested trace as a sweep row "
                             "(repeatable; combines with --workloads, or "
                             "replaces the full suite when named alone)")
-    sweep.add_argument("--baseline", choices=DESIGNS, default="vipt")
+    sweep.add_argument("--baseline", choices=L1_DESIGNS, default="vipt")
     sweep.add_argument("--journal", metavar="PATH", default=None,
                        help="journal each completed cell to PATH (JSONL) "
                             "so an interrupted sweep can resume")

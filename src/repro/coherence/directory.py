@@ -11,7 +11,6 @@ recorded by the accounting layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List
 
 from repro.devtools import sanitize as _sanitize
@@ -30,18 +29,6 @@ def _cores(mask: int) -> List[int]:
     return [core for core in range(mask.bit_length()) if mask >> core & 1]
 
 
-@dataclass
-class DirectoryStats:
-    """Transaction and probe counters (Fig. 11 inputs)."""
-
-    read_transactions: int = 0
-    write_transactions: int = 0
-    probes_sent: int = 0
-    invalidations_sent: int = 0
-    owner_forwards: int = 0
-    writebacks_collected: int = 0
-
-
 class Directory:
     """A full-map directory over ``caches`` (one L1 frontend per core).
 
@@ -55,7 +42,6 @@ class Directory:
         self.caches = caches
         self.line_size = line_size
         self._line_mask = ~(line_size - 1)
-        self.stats = DirectoryStats()
         #: line -> ``[sharer bitmask, owner]`` (see ``SHARERS``/``OWNER``).
         self._entries: Dict[int, list] = {}
         self._probe_listeners: List[ProbeListener] = []
@@ -75,11 +61,6 @@ class Directory:
 
     def _deliver_probe(self, core: int, line: int, invalidate: bool) -> None:
         result = self.caches[core].coherence_probe(line, invalidate=invalidate)
-        self.stats.probes_sent += 1
-        if invalidate:
-            self.stats.invalidations_sent += 1
-            if result.present and result.dirty:
-                self.stats.writebacks_collected += 1
         for listener in self._probe_listeners:
             listener(core, result.ways_probed)
 
@@ -92,14 +73,12 @@ class Directory:
         entry = self._entries.get(line)
         if entry is None:
             entry = self._entries[line] = [0, None]
-        self.stats.read_transactions += 1
         forwarded = False
         owner = entry[OWNER]
         if owner is not None and owner != core:
             # Dirty elsewhere: probe the owner, who transitions M->O / stays O
             # and forwards the data without a memory writeback.
             self._deliver_probe(owner, line, invalidate=False)
-            self.stats.owner_forwards += 1
             forwarded = True
         entry[SHARERS] |= 1 << core
         if self._sanitize:
@@ -118,7 +97,6 @@ class Directory:
         entry = self._entries.get(line)
         if entry is None:
             entry = self._entries[line] = [0, None]
-        self.stats.write_transactions += 1
         probes = 0
         sharers, owner = entry
         others, sharer = sharers & ~(1 << core), 0

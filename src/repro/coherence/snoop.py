@@ -10,22 +10,11 @@ baseline but only one partition under SEESAW.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Set
 
 from repro.devtools import sanitize as _sanitize
 
 ProbeListener = Callable[[int, int], None]
-
-
-@dataclass
-class SnoopStats:
-    """Broadcast counters."""
-
-    broadcasts: int = 0
-    probes_sent: int = 0
-    hits_in_remote: int = 0
-    writebacks_collected: int = 0
 
 
 class SnoopyBus:
@@ -35,7 +24,6 @@ class SnoopyBus:
                  sanitize: bool = False) -> None:
         self.caches = caches
         self.line_size = line_size
-        self.stats = SnoopStats()
         self._sanitize = bool(sanitize) or _sanitize.enabled()
         self._probe_listeners: List[ProbeListener] = []
         # A snoop filter: minimal sharer tracking so write *hits* know
@@ -59,18 +47,14 @@ class SnoopyBus:
         return physical_address & ~(self.line_size - 1)
 
     def _broadcast(self, requester: int, line: int, invalidate: bool) -> int:
-        self.stats.broadcasts += 1
+        """Probe every other core's L1; returns how many held the line."""
         remote_hits = 0
         for core, cache in enumerate(self.caches):
             if core == requester:
                 continue
             result = cache.coherence_probe(line, invalidate=invalidate)
-            self.stats.probes_sent += 1
             if result.present:
                 remote_hits += 1
-                self.stats.hits_in_remote += 1
-                if invalidate and result.dirty:
-                    self.stats.writebacks_collected += 1
             for listener in self._probe_listeners:
                 listener(core, result.ways_probed)
         return remote_hits

@@ -36,10 +36,7 @@ class HitSpeculationPolicy(enum.Enum):
 class SchedulerStats:
     """Squash/replay accounting."""
 
-    fast_assumptions: int = 0
-    slow_assumptions: int = 0
     squashes: int = 0
-    squash_cycles: int = 0
 
 
 class SchedulerModel:
@@ -47,8 +44,8 @@ class SchedulerModel:
 
     The simulator builds one per out-of-order core with a SEESAW L1 and
     passes every L1 hit through :meth:`hit_latency`, which picks the
-    assumed latency, counts the assumption and any squash, and returns
-    the latency the core is charged.
+    assumed latency, counts any squash, and returns the latency the core
+    is charged.
 
     Args:
         fast_cycles: the SEESAW fast (superpage) hit latency.
@@ -108,18 +105,11 @@ class SchedulerModel:
                             * self.scarcity_threshold)
         else:
             assumed_fast = policy is HitSpeculationPolicy.ALWAYS_FAST
-        stats = self.stats
-        if assumed_fast:
-            stats.fast_assumptions += 1
-            assumed = self.fast_cycles
-        else:
-            stats.slow_assumptions += 1
-            assumed = self.slow_cycles
+        assumed = self.fast_cycles if assumed_fast else self.slow_cycles
         if actual_latency > assumed:
             penalty = actual_latency - assumed
             if penalty > self.squash_penalty_cycles:
                 penalty = self.squash_penalty_cycles
-            stats.squashes += 1
-            stats.squash_cycles += penalty
+            self.stats.squashes += 1
             return actual_latency + penalty
         return assumed if assumed > actual_latency else actual_latency

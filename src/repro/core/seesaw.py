@@ -19,8 +19,8 @@ probe (base page or superpage) touch a single partition (paper §IV-C1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from repro.devtools import sanitize as _sanitize
 from repro.mem.address import CACHE_LINE_SIZE, PageSize
@@ -38,22 +38,18 @@ from repro.tlb.tlb import TLBEntry
 class SeesawStats:
     """SEESAW-specific counters layered over the store's CacheStats.
 
-    The four TFT-related counters drive Fig. 13: of all accesses to
-    superpage-backed data, how many did the TFT fail to identify, split by
-    whether the L1 lookup ultimately hit or missed.
+    The superpage and TFT-missed counters drive Fig. 13: of all accesses
+    to superpage-backed data, how many did the TFT fail to identify, split
+    by whether the L1 lookup ultimately hit or missed.
     """
 
     superpage_accesses: int = 0
-    base_page_accesses: int = 0
     fast_hits: int = 0              # TFT hit + partition tag match
-    fast_misses: int = 0            # TFT hit + tag mismatch (energy-only win)
     tft_missed_superpage_l1_hits: int = 0
     tft_missed_superpage_l1_misses: int = 0
     coherence_probes: int = 0
     coherence_ways_probed: int = 0
-    promotion_sweeps: int = 0
     promotion_sweep_cycles: int = 0
-    lines_swept: int = 0
 
     @property
     def tft_missed_superpage_accesses(self) -> int:
@@ -191,16 +187,11 @@ class SeesawL1Cache:
         invalidation instruction and is charged to
         ``seesaw_stats.promotion_sweep_cycles``.
         """
-        swept = 0
         for physical_base in old_physical_bases:
             for offset in range(0, int(PageSize.BASE_4KB), CACHE_LINE_SIZE):
-                if self.store.invalidate_line(
-                        physical_base + offset) is not None:
-                    swept += 1
-        self.seesaw_stats.promotion_sweeps += 1
+                self.store.invalidate_line(physical_base + offset)
         self.seesaw_stats.promotion_sweep_cycles += \
             self.PROMOTION_SWEEP_CYCLES
-        self.seesaw_stats.lines_swept += swept
         if self._sanitize:
             # A promotion rearranges the region's partition mapping; verify
             # every surviving line still sits where its PA says it must.
@@ -245,15 +236,12 @@ class SeesawL1Cache:
         is_super = page_size.is_superpage
         if is_super:
             seesaw_stats.superpage_accesses += 1
-        else:
-            seesaw_stats.base_page_accesses += 1
-            if tft_hit and self._sanitize:
-                raise _sanitize.SanitizerError(
-                    f"{self.name}: TFT hit for a base-page access at "
-                    f"va={virtual_address:#x} — a corrupted TFT entry "
-                    f"breaks the no-false-positive guarantee (paper §IV-A)")
+        elif tft_hit and self._sanitize:
+            raise _sanitize.SanitizerError(
+                f"{self.name}: TFT hit for a base-page access at "
+                f"va={virtual_address:#x} — a corrupted TFT entry "
+                f"breaks the no-false-positive guarantee (paper §IV-A)")
 
-        wp_correct: Optional[bool] = None
         predict_this_access = self.way_predictor is not None and (
             self.wp_gate is None or self.wp_gate.should_predict())
         if tft_hit:
@@ -281,9 +269,6 @@ class SeesawL1Cache:
             hit = way is not None
             if hit:
                 seesaw_stats.fast_hits += 1
-            else:
-                seesaw_stats.fast_misses += 1
-            fast_path = True
         else:
             # Rows 3-4: speculative partition in cycle 1, rest in cycle 2.
             latency = self._base_hit_cycles
@@ -304,7 +289,6 @@ class SeesawL1Cache:
                     # Second pass re-reads the whole set.
                     latency += self._base_hit_cycles
             hit = way is not None
-            fast_path = False
             if is_super:
                 if hit:
                     seesaw_stats.tft_missed_superpage_l1_hits += 1
@@ -334,8 +318,7 @@ class SeesawL1Cache:
         # Table I: a TFT-hit miss saves energy, not latency — the miss is
         # declared (and L2 probed) at the same tag-path point as the
         # baseline.
-        return (hit, latency, ways_probed, fast_path, tft_hit, wp_correct,
-                self._miss_detect)
+        return hit, latency, ways_probed, self._miss_detect
 
     def fill(self, physical_address: int, page_size: PageSize,
              dirty: bool = False) -> int:
@@ -346,7 +329,6 @@ class SeesawL1Cache:
             (physical_address >> self._partition_low_bit)
             & self._partition_mask]
         way = self.store.fill(physical_address, dirty=dirty,
-                              from_superpage=is_super,
                               candidate_ways=candidates)
         if self.way_predictor is not None:
             self.way_predictor.update_on_fill(
@@ -382,4 +364,4 @@ class SeesawL1Cache:
         if invalidate:
             cache_set.invalidate(way)
         return CoherenceProbeResult(present=True, ways_probed=ways_probed,
-                                    dirty=dirty, invalidated=invalidate)
+                                    dirty=dirty)

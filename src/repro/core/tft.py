@@ -27,13 +27,10 @@ _REGION_SHIFT = PageSize.SUPER_2MB.offset_bits
 
 @dataclass
 class TFTStats:
-    """Lookup/fill counters."""
+    """Lookup counters."""
 
     hits: int = 0
     misses: int = 0
-    fills: int = 0
-    invalidations: int = 0
-    flushes: int = 0
 
     @property
     def lookups(self) -> int:
@@ -90,7 +87,6 @@ class TranslationFilterTable:
         """
         region = region_2mb(virtual_address)
         self.slots[region % self.entries] = region
-        self.stats.fills += 1
 
     def invalidate(self, virtual_address: int) -> bool:
         """Drop the region entry (superpage splintered; ``invlpg`` hook).
@@ -102,13 +98,11 @@ class TranslationFilterTable:
         if self.slots[slot] != region:
             return False
         self.slots[slot] = None
-        self.stats.invalidations += 1
         return True
 
     def flush(self) -> None:
         """Clear the table (every context switch, paper §IV-C3)."""
         self.slots = [None] * self.entries
-        self.stats.flushes += 1
 
     def occupancy(self) -> int:
         """Number of valid entries."""

@@ -27,20 +27,18 @@ class OutOfOrderCore(CoreModel):
     overlap with each other instead (memory-level parallelism) and are
     charged ``L / miss_mlp``.
 
+    The 168-entry ROB and 54-entry scheduler (Table II) are not modeled
+    entry by entry: their hiding capacity is folded into ``hit_exposure``
+    and ``miss_mlp``.
+
     Args:
-        rob_entries / scheduler_entries: window sizes (Table II); recorded
-            for reporting — their hiding capacity is folded into
-            ``hit_exposure``/``miss_mlp``.
         hit_exposure: scale of the log-compressed hit-latency stall.
         miss_mlp: effective memory-level parallelism for misses.
     """
 
     def __init__(self, issue_width: int = 4, frequency_ghz: float = 1.33,
-                 rob_entries: int = 168, scheduler_entries: int = 54,
                  hit_exposure: float = 0.55, miss_mlp: float = 2.5) -> None:
         super().__init__(issue_width, frequency_ghz)
-        self.rob_entries = rob_entries
-        self.scheduler_entries = scheduler_entries
         self.hit_exposure = hit_exposure
         self.miss_mlp = miss_mlp
 

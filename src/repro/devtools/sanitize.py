@@ -6,8 +6,8 @@ the simulator's trust boundaries:
 
 * **coherence** — at most one dirty copy of a line; every L1 holding a
   line is on the directory's sharer list; a write transaction leaves the
-  writer as the only holder; (state, event) pairs are legal MOESI
-  transitions;
+  writer as the only holder; every SEESAW line sits in the partition its
+  physical address names;
 * **VIPT indexing** — virtual and physical set index agree (the VIPT
   constraint), and for superpage accesses the partition index agrees
   (SEESAW's enabling observation);
@@ -35,9 +35,6 @@ _FALSEY = ("", "0", "false", "no", "off")
 
 #: Programmatic override (None = follow the environment).
 _override: Optional[bool] = None
-
-#: Coherence states a *valid* cache line may carry.
-VALID_LINE_STATES = frozenset(("M", "O", "E", "S"))
 
 
 class SanitizerError(AssertionError):
@@ -69,27 +66,6 @@ def check(condition: bool, message: str) -> None:
     """Raise :class:`SanitizerError` with ``message`` unless ``condition``."""
     if not condition:
         raise SanitizerError(message)
-
-
-# ------------------------------------------------------------- cache lines
-
-def check_line_state(cache_set, way: int, where: str = "cache") -> None:
-    """A valid way carries a valid MOESI state; an invalid one carries I."""
-    state = cache_set.states[way]
-    if cache_set.tags[way] is not None:
-        check(state in VALID_LINE_STATES,
-              f"{where}: valid line in way {way} in illegal coherence "
-              f"state {state!r}")
-    else:
-        check(state == "I",
-              f"{where}: invalid line in way {way} still in state {state!r}")
-
-
-def check_transition(state, event) -> None:
-    """``(state, event)`` must be a defined MOESI transition."""
-    from repro.coherence.protocol import _TRANSITIONS
-    check((state, event) in _TRANSITIONS,
-          f"illegal MOESI transition: {state!r} on {event!r}")
 
 
 # -------------------------------------------------------------- coherence
@@ -149,10 +125,6 @@ def check_coherence_entry(caches: Iterable, line_address: int,
     check(len(dirty) <= 1,
           f"{context}: line {line_address:#x} dirty in multiple L1s "
           f"{dirty} — single-writer invariant broken")
-    for core in holding:
-        check_line_state(*caches[core].store.locate(line_address),
-                         where=f"{context} core {core} line "
-                               f"{line_address:#x}")
 
 
 def check_write_exclusivity(caches: Iterable, line_address: int,

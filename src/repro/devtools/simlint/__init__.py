@@ -9,7 +9,7 @@ Usage::
 
 Rules
 -----
-SL001  counter-drift   stats/result/energy field declared but never written
+SL001  counter-drift   stats/result/energy field never written; stats field never read
 SL002  determinism     unseeded RNGs, global ``random.*``, set iteration
 SL003  config hygiene  config field never read / unknown field constructed
 SL004  unit mixing     ``*_cycles`` added to ``*_ns``/``*_nj``/``*_pj``

@@ -64,23 +64,32 @@ def _terminal_name(node: ast.AST) -> Optional[str]:
 
 
 class CounterDriftChecker(Checker):
-    """SL001: every stats/result/energy field must be written somewhere.
+    """SL001: every stats/result/energy field must be written somewhere,
+    and every ``*Stats`` counter read somewhere.
 
     A ``SimulationResult`` field that nothing ever assigns is a silent
     zero in every figure.  A field counts as *written* when its name
     appears as an attribute store / augmented-assign target, or as a
     keyword argument to any call (dataclass construction or ``replace``),
     anywhere outside the defining class body.
+
+    A ``*Stats`` counter that is written but never read is bookkeeping
+    every event pays for and no figure uses.  A field counts as *read*
+    when, outside its own class body, its name appears as an attribute
+    load or as a string constant (``getattr(stats, "name")``, a tuple of
+    counter names).
     """
 
     rule = "SL001"
-    description = "stats field declared but never written"
+    description = "stats field declared but never written, or never read"
 
     def __init__(self) -> None:
         super().__init__()
         # (class name, field name) -> (path, node)
         self._fields: Dict[Tuple[str, str], Tuple[str, ast.AST]] = {}
         self._written: Set[str] = set()
+        #: field name -> the classes whose bodies read it (None: no class)
+        self._read: Dict[str, Set[Optional[str]]] = {}
 
     def collect(self, module: Module) -> None:
         for node in ast.walk(module.tree):
@@ -100,6 +109,24 @@ class CounterDriftChecker(Checker):
                 for keyword in node.keywords:
                     if keyword.arg is not None:
                         self._written.add(keyword.arg)
+        self._collect_reads(module.tree, None)
+
+    def _collect_reads(self, node: ast.AST, owner: Optional[str]) -> None:
+        """Record attribute loads and string constants under the name of
+        the innermost enclosing class."""
+        for child in ast.iter_child_nodes(node):
+            name = None
+            if isinstance(child, ast.Attribute) \
+                    and isinstance(child.ctx, ast.Load):
+                name = child.attr
+            elif isinstance(child, ast.Constant) \
+                    and isinstance(child.value, str):
+                name = child.value
+            if name is not None:
+                self._read.setdefault(name, set()).add(owner)
+            self._collect_reads(
+                child,
+                child.name if isinstance(child, ast.ClassDef) else owner)
 
     def _collect_fields(self, path: str, node: ast.ClassDef) -> None:
         for statement in node.body:
@@ -119,6 +146,11 @@ class CounterDriftChecker(Checker):
                 self.report(path, node,
                             f"field '{cls}.{name}' is declared but never "
                             f"written outside its definition")
+            elif cls.endswith("Stats") \
+                    and not self._read.get(name, set()) - {cls}:
+                self.report(path, node,
+                            f"field '{cls}.{name}' is written but never "
+                            f"read outside its definition")
 
 
 class _SetTypes(ast.NodeVisitor):

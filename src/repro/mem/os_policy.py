@@ -13,7 +13,6 @@ invalidation hooks.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Set
 
 from repro.mem.address import PageSize, page_base
@@ -40,17 +39,6 @@ class THPPolicy(enum.Enum):
     NEVER = "never"      # only 4KB base pages
 
 
-@dataclass
-class MemoryManagerStats:
-    """Allocation-outcome counters used by the Fig. 3 experiment."""
-
-    superpages_allocated: int = 0
-    superpage_fallbacks: int = 0   # wanted 2MB, got 512 x 4KB
-    base_pages_allocated: int = 0
-    superpages_splintered: int = 0
-    superpages_promoted: int = 0
-
-
 class MemoryManager:
     """Per-system OS memory manager with transparent superpage support.
 
@@ -69,7 +57,6 @@ class MemoryManager:
         self._broken_regions: Set[int] = set()
         self._invalidation_hooks: List[InvalidationHook] = []
         self._promotion_hooks: List[PromotionHook] = []
-        self.stats = MemoryManagerStats()
 
     # ------------------------------------------------------------- pickling
 
@@ -119,14 +106,11 @@ class MemoryManager:
             if self._region_is_free(table, base):
                 physical = self.physical.allocate_page(PageSize.SUPER_2MB)
                 if physical is not None:
-                    self.stats.superpages_allocated += 1
                     return table.map(base, physical, PageSize.SUPER_2MB)
-                self.stats.superpage_fallbacks += 1
             self._broken_regions.add(region)
         physical = self.physical.allocate_page(PageSize.BASE_4KB)
         if physical is None:
             raise MemoryError("physical memory exhausted")
-        self.stats.base_pages_allocated += 1
         base = page_base(virtual_address, PageSize.BASE_4KB)
         return table.map(base, physical, PageSize.BASE_4KB)
 
@@ -155,7 +139,6 @@ class MemoryManager:
         # Split the compound physical allocation too, so the new base
         # frames are independently freeable.
         self.physical.split_superpage(mapping.physical_base)
-        self.stats.superpages_splintered += 1
         self._fire_invalidation(virtual_base, PageSize.SUPER_2MB)
 
     def promote_region(self, virtual_base: int,
@@ -189,7 +172,6 @@ class MemoryManager:
                 physical = self.physical.allocate_page(PageSize.BASE_4KB)
                 if physical is None:
                     return None
-                self.stats.base_pages_allocated += 1
                 mapping = table.map(va, physical, PageSize.BASE_4KB)
             if mapping.page_size is not PageSize.BASE_4KB:
                 return None  # already a superpage
@@ -205,7 +187,6 @@ class MemoryManager:
             old_physical_bases.append(old.physical_base)
         for hook in self._promotion_hooks:
             hook(virtual_base, old_physical_bases)
-        self.stats.superpages_promoted += 1
         self._broken_regions.discard(
             virtual_base >> PageSize.SUPER_2MB.offset_bits)
         return mapping

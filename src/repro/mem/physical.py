@@ -10,7 +10,6 @@ no longer back new regions with superpages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.mem.address import PAGE_SIZE_4KB, PAGE_SIZE_2MB, PageSize, is_aligned
@@ -36,17 +35,6 @@ def order_for_page_size(page_size: PageSize) -> int:
     return page_size.offset_bits - PageSize.BASE_4KB.offset_bits
 
 
-@dataclass
-class BuddyStats:
-    """Counters exposed for tests and for the Fig. 3 experiment."""
-
-    allocations: int = 0
-    frees: int = 0
-    splits: int = 0
-    coalesces: int = 0
-    failed_allocations: int = 0
-
-
 class BuddyAllocator:
     """Binary buddy allocator over a contiguous physical address range.
 
@@ -59,7 +47,6 @@ class BuddyAllocator:
         if total_bytes <= 0 or total_bytes % PAGE_SIZE_4KB:
             raise ValueError("total_bytes must be a positive multiple of 4KB")
         self.total_frames = total_bytes // PAGE_SIZE_4KB
-        self.stats = BuddyStats()
         # free_lists[order] -> set of first-frame-numbers of free blocks
         self._free_lists: List[Set[int]] = [set() for _ in range(MAX_ORDER + 1)]
         # allocated block -> order (so free() knows the size)
@@ -94,7 +81,6 @@ class BuddyAllocator:
         while source <= MAX_ORDER and not self._free_lists[source]:
             source += 1
         if source > MAX_ORDER:
-            self.stats.failed_allocations += 1
             raise OutOfMemoryError(f"no free block of order >= {order}")
         # Any free block at this order is equally good; set iteration order
         # is deterministic for a fixed operation history, so runs reproduce.
@@ -105,9 +91,7 @@ class BuddyAllocator:
             source -= 1
             buddy = frame + (1 << source)
             self._free_lists[source].add(buddy)
-            self.stats.splits += 1
         self._allocated[frame] = order
-        self.stats.allocations += 1
         return frame
 
     def try_allocate(self, order: int) -> Optional[int]:
@@ -140,14 +124,12 @@ class BuddyAllocator:
         step = 1 << target_order
         for sub in range(frame, frame + (1 << order), step):
             self._allocated[sub] = target_order
-        self.stats.splits += (1 << (order - target_order)) - 1
 
     def free(self, frame: int) -> None:
         """Free a previously allocated block, coalescing with free buddies."""
         if frame not in self._allocated:
             raise ValueError(f"frame {frame} is not the start of an allocation")
         order = self._allocated.pop(frame)
-        self.stats.frees += 1
         while order < MAX_ORDER:
             buddy = frame ^ (1 << order)
             if buddy not in self._free_lists[order]:
@@ -155,7 +137,6 @@ class BuddyAllocator:
             self._free_lists[order].discard(buddy)
             frame = min(frame, buddy)
             order += 1
-            self.stats.coalesces += 1
         self._free_lists[order].add(frame)
 
     # ------------------------------------------------------------ inspection

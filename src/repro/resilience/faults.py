@@ -161,8 +161,7 @@ def _inject_partition_desync(sim, index: int) -> bool:
                     continue
                 if cache_set.tags[other_way] is not None:
                     continue
-                for field in (cache_set.tags, cache_set.dirty,
-                              cache_set.states, cache_set.from_superpage):
+                for field in (cache_set.tags, cache_set.dirty):
                     field[other_way] = field[way]
                 cache_set.invalidate(way)
                 return True

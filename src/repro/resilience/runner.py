@@ -69,9 +69,6 @@ from repro.resilience.errors import (
 )
 from repro.resilience.supervisor import trap_interrupts, worker_rss_bytes
 
-#: Designs a sweep accepts (mirrors SystemConfig.l1_design validation).
-VALID_DESIGNS = ("vipt", "pipt", "vivt", "seesaw")
-
 #: Default free-space floor (bytes) checked before every journal append;
 #: hitting it pauses the sweep cleanly instead of tearing the journal.
 DEFAULT_MIN_FREE_BYTES = 32 * 2 ** 20
@@ -80,7 +77,6 @@ DEFAULT_MIN_FREE_BYTES = 32 * 2 ** 20
 MAX_RETRY_BACKOFF_S = 30.0
 
 __all__ = [
-    "VALID_DESIGNS",
     "MAX_RETRY_BACKOFF_S",
     "CellTimeout",
     "CellCrash",
@@ -967,16 +963,17 @@ def resilient_sweep(base_config, workloads, trace_length: int = 60_000,
     the sweep instead: the report comes back with ``paused=True`` and a
     ``resume_hint``.
     """
+    from repro.sim.config import L1_DESIGNS
     from repro.sim.stats import SimulationResult
     from repro.workloads.suite import get_workload
 
     workloads = list(workloads)
     designs = list(designs)
     for design in designs:
-        if design not in VALID_DESIGNS:
+        if design not in L1_DESIGNS:
             raise ValueError(
                 f"unknown design {design!r}; valid designs: "
-                f"{', '.join(VALID_DESIGNS)}")
+                f"{', '.join(L1_DESIGNS)}")
     for workload in workloads:
         get_workload(workload)  # typo fails up front, naming valid choices
     if sampling_plan is not None and fault_plan is not None:

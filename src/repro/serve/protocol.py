@@ -39,6 +39,7 @@ import re
 from typing import Any, Dict, Optional, Tuple
 
 from repro.resilience.errors import AdmissionError
+from repro.sim.config import CORE_MODELS, L1_DESIGNS
 
 __all__ = [
     "PARSE_ERROR",
@@ -77,8 +78,6 @@ SIM_PARAM_KEYS = ("workloads", "designs", "length", "seed", "size_kb",
                   "freq", "core", "memhog", "way_prediction",
                   "sampled", "interval_size", "max_clusters", "warmup")
 
-_DESIGNS = ("vipt", "pipt", "vivt", "seesaw")
-_CORES = ("ooo", "inorder")
 _SIZES = (32, 64, 128)
 
 #: Resume tokens are request digests — exactly 64 lowercase hex chars.
@@ -90,13 +89,13 @@ TOKEN_RE = re.compile(r"[0-9a-f]{64}")
 _PARAM_FORMS = {
     "workload": "workload: a workload name or rtrace:<path> (run only)",
     "workloads": "workloads: list of workload names / rtrace:<path> tokens",
-    "design": f"design: one of {', '.join(_DESIGNS)} (run only)",
-    "designs": f"designs: list drawn from {', '.join(_DESIGNS)}",
+    "design": f"design: one of {', '.join(L1_DESIGNS)} (run only)",
+    "designs": f"designs: list drawn from {', '.join(L1_DESIGNS)}",
     "length": "length: trace references, int >= 1",
     "seed": "seed: int",
     "size_kb": f"size_kb: one of {', '.join(map(str, _SIZES))}",
     "freq": "freq: core GHz, float > 0",
-    "core": f"core: one of {', '.join(_CORES)}",
+    "core": f"core: one of {', '.join(CORE_MODELS)}",
     "memhog": "memhog: fraction in [0, 0.75]",
     "way_prediction": "way_prediction: bool",
     "sampled": "sampled: bool, run the sampled interval-simulation lane",
@@ -281,11 +280,11 @@ def validate_params(method: str, params: Dict) -> Dict:
         if not isinstance(designs, list) or not designs:
             raise _invalid("designs", "expected a non-empty list")
         for design in designs:
-            if design not in _DESIGNS:
+            if design not in L1_DESIGNS:
                 raise _invalid(
                     "designs" if method == "sweep" else "design",
                     f"unknown design {design!r}; valid designs: "
-                    f"{', '.join(_DESIGNS)}")
+                    f"{', '.join(L1_DESIGNS)}")
         out["workloads"] = list(workloads)
         out["designs"] = list(dict.fromkeys(designs))
 
@@ -299,9 +298,9 @@ def validate_params(method: str, params: Dict) -> Dict:
         out["size_kb"] = size_kb
         out["freq"] = _as_positive_float("freq", params.get("freq", 1.33))
         core = params.get("core", "ooo")
-        if core not in _CORES:
+        if core not in CORE_MODELS:
             raise _invalid("core", f"got {core!r}; valid cores: "
-                                   f"{', '.join(_CORES)}")
+                                   f"{', '.join(CORE_MODELS)}")
         out["core"] = core
         memhog = params.get("memhog", 0.0)
         if isinstance(memhog, bool) or not isinstance(memhog, (int, float)) \

@@ -19,6 +19,13 @@ from repro.core.scheduling import HitSpeculationPolicy
 from repro.energy.sram import SRAMModel, TABLE3
 from repro.mem.os_policy import THPPolicy
 
+#: The L1 designs a machine can use: the VIPT baseline, the PIPT and
+#: VIVT alternatives (Fig. 14 / §VII) and SEESAW.
+L1_DESIGNS = ("vipt", "pipt", "vivt", "seesaw")
+#: The core timing models: out-of-order (Sandybridge-like) and in-order
+#: (Atom-like), Table II.
+CORE_MODELS = ("ooo", "inorder")
+
 #: Paper Table II, for the record (the configuration dump the Table II
 #: bench prints).  Values are the paper's, independent of any scaling the
 #: simulator applies for tractability.
@@ -119,9 +126,9 @@ class SystemConfig:
     # ------------------------------------------------------------- validation
 
     def __post_init__(self) -> None:
-        if self.l1_design not in ("vipt", "pipt", "vivt", "seesaw"):
+        if self.l1_design not in L1_DESIGNS:
             raise ValueError(f"unknown l1_design {self.l1_design!r}")
-        if self.core not in ("ooo", "inorder"):
+        if self.core not in CORE_MODELS:
             raise ValueError(f"unknown core model {self.core!r}")
         if self.coherence not in ("directory", "snoop", "none"):
             raise ValueError(f"unknown coherence fabric {self.coherence!r}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.sim.config import SystemConfig
+from repro.sim.config import L1_DESIGNS, SystemConfig
 from repro.sim.stats import SimulationResult
 from repro.sim.system import simulate
 from repro.workloads.suite import (WorkloadSpec, build_trace, cached_trace,
@@ -19,19 +19,15 @@ from repro.workloads.suite import (WorkloadSpec, build_trace, cached_trace,
 from repro.workloads.trace import MemoryTrace
 
 
-#: L1 designs the experiment drivers accept.
-VALID_DESIGNS = ("vipt", "pipt", "vivt", "seesaw")
-
-
 def _require_known_designs(designs: Iterable[str]) -> List[str]:
     """Validate design names up front, so a typo fails with the list of
     valid choices instead of a bare KeyError deep in construction."""
     designs = list(designs)
     for design in designs:
-        if design not in VALID_DESIGNS:
+        if design not in L1_DESIGNS:
             raise ValueError(
                 f"unknown design {design!r}; valid designs: "
-                f"{', '.join(VALID_DESIGNS)}")
+                f"{', '.join(L1_DESIGNS)}")
     return designs
 
 

@@ -43,6 +43,7 @@ from repro.devtools import sanitize
 from repro.energy.accounting import (DYNAMIC_ENERGY_FIELDS, EnergyAccountant,
                                      EnergyBreakdown)
 from repro.energy.sram import SRAMModel
+from repro.mem.address import PageSize
 from repro.mem.fragmentation import Memhog
 from repro.mem.os_policy import MemoryManager
 from repro.mem.page_table import TranslationFault
@@ -241,7 +242,7 @@ class SystemSimulator:
         if config.coherence == "directory":
             self.fabric = Directory(self.l1s, sanitize=self._sanitize)
         elif config.coherence == "snoop":
-            self.fabric = SnoopyBus(self.l1s)
+            self.fabric = SnoopyBus(self.l1s, sanitize=self._sanitize)
         else:
             self.fabric = None
 
@@ -320,8 +321,6 @@ class SystemSimulator:
         """
         from repro.cache.basic import CacheStats
         from repro.cache.way_predictor import WayPredictorStats
-        from repro.coherence.directory import DirectoryStats
-        from repro.coherence.snoop import SnoopStats
         from repro.core.scheduling import SchedulerStats
         from repro.core.seesaw import SeesawStats
         from repro.core.tft import TFTStats
@@ -345,12 +344,7 @@ class SystemSimulator:
         for scheduler in self.schedulers:
             if scheduler is not None:
                 scheduler.stats = SchedulerStats()
-        if self.fabric is not None:
-            self.fabric.stats = (DirectoryStats()
-                                 if isinstance(self.fabric, Directory)
-                                 else SnoopStats())
         self.hierarchy.llc.stats = CacheStats()
-        self.hierarchy.dram.accesses = 0
         self.energy.breakdown = EnergyBreakdown()
         self._retire_keys.clear()
         self._lookup_codes.clear()
@@ -605,9 +599,8 @@ class SystemSimulator:
                                 translate[core_id](va)
                         if page_size.is_superpage:
                             superpage_refs += 1
-                        (hit, latency, ways_probed, _fast_path, _tft_hit,
-                         _wp_correct, miss_detect) = access[core_id](
-                            va, pa, page_size, is_write)
+                        hit, latency, ways_probed, miss_detect = \
+                            access[core_id](va, pa, page_size, is_write)
                         if level == "l1":
                             codes_append(ways_probed)
                             extra_tlb = 0
@@ -687,27 +680,23 @@ class SystemSimulator:
 
     # ---------------------------------------------------- snapshot / restore
 
-    #: bump when the snapshot payload layout changes.  v2: slotted TLB
-    #: entries, cache lines and L1 access results and precomputed
-    #: geometry fields make v1 payloads unloadable.  v3: PIPT and VIVT L1s
-    #: carry folded per-access latencies that v2 payloads lack.  v4: cache
-    #: sets hold flat per-way lists instead of ``CacheLine`` objects.  v5:
-    #: TLB sets are dicts keyed by virtual page, page size and
-    #: address-space id, and ``TLBEntry`` is a NamedTuple without
-    #: ``valid``.  v6: cache sets keep their LRU ``order`` list instead of
-    #: a policy object, the TFT is a list of direct-mapped slots, and TLB
-    #: hierarchies have no 1GB L1 TLB or probe-order tuple.  v7: the loop
-    #: state carries the background probe's undrawn indices, core stats
-    #: drop ``memory_references`` and ``stall_cycles``, and the hierarchy
-    #: holds one prebuilt miss result per serviced level.  v8: TLB keys
-    #: are ``(virtual_page, page_size)``, the memory manager holds one
-    #: page table, and the hierarchy holds its ``llc`` instead of a list
-    #: of levels.  v9: TLB keys are ints (``tlb_key``), TLB hierarchies
-    #: carry their L1 probe order, directory entries are ``[sharer
-    #: bitmask, owner]`` lists, the accountant holds its energies as
-    #: arrays, SEESAW L1s hold a fill-candidate table, and the memory
-    #: hierarchy no longer stores its frequency.
-    SNAPSHOT_VERSION = 9
+    #: the payload layout's version.  Bump it whenever a pickled
+    #: component gains, loses or reshapes an attribute, or when
+    #: ``SNAPSHOT_COMPONENTS`` / ``SNAPSHOT_LOOP`` change: a payload of
+    #: another version is refused instead of resuming a run on state
+    #: this code would misread.
+    SNAPSHOT_VERSION = 10
+
+    #: the components a snapshot pickles, each under its attribute name.
+    SNAPSHOT_COMPONENTS = ("physical", "memhog", "manager", "tlbs", "l1s",
+                           "cores", "schedulers", "fabric", "hierarchy",
+                           "energy")
+    #: the run-loop fields a snapshot pickles, each as the attribute
+    #: ``_<name>``.
+    SNAPSHOT_LOOP = ("next_index", "warmup_end", "expected_references",
+                     "measured_references", "superpage_references",
+                     "recent_lines", "probe_draws", "region_bases",
+                     "churn_cursor", "prewarmed", "faults_injected")
 
     def snapshot(self) -> bytes:
         """Serialize the complete mutable simulation state.
@@ -729,32 +718,11 @@ class SystemSimulator:
             "version": self.SNAPSHOT_VERSION,
             "config_digest": config_digest(self.config),
             "trace_digest": trace_digest(self.trace),
-            "components": {
-                "physical": self.physical,
-                "memhog": self.memhog,
-                "manager": self.manager,
-                "tlbs": self.tlbs,
-                "l1s": self.l1s,
-                "cores": self.cores,
-                "schedulers": self.schedulers,
-                "fabric": self.fabric,
-                "hierarchy": self.hierarchy,
-                "energy": self.energy,
-            },
+            "components": {name: getattr(self, name)
+                           for name in self.SNAPSHOT_COMPONENTS},
             "rng": self._rng,
-            "loop": {
-                "next_index": self._next_index,
-                "warmup_end": self._warmup_end,
-                "expected_references": self._expected_references,
-                "measured_references": self._measured_references,
-                "superpage_references": self._superpage_references,
-                "recent_lines": self._recent_lines,
-                "probe_draws": self._probe_draws,
-                "region_bases": self._region_bases,
-                "churn_cursor": self._churn_cursor,
-                "prewarmed": self._prewarmed,
-                "faults_injected": self._faults_injected,
-            },
+            "loop": {name: getattr(self, "_" + name)
+                     for name in self.SNAPSHOT_LOOP},
         }
         return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
 
@@ -796,30 +764,11 @@ class SystemSimulator:
                 "snapshot was taken against a different trace "
                 f"({state['trace_digest'][:12]}… != "
                 f"{trace_digest(self.trace)[:12]}…)")
-        components = state["components"]
-        self.physical = components["physical"]
-        self.memhog = components["memhog"]
-        self.manager = components["manager"]
-        self.tlbs = components["tlbs"]
-        self.l1s = components["l1s"]
-        self.cores = components["cores"]
-        self.schedulers = components["schedulers"]
-        self.fabric = components["fabric"]
-        self.hierarchy = components["hierarchy"]
-        self.energy = components["energy"]
+        for name in self.SNAPSHOT_COMPONENTS:
+            setattr(self, name, state["components"][name])
         self._rng = state["rng"]
-        loop = state["loop"]
-        self._next_index = loop["next_index"]
-        self._warmup_end = loop["warmup_end"]
-        self._expected_references = loop["expected_references"]
-        self._measured_references = loop["measured_references"]
-        self._superpage_references = loop["superpage_references"]
-        self._recent_lines = loop["recent_lines"]
-        self._probe_draws = loop["probe_draws"]
-        self._region_bases = loop["region_bases"]
-        self._churn_cursor = loop["churn_cursor"]
-        self._prewarmed = loop["prewarmed"]
-        self._faults_injected = loop["faults_injected"]
+        for name in self.SNAPSHOT_LOOP:
+            setattr(self, "_" + name, state["loop"][name])
         # A snapshot folds first, so nothing is pending.
         self._retire_keys.clear()
         self._lookup_codes.clear()
@@ -865,34 +814,29 @@ class SystemSimulator:
     def _churn_splinter(self) -> None:
         """Splinter the next superpage-backed region of the workload's
         heap (models the OS breaking a huge page, paper §IV-C2)."""
-        from repro.mem.address import PageSize
-        table = self.manager.page_table
-        for _ in range(len(self._region_bases)):
-            base = self._region_bases[self._churn_cursor
-                                      % len(self._region_bases)]
-            self._churn_cursor += 1
-            try:
-                if table.page_size_of(base) is PageSize.SUPER_2MB:
-                    self.manager.splinter_superpage(base)
-                    return
-            except TranslationFault:
-                continue  # region not paged in yet; try the next one
+        self._churn_next(PageSize.SUPER_2MB, self.manager.splinter_superpage)
 
     def _churn_promote(self) -> None:
         """Promote the next base-page-backed region (khugepaged model);
         SEESAW caches sweep the retired frames via their promotion hook."""
-        from repro.mem.address import PageSize
+        self._churn_next(PageSize.BASE_4KB, partial(
+            self.manager.promote_region, fault_in_missing=True))
+
+    def _churn_next(self, page_size: PageSize, change) -> None:
+        """Call ``change(base)`` on the next workload region, searching
+        on from the churn cursor, whose base a ``page_size`` page maps;
+        regions not paged in yet are skipped."""
         table = self.manager.page_table
         for _ in range(len(self._region_bases)):
             base = self._region_bases[self._churn_cursor
                                       % len(self._region_bases)]
             self._churn_cursor += 1
             try:
-                if table.page_size_of(base) is PageSize.BASE_4KB:
-                    self.manager.promote_region(base, fault_in_missing=True)
+                if table.page_size_of(base) is page_size:
+                    change(base)
                     return
             except TranslationFault:
-                continue  # region not paged in yet; try the next one
+                continue
 
     # ----------------------------------------------------------------- stats
 
@@ -905,8 +849,6 @@ class SystemSimulator:
         superpage region (2MB resident) against just the touched pages of
         a fallback region and overstate coverage.
         """
-        from repro.mem.address import PageSize
-        from repro.mem.page_table import TranslationFault
         table = self.manager.page_table
         addresses, _ = self.trace.columns()
         # The trace-truncate fault cuts the trace in place to a prefix, so

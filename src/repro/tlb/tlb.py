@@ -41,14 +41,10 @@ def tlb_key(virtual_page: int, page_size: PageSize) -> int:
 
 @dataclass
 class TLBStats:
-    """Hit/miss/fill counters."""
+    """Hit/miss counters."""
 
     hits: int = 0
     misses: int = 0
-    fills: int = 0
-    evictions: int = 0
-    invalidations: int = 0
-    flushes: int = 0
 
     @property
     def accesses(self) -> int:
@@ -147,14 +143,11 @@ class TLB:
         key = virtual_page << 2 | SIZE_CODES[page_size]   # tlb_key, inlined
         victim = None
         if entries.pop(key, None) is None:
-            stats = self.stats
             if len(entries) >= self.ways:
                 # The LRU entry makes room: the resident count holds.
                 victim = entries.pop(next(iter(entries)))
-                stats.evictions += 1
             else:
                 self._resident += 1
-            stats.fills += 1
         entries[key] = TLBEntry(virtual_page, physical_page, page_size)
         return victim
 
@@ -168,7 +161,6 @@ class TLB:
                 tlb_key(vpn, page_size), None) is None:
             return False
         self._resident -= 1
-        self.stats.invalidations += 1
         return True
 
     def flush(self) -> int:
@@ -178,7 +170,6 @@ class TLB:
             removed += len(entries)
             entries.clear()
         self._resident -= removed
-        self.stats.flushes += 1
         return removed
 
     def valid_entry_count(self, page_size: Optional[PageSize] = None) -> int:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.mem.address import PageSize
 from repro.mem.page_table import Mapping, PageTable
 
 
@@ -22,17 +21,6 @@ class WalkResult:
 
     mapping: Mapping
     latency_cycles: int
-    memory_references: int
-
-
-@dataclass
-class WalkerStats:
-    """Walk counters split by resulting page size."""
-
-    walks: int = 0
-    walk_cycles: int = 0
-    base_page_walks: int = 0
-    superpage_walks: int = 0
 
 
 class PageWalker:
@@ -48,7 +36,6 @@ class PageWalker:
                  cycles_per_reference: int = 15) -> None:
         self.page_table = page_table
         self.cycles_per_reference = cycles_per_reference
-        self.stats = WalkerStats()
 
     def walk(self, virtual_address: int) -> WalkResult:
         """Walk the table for ``virtual_address``.
@@ -58,12 +45,5 @@ class PageWalker:
                 OS layer should have prevented via demand paging).
         """
         mapping, references = self.page_table.walk(virtual_address)
-        latency = references * self.cycles_per_reference
-        self.stats.walks += 1
-        self.stats.walk_cycles += latency
-        if mapping.is_superpage:
-            self.stats.superpage_walks += 1
-        else:
-            self.stats.base_page_walks += 1
-        return WalkResult(mapping=mapping, latency_cycles=latency,
-                          memory_references=references)
+        return WalkResult(mapping=mapping, latency_cycles=references
+                          * self.cycles_per_reference)

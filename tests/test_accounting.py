@@ -82,10 +82,10 @@ class TestReferenceEvents:
         charges DRAM."""
         accountant = make_accountant()
         accountant.record_miss(MissServiceResult(
-            30, "llc", llc_accessed=True))
+            30, llc_accessed=True))
         assert accountant.breakdown.dram_nj == 0.0
         accountant.record_miss(MissServiceResult(
-            100, "dram", llc_accessed=True, dram_accessed=True))
+            100, llc_accessed=True, dram_accessed=True))
         b = accountant.breakdown
         assert b.llc_nj == accountant.llc_access_nj * 2
         assert b.l2_nj == 0.0
@@ -99,7 +99,7 @@ class TestOtherEvents:
         accountant = make_accountant()
         accountant.fold_references(np.array([~8]), 1)
         accountant.record_miss(MissServiceResult(
-            100, "dram", llc_accessed=True, dram_accessed=True))
+            100, llc_accessed=True, dram_accessed=True))
         accountant.record_llc_access()
         b = accountant.breakdown
         assert b.tlb_nj == pytest.approx(2 * accountant.tlb_lookup_nj)

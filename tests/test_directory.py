@@ -17,6 +17,14 @@ def make_l1s(n=4, seesaw=False):
     return [ViptL1Cache(32 * 1024, TIMING) for _ in range(n)]
 
 
+def probe_log(fabric):
+    """The (core, ways probed) of every probe ``fabric`` delivers."""
+    events = []
+    fabric.register_probe_listener(
+        lambda core, ways: events.append((core, ways)))
+    return events
+
+
 class TestDirectoryReads:
     def test_read_registers_sharer(self):
         directory = Directory(make_l1s())
@@ -30,13 +38,15 @@ class TestDirectoryReads:
         directory.cpu_write(1, 0x1000)
         forwarded = directory.cpu_read(0, 0x1000)
         assert forwarded
-        assert directory.stats.owner_forwards == 1
+        # The owner reading its own line needs no forward.
+        assert not directory.cpu_read(1, 0x1000)
 
     def test_read_without_owner_does_not_probe(self):
         directory = Directory(make_l1s())
+        probes = probe_log(directory)
         directory.cpu_read(0, 0x1000)
         directory.cpu_read(2, 0x1000)
-        assert directory.stats.probes_sent == 0
+        assert probes == []
 
 
 class TestDirectoryWrites:
@@ -57,8 +67,11 @@ class TestDirectoryWrites:
         directory = Directory(caches)
         caches[0].fill(0x1000, PageSize.BASE_4KB, dirty=True)
         directory.cpu_write(0, 0x1000)
+        probes = probe_log(directory)
         directory.cpu_write(1, 0x1000)
-        assert directory.stats.writebacks_collected == 1
+        # The dirty owner is probed, and its copy leaves with the probe.
+        assert probes == [(0, 8)]
+        assert not caches[0].store.contains(0x1000)
 
     def test_write_by_sole_owner_sends_no_probes(self):
         directory = Directory(make_l1s())
@@ -108,9 +121,10 @@ class TestSnoopyBus:
         caches = make_l1s()
         bus = SnoopyBus(caches)
         caches[2].fill(0x1000, PageSize.BASE_4KB)
+        probes = probe_log(bus)
         hit = bus.cpu_read(0, 0x1000)
         assert hit
-        assert bus.stats.probes_sent == 3
+        assert probes == [(1, 8), (2, 8), (3, 8)]
 
     def test_write_invalidates_everywhere(self):
         caches = make_l1s()
@@ -127,10 +141,11 @@ class TestSnoopyBus:
         def probes_for(fabric_cls):
             caches = make_l1s()
             fabric = fabric_cls(caches)
+            probes = probe_log(fabric)
             for i in range(10):
                 fabric.cpu_read(0, 0x1000 + i * 64)
                 fabric.cpu_write(1, 0x1000 + i * 64)
-            return fabric.stats.probes_sent
+            return len(probes)
 
         assert probes_for(SnoopyBus) > probes_for(Directory)
 
@@ -138,10 +153,13 @@ class TestSnoopyBus:
         caches = make_l1s()
         bus = SnoopyBus(caches)
         caches[1].fill(0x1000, PageSize.BASE_4KB, dirty=True)
+        probes = probe_log(bus)
         bus.cpu_write(0, 0x1000)
-        assert bus.stats.writebacks_collected == 1
+        assert probes == [(1, 8), (2, 8), (3, 8)]
+        assert not caches[1].store.contains(0x1000)
 
     def test_evict_is_silent(self):
         bus = SnoopyBus(make_l1s())
+        probes = probe_log(bus)
         bus.evict(0, 0x1000)
-        assert bus.stats.broadcasts == 0
+        assert probes == []

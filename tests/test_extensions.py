@@ -9,6 +9,7 @@ from repro.cache.vipt import L1Timing
 from repro.core.adaptive_wp import WayPredictionGate
 from repro.core.seesaw import SeesawL1Cache
 from repro.mem.address import PAGE_SIZE_2MB, PageSize
+from repro.mem.page_table import TranslationFault
 from repro.sim.config import SystemConfig
 from repro.sim.system import SystemSimulator
 from repro.workloads.suite import build_trace, get_workload
@@ -28,7 +29,7 @@ class TestAsidTaggedTFT:
         cache.tft.fill(region_va(3))
         cache.on_context_switch()
         assert not cache.tft.probe(region_va(3))
-        assert cache.tft.stats.flushes == 1
+        assert cache.tft.occupancy() == 0
 
 
 class TestWayPredictionGate:
@@ -80,23 +81,53 @@ class TestAdaptiveWpEndToEnd:
         assert gated.runtime_cycles <= plain.runtime_cycles * 1.02
 
 
+def superpage_regions(sim):
+    """The simulator's workload regions that a 2MB page maps."""
+    table = sim.manager.page_table
+    regions = set()
+    for base in sim._region_bases:
+        try:
+            if table.page_size_of(base) is PageSize.SUPER_2MB:
+                regions.add(base)
+        except TranslationFault:
+            pass
+    return regions
+
+
 class TestPageChurn:
     def test_splinter_churn_runs_and_invalidates_tft(self):
         trace = build_trace(get_workload("redis"), length=6000, seed=5)
+        plain = SystemSimulator(SystemConfig(l1_design="seesaw"), trace)
+        plain.run(warmup_fraction=0.0)
         config = SystemConfig(l1_design="seesaw", splinter_interval=700)
         sim = SystemSimulator(config, trace)
+        dropped = []
+        for l1 in sim.l1s:
+            def invalidate(address, _invalidate=l1.tft.invalidate):
+                removed = _invalidate(address)
+                dropped.append(removed)
+                return removed
+            l1.tft.invalidate = invalidate
         sim.run(warmup_fraction=0.0)
-        assert sim.manager.stats.superpages_splintered > 0
-        assert sum(l1.tft.stats.invalidations for l1 in sim.l1s) > 0
+        assert superpage_regions(sim) < superpage_regions(plain)
+        assert any(dropped)
 
     def test_promotion_churn_triggers_sweeps(self):
         trace = build_trace(get_workload("redis"), length=6000, seed=5)
         config = SystemConfig(l1_design="seesaw", splinter_interval=500,
                               promote_interval=900, memory_mb=256)
         sim = SystemSimulator(config, trace)
+        promoted = []
+        sim.manager.register_promotion_hook(
+            lambda base, frames: promoted.append(base))
         sim.run(warmup_fraction=0.0)
-        assert sim.manager.stats.superpages_promoted > 0
-        assert sum(l1.seesaw_stats.promotion_sweeps for l1 in sim.l1s) > 0
+        assert promoted
+        assert superpage_regions(sim) & set(promoted)
+        # Each promotion sweeps every SEESAW L1 once.
+        assert (sum(l1.seesaw_stats.promotion_sweep_cycles
+                    for l1 in sim.l1s)
+                == SeesawL1Cache.PROMOTION_SWEEP_CYCLES * len(promoted)
+                * len(sim.l1s))
 
     def test_churn_correctness_translations_survive(self):
         """After arbitrary splinter/promote churn every address still
@@ -124,7 +155,7 @@ class TestPageChurn:
         result = sim.run()
         sweep_cycles = sum(l1.seesaw_stats.promotion_sweep_cycles
                            for l1 in sim.l1s)
-        assert sim.manager.stats.superpages_promoted > 0
+        assert sweep_cycles > 0                 # regions were promoted
         assert sweep_cycles < 0.02 * result.runtime_cycles
 
 

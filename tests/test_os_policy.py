@@ -15,19 +15,21 @@ class TestTouch:
             self, memory_manager):
         mapping = memory_manager.touch(VA + 123)
         assert mapping.page_size is PageSize.SUPER_2MB
-        assert memory_manager.stats.superpages_allocated == 1
+        assert memory_manager.page_table.page_size_of(VA) \
+            is PageSize.SUPER_2MB
 
     def test_touch_is_idempotent(self, memory_manager):
         first = memory_manager.touch(VA)
         second = memory_manager.touch(VA + 999)
         assert first == second
-        assert memory_manager.stats.superpages_allocated == 1
+        assert len(memory_manager.page_table) == 1
 
     def test_thp_never_uses_base_pages(self, physical_memory):
         manager = MemoryManager(physical_memory, thp_policy=THPPolicy.NEVER)
         mapping = manager.touch(VA)
         assert mapping.page_size is PageSize.BASE_4KB
-        assert manager.stats.base_pages_allocated == 1
+        assert manager.page_table.page_size_of(VA) is PageSize.BASE_4KB
+        assert not manager.page_table.is_mapped(VA + PAGE_SIZE_4KB)
 
     def test_fallback_to_base_page_when_fragmented(self):
         memory = PhysicalMemory(32 * 1024 * 1024)
@@ -40,7 +42,10 @@ class TestTouch:
                     for i in range(free_blocks + 3)]
         assert any(m.page_size is PageSize.BASE_4KB for m in mappings)
         assert any(m.page_size is PageSize.SUPER_2MB for m in mappings)
-        assert manager.stats.superpage_fallbacks >= 1
+        sizes = [manager.page_table.page_size_of(VA + i * PAGE_SIZE_2MB)
+                 for i in range(free_blocks + 3)]
+        assert sizes.count(PageSize.SUPER_2MB) <= free_blocks
+        assert PageSize.BASE_4KB in sizes
 
     def test_region_with_existing_base_page_never_gets_superpage(
             self, memory_manager):
@@ -87,7 +92,7 @@ class TestSplinterAndPromotion:
         memory_manager.touch(VA)
         memory_manager.splinter_superpage(VA)
         assert (VA, PageSize.SUPER_2MB) in events
-        assert memory_manager.stats.superpages_splintered == 1
+        assert memory_manager.page_table.page_size_of(VA) is PageSize.BASE_4KB
 
     def test_splinter_preserves_translation(self, memory_manager):
         memory_manager.touch(VA)
@@ -101,7 +106,8 @@ class TestSplinterAndPromotion:
         mapping = memory_manager.promote_region(VA)
         assert mapping is not None
         assert mapping.page_size is PageSize.SUPER_2MB
-        assert memory_manager.stats.superpages_promoted == 1
+        assert memory_manager.page_table.page_size_of(VA) \
+            is PageSize.SUPER_2MB
 
     def test_promote_fires_promotion_hook_with_old_frames(
             self, memory_manager):

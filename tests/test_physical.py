@@ -59,7 +59,7 @@ class TestBuddyAllocator:
             buddy.allocate(0)
         with pytest.raises(OutOfMemoryError):
             buddy.allocate(0)
-        assert buddy.stats.failed_allocations == 1
+        assert buddy.free_frames() == 0
 
     def test_try_allocate_returns_none_instead(self):
         buddy = BuddyAllocator(PAGE_SIZE_4KB)
@@ -79,9 +79,13 @@ class TestBuddyAllocator:
             buddy.free(7)
 
     def test_split_counts_recorded(self):
+        """One frame from a lone 2MB block splits it all the way down,
+        leaving a free buddy at every lower order."""
         buddy = BuddyAllocator(PAGE_SIZE_2MB)
         buddy.allocate(0)
-        assert buddy.stats.splits >= 1
+        assert buddy.free_frames() == 511
+        assert buddy.largest_free_order() == ORDER_2MB - 1
+        assert buddy.available_blocks_at_or_above(ORDER_2MB - 1) == 1
 
     def test_pinned_small_block_prevents_2mb_coalescing(self):
         """The fragmentation mechanism behind Fig. 3: one resident 4KB

@@ -19,6 +19,7 @@ from repro.sim.config import SystemConfig
 from repro.sim.system import SystemSimulator
 from repro.tlb.hierarchy import SplitTLBHierarchy
 from repro.workloads.suite import build_trace, get_workload
+from repro.workloads.trace import MemoryTrace
 
 TIMING = L1Timing(base_hit_cycles=4, super_hit_cycles=3)
 
@@ -55,37 +56,6 @@ class TestActivation:
         assert issubclass(SanitizerError, AssertionError)
 
 
-class TestLineAndTransitionChecks:
-    def test_corrupt_line_state_raises(self):
-        cache = make_l1()
-        way = cache.store.fill(0x4000)
-        cache_set = cache.store.set_at(cache.store.set_index(0x4000))
-        cache_set.states[way] = "Q"
-        with pytest.raises(SanitizerError, match="illegal"):
-            sanitize.check_line_state(cache_set, way)
-
-    def test_invalid_line_with_live_state_raises(self):
-        cache = make_l1()
-        way = cache.store.fill(0x4000)
-        cache_set = cache.store.set_at(cache.store.set_index(0x4000))
-        cache_set.tags[way] = None
-        with pytest.raises(SanitizerError, match="invalid line"):
-            sanitize.check_line_state(cache_set, way)
-
-    def test_healthy_line_passes(self):
-        cache = make_l1()
-        way = cache.store.fill(0x4000)
-        sanitize.check_line_state(
-            cache.store.set_at(cache.store.set_index(0x4000)), way)
-
-    def test_illegal_moesi_transition_raises(self):
-        from repro.coherence.protocol import MoesiState, ProtocolEvent
-        sanitize.check_transition(MoesiState.INVALID,
-                                  ProtocolEvent.LOCAL_READ)
-        with pytest.raises(SanitizerError, match="illegal MOESI"):
-            sanitize.check_transition("Z", ProtocolEvent.LOCAL_READ)
-
-
 class TestCoherenceChecks:
     PA = 0x7000
 
@@ -109,8 +79,6 @@ class TestCoherenceChecks:
         caches = [make_l1("c0"), make_l1("c1")]
         caches[0].store.fill(self.PA, dirty=True)
         caches[1].store.fill(self.PA)
-        caches[1].store.set_at(
-            caches[1].store.set_index(self.PA)).states[0] = "S"
         sanitize.check_coherence_entry(caches, self.PA, sharers={1},
                                        owner=0, context="test")
 
@@ -227,6 +195,20 @@ class TestSanitizedSimulations:
         config = SystemConfig(coherence="snoop", sanitize=True)
         result = SystemSimulator(config, trace).run()
         assert result.l1_hits + result.l1_misses == result.memory_references
+
+    def test_config_flag_arms_the_snoopy_bus(self, monkeypatch):
+        """``sanitize=True`` alone, with neither the environment variable
+        nor the override set, arms the bus's single-writer check."""
+        monkeypatch.delenv(sanitize.ENV_VAR, raising=False)
+        sanitize.reset()
+        trace = MemoryTrace("pair", [0x1000, 0x2000], [False, False],
+                            cores=[0, 1])
+        sim = SystemSimulator(SystemConfig(coherence="snoop", sanitize=True),
+                              trace)
+        for l1 in sim.l1s:
+            l1.fill(0x9000, PageSize.BASE_4KB, dirty=True)
+        with pytest.raises(SanitizerError, match="dirty in multiple L1s"):
+            sim.fabric.cpu_read(0, 0x9000)
 
     def test_env_var_path_green(self, monkeypatch):
         monkeypatch.setenv(sanitize.ENV_VAR, "1")

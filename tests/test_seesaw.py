@@ -52,9 +52,9 @@ class TestTableOneLookupAnatomy:
         cache = make_cache()
         known_superpage(cache)
         cache.fill(SUPER_PA, PageSize.SUPER_2MB)
-        hit, latency, ways_probed, fast_path, tft_hit, _, _ = \
-            cache.access_raw(SUPER_VA, SUPER_PA, PageSize.SUPER_2MB)
-        assert hit and tft_hit and fast_path
+        hit, latency, ways_probed, _ = cache.access_raw(
+            SUPER_VA, SUPER_PA, PageSize.SUPER_2MB)
+        assert hit and cache.tft.stats.hits == 1
         assert latency == 1                     # fast hit
         assert ways_probed == 4                 # one partition
         assert cache.seesaw_stats.fast_hits == 1
@@ -62,22 +62,23 @@ class TestTableOneLookupAnatomy:
     def test_row2_tft_hit_cache_miss_energy_only(self):
         cache = make_cache()
         known_superpage(cache)
-        hit, _, ways_probed, _, tft_hit, _, miss_detect = cache.access_raw(
+        hit, _, ways_probed, miss_detect = cache.access_raw(
             SUPER_VA, SUPER_PA, PageSize.SUPER_2MB)
-        assert not hit and tft_hit
+        assert not hit and cache.tft.stats.hits == 1
         assert ways_probed == 4                 # energy saving survives
         # ... but the miss is declared at the same tag-path point as the
         # baseline (no latency saving on misses, per Table I's savings
         # column).
         assert miss_detect == cache.timing.miss_detect_cycles()
-        assert cache.seesaw_stats.fast_misses == 1
+        assert cache.seesaw_stats.fast_hits == 0
 
     def test_row3_tft_miss_superpage_reads_whole_set(self):
         cache = make_cache()          # TFT empty
         cache.fill(SUPER_PA, PageSize.SUPER_2MB)
-        hit, latency, ways_probed, fast_path, tft_hit, _, _ = \
-            cache.access_raw(SUPER_VA, SUPER_PA, PageSize.SUPER_2MB)
-        assert hit and not tft_hit and not fast_path
+        hit, latency, ways_probed, _ = cache.access_raw(
+            SUPER_VA, SUPER_PA, PageSize.SUPER_2MB)
+        assert hit and cache.tft.stats.hits == 0
+        assert cache.seesaw_stats.fast_hits == 0
         assert latency == 2
         assert ways_probed == 8
         assert cache.seesaw_stats.tft_missed_superpage_l1_hits == 1
@@ -85,9 +86,9 @@ class TestTableOneLookupAnatomy:
     def test_row4_base_page_behaves_like_vipt(self):
         cache = make_cache()
         cache.fill(0x9000, PageSize.BASE_4KB)
-        hit, latency, ways_probed, _, tft_hit, _, _ = cache.access_raw(
+        hit, latency, ways_probed, _ = cache.access_raw(
             0x1000, 0x9000, PageSize.BASE_4KB)
-        assert hit and not tft_hit
+        assert hit and cache.tft.stats.hits == 0
         assert latency == 2
         assert ways_probed == 8
 
@@ -95,9 +96,9 @@ class TestTableOneLookupAnatomy:
         cache = make_cache()
         # TFT coherence is maintained by the OS hooks; a hit for a 4KB
         # access would be a wiring bug, caught by the assertion.
-        _, _, _, _, tft_hit, _, _ = cache.access_raw(
-            0x1000, 0x9000, PageSize.BASE_4KB)
-        assert tft_hit is False
+        cache.access_raw(0x1000, 0x9000, PageSize.BASE_4KB)
+        assert cache.tft.stats.hits == 0
+        assert cache.tft.stats.misses == 1
 
 
 class TestBasePageCrossPartitionHit:
@@ -221,8 +222,6 @@ class TestPromotionSweep:
             cache.fill(old_frame + offset, PageSize.BASE_4KB)
         cache.on_region_promoted(0x4000_0000, [old_frame])
         assert cache.store.valid_lines() == 0
-        assert cache.seesaw_stats.promotion_sweeps == 1
-        assert cache.seesaw_stats.lines_swept == 64
         assert cache.seesaw_stats.promotion_sweep_cycles == 175
 
     def test_sweep_leaves_unrelated_lines(self):
@@ -239,9 +238,10 @@ class TestWayPredictionCombination:
         known_superpage(cache)
         cache.fill(SUPER_PA, PageSize.SUPER_2MB)
         cache.access_raw(SUPER_VA, SUPER_PA, PageSize.SUPER_2MB)  # MRU
-        _, latency, ways_probed, _, _, wp_correct, _ = cache.access_raw(
+        correct = predictor.stats.correct
+        _, latency, ways_probed, _ = cache.access_raw(
             SUPER_VA, SUPER_PA, PageSize.SUPER_2MB)
-        assert wp_correct
+        assert predictor.stats.correct == correct + 1
         assert ways_probed == 1
         assert latency == 1
 
@@ -255,9 +255,10 @@ class TestWayPredictionCombination:
         cache.fill(line_a, PageSize.SUPER_2MB)
         cache.fill(line_b, PageSize.SUPER_2MB)
         cache.access_raw(SUPER_VA, line_a, PageSize.SUPER_2MB)
-        _, latency, ways_probed, _, _, wp_correct, _ = cache.access_raw(
+        correct = predictor.stats.correct
+        _, latency, ways_probed, _ = cache.access_raw(
             SUPER_VA + 8 * 64 * 64, line_b, PageSize.SUPER_2MB)
-        assert wp_correct is False
+        assert predictor.stats.correct == correct
         # Fast lookup (1) + a re-read of the partition (1).
         assert latency == 2
         assert ways_probed == 4                 # partition re-read only
@@ -270,9 +271,10 @@ class TestWayPredictionCombination:
         cache = make_cache(way_predictor=predictor)
         cache.fill(0x9000, PageSize.BASE_4KB)
         cache.access_raw(0x1000, 0x9000, PageSize.BASE_4KB)
-        _, latency, ways_probed, _, _, wp_correct, _ = cache.access_raw(
+        correct = predictor.stats.correct
+        _, latency, ways_probed, _ = cache.access_raw(
             0x1000, 0x9000, PageSize.BASE_4KB)
-        assert wp_correct
+        assert predictor.stats.correct == correct + 1
         assert ways_probed == 1
         assert latency == 2
 

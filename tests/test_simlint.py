@@ -43,10 +43,64 @@ class FooStats:
 
 def bump(stats):
     stats.hits += 1
+
+
+def rate(stats):
+    return stats.hits
 """)
         findings = lint([path], select=["SL001"])
         assert rules_of(findings) == ["SL001"]
         assert "FooStats.misses" in findings[0].message
+
+    def test_write_only_stats_field_flagged(self, tmp_path):
+        path = write(tmp_path, "stats.py", """\
+from dataclasses import dataclass
+
+
+@dataclass
+class BazStats:
+    hits: int = 0
+    evictions: int = 0
+
+    @property
+    def churn(self):
+        return self.evictions   # its own class does not count as a reader
+
+
+def bump(stats):
+    stats.hits += 1
+    stats.evictions += 1
+    return stats.hits
+""")
+        findings = lint([path], select=["SL001"])
+        assert rules_of(findings) == ["SL001"]
+        assert "BazStats.evictions" in findings[0].message
+        assert "never read" in findings[0].message
+
+    def test_stats_field_read_through_getattr_is_clean(self, tmp_path):
+        path = write(tmp_path, "stats.py", """\
+from dataclasses import dataclass
+
+
+@dataclass
+class QuxStats:
+    hits: int = 0
+
+
+@dataclass
+class QuxResult:
+    cycles: int = 0
+
+
+def bump(stats, result):
+    stats.hits += 1
+    result.cycles += 1   # a *Result field needs only a writer
+
+
+def report(stats):
+    return getattr(stats, "hits")
+""")
+        assert lint([path], select=["SL001"]) == []
 
     def test_written_via_keyword_is_clean(self, tmp_path):
         path = write(tmp_path, "stats.py", """\

@@ -21,11 +21,12 @@ def mapped_table(page_table):
 class TestPageWalker:
     def test_walk_cost_scales_with_levels(self, mapped_table):
         walker = PageWalker(mapped_table, cycles_per_reference=10)
-        assert walker.walk(VA_4KB).latency_cycles == 40
-        assert walker.walk(VA_2MB).latency_cycles == 30
-        assert walker.stats.walks == 2
-        assert walker.stats.base_page_walks == 1
-        assert walker.stats.superpage_walks == 1
+        base = walker.walk(VA_4KB)
+        superpage = walker.walk(VA_2MB)
+        assert base.latency_cycles == 40
+        assert superpage.latency_cycles == 30
+        assert base.mapping.page_size is PageSize.BASE_4KB
+        assert superpage.mapping.page_size is PageSize.SUPER_2MB
 
     def test_walk_unmapped_faults(self, page_table):
         walker = PageWalker(page_table)

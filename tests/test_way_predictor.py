@@ -31,7 +31,6 @@ class TestPrediction:
         predictor.update_on_fill(0, 1)       # MRU way 1, outside partition
         prediction = predictor.predict(0, candidates=[4, 5, 6, 7])
         assert prediction == 4
-        assert predictor.stats.out_of_candidates == 1
 
 
 class TestAccuracyStats:
