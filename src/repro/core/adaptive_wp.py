@@ -31,31 +31,20 @@ class WayPredictionGate:
     probe_interval: int = 32
     estimate: float = 1.0
     _disabled_count: int = field(default=0, repr=False)
-    enabled_accesses: int = 0
-    gated_accesses: int = 0
 
     def should_predict(self) -> bool:
         """Decide whether the next access uses the way predictor."""
         if self.estimate >= self.threshold:
-            self.enabled_accesses += 1
             return True
         self._disabled_count += 1
         if self._disabled_count >= self.probe_interval:
             # Periodic shadow probe: give the predictor a chance to prove
             # locality has returned.
             self._disabled_count = 0
-            self.enabled_accesses += 1
             return True
-        self.gated_accesses += 1
         return False
 
     def update(self, correct: bool) -> None:
         """Fold one prediction outcome into the confidence estimate."""
         self.estimate = ((1 - self.alpha) * self.estimate
                          + self.alpha * (1.0 if correct else 0.0))
-
-    @property
-    def gate_fraction(self) -> float:
-        """Fraction of accesses where prediction was suppressed."""
-        total = self.enabled_accesses + self.gated_accesses
-        return self.gated_accesses / total if total else 0.0

@@ -7,7 +7,8 @@ One :class:`SystemSimulator` wires together, per the configuration:
   :class:`~repro.mem.os_policy.MemoryManager`;
 * per-core split TLB hierarchies (Table II shapes) over a shared page table;
 * the L1 design under test per core (baseline VIPT, PIPT, VIVT or SEESAW);
-* a MOESI directory (or snoopy bus) across the L1s;
+* a MOESI directory (or snoopy bus) across the L1s of a multi-core
+  trace;
 * a shared LLC + DRAM behind them;
 * in-order or out-of-order core timing models, with SEESAW's fast-hit
   speculation resolved through the scheduler model on OoO cores;
@@ -238,13 +239,17 @@ class SystemSimulator:
             sanitize=self._sanitize)
 
     def _build_coherence(self) -> None:
+        """The fabric between the L1s.  A one-core trace gets none,
+        whatever ``config.coherence`` says: with no other L1, a fabric
+        delivers no probe, never sees a second sharer and checks the one
+        L1 against itself.  The background probe does not need it."""
         config = self.config
-        if config.coherence == "directory":
-            self.fabric = Directory(self.l1s, sanitize=self._sanitize)
-        elif config.coherence == "snoop":
-            self.fabric = SnoopyBus(self.l1s, sanitize=self._sanitize)
-        else:
+        if self.num_cores == 1 or config.coherence == "none":
             self.fabric = None
+        elif config.coherence == "directory":
+            self.fabric = Directory(self.l1s, sanitize=self._sanitize)
+        else:
+            self.fabric = SnoopyBus(self.l1s, sanitize=self._sanitize)
 
     def _wire(self) -> None:
         """(Re-)register every cross-component hook.
@@ -294,10 +299,12 @@ class SystemSimulator:
         ``integers`` call, whose broadcast bounds yield exactly the
         scalar sequence and leave the generator where the scalar calls
         would.  The undrawn rest is part of a snapshot.
+
+        :meth:`run_until` fires it after each reference whose index is
+        ``interval - 1`` modulo ``config.system_probe_interval``, unless
+        ``config.coherence`` is ``"none"``, so the ring is never empty.
         """
         recent = self._recent_lines
-        if not recent or self.fabric is None:
-            return
         if len(recent) < RECENT_LINES:
             line = recent[int(self._rng.integers(0, len(recent)))]
             core = int(self._rng.integers(0, self.num_cores))
@@ -499,12 +506,14 @@ class SystemSimulator:
         lookup code per reference, which :meth:`_fold` charges in bulk.
 
         The trace is walked in segments that end at each of the loop's
-        stops: the warmup reset, each periodic event of
+        stops: the warmup reset, each state-changing event of
         :meth:`_periodic_events` (which fire after the reference at their
         index), each checkpoint, each fold (at most ``FOLD_BLOCK``
         references wait), ``stop``, and every reference while a fault
         plan is armed.  Those checks and the measured-reference count run
-        once per segment.
+        once per segment.  The background probe only observes, so it
+        fires inside a segment, after the reference at its index and
+        before any event due there.
         """
         if not self._prewarmed:
             self._begin(0.25)
@@ -528,6 +537,7 @@ class SystemSimulator:
         # has the same design.
         l1s = self.l1s
         translate = [tlb.translate_raw for tlb in self.tlbs]
+        l1_tlb_latency = SplitTLBHierarchy.L1_LATENCY
         access = [l1.access_raw for l1 in l1s]
         superpage_tlbs = [tlb.l1_2mb for tlb in self.tlbs]
         schedulers = self.schedulers
@@ -541,9 +551,13 @@ class SystemSimulator:
         codes_append = self._lookup_codes.append
         fold_next = index + FOLD_BLOCK - len(retire_keys)
 
-        events = self._periodic_events(index, probe=True)
+        events = self._periodic_events(index)
         next_event = min([event[0] for event in events],
                          default=float("inf"))
+        system_probe = self._system_probe
+        probe_interval = (self.config.system_probe_interval
+                          if self.config.coherence != "none" else 0)
+        probe_at = _next_fire(index, probe_interval)
         # The checkpoint check runs on the post-increment index.
         checkpoint_next = (_next_fire(index + 1, checkpoint_interval, 0)
                            if checkpoint_path is not None else float("inf"))
@@ -589,26 +603,26 @@ class SystemSimulator:
                             range(start, end), addresses[start:end],
                             writes[start:end], trace_cores[start:end]):
                         try:
-                            pa, page_size, level, tlb_latency = \
+                            pa, page_size, tlb_latency = \
                                 translate[core_id](va)
                         except TranslationFault:
                             # Demand-page, then retry through the same
                             # hierarchy.
                             manager.touch(va)
-                            pa, page_size, level, tlb_latency = \
+                            pa, page_size, tlb_latency = \
                                 translate[core_id](va)
                         if page_size.is_superpage:
                             superpage_refs += 1
                         hit, latency, ways_probed, miss_detect = \
                             access[core_id](va, pa, page_size, is_write)
-                        if level == "l1":
-                            codes_append(ways_probed)
-                            extra_tlb = 0
-                        else:
-                            # TLB latency beyond the one overlapped L1-TLB
-                            # cycle stalls the physical tag compare.
+                        # TLB latency beyond the one overlapped L1-TLB
+                        # cycle (any outcome but an L1 TLB hit) stalls the
+                        # physical tag compare.
+                        extra_tlb = tlb_latency - l1_tlb_latency
+                        if extra_tlb:
                             codes_append(~ways_probed)
-                            extra_tlb = tlb_latency - 1
+                        else:
+                            codes_append(ways_probed)
                         if hit:
                             scheduler = schedulers[core_id]
                             if scheduler is not None:
@@ -645,6 +659,9 @@ class SystemSimulator:
                         else:
                             recent.append(pa & ~63)
                             ring_full = len(recent) == RECENT_LINES
+                        if index == probe_at:
+                            system_probe()
+                            probe_at += probe_interval
                 except BaseException:
                     # Count the references begun, the one that raised
                     # included, as a per-reference count would.
@@ -685,7 +702,7 @@ class SystemSimulator:
     #: ``SNAPSHOT_COMPONENTS`` / ``SNAPSHOT_LOOP`` change: a payload of
     #: another version is refused instead of resuming a run on state
     #: this code would misread.
-    SNAPSHOT_VERSION = 10
+    SNAPSHOT_VERSION = 11
 
     #: the components a snapshot pickles, each under its attribute name.
     SNAPSHOT_COMPONENTS = ("physical", "memhog", "manager", "tlbs", "l1s",
@@ -779,23 +796,20 @@ class SystemSimulator:
 
     # -------------------------------------------------------- periodic events
 
-    def _periodic_events(self, start: int,
-                         probe: bool = False) -> List[list]:
-        """The periodic events due at or after trace index ``start``, as
-        mutable ``[next index, interval, action, remaps pages]`` entries
-        in dispatch order.  Each fires after the reference at its index.
+    def _periodic_events(self, start: int) -> List[list]:
+        """The periodic events that change machine state, due at or after
+        trace index ``start``, as mutable ``[next index, interval, action,
+        remaps pages]`` entries in dispatch order.  Each fires after the
+        reference at its index.
 
-        :meth:`run_until` fires them all (``probe=True``).  Only then is
-        the background coherence probe included, first: it only observes
-        (stats, probe energy and its RNG draws), so the sampled lane's
-        warmer, which replays the events that change machine state,
-        leaves it out.
+        :meth:`run_until` fires them between segments and the sampled
+        lane's warmer across the gaps it skips.  The background coherence
+        probe is not one of them: it only observes (stats, probe energy
+        and its RNG draws), and the run loop fires it itself.
         """
         config = self.config
         return [[_next_fire(start, interval), interval, action, remaps]
                 for interval, action, remaps in (
-                    (config.system_probe_interval if probe else None,
-                     self._system_probe, False),
                     (config.context_switch_period, self._context_switch,
                      False),
                     (config.splinter_interval, self._churn_splinter, True),

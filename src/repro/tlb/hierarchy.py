@@ -91,12 +91,13 @@ class SplitTLBHierarchy:
     def translate_raw(self, virtual_address: int) -> "tuple":
         """Translate a VA through L1 TLBs → L2 TLB → page walk.
 
-        Returns the plain tuple ``(physical_address, page_size, level,
-        latency_cycles)``, where ``level`` is where the translation was
-        found (``"l1"``, ``"l2"`` or ``"walk"``), so the per-reference
-        path allocates no result object.  Misses at each level fill the
-        levels above; L1 fills fire the fill hooks so the TFT stays in
-        sync (paper Fig. 5 steps 6-8).
+        Returns the plain tuple ``(physical_address, page_size,
+        latency_cycles)``, so the per-reference path allocates no result
+        object.  The latency says where the translation was found: only
+        an L1 TLB hit takes ``L1_LATENCY``, an L2 TLB hit adds
+        ``L2_LATENCY`` and a walk its own cost.  Misses at each level
+        fill the levels above; L1 fills fire the fill hooks so the TFT
+        stays in sync (paper Fig. 5 steps 6-8).
         """
         # Hardware probes both L1 TLBs in parallel, and each one counts
         # its hit or miss.  At most one can hit: promotions and splinters
@@ -115,9 +116,9 @@ class SplitTLBHierarchy:
             hit = second.lookup(virtual_address)
             if hit is not None:
                 self._probe_order = second, first
-        level, latency = "l1", self.L1_LATENCY
+        latency = self.L1_LATENCY
         if hit is None and self.l2_tlb is not None:
-            level, latency = "l2", latency + self.L2_LATENCY
+            latency += self.L2_LATENCY
             hit = self.l2_tlb.lookup(virtual_address)
             if hit is not None:
                 self._fill_l1(hit)
@@ -132,15 +133,16 @@ class SplitTLBHierarchy:
                 self.l2_tlb.fill(entry.virtual_page, entry.physical_page,
                                  size)
             self._fill_l1(entry)
-            return (mapping.translate(virtual_address), size, "walk",
+            return (mapping.translate(virtual_address), size,
                     latency + walk.latency_cycles)
         size = hit.page_size
         pa = ((hit.physical_page << size.offset_bits)
               | (virtual_address & size.offset_mask))
         if self._sanitize:
             _sanitize.check_translation(
-                self.walker.page_table, virtual_address, pa, level=level)
-        return pa, size, level, latency
+                self.walker.page_table, virtual_address, pa,
+                level="l1" if latency == self.L1_LATENCY else "l2")
+        return pa, size, latency
 
     # ------------------------------------------------------------ management
 

@@ -11,7 +11,9 @@ running both paths on the same inputs and demanding equality:
   bits inside the page offset) makes virtual and physical indexing
   coincide, so hit/miss streams must match;
 * sanitizer armed vs disarmed — checking invariants must never change
-  the simulation's outcome.
+  the simulation's outcome;
+* a one-core trace without a coherence fabric vs the same trace with
+  the configured one — a fabric over one L1 has nothing to observe.
 """
 
 import json
@@ -20,11 +22,14 @@ import pytest
 
 from repro.cache.pipt import PiptL1Cache
 from repro.cache.vipt import L1Timing, ViptL1Cache
+from repro.coherence.directory import Directory
+from repro.coherence.snoop import SnoopyBus
 from repro.mem.address import PageSize
 from repro.perf.parallel import parallel_sweep
 from repro.resilience.runner import resilient_sweep
 from repro.sim.config import SystemConfig
 from repro.sim.experiment import run_workload
+from repro.sim.system import SystemSimulator
 from repro.workloads.suite import build_trace, get_workload
 
 WORKLOADS = ["gups", "redis"]
@@ -129,6 +134,40 @@ class TestSanitizerTransparency:
             SystemConfig(l1_design=design, seed=42, sanitize=True),
             "redis", trace_length=LENGTH, seed=42)
         assert checked.to_dict() == plain.to_dict()
+
+
+class TestOneCoreRunsNeedNoFabric:
+    """A one-core trace gets no coherence fabric, whatever the
+    configuration names: over one L1 a fabric delivers no probe, never
+    counts a second sharer for a write-upgrade, and checks the L1 against
+    itself.  A simulator that builds the configured fabric anyway must
+    report every field the same; the background probe still fires."""
+
+    @pytest.mark.parametrize("coherence", ["directory", "snoop"])
+    @pytest.mark.parametrize("design", ["vipt", "seesaw", "pipt", "vivt"])
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_fabric_changes_no_one_core_result(self, monkeypatch, workload,
+                                               design, coherence):
+        trace = build_trace(get_workload(workload), 6_000, seed=42)
+        config = SystemConfig(l1_design=design, coherence=coherence,
+                              seed=42)
+        shipped = SystemSimulator(config, trace)
+        assert trace.num_cores == 1 and shipped.fabric is None
+        result = shipped.run()
+        if design == "seesaw":
+            assert result.coherence_probes > 0
+
+        def build_configured_fabric(sim):
+            fabric = {"directory": Directory, "snoop": SnoopyBus}[
+                sim.config.coherence]
+            sim.fabric = fabric(sim.l1s, sanitize=sim._sanitize)
+
+        monkeypatch.setattr(SystemSimulator, "_build_coherence",
+                            build_configured_fabric)
+        with_fabric = SystemSimulator(config, trace)
+        assert with_fabric.fabric is not None
+        assert (json.dumps(with_fabric.run().to_dict(), sort_keys=True)
+                == json.dumps(result.to_dict(), sort_keys=True))
 
 
 class TestSampledLaneEquivalence:

@@ -57,10 +57,14 @@ class TestWayPredictionGate:
                 gate.update(True)
         assert gate.estimate > 0.6
 
-    def test_gate_fraction_accounting(self):
-        gate = WayPredictionGate()
-        gate.should_predict()
-        assert gate.gate_fraction == 0.0
+    def test_one_call_in_probe_interval_predicts_while_gated(self):
+        gate = WayPredictionGate(probe_interval=8)
+        # A fresh gate is confident: every call predicts.
+        assert all(gate.should_predict() for _ in range(40))
+        gate.estimate = gate.threshold / 2
+        decisions = [gate.should_predict() for _ in range(8 * 5)]
+        # Below the threshold, exactly the last call of each interval does.
+        assert decisions == ([False] * 7 + [True]) * 5
 
 
 class TestAdaptiveWpEndToEnd:

@@ -3,11 +3,13 @@
 ``run_until`` leaves one retire key and one lookup code per reference,
 and the cores and the energy accountant fold them in bulk
 (``fold_references``).  The loop walks the trace in segments that end at
-its stops (warmup reset, periodic events, checkpoints, ``stop``).  These
+its stops (warmup reset, state-changing periodic events, checkpoints,
+folds, ``stop``); the background probe fires inside a segment.  These
 tests hold the folds to the per-reference ``retire`` and
 ``record_reference`` they replaced, kept here as reference models, and
-hold runs interrupted at random points — read through ``counters()``,
-or checkpointed and resumed — to an uninterrupted run.
+hold runs interrupted at random points and at the loop's own boundaries
+— read through ``counters()``, or checkpointed and resumed — to an
+uninterrupted run.
 """
 
 import json
@@ -16,7 +18,7 @@ from unittest import mock
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import repro.sim.system as system_module
 from repro.cpu.inorder import InOrderCore
@@ -121,11 +123,32 @@ FRAGMENTED = dict(core="inorder", memhog_fraction=0.5,
                   splinter_interval=700, promote_interval=900,
                   context_switch_interval=1100)
 CELLS = {
+    "gups": ("gups", dict(l1_design="seesaw")),
     "g500": ("g500", dict(l1_design="seesaw")),
     "mcf-fragmented": ("mcf", dict(l1_design="seesaw", **FRAGMENTED)),
 }
 LENGTH = 4000
+#: the default warmup fraction's reset index, and the background
+#: probe's interval.
+WARMUP_END = LENGTH // 4
+PROBE_INTERVAL = SystemConfig().system_probe_interval
 _UNINTERRUPTED = {}
+
+
+def _pause_point(kind, n, fold_block):
+    """A trace index to pause a run at: any index (``"any"``), one just
+    before or just after a background probe's reference (``"probe"``),
+    one beside the warmup reset (``"warmup"``), or the end of a fold
+    block counted from that reset (``"fold"``)."""
+    if kind == "probe":
+        point = n - n % PROBE_INTERVAL + PROBE_INTERVAL - 1 + n % 2
+    elif kind == "warmup":
+        point = WARMUP_END + n % 3 - 1
+    elif kind == "fold":
+        point = WARMUP_END + fold_block * (1 + n % 4)
+    else:
+        point = n
+    return min(max(point, 1), LENGTH - 1)
 
 
 def _cell(name):
@@ -152,10 +175,16 @@ class TestInterruptedRuns:
     its size or far smaller, reports what an uninterrupted run does."""
 
     @pytest.mark.parametrize("name", sorted(CELLS))
-    @given(points=st.lists(st.integers(min_value=1, max_value=LENGTH - 1),
-                           min_size=1, max_size=4),
+    @given(points=st.lists(st.tuples(
+               st.sampled_from(("any", "probe", "warmup", "fold")),
+               st.integers(min_value=0, max_value=LENGTH - 1)),
+               min_size=1, max_size=4),
            how=st.sampled_from(("counters", "checkpoint")),
            fold_block=st.sampled_from((system_module.FOLD_BLOCK, 5, 97)))
+    @example(points=[("probe", 1200), ("probe", 1213), ("warmup", 0),
+                     ("fold", 0)], how="counters", fold_block=97)
+    @example(points=[("warmup", 1), ("probe", 2400), ("probe", 2413),
+                     ("fold", 1)], how="checkpoint", fold_block=5)
     @settings(max_examples=4, deadline=None)
     def test_interrupted_run_matches_uninterrupted(self, name, points, how,
                                                    fold_block):
@@ -163,7 +192,8 @@ class TestInterruptedRuns:
         config, trace = _cell(name)
         with mock.patch.object(system_module, "FOLD_BLOCK", fold_block):
             sim = SystemSimulator(config, trace)
-            for point in sorted(points):
+            for point in sorted(_pause_point(kind, n, fold_block)
+                                for kind, n in points):
                 sim.run_until(point)
                 if how == "counters":
                     sim.counters()
@@ -206,10 +236,11 @@ class TestAbortMidSegment:
     abort left the measured count covering the reference that raised.
     The segmented loop keeps that count."""
 
-    #: with the probe every 12 references, segments start at multiples
-    #: of 12 (and at the warmup end, 750): 500 and 1005 fall inside a
-    #: segment, 750 and 1008 start one.
-    @pytest.mark.parametrize("abort_at", (500, 750, 1005, 1008))
+    #: gups on the default machine has no state-changing event, and the
+    #: background probe fires inside segments, so segments start only at
+    #: 0 and at the warmup end, 750: 500, 1005 and 1008 (a probe's
+    #: successor) fall inside one.
+    @pytest.mark.parametrize("abort_at", (0, 500, 750, 1005, 1008))
     def test_abort_keeps_the_per_reference_measured_count(self, abort_at):
         trace = cached_trace("gups", 3000, seed=5)
         sim = SystemSimulator(SystemConfig(seed=5, sanitize=True), trace)

@@ -268,8 +268,9 @@ class TestTranslateRawEquivalence:
     """``SplitTLBHierarchy.translate_raw`` against the page table and one
     :class:`_ReferenceTLB` per TLB: parallel L1 probes, an L2 hit filling
     its page size's L1, and a walk filling the L2 and the L1.  On any
-    access pattern the raw tuple (its latency includes the walk's) and
-    every TLB counter must match."""
+    access pattern the raw tuple (its latency, which alone says where
+    the translation was found, includes the walk's) and every TLB
+    counter must match."""
 
     PAGES = ([(0x1000 * (i + 1), 0x9000 + i * 0x1000, PageSize.BASE_4KB)
               for i in range(4)]
@@ -296,9 +297,9 @@ class TestTranslateRawEquivalence:
             virtual = self.PAGES[page_index][0] + offset
             hits = [model.lookup(virtual) for model in l1.values()]
             hit = next((entry for entry in hits if entry is not None), None)
-            level, latency = "l1", 1
+            latency = 1
             if hit is None:
-                level, latency = "l2", 1 + 7
+                latency = 1 + 7
                 hit = l2.lookup(virtual)
                 if hit is not None:
                     l1[hit[1]].fill(hit[0], hit[2], hit[1])
@@ -309,11 +310,11 @@ class TestTranslateRawEquivalence:
                 ppn = mapping.physical_base >> size.offset_bits
                 l2.fill(vpn, ppn, size)
                 l1[size].fill(vpn, ppn, size)
-                level, latency = "walk", latency + references * 15
+                latency += references * 15
                 hit = (vpn, size, ppn)
             _, size, ppn = hit
             expected = ((ppn << size.offset_bits)
-                        | (virtual & size.offset_mask), size, level, latency)
+                        | (virtual & size.offset_mask), size, latency)
             assert tlbs.translate_raw(virtual) == expected
         for tlb, model in ((tlbs.l1_4kb, l1[PageSize.BASE_4KB]),
                            (tlbs.l1_2mb, l1[PageSize.SUPER_2MB]),
@@ -328,7 +329,8 @@ class TestL1ProbeOrder:
     accesses across splinters and promotions (which shoot a page out of
     the other size's TLB) and THP policy flips, every TLB's stats and
     each set's entries in LRU order stay equal, and the reference never
-    sees both L1 TLBs hit."""
+    sees both L1 TLBs hit.  Both return the same raw tuple, whose
+    latency says where the translation was found."""
 
     REGIONS = 4
 
@@ -370,18 +372,25 @@ class TestL1ProbeOrder:
             hits = [model.lookup(virtual) for model in l1.values()]
             assert hits.count(None) >= 1
             hit = next((entry for entry in hits if entry is not None), None)
+            latency = 1
             if hit is None and l2 is not None:
+                latency = 1 + 7
                 hit = l2.lookup(virtual)
                 if hit is not None:
                     l1[hit[1]].fill(hit[0], hit[2], hit[1])
             if hit is None:
-                mapping, _references = table.walk(virtual)
+                mapping, references = table.walk(virtual)
                 size = mapping.page_size
                 vpn = mapping.virtual_base >> size.offset_bits
                 ppn = mapping.physical_base >> size.offset_bits
                 if l2 is not None:
                     l2.fill(vpn, ppn, size)
                 l1[size].fill(vpn, ppn, size)
+                latency += references * 15
+                hit = (vpn, size, ppn)
+            _, size, ppn = hit
+            return ((ppn << size.offset_bits)
+                    | (virtual & size.offset_mask), size, latency)
 
         for op, *args in operations:
             if op == "thp":
@@ -399,8 +408,8 @@ class TestL1ProbeOrder:
                         with pytest.raises(TranslationFault):
                             translate(virtual)
                     manager.touch(virtual)
-                tlbs.translate_raw(virtual)
-                reference_translate(virtual)
+                assert (tlbs.translate_raw(virtual)
+                        == reference_translate(virtual))
             elif table.is_mapped(base):
                 if op == "splinter":
                     if table.page_size_of(base) is PageSize.SUPER_2MB:

@@ -41,16 +41,17 @@ class TestSplitHierarchy:
 
     def test_first_translation_walks(self, mapped_table):
         tlbs = self.make(mapped_table)
-        pa, page_size, level, _ = tlbs.translate_raw(VA_4KB + 5)
-        assert level == "walk"
+        pa, page_size, latency = tlbs.translate_raw(VA_4KB + 5)
+        # An L1 TLB miss, then a four-level walk.
+        assert latency == (SplitTLBHierarchy.L1_LATENCY
+                           + tlbs.walker.walk(VA_4KB).latency_cycles)
         assert pa == 0x9005
         assert page_size is PageSize.BASE_4KB
 
     def test_second_translation_hits_l1(self, mapped_table):
         tlbs = self.make(mapped_table)
         tlbs.translate_raw(VA_4KB)
-        _, _, level, latency = tlbs.translate_raw(VA_4KB + 100)
-        assert level == "l1"
+        _, _, latency = tlbs.translate_raw(VA_4KB + 100)
         assert latency == SplitTLBHierarchy.L1_LATENCY
 
     def test_superpage_goes_to_2mb_tlb(self, mapped_table):
@@ -58,9 +59,9 @@ class TestSplitHierarchy:
         tlbs.translate_raw(VA_2MB + 123)
         assert tlbs.l1_2mb.valid_entry_count() == 1
         assert tlbs.l1_4kb.valid_entry_count() == 0
-        _, page_size, level, _ = tlbs.translate_raw(
+        _, page_size, latency = tlbs.translate_raw(
             VA_2MB + PAGE_SIZE_2MB - 1)
-        assert level == "l1"
+        assert latency == SplitTLBHierarchy.L1_LATENCY
         assert page_size.is_superpage
 
     def test_l2_tlb_catches_l1_evictions(self, mapped_table):
@@ -71,8 +72,9 @@ class TestSplitHierarchy:
         for i in range(2, 40):
             tlbs.translate_raw(i << 12)
         # Page 2 long evicted from L1 but still in the big L2.
-        _, _, level, _ = tlbs.translate_raw(2 << 12)
-        assert level == "l2"
+        _, _, latency = tlbs.translate_raw(2 << 12)
+        assert latency == (SplitTLBHierarchy.L1_LATENCY
+                           + SplitTLBHierarchy.L2_LATENCY)
 
     def test_fill_hook_fires_on_l1_fills(self, mapped_table):
         tlbs = self.make(mapped_table)
@@ -100,7 +102,7 @@ class TestSplitHierarchy:
 
     def test_translation_latency_accumulates_on_miss_path(self, mapped_table):
         tlbs = self.make(mapped_table, l2_entries=64)
-        _, _, _, latency = tlbs.translate_raw(VA_4KB)
+        _, _, latency = tlbs.translate_raw(VA_4KB)
         # L1 miss + L2 miss + walk.
         assert latency > (SplitTLBHierarchy.L1_LATENCY
                           + SplitTLBHierarchy.L2_LATENCY)
