@@ -9,7 +9,7 @@ structures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,10 +80,6 @@ class CacheStats:
         return 1000.0 * self.misses / instructions if instructions else 0.0
 
 
-#: Callback receiving (line_address, dirty) when a line leaves the cache.
-EvictionHook = Callable[[int, bool], None]
-
-
 class SetAssociativeCache:
     """Physically-addressed set-associative true-LRU cache.
 
@@ -122,7 +118,6 @@ class SetAssociativeCache:
         # Sets are materialized lazily: a 24MB LLC has ~25k sets and most
         # simulations touch a small fraction of them.
         self._sets: Dict[int, CacheSet] = {}
-        self._eviction_hooks: List[EvictionHook] = []
 
     def set_at(self, index: int) -> CacheSet:
         """The :class:`CacheSet` at ``index`` (created on first use)."""
@@ -130,26 +125,6 @@ class SetAssociativeCache:
         if cache_set is None:
             cache_set = self._sets[index] = CacheSet(self.ways)
         return cache_set
-
-    # ------------------------------------------------------------- pickling
-
-    def __getstate__(self) -> dict:
-        """Pickle everything except the eviction hooks.
-
-        Hooks are closures over other live components (the simulator, the
-        coherence fabric, a VIVT synonym filter); whoever registered them
-        re-registers after a snapshot restore (see
-        ``SystemSimulator._wire``).
-        """
-        state = self.__dict__.copy()
-        state["_eviction_hooks"] = []
-        return state
-
-    # ---------------------------------------------------------------- hooks
-
-    def register_eviction_hook(self, hook: EvictionHook) -> None:
-        """Called with (line_address, dirty) whenever a valid line is evicted."""
-        self._eviction_hooks.append(hook)
 
     # ------------------------------------------------------------- indexing
 
@@ -201,15 +176,17 @@ class SetAssociativeCache:
         return False
 
     def fill(self, address: int, dirty: bool = False,
-             candidate_ways: Optional[Sequence[int]] = None) -> int:
-        """Install ``address``, evicting if necessary. Returns its way.
+             candidate_ways: Optional[Sequence[int]] = None
+             ) -> Optional[Tuple[int, bool]]:
+        """Install ``address``, evicting if necessary.  Returns the evicted
+        line as ``(line_address, dirty)``, or None when nothing left.
 
         Filling an address that is already resident refreshes the existing
         line in place — a cache never holds two copies of one tag.  A new
         line takes the first invalid way among ``candidate_ways`` (default:
-        all, in way order), else the least recently used of them.
-        Placing a new line among empty ``candidate_ways`` raises
-        ValueError.
+        all, in way order), else the least recently used of them.  Either
+        way the filled way ends most recent (``order[-1]``).  Placing a
+        new line among empty ``candidate_ways`` raises ValueError.
         """
         set_index = (address >> self.offset_bits) & self._index_mask
         cache_set = self._sets.get(set_index)
@@ -218,6 +195,7 @@ class SetAssociativeCache:
         tag = address >> self._tag_shift
         tags = cache_set.tags
         order = cache_set.order
+        victim = None
         if tag in tags:
             way = tags.index(tag)
             if dirty:
@@ -242,16 +220,14 @@ class SetAssociativeCache:
                         raise ValueError(
                             f"{self.name}: no candidate ways supplied")
                 # Every candidate way is valid here, so the victim is too.
-                victim_dirty = cache_set.dirty[way]
                 victim = ((tags[way] << self._tag_shift)
-                          | (set_index << self.offset_bits))
-                for hook in self._eviction_hooks:
-                    hook(victim, victim_dirty)
+                          | (set_index << self.offset_bits),
+                          cache_set.dirty[way])
             tags[way] = tag
             cache_set.dirty[way] = dirty
         order.remove(way)
         order.append(way)
-        return way
+        return victim
 
     def install(self, addresses) -> None:
         """Fill distinct clean ``addresses`` in order, as one :meth:`access`
@@ -259,8 +235,8 @@ class SetAssociativeCache:
         way *i* mod ``ways``, its recency list is ``range(ways)`` rotated
         left by its line count, and sets are created in first-touch order.
         Survivors are sorted into way order, so each set is built once,
-        already holding its slice of tags.  Anything but an empty,
-        hook-free cache raises ValueError.
+        already holding its slice of tags.  Anything but an empty cache
+        raises ValueError.
         """
         lines = np.asarray(addresses, dtype=np.int64) >> self.offset_bits
         ways, stats, sets = self.ways, self.stats, self._sets
@@ -271,10 +247,9 @@ class SetAssociativeCache:
         position = rank - np.maximum(count - ways, 0)
         first = position == 0
         per_set = count[first]
-        if (self._sets or self._eviction_hooks
-                or per_set.sum() != lines.size):
+        if self._sets or per_set.sum() != lines.size:
             raise ValueError(f"{self.name}: install needs distinct lines "
-                             f"and an empty, hook-free cache")
+                             f"and an empty cache")
         stats.misses += lines.size
         stats.ways_probed += lines.size * ways
         by_way = np.empty_like(keys)

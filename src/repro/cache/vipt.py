@@ -13,6 +13,7 @@ cost SEESAW attacks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from repro.devtools import sanitize as _sanitize
 from repro.mem.address import PAGE_SIZE_4KB, CACHE_LINE_SIZE, PageSize
@@ -117,10 +118,11 @@ class ViptL1Cache:
         return hit, self._base_hit_cycles, self._ways, self._miss_detect
 
     def fill(self, physical_address: int, page_size: PageSize,
-             dirty: bool = False) -> int:
+             dirty: bool = False) -> Optional[Tuple[int, bool]]:
         """Install a line after a miss is serviced by the next level;
-        returns its way.  Every L1 design's ``fill`` takes the page size;
-        only SEESAW's placement depends on it."""
+        returns the evicted ``(physical line, dirty)``, or None.  Every L1
+        design's ``fill`` takes the page size; only SEESAW's placement
+        depends on it."""
         return self.store.fill(physical_address, dirty=dirty)
 
     def coherence_probe(self, physical_address: int,

@@ -6,18 +6,14 @@ cores on the sharer list receive probes — "the coherence directory
 eliminates many spurious L1 cache coherence lookups" (paper §VI-B).  Each
 probe lands in the target L1 via its ``coherence_probe`` method, so SEESAW's
 single-partition coherence lookup is exercised naturally and its energy
-recorded by the accounting layer.
+charged to the energy accountant the directory holds.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 from repro.devtools import sanitize as _sanitize
-
-#: Called for every probe delivered to a core's L1:
-#: (core id, ways probed) — the hook the energy accountant registers.
-ProbeListener = Callable[[int, int], None]
 
 #: A directory entry's two slots: the bitmask of sharing cores (bit *c*
 #: for core *c*), and the core holding the line M/O (dirty), or None.
@@ -34,35 +30,23 @@ class Directory:
 
     The caches need only expose ``coherence_probe(pa, invalidate=...)``;
     baseline VIPT, PIPT, and SEESAW L1s all qualify, so the same directory
-    drives every design point.
+    drives every design point.  Each delivered probe is charged to
+    ``energy`` through ``record_l1_lookup(ways, coherence=True)``.
     """
 
-    def __init__(self, caches: List, line_size: int = 64,
+    def __init__(self, caches: List, energy, line_size: int = 64,
                  sanitize: bool = False) -> None:
         self.caches = caches
+        self.energy = energy
         self.line_size = line_size
         self._line_mask = ~(line_size - 1)
         #: line -> ``[sharer bitmask, owner]`` (see ``SHARERS``/``OWNER``).
         self._entries: Dict[int, list] = {}
-        self._probe_listeners: List[ProbeListener] = []
         self._sanitize = bool(sanitize) or _sanitize.enabled()
-
-    def __getstate__(self) -> dict:
-        """Drop the probe listeners when pickling: they close over the
-        energy accountant and are re-registered after a snapshot restore
-        (``SystemSimulator._wire``)."""
-        state = self.__dict__.copy()
-        state["_probe_listeners"] = []
-        return state
-
-    def register_probe_listener(self, listener: ProbeListener) -> None:
-        """Observe every delivered probe (core id, ways probed)."""
-        self._probe_listeners.append(listener)
 
     def _deliver_probe(self, core: int, line: int, invalidate: bool) -> None:
         result = self.caches[core].coherence_probe(line, invalidate=invalidate)
-        for listener in self._probe_listeners:
-            listener(core, result.ways_probed)
+        self.energy.record_l1_lookup(result.ways_probed, coherence=True)
 
     # ------------------------------------------------------------------- API
 

@@ -10,38 +10,25 @@ baseline but only one partition under SEESAW.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Set
+from typing import Dict, List, Set
 
 from repro.devtools import sanitize as _sanitize
 
-ProbeListener = Callable[[int, int], None]
-
 
 class SnoopyBus:
-    """Broadcast fabric over per-core L1 frontends."""
+    """Broadcast fabric over per-core L1 frontends; each delivered probe is
+    charged to ``energy`` as the directory's are."""
 
-    def __init__(self, caches: List, line_size: int = 64,
+    def __init__(self, caches: List, energy, line_size: int = 64,
                  sanitize: bool = False) -> None:
         self.caches = caches
+        self.energy = energy
         self.line_size = line_size
         self._sanitize = bool(sanitize) or _sanitize.enabled()
-        self._probe_listeners: List[ProbeListener] = []
         # A snoop filter: minimal sharer tracking so write *hits* know
         # whether an upgrade broadcast is needed.  Probe delivery itself
         # remains broadcast — the energy difference vs the directory.
         self._sharers: Dict[int, Set[int]] = {}
-
-    def __getstate__(self) -> dict:
-        """Drop the probe listeners when pickling: they close over the
-        energy accountant and are re-registered after a snapshot restore
-        (``SystemSimulator._wire``)."""
-        state = self.__dict__.copy()
-        state["_probe_listeners"] = []
-        return state
-
-    def register_probe_listener(self, listener: ProbeListener) -> None:
-        """Observe every delivered probe (core id, ways probed)."""
-        self._probe_listeners.append(listener)
 
     def _line(self, physical_address: int) -> int:
         return physical_address & ~(self.line_size - 1)
@@ -55,8 +42,7 @@ class SnoopyBus:
             result = cache.coherence_probe(line, invalidate=invalidate)
             if result.present:
                 remote_hits += 1
-            for listener in self._probe_listeners:
-                listener(core, result.ways_probed)
+            self.energy.record_l1_lookup(result.ways_probed, coherence=True)
         return remote_hits
 
     # ------------------------------------------------------------------- API

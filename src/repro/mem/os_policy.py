@@ -6,30 +6,18 @@ to back each 2MB-aligned virtual region with a 2MB superpage; when physical
 memory is too fragmented for an order-9 allocation, it falls back to 4KB
 base pages.  It also implements the two page-table transitions SEESAW must
 survive (paper §IV-C2): splintering a superpage into base pages and
-promoting 512 base pages into a superpage, with the associated TLB/TFT
-invalidation hooks.
+promoting 512 base pages into a superpage, with the TLB shootdowns
+(``invlpg``, which also reaches SEESAW's TFT) and the L1 sweep they need.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.mem.address import PageSize, page_base
 from repro.mem.page_table import Mapping, PageTable, TranslationFault
 from repro.mem.physical import PhysicalMemory
-
-#: Callback invoked when a virtual page's translation is invalidated
-#: (splinter / promotion / unmap).  Receives (virtual_base, page_size).
-#: The TLB hierarchy and the TFT both register one of these — this models
-#: the ``invlpg`` instruction SEESAW bootstraps from.
-InvalidationHook = Callable[[int, PageSize], None]
-
-#: Callback invoked when base pages are promoted into a superpage.  SEESAW
-#: sweeps the L1 cache in response (paper §IV-C2).  Receives the new 2MB
-#: virtual base and the physical bases of the 512 retired base pages (whose
-#: cached lines must be evicted).
-PromotionHook = Callable[[int, List[int]], None]
 
 
 class THPPolicy(enum.Enum):
@@ -45,6 +33,13 @@ class MemoryManager:
     Demand paging: the first touch to an unmapped virtual page triggers
     :meth:`touch`, which installs a mapping according to the THP policy.
     The manager owns the one address space's page table.
+
+    The simulator sets two lists once it has built the cores: ``tlbs``,
+    every core's TLB hierarchy, which a splinter or promotion shoots down
+    through ``invalidate(virtual_base, page_size)`` (the ``invlpg``
+    SEESAW bootstraps from); and ``swept_caches``, the SEESAW L1s whose
+    ``on_region_promoted(virtual_base, old_physical_bases)`` sweeps the
+    retired frames' lines after a promotion (paper §IV-C2).
     """
 
     def __init__(self, physical_memory: PhysicalMemory,
@@ -55,34 +50,12 @@ class MemoryManager:
         # 2MB region numbers that already fell back to base pages;
         # skipping them keeps demand faulting O(1) per touch.
         self._broken_regions: Set[int] = set()
-        self._invalidation_hooks: List[InvalidationHook] = []
-        self._promotion_hooks: List[PromotionHook] = []
+        self.tlbs: List = []
+        self.swept_caches: List = []
 
-    # ------------------------------------------------------------- pickling
-
-    def __getstate__(self) -> dict:
-        """Drop both hook lists when pickling: the TLB shootdown and
-        promotion-sweep callbacks close over per-core structures and are
-        re-registered after a snapshot restore
-        (``SystemSimulator._wire``)."""
-        state = self.__dict__.copy()
-        state["_invalidation_hooks"] = []
-        state["_promotion_hooks"] = []
-        return state
-
-    # ---------------------------------------------------------------- hooks
-
-    def register_invalidation_hook(self, hook: InvalidationHook) -> None:
-        """Register a TLB/TFT invalidation callback (``invlpg`` model)."""
-        self._invalidation_hooks.append(hook)
-
-    def register_promotion_hook(self, hook: PromotionHook) -> None:
-        """Register a callback fired when base pages collapse to a superpage."""
-        self._promotion_hooks.append(hook)
-
-    def _fire_invalidation(self, virtual_base: int, page_size: PageSize) -> None:
-        for hook in self._invalidation_hooks:
-            hook(virtual_base, page_size)
+    def _shoot_down(self, virtual_base: int, page_size: PageSize) -> None:
+        for tlb in self.tlbs:
+            tlb.invalidate(virtual_base, page_size)
 
     # ----------------------------------------------------------------- touch
 
@@ -127,10 +100,10 @@ class MemoryManager:
     # --------------------------------------------------- splinter / promote
 
     def splinter_superpage(self, virtual_base: int) -> None:
-        """Split a 2MB mapping into base pages, firing invalidations.
+        """Split a 2MB mapping into base pages and shoot it down.
 
         Paper §IV-C2: the OS executes ``invlpg`` for the stale superpage
-        translation; our hook model invalidates TLB entries *and* the TFT
+        translation, which drops every core's TLB entries *and* the TFT
         entry tagged with this virtual page number.
         """
         table = self.page_table
@@ -139,16 +112,16 @@ class MemoryManager:
         # Split the compound physical allocation too, so the new base
         # frames are independently freeable.
         self.physical.split_superpage(mapping.physical_base)
-        self._fire_invalidation(virtual_base, PageSize.SUPER_2MB)
+        self._shoot_down(virtual_base, PageSize.SUPER_2MB)
 
     def promote_region(self, virtual_base: int,
                        fault_in_missing: bool = False) -> Optional[Mapping]:
         """Collapse 512 resident base pages into one 2MB superpage.
 
         Allocates a fresh aligned 2MB physical block (as khugepaged does),
-        retires the old frames, and fires both the invalidation hooks (for
-        the 512 stale base-page translations) and the promotion hooks (the
-        L1 sweep SEESAW requires for correctness).
+        retires the old frames, shoots down the 512 stale base-page
+        translations and then sweeps ``swept_caches`` (the L1 sweep SEESAW
+        requires for correctness).
 
         Args:
             fault_in_missing: zero-fill-fault absent base pages before
@@ -183,10 +156,10 @@ class MemoryManager:
         old_physical_bases = []
         for old in old_mappings:
             self.physical.free_page(old.physical_base)
-            self._fire_invalidation(old.virtual_base, PageSize.BASE_4KB)
+            self._shoot_down(old.virtual_base, PageSize.BASE_4KB)
             old_physical_bases.append(old.physical_base)
-        for hook in self._promotion_hooks:
-            hook(virtual_base, old_physical_bases)
+        for cache in self.swept_caches:
+            cache.on_region_promoted(virtual_base, old_physical_bases)
         self._broken_regions.discard(
             virtual_base >> PageSize.SUPER_2MB.offset_bits)
         return mapping

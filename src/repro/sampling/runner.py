@@ -113,18 +113,11 @@ def _functional_warm_gap(sim, start: int, stop: int,
 
 def _fast_warmable(sim) -> bool:
     """True when :func:`_warm_span_fast` reproduces translation replay
-    bit-exactly: no L2 TLB (misses always walk), no sanitize shadowing,
-    and no fill hooks beyond SEESAW's TFT (whose final state the fast
-    span installs from the 2MB TLB's fills)."""
-    from repro.core.seesaw import SeesawL1Cache
-
-    return all(
-        hierarchy.l2_tlb is None
-        and not hierarchy._sanitize
-        and all(getattr(hook, "__func__", None)
-                is SeesawL1Cache.on_tlb_fill
-                for hook in hierarchy._fill_hooks)
-        for hierarchy in sim.tlbs)
+    bit-exactly: no L2 TLB (misses always walk) and no sanitize
+    shadowing.  A hierarchy's TFT gets its final state from the 2MB
+    TLB's fills."""
+    return all(hierarchy.l2_tlb is None and not hierarchy._sanitize
+               for hierarchy in sim.tlbs)
 
 
 def _warm_span(sim, start: int, stop: int, ctx: Dict) -> None:
@@ -166,13 +159,13 @@ def _warm_span_fast(sim, start: int, stop: int, ctx: Dict) -> None:
       the measurement deltas), and vice versa.  Each structure's state
       is a function of its own sub-stream alone.
     * True LRU's final state is the top-``ways`` recency order per set.
-      For the 4KB TLB (no fill hooks listen to 4KB fills) the span's
+      For the 4KB TLB (4KB fills never reach the TFT) the span's
       effect is reproduced exactly by replaying, per set, only the last
       ``ways`` *distinct* touched VPNs oldest-first through
       :meth:`TLB.fill` — refreshes, evictions, and ``_resident`` all
       follow the same rules the reference path applies.
-    * The 2MB TLB collapses the same way unless SEESAW's TFT listens and
-      some region can miss.  Then its sub-stream is replayed in order
+    * The 2MB TLB collapses the same way unless the hierarchy holds a
+      TFT and some region can miss.  Then its sub-stream is replayed in order
       through :meth:`TLB.lookup` and :meth:`TLB.fill` — without the
       references to the region their set touched last, which cannot
       miss, fill, or reorder — to learn which regions fill.  Those
@@ -230,7 +223,7 @@ def _warm_hierarchy_fast(hierarchy, span, vpn, kinds, page_info) -> None:
     """Warm one core's split hierarchy from its ordered sub-stream."""
     from repro.mem.address import PageSize
 
-    # ---- 2MB TLB (+ TFT when hooked).
+    # ---- 2MB TLB (+ the TFT, when the hierarchy holds one).
     super_vas = span[kinds == _KIND_2MB]
     if super_vas.size:
         tlb2 = hierarchy.l1_2mb
@@ -247,12 +240,13 @@ def _warm_hierarchy_fast(hierarchy, span, vpn, kinds, page_info) -> None:
             region: page_info[va >> 12][1]
             for region, va in zip(distinct.tolist(),
                                   super_vas[keep][first].tolist())}
-        # Only a miss fills, and only fills reach the hooks (SEESAW's
-        # TFT).  With every distinct region resident up front no lookup
-        # can miss (entries leave a set only through fill evictions, and
-        # invalidations ride on churn events, which never fire inside a
-        # span), so the LRU final state suffices.
-        if hierarchy._fill_hooks and any(
+        # Only a miss fills, and only fills reach the TFT.  With every
+        # distinct region resident up front no lookup can miss (entries
+        # leave a set only through fill evictions, and invalidations ride
+        # on churn events, which never fire inside a span), so the LRU
+        # final state suffices.
+        tft = hierarchy.tft
+        if tft is not None and any(
                 tlb2.probe(region << 21) is None
                 for region in distinct.tolist()):
             # Nor can a reference to the region its own set touched
@@ -269,16 +263,13 @@ def _warm_hierarchy_fast(hierarchy, span, vpn, kinds, page_info) -> None:
             # Inside a span fills are the TFT's only operation, and each
             # slot ends holding the last region filled into it.
             filled = np.array(filled, dtype=np.int64)
-            for hook in hierarchy._fill_hooks:
-                tft = hook.__self__.tft
-                _lru_final_fill(filled << 21, filled % tft.entries, 1,
-                                tft.fill)
+            _lru_final_fill(filled << 21, filled % tft.entries, 1, tft.fill)
         else:
             _lru_final_fill(regions, regions & tlb2._set_mask, tlb2.ways,
                             lambda region: tlb2.fill(
                                 region, region_ppn[region], super_size))
 
-    # ---- 4KB TLB: no hooks listen to 4KB fills, so always collapse.
+    # ---- 4KB TLB: its fills never reach the TFT, so always collapse.
     base_vpns = vpn[kinds == _KIND_4KB]
     if base_vpns.size:
         tlb4 = hierarchy.l1_4kb

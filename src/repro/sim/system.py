@@ -97,7 +97,6 @@ class SystemSimulator:
         self._region_bases = (regions << 21).tolist()
         self._build_os()
         self._build_cores()
-        self._build_coherence()
         self.hierarchy = MemoryHierarchy(
             frequency_ghz=config.frequency_ghz,
             llc_size=config.llc_size_kb * 1024,
@@ -108,7 +107,7 @@ class SystemSimulator:
             l1_size_bytes=config.l1_size_bytes,
             l1_ways=(config.pipt_ways if config.l1_design == "pipt"
                      else config.l1_ways))
-        self._wire()
+        self._build_coherence()
         self._recent_lines: List[int] = []
         # Undrawn (line, core) probe indices, last pair first (see
         # _system_probe), and the bounds one block draw passes.
@@ -159,6 +158,10 @@ class SystemSimulator:
                                      thp_policy=config.thp_policy)
 
     def _build_cores(self) -> None:
+        """Each core's L1, TLB hierarchy, timing model and scheduler.  A
+        SEESAW L1's TFT is shared with its core's hierarchy, which fills
+        and invalidates it; the manager shoots down every hierarchy and
+        sweeps every SEESAW L1 (see :class:`MemoryManager`)."""
         config = self.config
         page_table = self.manager.page_table
         shape = config.tlb_shape()
@@ -169,11 +172,12 @@ class SystemSimulator:
         self.cores: List = []
         self.schedulers: List[Optional[SchedulerModel]] = []
         for core_id in range(self.num_cores):
-            tlb = SplitTLBHierarchy(page_table, sanitize=self._sanitize,
-                                    **shape)
-            self.tlbs.append(tlb)
             l1 = self._make_l1(core_id, timing)
             self.l1s.append(l1)
+            seesaw = isinstance(l1, SeesawL1Cache)
+            self.tlbs.append(SplitTLBHierarchy(
+                page_table, tft=l1.tft if seesaw else None,
+                sanitize=self._sanitize, **shape))
             if config.core == "inorder":
                 self.cores.append(InOrderCore(
                     frequency_ghz=config.frequency_ghz))
@@ -187,6 +191,9 @@ class SystemSimulator:
                     slow_cycles=timing.base_hit_cycles,
                     policy=config.speculation)
             self.schedulers.append(scheduler)
+        self.manager.tlbs = self.tlbs
+        self.manager.swept_caches = [l1 for l1 in self.l1s
+                                     if isinstance(l1, SeesawL1Cache)]
 
     def _make_l1(self, core_id: int, timing):
         config = self.config
@@ -239,52 +246,20 @@ class SystemSimulator:
             sanitize=self._sanitize)
 
     def _build_coherence(self) -> None:
-        """The fabric between the L1s.  A one-core trace gets none,
-        whatever ``config.coherence`` says: with no other L1, a fabric
-        delivers no probe, never sees a second sharer and checks the one
-        L1 against itself.  The background probe does not need it."""
+        """The fabric between the L1s, charging its probes to the energy
+        accountant.  A one-core trace gets none, whatever
+        ``config.coherence`` says: with no other L1, a fabric delivers no
+        probe, never sees a second sharer and checks the one L1 against
+        itself.  The background probe does not need it."""
         config = self.config
         if self.num_cores == 1 or config.coherence == "none":
             self.fabric = None
         elif config.coherence == "directory":
-            self.fabric = Directory(self.l1s, sanitize=self._sanitize)
+            self.fabric = Directory(self.l1s, self.energy,
+                                    sanitize=self._sanitize)
         else:
-            self.fabric = SnoopyBus(self.l1s, sanitize=self._sanitize)
-
-    def _wire(self) -> None:
-        """(Re-)register every cross-component hook.
-
-        All hooks are closures over live components, so pickled components
-        deliberately drop them (see the ``__getstate__`` implementations on
-        the stores, TLB hierarchies, memory manager, and coherence fabric).
-        Both ``__init__`` and :meth:`restore` end here, which guarantees a
-        restored simulator is wired exactly like a freshly built one — the
-        registration order below matches the original construction order,
-        so hook firing order (and therefore behaviour) is identical.
-        """
-        for tlb, l1 in zip(self.tlbs, self.l1s):
-            if isinstance(l1, SeesawL1Cache):
-                l1.attach_to_tlb_hierarchy(tlb)
-                l1.attach_to_memory_manager(self.manager)
-        # TLB shootdowns reach every core's TLBs.
-        for tlb in self.tlbs:
-            self.manager.register_invalidation_hook(
-                lambda vb, ps, _t=tlb: _t.invalidate(vb, ps))
-        if self.fabric is not None:
-            self.fabric.register_probe_listener(
-                lambda core, ways: self.energy.record_l1_lookup(
-                    ways, coherence=True))
-        for core_id, l1 in enumerate(self.l1s):
-            l1.store.register_eviction_hook(
-                partial(self._on_l1_eviction, core_id))
-
-    def _on_l1_eviction(self, core_id: int, line_address: int,
-                        dirty: bool) -> None:
-        if dirty:
-            self.hierarchy.writeback(line_address)
-            self.energy.record_llc_access()
-        if self.fabric is not None:
-            self.fabric.evict(core_id, line_address)
+            self.fabric = SnoopyBus(self.l1s, self.energy,
+                                    sanitize=self._sanitize)
 
     # ------------------------------------------------------------------- run
 
@@ -500,8 +475,10 @@ class SystemSimulator:
         charges is charged by the component that owns it, once: the TLB
         hierarchy translates (demand-paging on a fault) and the L1 looks
         up; on a miss the accountant records the levels the miss reached
-        and the fill (``record_miss``); a hit's latency passes through the
-        core's scheduler when it has one (``hit_latency``).  The core's
+        and the fill (``record_miss``), and the line the fill evicts, if
+        any, is written back to the LLC when dirty and then leaves the
+        fabric's records; a hit's latency passes through the core's
+        scheduler when it has one (``hit_latency``).  The core's
         timing and the lookup energy are left as one retire key and one
         lookup code per reference, which :meth:`_fold` charges in bulk.
 
@@ -543,7 +520,9 @@ class SystemSimulator:
         schedulers = self.schedulers
         fabric = self.fabric
         service_miss = self.hierarchy.service_miss
+        writeback = self.hierarchy.writeback
         record_miss = self.energy.record_miss
+        record_llc_access = self.energy.record_llc_access
         manager = self.manager
         fault_plan = self._fault_plan
         vivt = isinstance(l1s[0], VivtL1Cache)
@@ -645,10 +624,18 @@ class SystemSimulator:
                                 else:
                                     fabric.cpu_read(core_id, pa)
                             if vivt:
-                                l1s[core_id].fill(va, pa, page_size,
-                                                  is_write)
+                                victim = l1s[core_id].fill(
+                                    va, pa, page_size, is_write)
                             else:
-                                l1s[core_id].fill(pa, page_size, is_write)
+                                victim = l1s[core_id].fill(
+                                    pa, page_size, is_write)
+                            if victim is not None:
+                                line, dirty = victim
+                                if dirty:
+                                    writeback(line)
+                                    record_llc_access()
+                                if fabric is not None:
+                                    fabric.evict(core_id, line)
                             keys_append(~(miss_detect + miss.latency_cycles
                                           + extra_tlb))
                         # The probe's ring of recent lines fills in
@@ -702,7 +689,7 @@ class SystemSimulator:
     #: ``SNAPSHOT_COMPONENTS`` / ``SNAPSHOT_LOOP`` change: a payload of
     #: another version is refused instead of resuming a run on state
     #: this code would misread.
-    SNAPSHOT_VERSION = 11
+    SNAPSHOT_VERSION = 12
 
     #: the components a snapshot pickles, each under its attribute name.
     SNAPSHOT_COMPONENTS = ("physical", "memhog", "manager", "tlbs", "l1s",
@@ -722,10 +709,10 @@ class SystemSimulator:
         physical memory, OS state, page tables, TLBs, L1s, cores,
         schedulers, coherence fabric, LLC/DRAM, energy, RNG stream, and the
         run-loop counters — in a *single* pickle so shared references (the
-        page table seen by both the manager and the page walkers, the L1
-        list shared with the fabric) stay shared after a restore.  Hook
-        closures are dropped by the components' ``__getstate__`` and
-        re-created by :meth:`restore` via ``_wire``.
+        page table seen by both the manager and the page walkers, the TLB
+        hierarchies the manager shoots down, each SEESAW L1's TFT held by
+        its hierarchy, the L1 list and energy accountant the fabric holds)
+        stay shared after a restore.
         """
         import pickle
 
@@ -792,7 +779,6 @@ class SystemSimulator:
         self._fold_start = self._next_index
         self._fault_plan = None
         self._fault_pending = []
-        self._wire()
 
     # -------------------------------------------------------- periodic events
 
@@ -832,7 +818,7 @@ class SystemSimulator:
 
     def _churn_promote(self) -> None:
         """Promote the next base-page-backed region (khugepaged model);
-        SEESAW caches sweep the retired frames via their promotion hook."""
+        the manager sweeps the retired frames out of every SEESAW L1."""
         self._churn_next(PageSize.BASE_4KB, partial(
             self.manager.promote_region, fault_in_missing=True))
 

@@ -1,15 +1,16 @@
 """The TLB hierarchy: Intel-style split L1 TLBs backed by an optional
 unified L2 TLB and a page walker.
 
-The hierarchy is where the Translation Filter Table hooks in (paper Fig. 5):
-TFT fills happen on page-walk completions for 2MB leaves and on any fill
-into the 2MB L1 TLB (including L2 TLB hits).  The hierarchy therefore
-exposes a fill callback the SEESAW cache registers.
+The hierarchy is where the Translation Filter Table is kept in sync
+(paper Fig. 5): TFT fills happen on page-walk completions for 2MB leaves
+and on any fill into the 2MB L1 TLB (including L2 TLB hits), and
+``invlpg`` of a 2MB page drops it from the TFT too.  The hierarchy
+therefore holds its core's TFT, when the core's L1 has one.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.devtools import sanitize as _sanitize
 from repro.mem.address import PageSize
@@ -17,9 +18,8 @@ from repro.mem.page_table import PageTable
 from repro.tlb.tlb import TLB, TLBEntry
 from repro.tlb.walker import PageWalker
 
-#: Callback fired whenever a translation enters the L1 TLB level.
-#: Receives the TLBEntry that was filled.  SEESAW's TFT registers one.
-FillHook = Callable[[TLBEntry], None]
+if TYPE_CHECKING:
+    from repro.core.tft import TranslationFilterTable
 
 
 class SplitTLBHierarchy:
@@ -32,6 +32,9 @@ class SplitTLBHierarchy:
             (Table II: Sandybridge 128/16, Atom 64/32).
         l2_entries: unified L2 TLB size (0 disables; Atom uses 512,
             Sandybridge in the paper's Table II has no L2).
+        tft: the core's TFT (a SEESAW L1's), or None.  Every 2MB
+            translation entering the L1 TLB level fills it, and
+            invalidating a 2MB page drops it.
     """
 
     #: cycles an L1 TLB lookup takes, and an L2 TLB lookup adds.
@@ -42,6 +45,7 @@ class SplitTLBHierarchy:
                  l1_4kb_entries: int = 128, l1_4kb_ways: int = 4,
                  l1_2mb_entries: int = 16, l1_2mb_ways: int = 4,
                  l2_entries: int = 0, l2_ways: int = 8,
+                 tft: Optional[TranslationFilterTable] = None,
                  sanitize: bool = False) -> None:
         self.l1_4kb = TLB(l1_4kb_entries, min(l1_4kb_ways, l1_4kb_entries),
                           (PageSize.BASE_4KB,), name="l1-4kb")
@@ -59,32 +63,17 @@ class SplitTLBHierarchy:
         self._l1_by_size: Dict[PageSize, TLB] = {
             PageSize.BASE_4KB: self.l1_4kb,
             PageSize.SUPER_2MB: self.l1_2mb}
-        self._fill_hooks: List[FillHook] = []
+        self.tft = tft
         self._sanitize = bool(sanitize) or _sanitize.enabled()
 
-    # ------------------------------------------------------------- pickling
-
-    def __getstate__(self) -> dict:
-        """Drop the fill hooks when pickling: they are closures over other
-        components (the SEESAW TFT) and are re-registered after a snapshot
-        restore by ``SystemSimulator._wire``."""
-        state = self.__dict__.copy()
-        state["_fill_hooks"] = []
-        return state
-
-    # ---------------------------------------------------------------- hooks
-
-    def register_fill_hook(self, hook: FillHook) -> None:
-        """Register a callback fired on every L1-level fill (TFT update path)."""
-        self._fill_hooks.append(hook)
-
     def _fill_l1(self, entry: TLBEntry) -> None:
-        """Fill ``entry`` into the L1 TLB for its page size and fire the
-        fill hooks, which see every L1-level fill."""
-        self._l1_by_size[entry.page_size].fill(
-            entry.virtual_page, entry.physical_page, entry.page_size)
-        for hook in self._fill_hooks:
-            hook(entry)
+        """Fill ``entry`` into the L1 TLB for its page size; a 2MB entry
+        also fills the TFT (paper Fig. 5 step 8)."""
+        size = entry.page_size
+        self._l1_by_size[size].fill(entry.virtual_page, entry.physical_page,
+                                    size)
+        if size is PageSize.SUPER_2MB and self.tft is not None:
+            self.tft.fill(entry.virtual_page << size.offset_bits)
 
     # ------------------------------------------------------------ translation
 
@@ -96,8 +85,8 @@ class SplitTLBHierarchy:
         object.  The latency says where the translation was found: only
         an L1 TLB hit takes ``L1_LATENCY``, an L2 TLB hit adds
         ``L2_LATENCY`` and a walk its own cost.  Misses at each level
-        fill the levels above; L1 fills fire the fill hooks so the TFT
-        stays in sync (paper Fig. 5 steps 6-8).
+        fill the levels above, and 2MB L1 fills fill the TFT so it stays
+        in sync (paper Fig. 5 steps 6-8).
         """
         # Hardware probes both L1 TLBs in parallel, and each one counts
         # its hit or miss.  At most one can hit: promotions and splinters
@@ -147,7 +136,11 @@ class SplitTLBHierarchy:
     # ------------------------------------------------------------ management
 
     def invalidate(self, virtual_base: int, page_size: PageSize) -> None:
-        """``invlpg``: drop the translation from every level that may hold it."""
+        """``invlpg``: drop the translation from every level that may hold
+        it, and a splintered superpage from the TFT (SEESAW's ``invlpg``
+        extension, paper §IV-C2)."""
         self._l1_by_size[page_size].invalidate(virtual_base, page_size)
         if self.l2_tlb is not None:
             self.l2_tlb.invalidate(virtual_base, page_size)
+        if page_size is PageSize.SUPER_2MB and self.tft is not None:
+            self.tft.invalidate(virtual_base)

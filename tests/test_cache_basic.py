@@ -88,14 +88,13 @@ class TestFillAndInvalidate:
         assert cache.contains(0)
 
     def test_eviction_hook_receives_writebacks(self):
+        """A fill returns the line it evicted with its dirty flag."""
         cache = make_cache(ways=1)
-        events = []
-        cache.register_eviction_hook(lambda addr, dirty: events.append(
-            (addr, dirty)))
         stride = cache.num_sets * cache.line_size
-        cache.fill(0, dirty=True)
-        cache.fill(stride)
-        assert events == [(0, True)]
+        assert cache.fill(0, dirty=True) is None
+        assert cache.fill(stride) == (0, True)
+        assert cache.locate(stride)[1] == 0
+        assert cache.fill(2 * stride) == (stride, False)
 
     def test_invalidate_line(self):
         cache = make_cache()

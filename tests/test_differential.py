@@ -160,7 +160,8 @@ class TestOneCoreRunsNeedNoFabric:
         def build_configured_fabric(sim):
             fabric = {"directory": Directory, "snoop": SnoopyBus}[
                 sim.config.coherence]
-            sim.fabric = fabric(sim.l1s, sanitize=sim._sanitize)
+            sim.fabric = fabric(sim.l1s, sim.energy,
+                                sanitize=sim._sanitize)
 
         monkeypatch.setattr(SystemSimulator, "_build_coherence",
                             build_configured_fabric)

@@ -5,6 +5,8 @@ for area), the confidence-gated WP+SEESAW combination (§VI-F future
 work), and runtime page churn (§IV-C2).
 """
 
+from types import SimpleNamespace
+
 from repro.cache.vipt import L1Timing
 from repro.core.adaptive_wp import WayPredictionGate
 from repro.core.seesaw import SeesawL1Cache
@@ -122,8 +124,9 @@ class TestPageChurn:
                               promote_interval=900, memory_mb=256)
         sim = SystemSimulator(config, trace)
         promoted = []
-        sim.manager.register_promotion_hook(
-            lambda base, frames: promoted.append(base))
+        # A recording stub swept after the SEESAW L1s.
+        sim.manager.swept_caches.append(SimpleNamespace(
+            on_region_promoted=lambda base, frames: promoted.append(base)))
         sim.run(warmup_fraction=0.0)
         assert promoted
         assert superpage_regions(sim) & set(promoted)

@@ -10,6 +10,21 @@ from repro.mem.physical import PhysicalMemory
 VA = 0x4000_0000  # 2MB aligned
 
 
+class Recorder:
+    """Stands in for a TLB hierarchy (``invalidate``) and a swept L1
+    (``on_region_promoted``), logging each call's arguments."""
+
+    def __init__(self):
+        self.invalidated = []
+        self.promoted = []
+
+    def invalidate(self, virtual_base, page_size):
+        self.invalidated.append((virtual_base, page_size))
+
+    def on_region_promoted(self, virtual_base, old_physical_bases):
+        self.promoted.append((virtual_base, len(old_physical_bases)))
+
+
 class TestTouch:
     def test_first_touch_allocates_superpage_under_thp_always(
             self, memory_manager):
@@ -86,12 +101,11 @@ class TestFootprintFraction:
 
 class TestSplinterAndPromotion:
     def test_splinter_fires_invalidation_hook(self, memory_manager):
-        events = []
-        memory_manager.register_invalidation_hook(
-            lambda vb, ps: events.append((vb, ps)))
+        tlbs = Recorder()
+        memory_manager.tlbs = [tlbs]
         memory_manager.touch(VA)
         memory_manager.splinter_superpage(VA)
-        assert (VA, PageSize.SUPER_2MB) in events
+        assert (VA, PageSize.SUPER_2MB) in tlbs.invalidated
         assert memory_manager.page_table.page_size_of(VA) is PageSize.BASE_4KB
 
     def test_splinter_preserves_translation(self, memory_manager):
@@ -111,22 +125,22 @@ class TestSplinterAndPromotion:
 
     def test_promote_fires_promotion_hook_with_old_frames(
             self, memory_manager):
-        events = []
-        memory_manager.register_promotion_hook(
-            lambda vb, old: events.append((vb, len(old))))
+        cache = Recorder()
+        memory_manager.swept_caches = [cache]
         memory_manager.touch(VA)
         memory_manager.splinter_superpage(VA)
         memory_manager.promote_region(VA)
-        assert events == [(VA, 512)]
+        assert cache.promoted == [(VA, 512)]
 
     def test_promote_fires_invalidations_for_base_pages(self, memory_manager):
-        invalidations = []
         memory_manager.touch(VA)
         memory_manager.splinter_superpage(VA)
-        memory_manager.register_invalidation_hook(
-            lambda vb, ps: invalidations.append(ps))
+        tlbs = [Recorder(), Recorder()]
+        memory_manager.tlbs = tlbs
         memory_manager.promote_region(VA)
-        assert invalidations.count(PageSize.BASE_4KB) == 512
+        for recorder in tlbs:
+            sizes = [size for _, size in recorder.invalidated]
+            assert sizes.count(PageSize.BASE_4KB) == 512
 
     def test_promote_non_resident_region_returns_none(self, memory_manager):
         assert memory_manager.promote_region(VA) is None

@@ -158,7 +158,8 @@ class TestLRUProperties:
                     max_size=100))
     def test_most_recent_touch_never_victim(self, touches):
         cache = _touched_set(touches)
-        assert cache.fill(8 * 64) != touches[-1]
+        cache.fill(8 * 64)
+        assert cache.locate(8 * 64)[1] != touches[-1]
 
     @given(st.lists(st.integers(min_value=0, max_value=7), max_size=46),
            st.permutations(range(8)),
@@ -168,7 +169,8 @@ class TestLRUProperties:
         cache = _touched_set(touches)
         last_seen = {way: i for i, way in enumerate(touches)}
         expected = min(last_seen, key=last_seen.get)
-        assert cache.fill(8 * 64) == expected
+        assert cache.fill(8 * 64) == (expected * 64, False)
+        assert cache.locate(8 * 64)[1] == expected
 
 
 class TestLRUFinalState:
@@ -215,14 +217,12 @@ class TestCacheInstall:
         # Contents, way positions, recency, stats and set creation order.
         assert pickle.dumps(installed) == pickle.dumps(replayed)
 
-    @pytest.mark.parametrize("case", ["non-empty", "hook", "repeated line"])
+    @pytest.mark.parametrize("case", ["non-empty", "repeated line"])
     def test_install_refuses_states_without_a_closed_form(self, case):
         cache = SetAssociativeCache(4096, 4)
         addresses = [0, 64, 128]
         if case == "non-empty":
             cache.access(1 << 20)
-        elif case == "hook":
-            cache.register_eviction_hook(lambda line, dirty: None)
         elif case == "repeated line":
             addresses.append(8)
         with pytest.raises(ValueError):
@@ -279,7 +279,6 @@ class _ReferenceCache:
         self.num_sets, self.ways = num_sets, ways
         self.index_bits = num_sets.bit_length() - 1
         self.sets = {}
-        self.evicted = []
         self.stats = dict(hits=0, misses=0, ways_probed=0)
 
     def view(self, index):
@@ -314,7 +313,10 @@ class _ReferenceCache:
         return True
 
     def fill(self, address, dirty, candidates):
+        """The way the line ends in, and the evicted (line, dirty) or
+        None."""
         index, tag, lines, recency, way = self._locate(address)
+        victim = None
         if way is not None:
             lines[way] = (tag, lines[way][1] or dirty)
         else:
@@ -325,12 +327,11 @@ class _ReferenceCache:
             else:
                 way = next(w for w in recency if w in scope)
                 old_tag, old_dirty = lines.pop(way)
-                self.evicted.append(
-                    ((((old_tag << self.index_bits) | index) << 6),
-                     old_dirty))
+                victim = ((((old_tag << self.index_bits) | index) << 6),
+                          old_dirty)
             lines[way] = (tag, dirty)
         self._touch(recency, way)
-        return way
+        return way, victim
 
     def invalidate(self, address):
         _, _, lines, _, way = self._locate(address)
@@ -351,8 +352,9 @@ def _cache_view(cache, index):
 
 class TestCacheReferenceModel:
     """Every public cache operation against :class:`_ReferenceCache`:
-    return values, eviction-hook stream, stats, and each set's per-way
-    tag, dirty flag and recency order after every step."""
+    return values (each fill's victim), the way each fill lands in,
+    stats, and each set's per-way tag, dirty flag and recency order after
+    every step."""
 
     @given(st.integers(min_value=0, max_value=4),
            st.integers(min_value=1, max_value=8), st.data())
@@ -360,9 +362,6 @@ class TestCacheReferenceModel:
         num_sets = 1 << set_bits
         cache = SetAssociativeCache(num_sets * ways * 64, ways)
         model = _ReferenceCache(num_sets, ways)
-        evicted = []
-        cache.register_eviction_hook(
-            lambda line, dirty: evicted.append((line, dirty)))
         candidates = st.none() | st.lists(
             st.integers(min_value=0, max_value=ways - 1), min_size=1,
             unique=True)
@@ -381,14 +380,15 @@ class TestCacheReferenceModel:
                 assert (cache.probe(address, is_write=flag)
                         == model.probe(address, flag))
             elif op == "fill":
+                way, victim = model.fill(address, flag, scope)
                 assert (cache.fill(address, dirty=flag, candidate_ways=scope)
-                        == model.fill(address, flag, scope))
+                        == victim)
+                assert cache.locate(address)[1] == way
             elif op == "invalidate":
                 assert (cache.invalidate_line(address)
                         == model.invalidate(address))
             else:
                 assert cache.contains(address) == model.contains(address)
-            assert evicted == model.evicted
             assert dataclasses.asdict(cache.stats) == model.stats
             for index in set(cache._sets) | set(model.sets):
                 assert _cache_view(cache, index) == model.view(index)

@@ -8,6 +8,7 @@ tracks, and the sampled lane's fast warmer against translation replay.
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
@@ -17,6 +18,8 @@ from repro.cache.basic import SetAssociativeCache
 from repro.cache.vipt import L1Timing, ViptL1Cache
 from repro.cache.vivt import VivtL1Cache
 from repro.coherence.directory import Directory
+from repro.energy.accounting import EnergyAccountant
+from repro.energy.sram import SRAMModel
 from repro.mem.address import PAGE_SIZE_2MB, PAGE_SIZE_4KB, PageSize
 from repro.mem.os_policy import MemoryManager, THPPolicy
 from repro.mem.physical import PhysicalMemory
@@ -29,6 +32,12 @@ from repro.workloads.suite import cached_trace
 from tests.test_properties import _ReferenceTLB, _tlb_fields
 
 TIMING = L1Timing(base_hit_cycles=2, super_hit_cycles=1)
+
+
+def directory_over(caches):
+    """A directory over 32KB 8-way L1s, charging an energy accountant."""
+    return Directory(caches, EnergyAccountant(
+        sram=SRAMModel(), l1_size_bytes=32 * 1024, l1_ways=8))
 
 
 class TestOsChurnInvariants:
@@ -138,7 +147,7 @@ class TestDirectoryInvariants:
         """After any transaction sequence, a write leaves exactly one
         registered sharer for the line."""
         caches = [ViptL1Cache(32 * 1024, TIMING) for _ in range(4)]
-        directory = Directory(caches)
+        directory = directory_over(caches)
         for core, line_index, op in operations:
             address = 0x1000 + line_index * 64
             if op == "read":
@@ -155,8 +164,8 @@ class TestDirectoryInvariants:
                             address).present
             else:
                 # Evictions are driven by the L1: the line leaves the
-                # cache *and* the directory is notified (as the eviction
-                # hook does in the system simulator).
+                # cache *and* the directory is notified (as the system
+                # simulator does with the victim an L1 fill returns).
                 caches[core].store.invalidate_line(address)
                 directory.evict(core, address)
 
@@ -166,7 +175,7 @@ class TestDirectoryInvariants:
     @settings(max_examples=30, deadline=None)
     def test_sharer_count_never_exceeds_cores(self, reads):
         caches = [ViptL1Cache(32 * 1024, TIMING) for _ in range(4)]
-        directory = Directory(caches)
+        directory = directory_over(caches)
         for core, line_index in reads:
             address = 0x1000 + line_index * 64
             directory.cpu_read(core, address)
@@ -366,7 +375,7 @@ class TestL1ProbeOrder:
             if l2 is not None:
                 l2.invalidate(virtual_base, page_size)
 
-        manager.register_invalidation_hook(shootdown)
+        manager.tlbs = [SimpleNamespace(invalidate=shootdown)]
 
         def reference_translate(virtual):
             hits = [model.lookup(virtual) for model in l1.values()]

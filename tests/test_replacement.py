@@ -19,11 +19,14 @@ class TestLRU:
     def test_victim_is_least_recently_used(self):
         cache = one_set_cache(4)
         for tag in range(4):
-            assert cache.fill(line(tag)) == tag
+            assert cache.fill(line(tag)) is None
+            assert cache.locate(line(tag))[1] == tag
         assert cache.set_at(0).order[0] == 0
-        assert cache.fill(line(4)) == 0
+        assert cache.fill(line(4)) == (line(0), False)
+        assert cache.locate(line(4))[1] == 0
         cache.probe(line(1))
-        assert cache.fill(line(5)) == 2
+        assert cache.fill(line(5)) == (line(2), False)
+        assert cache.locate(line(5))[1] == 2
 
     def test_victim_restricted_to_candidates(self):
         """Partition-local LRU: the SEESAW 4way insertion policy."""
@@ -31,8 +34,12 @@ class TestLRU:
         for tag in range(8):
             cache.fill(line(tag))
         # Global LRU victim is 0, but candidates name partition 1 (ways 4-7).
-        assert cache.fill(line(8), candidate_ways=range(4, 8)) == 4
-        assert cache.fill(line(9), candidate_ways=[4, 5, 6, 7]) == 5
+        assert cache.fill(line(8), candidate_ways=range(4, 8)) == (line(4),
+                                                                   False)
+        assert cache.locate(line(8))[1] == 4
+        assert cache.fill(line(9), candidate_ways=[4, 5, 6, 7]) == (line(5),
+                                                                   False)
+        assert cache.locate(line(9))[1] == 5
 
     def test_empty_candidates_rejected(self):
         cache = one_set_cache(4)

@@ -1,7 +1,7 @@
 """Tests for the SEESAW L1 cache — the paper's core contribution.
 
 The Table I lookup anatomy, the 4way insertion policy, single-partition
-coherence probes, TFT integration with the TLB hierarchy and OS hooks, the
+coherence probes, TFT integration with the TLB hierarchy that holds it, the
 promotion sweep, and the way-predictor combination are each pinned down.
 """
 
@@ -12,7 +12,8 @@ from repro.cache.way_predictor import MRUWayPredictor
 from repro.core.insertion import InsertionPolicy
 from repro.core.seesaw import SeesawL1Cache
 from repro.mem.address import PAGE_SIZE_2MB, PageSize
-from repro.tlb.tlb import TLBEntry
+from repro.mem.page_table import PageTable
+from repro.tlb.hierarchy import SplitTLBHierarchy
 
 #: a VA inside a 2MB-aligned region, plus the matching PA with identical
 #: low 21 bits (as a superpage mapping guarantees).
@@ -178,33 +179,40 @@ class TestCoherence:
         assert cache.coherence_probe(0x0).ways_probed == 4
 
 
+def tlbs_sharing_tft(cache):
+    """A TLB hierarchy holding ``cache``'s TFT, over a page table that
+    maps ``SUPER_VA`` with a 2MB page and VA 0x1000 with a 4KB one."""
+    table = PageTable()
+    table.map(SUPER_VA & ~(PAGE_SIZE_2MB - 1),
+              SUPER_PA & ~(PAGE_SIZE_2MB - 1), PageSize.SUPER_2MB)
+    table.map(0x1000, 0x9000, PageSize.BASE_4KB)
+    return SplitTLBHierarchy(table, tft=cache.tft)
+
+
 class TestTftIntegration:
     def test_tlb_fill_hook_populates_tft(self):
         cache = make_cache()
-        entry = TLBEntry(virtual_page=SUPER_VA >> 21,
-                         physical_page=SUPER_PA >> 21,
-                         page_size=PageSize.SUPER_2MB)
-        cache.on_tlb_fill(entry)
+        tlbs_sharing_tft(cache).translate_raw(SUPER_VA)
         assert cache.tft.probe(SUPER_VA)
 
     def test_4kb_tlb_fill_does_not_touch_tft(self):
         cache = make_cache()
-        entry = TLBEntry(virtual_page=0x1000 >> 12, physical_page=0x9000 >> 12,
-                         page_size=PageSize.BASE_4KB)
-        cache.on_tlb_fill(entry)
+        tlbs_sharing_tft(cache).translate_raw(0x1000)
         assert cache.tft.occupancy() == 0
 
     def test_splinter_invalidation_hook(self):
         cache = make_cache()
-        known_superpage(cache)
+        tlbs = tlbs_sharing_tft(cache)
+        tlbs.translate_raw(SUPER_VA)
         base = SUPER_VA & ~(PAGE_SIZE_2MB - 1)
-        cache.on_translation_invalidated(base, PageSize.SUPER_2MB)
+        tlbs.invalidate(base, PageSize.SUPER_2MB)
         assert not cache.tft.probe(SUPER_VA)
 
     def test_base_page_invalidation_leaves_tft(self):
         cache = make_cache()
-        known_superpage(cache)
-        cache.on_translation_invalidated(0x1000, PageSize.BASE_4KB)
+        tlbs = tlbs_sharing_tft(cache)
+        tlbs.translate_raw(SUPER_VA)
+        tlbs.invalidate(0x1000, PageSize.BASE_4KB)
         assert cache.tft.probe(SUPER_VA)
 
     def test_context_switch_flushes_tft(self):

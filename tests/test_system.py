@@ -1,5 +1,8 @@
 """Integration tests for the full-system simulator."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -136,6 +139,37 @@ class TestHooksWiring:
         result = run(SystemConfig(coherence="none",
                                   system_probe_interval=0))
         assert result.coherence_probes == 0
+
+    def test_plain_references_survive_restore_and_hold_no_cycle(self):
+        """Components hold each other directly, set once at build: a
+        restored 4-core machine shares each TFT between its L1 and its
+        TLB hierarchy, the manager shoots down the simulator's own
+        hierarchies and the fabric charges the simulator's accountant.
+        With nothing closing over the simulator, a finished one is freed
+        when dropped, without the cycle collector."""
+        config = SystemConfig(l1_design="seesaw")
+        trace = build_trace(get_workload("g500"), length=6000, seed=11)
+        sim = SystemSimulator(config, trace)
+        sim.run_until(3001)
+        restored = SystemSimulator(config, trace)
+        restored.restore(sim.snapshot())
+        assert len(restored.l1s) == 4
+        for l1, tlbs in zip(restored.l1s, restored.tlbs):
+            assert tlbs.tft is l1.tft
+        assert restored.manager.tlbs is restored.tlbs
+        assert all(swept is l1 for swept, l1 in zip(
+            restored.manager.swept_caches, restored.l1s))
+        assert restored.fabric.caches is restored.l1s
+        assert restored.fabric.energy is restored.energy
+        gc.collect()
+        gc.disable()
+        try:
+            restored.finish()
+            freed = weakref.ref(restored)
+            del restored
+            assert freed() is None
+        finally:
+            gc.enable()
 
 
 class TestBackgroundProbeDraws:

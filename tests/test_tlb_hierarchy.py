@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.tft import TranslationFilterTable
 from repro.mem.address import PAGE_SIZE_2MB, PageSize
 from repro.mem.page_table import PageTable, TranslationFault
 from repro.tlb.hierarchy import SplitTLBHierarchy
@@ -77,12 +78,13 @@ class TestSplitHierarchy:
                            + SplitTLBHierarchy.L2_LATENCY)
 
     def test_fill_hook_fires_on_l1_fills(self, mapped_table):
-        tlbs = self.make(mapped_table)
-        fills = []
-        tlbs.register_fill_hook(lambda entry: fills.append(entry.page_size))
+        """Only 2MB L1 fills reach the hierarchy's TFT."""
+        tft = TranslationFilterTable()
+        tlbs = SplitTLBHierarchy(mapped_table, l1_4kb_entries=16,
+                                 l1_2mb_entries=8, tft=tft)
         tlbs.translate_raw(VA_2MB)
         tlbs.translate_raw(VA_4KB)
-        assert fills == [PageSize.SUPER_2MB, PageSize.BASE_4KB]
+        assert tft.probe(VA_2MB) and tft.occupancy() == 1
 
     def test_invalidate_reaches_all_levels(self, mapped_table):
         tlbs = self.make(mapped_table, l2_entries=64)
