@@ -886,7 +886,7 @@ class _ParallelDispatcher:
 
 def resilient_sweep(base_config, workloads, trace_length: int = 60_000,
                     seed: int = 42, designs=("vipt", "seesaw"),
-                    mutate=None, journal_path=None, resume: bool = True,
+                    journal_path=None, resume: bool = True,
                     jobs: int = 1, isolate: bool = False,
                     timeout_s: Optional[float] = None,
                     max_retries: int = 1, retry_backoff_s: float = 0.25,
@@ -903,8 +903,6 @@ def resilient_sweep(base_config, workloads, trace_length: int = 60_000,
         workloads: workload names (see ``repro.workloads.suite``).
         trace_length / seed: forwarded to ``build_trace``.
         designs: L1 designs to sweep; duplicates are collapsed, order kept.
-        mutate: optional ``f(config, workload) -> config`` hook applied
-            once per workload (kept from the classic ``sweep``).
         journal_path: JSONL journal location; None disables journaling.
         resume: with a journal, reuse completed cells whose config digest
             matches instead of re-simulating them.  ``resume=False``
@@ -1031,15 +1029,8 @@ def resilient_sweep(base_config, workloads, trace_length: int = 60_000,
                     journal.write_header(sweep_header_fields(
                         base_config, workloads, designs, trace_length, seed,
                         sampling_plan=sampling_plan))
-            # mutate is called once per workload (the classic sweep()
-            # contract), before the design is applied.
-            per_workload_config: Dict[str, object] = {}
             for workload, design in cells:
-                if workload not in per_workload_config:
-                    per_workload_config[workload] = (
-                        mutate(base_config, workload) if mutate
-                        else base_config)
-                config = per_workload_config[workload].with_design(design)
+                config = base_config.with_design(design)
                 digest = config_digest(config)
                 if sampling_plan is not None:
                     from repro.sampling import sampling_cell_digest

@@ -9,7 +9,7 @@ built systems that differ only in the L1 design.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.sim.config import L1_DESIGNS, SystemConfig
 from repro.sim.stats import SimulationResult
@@ -92,13 +92,11 @@ def sweep(base_config: SystemConfig,
           trace_length: int = 60_000,
           seed: int = 42,
           designs: Sequence[str] = ("vipt", "seesaw"),
-          mutate: Optional[Callable[[SystemConfig, str], SystemConfig]] = None,
           journal_path=None, resume: bool = True,
           ) -> Dict[str, Dict[str, SimulationResult]]:
     """Run several workloads under several designs.
 
-    Returns ``{workload: {design: result}}``.  ``mutate`` may adjust the
-    config per workload (e.g. to scale memory with footprint).  With a
+    Returns ``{workload: {design: result}}``.  With a
     ``journal_path`` every completed cell is journaled and an interrupted
     sweep resumes from the journal (see :mod:`repro.resilience.runner`;
     the full knob set — isolation, timeouts, retries, fault injection —
@@ -109,7 +107,7 @@ def sweep(base_config: SystemConfig,
     _require_known_designs(designs)
     report = resilient_sweep(base_config, workloads,
                              trace_length=trace_length, seed=seed,
-                             designs=designs, mutate=mutate,
+                             designs=designs,
                              journal_path=journal_path, resume=resume,
                              max_retries=0,
                              fail_fast=journal_path is None)

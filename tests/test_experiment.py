@@ -58,13 +58,3 @@ class TestRuns:
         results = sweep(SystemConfig(), ["astar"], trace_length=2000)
         with pytest.raises(ValueError):
             summarize_improvements(results, metric="area")
-
-    def test_sweep_mutation_hook(self):
-        seen = []
-
-        def mutate(config, name):
-            seen.append(name)
-            return config
-
-        sweep(SystemConfig(), ["astar"], trace_length=2000, mutate=mutate)
-        assert seen == ["astar"]
