@@ -493,14 +493,29 @@ class TestServer:
     def test_queued_deadline_degrades_without_simulating(self, serve):
         server = serve(jobs=1)
         client = _client(server)
+        # The blocker's job holds the server's one worker slot until the
+        # queued request has its reply: it signals once it runs, then
+        # waits to be released.
+        running, release = threading.Event(), threading.Event()
+        execute = server._execute
+
+        def held_execute(job):
+            running.set()
+            release.wait(60)
+            return execute(job)
+
+        server._execute = held_execute
         with ThreadPoolExecutor(1) as pool:
             blocker = pool.submit(
                 client.call, "sweep",
                 {"workloads": ["gups", "mcf"],
                  "designs": ["vipt", "seesaw"], "length": 20_000})
-            time.sleep(0.5)
-            out = client.call("run", dict(SMALL, seed=9,
-                                          deadline_s=0.2))
+            assert running.wait(60)
+            try:
+                out = client.call("run", dict(SMALL, seed=9,
+                                              deadline_s=0.2))
+            finally:
+                release.set()
             assert out["state"] == "failed"
             assert out["simulated"] == 0
             assert out["failures"][0]["error_class"] == "DeadlineExceeded"
