@@ -4,6 +4,9 @@ import pytest
 
 from repro.cache.vivt import VivtL1Cache
 from repro.mem.address import PageSize
+from repro.sim.config import SystemConfig
+from repro.sim.system import SystemSimulator
+from repro.workloads.suite import build_trace, get_workload
 
 #: two virtual aliases of one physical line (a synonym pair).
 VA_A = 0x10_0000
@@ -112,3 +115,36 @@ class TestEvictionConsistency:
         cache._drop_mapping(cache.store.line_address(VA_A))
         result = cache.coherence_probe(PA)
         assert not result.present or result.ways_probed >= cache.ways
+
+    def test_fill_returns_the_victims_physical_line(self):
+        """The store evicts a virtual line; the LLC and the fabric must
+        hear of the physical line it cached."""
+        cache = VivtL1Cache(32 * 1024, ways=1, hit_cycles=1)
+        stride = cache.store.num_sets * 64
+        assert cache.fill(VA_A, PA, PageSize.BASE_4KB, dirty=True) is None
+        victim = cache.fill(VA_A + stride, PA + 8192, PageSize.BASE_4KB)
+        assert victim == (PA & ~63, True)
+        assert not cache.coherence_probe(PA).present
+
+    def test_multicore_run_writes_back_and_evicts_physical_lines(self):
+        trace = build_trace(get_workload("g500"), length=20_000, seed=42)
+        sim = SystemSimulator(SystemConfig(l1_design="vivt", seed=42),
+                              trace)
+        assert sim.num_cores > 1
+        written, evicted = [], []
+        writeback, evict = sim.hierarchy.writeback, sim.fabric.evict
+
+        def record_writeback(line):
+            written.append(line)
+            writeback(line)
+
+        def record_evict(core, line):
+            evicted.append(line)
+            evict(core, line)
+
+        sim.hierarchy.writeback = record_writeback
+        sim.fabric.evict = record_evict
+        sim.run()
+        assert written and evicted
+        limit = sim.physical.total_bytes
+        assert max(written) < limit and max(evicted) < limit
