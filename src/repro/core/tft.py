@@ -89,7 +89,8 @@ class TranslationFilterTable:
         self.slots[region % self.entries] = region
 
     def invalidate(self, virtual_address: int) -> bool:
-        """Drop the region entry (superpage splintered; ``invlpg`` hook).
+        """Drop the region entry (superpage splintered: SEESAW's
+        ``invlpg`` extension, which the TLB hierarchy applies).
 
         Returns True if an entry was removed.
         """
