@@ -34,13 +34,12 @@ class CacheSet:
 
     __slots__ = ("tags", "dirty", "order")
 
-    def __init__(self, ways: int, tags: Sequence[int] = (),
-                 order: Optional[List[int]] = None) -> None:
-        """An empty set, or one whose first ways hold the clean lines
-        ``tags``, with recency ``order`` (default: way order)."""
-        self.tags: List[Optional[int]] = [*tags, *[None] * (ways - len(tags))]
+    def __init__(self, ways: int) -> None:
+        """An empty set: every way invalid and clean, recency in way
+        order."""
+        self.tags: List[Optional[int]] = [None] * ways
         self.dirty = [False] * ways
-        self.order = list(range(ways)) if order is None else order
+        self.order = list(range(ways))
 
     def find(self, tag: int) -> Optional[int]:
         """Return the way holding ``tag``, or None."""
@@ -235,8 +234,9 @@ class SetAssociativeCache:
         way *i* mod ``ways``, its recency list is ``range(ways)`` rotated
         left by its line count, and sets are created in first-touch order.
         Survivors are sorted into way order, so each set is built once,
-        already holding its slice of tags.  Anything but an empty cache
-        raises ValueError.
+        from its slice of tags, the ``None`` padding its free ways need
+        and a copy of its rotation, all made once per call.  Anything but
+        an empty cache raises ValueError.
         """
         lines = np.asarray(addresses, dtype=np.int64) >> self.offset_bits
         ways, stats, sets = self.ways, self.stats, self._sets
@@ -255,14 +255,24 @@ class SetAssociativeCache:
         by_way = np.empty_like(keys)
         by_way[np.arange(keys.size) - position + rank % ways] = keys
         tags = (by_way >> self.index_bits).tolist()
+        padding = [[None] * (ways - size) for size in range(ways + 1)]
+        rotations = [[*range(shift, ways), *range(shift)]
+                     for shift in range(ways)]
+        clean = [False] * ways
+        new_set = CacheSet.__new__
         start = 0
         for index, total in zip((keys[first] & self._index_mask).tolist(),
                                 per_set.tolist()):
-            size = min(total, ways)
-            shift = total % ways
-            sets[index] = CacheSet(ways, tags[start:start + size],
-                                   [*range(shift, ways), *range(shift)])
-            start += size
+            cache_set = sets[index] = new_set(CacheSet)
+            if total < ways:
+                cache_set.tags = tags[start:start + total] + padding[total]
+                cache_set.order = rotations[total][:]
+                start += total
+            else:
+                cache_set.tags = tags[start:start + ways]
+                cache_set.order = rotations[total % ways][:]
+                start += ways
+            cache_set.dirty = clean[:]
 
     def contains(self, address: int) -> bool:
         """Non-perturbing presence check."""

@@ -17,12 +17,38 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List
+from itertools import islice
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from repro.mem.address import PAGE_SIZE_4KB, PAGE_SIZE_2MB
+from repro.mem.address import PAGE_SIZE_2MB
 from repro.mem.physical import ORDER_2MB, PhysicalMemory
+
+#: draws one RNG call makes while memhog consumes or frees memory.
+DRAW_BLOCK = 256
+#: exclusive upper bound of each order in a block draw (orders 3-6).
+_ORDER_HIGHS = np.full(DRAW_BLOCK, 7)
+
+
+def _round_robin(regions: List[int], keep: int,
+                 counts: Dict[int, int]) -> Iterator[Tuple[int, int]]:
+    """Memhog's scattered free-back visits, as ``(region, blocks held)``:
+    ``regions`` in turn, each dropping out once it holds ``keep`` blocks.
+    The visits do not depend on which block each one frees, so they can
+    be known before the picks are drawn.  Counts down ``counts``.
+    """
+    regions = list(regions)
+    cursor = 0
+    while regions:
+        region = regions[cursor % len(regions)]
+        count = counts[region]
+        yield region, count
+        counts[region] = count - 1
+        if count - 1 <= keep:
+            regions.remove(region)
+        else:
+            cursor += 1
 
 
 @dataclass
@@ -71,18 +97,31 @@ class Memhog:
         hundreds of MB of simulated memory while staying far below the 2MB
         threshold that matters: any pinned block of these sizes poisons its
         region for superpage use just as a 4KB one would.
+
+        Each allocation draws its order as ``integers(3, 7)``.  The draws
+        come ``DRAW_BLOCK`` at a time from one ``integers`` call, whose
+        broadcast bounds yield exactly the scalar sequence.  When memory
+        runs out mid-block, the generator is rewound to the block's start
+        and redraws only the orders used, the failed allocation's
+        included, so :meth:`_free_back` continues from where one draw per
+        allocation leaves it.
         """
         held: Dict[int, List[int]] = defaultdict(list)
-        frames_per_region = PAGE_SIZE_2MB // PAGE_SIZE_4KB
+        try_allocate = self.memory.allocator.try_allocate
+        bit_generator = rng.bit_generator
         while True:
-            order = int(rng.integers(3, 7))
-            frame = self.memory.allocator.try_allocate(order)
-            if frame is None:
-                frame = self.memory.allocator.try_allocate(0)
+            state = bit_generator.state
+            orders = rng.integers(3, _ORDER_HIGHS).tolist()
+            for used, order in enumerate(orders, 1):
+                frame = try_allocate(order)
                 if frame is None:
-                    break
-            held[frame // frames_per_region].append(frame)
-        self._held = dict(held)
+                    frame = try_allocate(0)
+                    if frame is None:
+                        bit_generator.state = state
+                        rng.integers(3, _ORDER_HIGHS[:used])
+                        self._held = dict(held)
+                        return
+                held[frame >> ORDER_2MB].append(frame)  # its 2MB region
 
     def _free_back(self, rng: np.random.Generator) -> None:
         """Release memory until only ``fraction`` stays pinned.
@@ -111,20 +150,31 @@ class Memhog:
         # resident allocation is enough to stop buddy coalescing from ever
         # rebuilding an order-9 (2MB) block there, which is exactly how
         # long-lived kernel/user objects poison regions on real systems.
+        # Each freed block is ``integers(0, blocks held)``; as in
+        # _consume_all, the picks come a block at a time and the
+        # generator is rewound to leave only the used ones drawn.
         min_pinned = 2
-        eligible = [r for r, blocks in self._held.items()
+        held = self._held
+        eligible = [r for r, blocks in held.items()
                     if len(blocks) > min_pinned]
         rng.shuffle(eligible)
-        cursor = 0
-        while self.memory.free_bytes < target_free and eligible:
-            region = eligible[cursor % len(eligible)]
-            blocks = self._held[region]
-            frame = blocks.pop(int(rng.integers(0, len(blocks))))
-            self.memory.allocator.free(frame)
-            if len(blocks) <= min_pinned:
-                eligible.remove(region)
-                continue
-            cursor += 1
+        visits = _round_robin(eligible, min_pinned,
+                              {r: len(held[r]) for r in eligible})
+        free = self.memory.allocator.free
+        bit_generator = rng.bit_generator
+        while True:
+            block = list(islice(visits, DRAW_BLOCK))
+            if not block:
+                return
+            state = bit_generator.state
+            counts = [count for _, count in block]
+            picks = rng.integers(0, counts).tolist()
+            for used, ((region, _), pick) in enumerate(zip(block, picks)):
+                if self.memory.free_bytes >= target_free:
+                    bit_generator.state = state
+                    rng.integers(0, counts[:used])
+                    return
+                free(held[region].pop(pick))
 
     # ------------------------------------------------------------------- API
 

@@ -51,6 +51,9 @@ class BuddyAllocator:
         self._free_lists: List[Set[int]] = [set() for _ in range(MAX_ORDER + 1)]
         # allocated block -> order (so free() knows the size)
         self._allocated: Dict[int, int] = {}
+        # Frames in all free lists, kept as blocks move so that
+        # free_frames() is O(1) (memhog asks after every block it frees).
+        self._free_count = self.total_frames
         self._seed_free_lists()
 
     def _seed_free_lists(self) -> None:
@@ -75,31 +78,32 @@ class BuddyAllocator:
         Raises:
             OutOfMemoryError: if no block of ``order`` or above is free.
         """
-        if not 0 <= order <= MAX_ORDER:
-            raise ValueError(f"order must be in [0, {MAX_ORDER}]")
-        source = order
-        while source <= MAX_ORDER and not self._free_lists[source]:
-            source += 1
-        if source > MAX_ORDER:
+        frame = self.try_allocate(order)
+        if frame is None:
             raise OutOfMemoryError(f"no free block of order >= {order}")
-        # Any free block at this order is equally good; set iteration order
-        # is deterministic for a fixed operation history, so runs reproduce.
-        frame = next(iter(self._free_lists[source]))
-        self._free_lists[source].discard(frame)
-        # Split down to the requested order, returning buddies to free lists.
-        while source > order:
-            source -= 1
-            buddy = frame + (1 << source)
-            self._free_lists[source].add(buddy)
-        self._allocated[frame] = order
         return frame
 
     def try_allocate(self, order: int) -> Optional[int]:
         """Like :meth:`allocate` but returns ``None`` instead of raising."""
-        try:
-            return self.allocate(order)
-        except OutOfMemoryError:
+        if not 0 <= order <= MAX_ORDER:
+            raise ValueError(f"order must be in [0, {MAX_ORDER}]")
+        free_lists = self._free_lists
+        source = order
+        while source <= MAX_ORDER and not free_lists[source]:
+            source += 1
+        if source > MAX_ORDER:
             return None
+        # Any free block at this order is equally good; set iteration order
+        # is deterministic for a fixed operation history, so runs reproduce.
+        frame = next(iter(free_lists[source]))
+        free_lists[source].discard(frame)
+        # Split down to the requested order, returning buddies to free lists.
+        while source > order:
+            source -= 1
+            free_lists[source].add(frame + (1 << source))
+        self._allocated[frame] = order
+        self._free_count -= 1 << order
+        return frame
 
     def split_allocated(self, frame: int, target_order: int = 0) -> None:
         """Split an allocated block into ``2^(order-target)`` allocations.
@@ -130,6 +134,7 @@ class BuddyAllocator:
         if frame not in self._allocated:
             raise ValueError(f"frame {frame} is not the start of an allocation")
         order = self._allocated.pop(frame)
+        self._free_count += 1 << order
         while order < MAX_ORDER:
             buddy = frame ^ (1 << order)
             if buddy not in self._free_lists[order]:
@@ -143,8 +148,7 @@ class BuddyAllocator:
 
     def free_frames(self) -> int:
         """Total number of free 4KB frames."""
-        return sum(len(blocks) << order
-                   for order, blocks in enumerate(self._free_lists))
+        return self._free_count
 
     def available_blocks_at_or_above(self, order: int) -> int:
         """How many order-``order`` allocations could currently succeed."""

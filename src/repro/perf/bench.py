@@ -198,7 +198,10 @@ def bench_sampled(workloads: Optional[Sequence[str]] = None,
     ran under matching conditions.  The speedup denominator deliberately
     excludes trace build, simulator construction, and prewarm: both
     lanes pay those identically, and the sampled lane's pitch is about
-    the measurement loop it avoids.
+    the measurement loop it avoids.  Each cell also carries the stages
+    of its fastest sampled repeat (``profile_s``, ``cluster_s``,
+    ``loop_s``, and ``warm_s``, the gap warming inside ``loop_s``), so a
+    speedup below the gate shows which stage used up the margin.
 
     Accuracy: observed relative error of every headline metric against
     the exact lane's counters, checked against both the flat budget and
@@ -224,6 +227,7 @@ def bench_sampled(workloads: Optional[Sequence[str]] = None,
             config = SystemConfig(l1_design=design, seed=seed)
             exact_samples: List[float] = []
             sampled_samples: List[float] = []
+            sampled_stages: List[Dict[str, float]] = []
             exact_result = None
             sampled_result = None
             for _ in range(repeats):
@@ -240,8 +244,12 @@ def bench_sampled(workloads: Optional[Sequence[str]] = None,
                 sampled_samples.append(timings.get("profile", 0.0)
                                        + timings.get("cluster", 0.0)
                                        + timings["loop"])
+                sampled_stages.append(timings)
             exact_s = min(exact_samples)
             sampled_s = min(sampled_samples)
+            # The stages of the fastest sampled repeat, the one that
+            # sets ``sampled_loop_s``; ``warm_s`` is part of ``loop_s``.
+            stages = sampled_stages[sampled_samples.index(sampled_s)]
             speedup = max(exact_s / sampled_s,
                           max(e / s for e, s in zip(exact_samples,
                                                     sampled_samples)))
@@ -260,6 +268,10 @@ def bench_sampled(workloads: Optional[Sequence[str]] = None,
                 "design": design,
                 "exact_loop_s": exact_s,
                 "sampled_loop_s": sampled_s,
+                "profile_s": stages.get("profile", 0.0),
+                "cluster_s": stages.get("cluster", 0.0),
+                "warm_s": stages.get("warm", 0.0),
+                "loop_s": stages["loop"],
                 "speedup": speedup,
                 "coverage": sampled_result.sampling["coverage"],
                 "errors": errors,

@@ -60,12 +60,23 @@ def config_digest(config) -> str:
 
 
 def trace_digest(trace) -> str:
-    """SHA-256 over a trace's name and all four reference columns."""
-    h = hashlib.sha256()
-    h.update(repr(trace.name).encode("utf-8"))
-    for column in (trace.addresses, trace.writes, trace.cores, trace.gaps):
-        h.update(repr(column).encode("utf-8"))
-    return h.hexdigest()
+    """SHA-256 over a trace's name and all four reference columns.
+
+    Memoised on the trace, which every reader treats as immutable.  As
+    with :meth:`~repro.workloads.trace.MemoryTrace.columns`, a trace whose
+    length changed (fault injection's ``trace-truncate`` shortens it in
+    place) is hashed again.
+    """
+    length = len(trace.addresses)
+    memo = getattr(trace, "_digest", None)
+    if memo is None or memo[0] != length:
+        h = hashlib.sha256()
+        h.update(repr(trace.name).encode("utf-8"))
+        for column in (trace.addresses, trace.writes, trace.cores,
+                       trace.gaps):
+            h.update(repr(column).encode("utf-8"))
+        memo = trace._digest = (length, h.hexdigest())
+    return memo[1]
 
 
 # ----------------------------------------------------- config serialization

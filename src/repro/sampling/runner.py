@@ -418,7 +418,8 @@ def simulate_sampled(config, trace, plan: SamplingPlan,
 
     ``timings``, when given, receives per-stage wall-clock seconds
     (``construct``/``prewarm``/``profile``/``cluster``/``loop``/
-    ``collect``) for the bench harness.
+    ``collect``) for the bench harness, plus ``warm``: the functional
+    gap warming, a part of ``loop``.
     """
     from repro.sim.system import SystemSimulator
 
@@ -482,7 +483,9 @@ def simulate_sampled(config, trace, plan: SamplingPlan,
         lo, hi = intervals[cluster.representative]
         warm_start = max(sim._next_index, lo - plan.warmup)
         if warm_start > sim._next_index:
+            warming = time.perf_counter()
             _functional_warm_gap(sim, sim._next_index, warm_start, warm_ctx)
+            _stamp("warm", warming)
         sim._next_index = warm_start         # skip the gap
         if warm_start < lo:
             sim.run_until(lo)                # unmeasured warmup replay

@@ -386,15 +386,16 @@ class SystemSimulator:
         _, first = np.unique(lines, return_index=True)
         lines = lines[np.sort(first)]
         # Each page's first line comes in the page's first-touch order;
-        # lines in one page share a leaf mapping, so one lookup per page.
+        # lines in one page share the leaf mapping its touch returns (no
+        # later touch remaps a page), so one touch per page.
         pages, first, page_of_line = np.unique(
             lines >> 6, return_index=True, return_inverse=True)
-        for page in pages[np.argsort(first)].tolist():
-            self.manager.touch(page << 12)
-        lookup = self.manager.page_table.lookup
-        offsets = np.array([m.physical_base - m.virtual_base
-                            for m in map(lookup, (pages << 12).tolist())],
-                           dtype=np.int64)
+        touch_order = np.argsort(first)
+        offsets = np.empty(pages.size, dtype=np.int64)
+        offsets[touch_order] = [
+            m.physical_base - m.virtual_base
+            for m in map(self.manager.touch,
+                         (pages[touch_order] << 12).tolist())]
         self.hierarchy.llc.install(
             (lines << 6) + offsets[page_of_line])
 
@@ -689,7 +690,7 @@ class SystemSimulator:
     #: ``SNAPSHOT_COMPONENTS`` / ``SNAPSHOT_LOOP`` change: a payload of
     #: another version is refused instead of resuming a run on state
     #: this code would misread.
-    SNAPSHOT_VERSION = 12
+    SNAPSHOT_VERSION = 13
 
     #: the components a snapshot pickles, each under its attribute name.
     SNAPSHOT_COMPONENTS = ("physical", "memhog", "manager", "tlbs", "l1s",

@@ -124,22 +124,17 @@ class PointerChaseGenerator(PatternGenerator):
     def __init__(self, num_lines: int, seed: int = 0,
                  rng: Optional[np.random.Generator] = None) -> None:
         super().__init__(num_lines, seed, rng)
-        # Build a single Hamiltonian cycle (as list-initialization code
-        # does): successor[perm[i]] = perm[i+1].  A raw permutation used as
-        # a successor table would decompose into several short cycles.
-        order = self.rng.permutation(num_lines).astype(np.int64)
-        self._next = np.empty(num_lines, dtype=np.int64)
-        self._next[order] = np.roll(order, -1)
-        self._position = int(order[0])
+        # A single Hamiltonian cycle (as list-initialization code builds):
+        # the walk visits ``order`` in sequence and wraps.  A raw
+        # permutation used as a successor table would decompose into
+        # several short cycles.  ``_cursor`` is the walk's next position
+        # in ``order``.
+        self._order = self.rng.permutation(num_lines).astype(np.int64)
+        self._cursor = 0
 
     def generate(self, count: int) -> np.ndarray:
-        out = np.empty(count, dtype=np.int64)
-        position = self._position
-        nxt = self._next
-        for i in range(count):
-            out[i] = position
-            position = int(nxt[position])
-        self._position = position
+        out = self._order.take(self._cursor + np.arange(count), mode="wrap")
+        self._cursor = (self._cursor + count) % self.num_lines
         return out
 
 

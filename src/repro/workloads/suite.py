@@ -365,17 +365,15 @@ def build_trace(spec: WorkloadSpec, length: int = 100_000,
         va_streams.append(HEAP_BASE + regions * region_bytes
                           + offsets * CACHE_LINE_SIZE)
 
-    # Round-robin interleave the threads.
-    addresses: List[int] = []
-    cores: List[int] = []
-    for i in range(per_thread):
-        for thread in range(spec.threads):
-            addresses.append(int(va_streams[thread][i]))
-            cores.append(thread)
-    n = len(addresses)
-    writes = (rng.random(n) < spec.write_fraction).tolist()
-    gaps = rng.poisson(spec.mean_gap, size=n).tolist()
-    return MemoryTrace(spec.name, addresses, writes, cores, gaps)
+    # Round-robin interleave the threads: reference i of every thread,
+    # in thread order, then reference i + 1.
+    addresses = np.stack(va_streams, axis=1).reshape(-1)
+    n = addresses.size
+    cores = np.tile(np.arange(spec.threads), per_thread)
+    writes = rng.random(n) < spec.write_fraction
+    gaps = rng.poisson(spec.mean_gap, size=n)
+    return MemoryTrace(spec.name, addresses.tolist(), writes.tolist(),
+                       cores.tolist(), gaps.tolist())
 
 
 # -------------------------------------------------------------- trace memo

@@ -42,15 +42,15 @@ class MemoryTrace:
                  cores: Optional[Sequence[int]] = None,
                  gaps: Optional[Sequence[int]] = None) -> None:
         self.name = name
-        self.addresses: List[int] = [int(a) for a in addresses]
-        self.writes: List[bool] = [bool(w) for w in writes]
+        self.addresses: List[int] = list(map(int, addresses))
+        self.writes: List[bool] = list(map(bool, writes))
         n = len(self.addresses)
         if len(self.writes) != n:
             raise ValueError("writes length must match addresses")
         self.cores: List[int] = ([0] * n if cores is None
-                                 else [int(c) for c in cores])
+                                 else list(map(int, cores)))
         self.gaps: List[int] = ([2] * n if gaps is None
-                                else [int(g) for g in gaps])
+                                else list(map(int, gaps)))
         if len(self.cores) != n or len(self.gaps) != n:
             raise ValueError("cores/gaps length must match addresses")
 

@@ -393,3 +393,20 @@ class TestSamplingGate:
         for payload in ({}, {"cells": []}):
             assert check_sampling(payload) == [
                 "sampled bench payload has no cells"]
+
+
+class TestSampledStages:
+    def test_cells_carry_the_fastest_repeats_stages(self):
+        from repro.perf.bench import bench_sampled
+        from repro.sampling import SamplingPlan
+
+        payload = bench_sampled(
+            workloads=["gups"], designs=("vipt",), trace_length=8000,
+            repeats=2, plan=SamplingPlan(interval_size=400, max_clusters=3,
+                                         warmup=200))
+        (cell,) = payload["cells"]
+        assert cell["sampled_loop_s"] == pytest.approx(
+            cell["profile_s"] + cell["cluster_s"] + cell["loop_s"])
+        # Gap warming is timed inside the measurement loop.
+        assert 0.0 < cell["warm_s"] < cell["loop_s"]
+        assert cell["exact_loop_s"] > 0.0

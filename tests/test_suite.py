@@ -1,9 +1,13 @@
 """Tests for the workload suite."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.mem.address import PAGE_SIZE_2MB
+from repro.resilience.checkpoint import trace_digest
 from repro.workloads.suite import (
     CLOUD_WORKLOADS,
     HEAP_BASE,
@@ -119,3 +123,25 @@ class TestBuildTrace:
     def test_single_thread_has_no_sharing_partner(self):
         trace = build_trace(get_workload("astar"), length=5000, seed=1)
         assert trace.num_cores == 1
+
+
+#: ``trace_digest`` of every workload's trace, keyed ``"length/seed"``.
+TRACE_DIGESTS = json.loads(
+    (Path(__file__).parent / "fixtures" / "trace_digests.json").read_text())
+
+
+class TestTraceDigests:
+    """Every workload's trace is pinned byte for byte, so a generator or
+    trace-builder change that moves a trace fails here, by workload name,
+    before any golden cell diverges."""
+
+    def test_fixture_covers_every_workload(self):
+        assert sorted(TRACE_DIGESTS) == ["24000/7", "3000/42"]
+        for digests in TRACE_DIGESTS.values():
+            assert sorted(digests) == sorted(workload_names())
+
+    @pytest.mark.parametrize("length,seed", [(3000, 42), (24000, 7)])
+    @pytest.mark.parametrize("name", workload_names())
+    def test_trace_digest_unchanged(self, name, length, seed):
+        trace = build_trace(get_workload(name), length=length, seed=seed)
+        assert trace_digest(trace) == TRACE_DIGESTS[f"{length}/{seed}"][name]

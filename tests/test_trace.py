@@ -57,3 +57,19 @@ class TestSliceAndConcat:
         joined = MemoryTrace.concatenate("j", [trace, trace])
         assert len(joined) == 6
         assert joined.addresses[3] == 0x1000
+
+
+class TestDigest:
+    def test_memo_follows_the_length(self):
+        from repro.resilience.checkpoint import trace_digest
+
+        trace = MemoryTrace("t", list(range(0, 4096, 64)), [False] * 64)
+        digest = trace_digest(trace)
+        assert trace_digest(trace) == digest
+        # Truncated in place, as fault injection's trace-truncate does.
+        for column in (trace.addresses, trace.writes, trace.cores,
+                       trace.gaps):
+            del column[32:]
+        fresh = MemoryTrace("t", trace.addresses, trace.writes,
+                            trace.cores, trace.gaps)
+        assert trace_digest(trace) == trace_digest(fresh) != digest
